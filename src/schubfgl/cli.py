@@ -65,6 +65,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _spec_of(args: argparse.Namespace, default_kind: str = "hyperbolic") -> FglSpec:
     kind = args.fgl if args.fgl is not None else default_kind
     return FglSpec(kind, args.mu1, args.mu2)
@@ -130,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fgl_flags(p)
     p.add_argument("--cap", type=int, default=None, help="series truncation degree")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument(
         "--jobs",
         type=int,

@@ -132,6 +132,8 @@ def all_permutations(n: int) -> list[Permutation]:
 def word_to_perm(word: Iterable[int], n: int) -> Permutation:
     p = Permutation.identity(n)
     for i in word:
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"word letter {i} out of range [1, {n - 1}]")
         p = p.right_mul_simple(i)
     return p
 

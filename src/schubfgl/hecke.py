@@ -36,34 +36,38 @@ fine (the ideal vanishes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from .combi import (
     CapacityError,
     MAX_ENUM_RANK,
     Permutation,
+    Word,
     all_permutations,
     canonical_word,
     reduced_words,
     support_of,
 )
-from .ddo import OperatorContext, apply_delta
+from .ddo import OperatorContext, apply_c, apply_delta
 from .fgl import FglSpec, diff_kernel, formal_inverse
-from .polycore import Poly, PolyError, series_invert_unit
+from .polycore import Poly, PolyError, _mk, series_invert_unit
 from .report import CheckReport
-from .schubert import SchubertContext, grothendieck_polynomial, schubert_polynomial
+from .schubert import SchubertContext, grothendieck_polynomial, initial_class
 
 
 def ideal_delete(f: Poly, indices: frozenset[int] | set[int]) -> Poly:
     """Delete the terms divisible by m2 x_j x_{j+1} for some j in indices."""
     if not indices:
         return f
+    pairs = [(j - 1, j) for j in indices]
     out = {}
-    for (exps, mu), c in f.terms.items():
-        if mu[1] >= 1 and any(exps[j - 1] >= 1 and exps[j] >= 1 for j in indices):
+    for key, c in f.terms.items():
+        exps, (_m1, m2) = key
+        if m2 and any(exps[a] and exps[b] for a, b in pairs):
             continue
-        out[(exps, mu)] = c
-    return Poly(f.nvars, out)
+        out[key] = c
+    return _mk(f.nvars, out)
 
 
 def window_vars(indices: frozenset[int] | set[int]) -> frozenset[int]:
@@ -89,12 +93,15 @@ def window_delete(f: Poly, indices: frozenset[int] | set[int]) -> Poly:
     vs = window_vars(indices)
     if not vs:
         return f
+    # a nonempty window has at least two variables, so this picks a tuple
+    pick = itemgetter(*(v - 1 for v in vs))
     out = {}
-    for (exps, mu), c in f.terms.items():
-        if mu[1] >= 1 and sum(exps[v - 1] for v in vs) >= 2:
+    for key, c in f.terms.items():
+        exps, (_m1, m2) = key
+        if m2 and sum(pick(exps)) >= 2:
             continue
-        out[(exps, mu)] = c
-    return Poly(f.nvars, out)
+        out[key] = c
+    return _mk(f.nvars, out)
 
 
 def _check_spec(spec: FglSpec) -> None:
@@ -276,6 +283,57 @@ def _apply_delta_elem(e: HeckeElem, i: int, negate: bool) -> HeckeElem:
 # ----------------------------------------------------------------------
 # verifiers
 
+def _word_classes(sctx: SchubertContext) -> Iterator[tuple[Permutation, Word, Poly]]:
+    """(w, word, class of word) for every reduced word of S_n, in trie order.
+
+    Reduced words are closed under prefixes and the class of word + (i,)
+    is C_i of the class of word, so a depth-first walk over the trie
+    applies one operator per word.  Only the classes along the current
+    path are held.
+    """
+    ops = sctx.operators()
+    n = sctx.n
+
+    def walk(w: Permutation, word: Word, cls: Poly):
+        yield w, word, cls
+        for i in range(1, n):
+            if w(i) < w(i + 1):
+                yield from walk(w.right_mul_simple(i), word + (i,), apply_c(ops, i, cls))
+
+    return walk(Permutation.identity(n), (), initial_class(sctx))
+
+
+def _word_class_cases(
+    sctx: SchubertContext, reference: Callable[[Permutation], Poly]
+) -> Iterator[tuple[str, tuple[bool, bool, bool]]]:
+    """Compare the class of every reduced word of w with reference(w).
+
+    The verdicts per word say whether the difference vanishes after
+    window deletion for supp(w), after adjacent-pair deletion for
+    supp(w) and after adjacent-pair deletion for supp(w_0 w).  The walk
+    keeps only these; the cases then come out ordered by (length,
+    one-line notation) of w and lexicographically by word, each with
+    its "w=(...) word=(...)" label.
+    """
+    w0 = Permutation.longest(sctx.n)
+    refs: dict[Permutation, Poly] = {}
+    verdicts = {}
+    for w, word, cls in _word_classes(sctx):
+        if w not in refs:
+            refs[w] = reference(w)
+        diff = cls - refs[w]
+        supp_w = support_of(w)
+        verdicts[word] = (
+            window_delete(diff, supp_w).is_zero,
+            ideal_delete(diff, supp_w).is_zero,
+            ideal_delete(diff, support_of(w0 * w)).is_zero,
+        )
+    for w in sorted(all_permutations(sctx.n), key=lambda p: (p.length(), p.oneline)):
+        wl = ",".join(map(str, w.oneline))
+        for word in reduced_words(w):
+            yield f"w=({wl}) word={word}", verdicts[word]
+
+
 def verify_fk_identity(spec: FglSpec, n: int) -> CheckReport:
     """-D_i(S) = S u_i for every i, then the coefficient comparison.
 
@@ -303,34 +361,23 @@ def verify_fk_identity(spec: FglSpec, n: int) -> CheckReport:
         rep.add(f"-D_{i}(S) = S u_{i}", heckes_equal(lhs, rhs))
 
     w0 = Permutation.longest(n)
-    sctx = SchubertContext(spec, n)
-    for w in sorted(all_permutations(n), key=lambda p: (p.length(), p.oneline)):
-        target = w0 * w
-        coeff = S.coefficient(target)
-        supp_w = support_of(w)
-        supp_t = support_of(target)
-        wl = ",".join(map(str, w.oneline))
-        for word in reduced_words(w):
-            diff = schubert_polynomial(sctx, word) - coeff
-            label = f"w=({wl}) word={word}"
-            rep.add(
-                f"{label} congruence mod window(supp(w))",
-                window_delete(diff, supp_w).is_zero,
-            )
-            rep.add(
-                f"{label} congruence mod pairs(supp(w))",
-                ideal_delete(diff, supp_w).is_zero,
-                annotated=True,
-                detail="adjacent-pair generators only; fails from n = 3 on "
-                "because divided differences leak residues across the window",
-            )
-            rep.add(
-                f"{label} congruence mod pairs(supp(w0*w))",
-                ideal_delete(diff, supp_t).is_zero,
-                annotated=True,
-                detail="adjacent-pair generators only; fails when supp(w0*w) "
-                "misses indices that the class difference needs",
-            )
+    cases = _word_class_cases(SchubertContext(spec, n), lambda w: S.coefficient(w0 * w))
+    for label, (in_window, in_pairs_w, in_pairs_t) in cases:
+        rep.add(f"{label} congruence mod window(supp(w))", in_window)
+        rep.add(
+            f"{label} congruence mod pairs(supp(w))",
+            in_pairs_w,
+            annotated=True,
+            detail="adjacent-pair generators only; fails from n = 3 on "
+            "because divided differences leak residues across the window",
+        )
+        rep.add(
+            f"{label} congruence mod pairs(supp(w0*w))",
+            in_pairs_t,
+            annotated=True,
+            detail="adjacent-pair generators only; fails when supp(w0*w) "
+            "misses indices that the class difference needs",
+        )
     return rep
 
 
@@ -348,31 +395,14 @@ def verify_coeff_corollary(spec: FglSpec, n: int) -> CheckReport:
     _check_rank(n)
     rep = CheckReport(f"coeff-corollary[{spec.label()},n={n}]")
     sctx = SchubertContext(spec, n)
-    w0 = Permutation.longest(n)
-    for w in sorted(all_permutations(n), key=lambda p: (p.length(), p.oneline)):
-        base = grothendieck_polynomial(sctx, w)
-        supp_w = support_of(w)
-        supp_t = support_of(w0 * w)
-        wl = ",".join(map(str, w.oneline))
-        for word in reduced_words(w):
-            diff = schubert_polynomial(sctx, word) - base
-            label = f"w=({wl}) word={word}"
-            rep.add(
-                f"{label} difference in window(supp(w))",
-                window_delete(diff, supp_w).is_zero,
-            )
-            rep.add(
-                f"{label} difference in pairs(supp(w))",
-                ideal_delete(diff, supp_w).is_zero,
-                annotated=True,
-                detail="adjacent-pair generators only; reported for information",
-            )
-            rep.add(
-                f"{label} difference in pairs(supp(w0*w))",
-                ideal_delete(diff, supp_t).is_zero,
-                annotated=True,
-                detail="adjacent-pair generators only; reported for information",
-            )
+    cases = _word_class_cases(sctx, lambda w: grothendieck_polynomial(sctx, w))
+    detail = "adjacent-pair generators only; reported for information"
+    for label, (in_window, in_pairs_w, in_pairs_t) in cases:
+        rep.add(f"{label} difference in window(supp(w))", in_window)
+        rep.add(f"{label} difference in pairs(supp(w))", in_pairs_w, annotated=True, detail=detail)
+        rep.add(
+            f"{label} difference in pairs(supp(w0*w))", in_pairs_t, annotated=True, detail=detail
+        )
     return rep
 
 

@@ -3,7 +3,8 @@
 A report is a flat list of labelled cases.  A case marked annotated
 records a known, documented discrepancy: it does not count against
 `passed`, but strict consumers may still reject reports that carry
-unexpected findings.
+unexpected findings.  A report without cases checked nothing and does
+not pass.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.cases if not c.annotated)
+        return bool(self.cases) and all(c.ok for c in self.cases if not c.annotated)
 
     @property
     def findings(self) -> list[CheckCase]:

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written against plain dicts and
 Fractions, not against the library's own arithmetic, so a bug in the
-package cannot hide inside its oracle.
+package cannot hide inside its oracle.  The one exception is the pair
+of division-based operators, which multiply, swap and divide with the
+library's generic `Poly` arithmetic: they are the reference for the
+table-driven operators in `schubfgl.ddo`, which use none of it.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from schubfgl.fgl import FglSpec, diff_kernel
 from schubfgl.polycore import Poly
 
 
@@ -46,6 +50,23 @@ def classical_ddiff(f: Poly, i: int) -> Poly:
             key = (tuple(exps), mu)
             acc[key] = acc.get(key, 0) + sign * c
     return Poly(f.nvars, acc)
+
+
+def _kernel_at(spec: FglSpec, nvars: int, i: int, swapped: bool) -> Poly:
+    pos = (i + 1, i) if swapped else (i, i + 1)
+    return diff_kernel(spec).inject_vars(nvars, pos)
+
+
+def division_apply_c(spec: FglSpec, i: int, f: Poly) -> Poly:
+    """C_i(f) = (f p - sigma_i(f p)) / (x_i - x_{i+1}) with p = p(x_i, x_{i+1})."""
+    fp = f * _kernel_at(spec, f.nvars, i, False)
+    return (fp - fp.sigma(i)).div_diff(i)
+
+
+def division_apply_delta(spec: FglSpec, i: int, f: Poly) -> Poly:
+    """D_i(f) = -((f - sigma_i f) p(x_{i+1}, x_i)) / (x_i - x_{i+1})."""
+    num = (f - f.sigma(i)) * _kernel_at(spec, f.nvars, i, True)
+    return (-num).div_diff(i)
 
 
 def oracle_apply_word(word, f: Poly) -> Poly:

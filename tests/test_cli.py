@@ -1,11 +1,13 @@
 """End-to-end command line checks, run in process."""
 
+import hashlib
 import io
 import json
 
 import pytest
 
 from schubfgl.cli import main
+from schubfgl.report import CheckReport
 
 
 def run(argv, stdin_text=None):
@@ -153,3 +155,47 @@ def test_missing_required_arguments_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["poly", "word", "--n", "2"], out=io.StringIO())
     assert e.value.code == 2
+
+
+def test_word_letter_out_of_range_exits_2(capsys):
+    for word in ("5", "0", "1,3"):
+        code, _ = run(["poly", "word", "--n", "3", "--word", word])
+        assert code == 2
+        assert "out of range" in capsys.readouterr().err
+
+
+def test_samples_must_be_positive(capsys):
+    for samples in ("-1", "0"):
+        with pytest.raises(SystemExit) as e:
+            main(["verify", "braid", "--samples", samples], out=io.StringIO())
+        assert e.value.code == 2
+        assert "positive" in capsys.readouterr().err
+
+
+def test_report_without_cases_does_not_pass():
+    rep = CheckReport("empty")
+    assert not rep.passed
+    rep.add("known discrepancy", False, annotated=True)
+    assert rep.passed
+
+
+# sha256 of the full --json output, recorded with word classes computed
+# word by word through the division-based operators: the prefix walk
+# and the operator tables must not reorder a case or change a verdict
+REPORT_SHA256 = {
+    ("fk", "additive"): "dc4bc7f7aa124b1999d59704e53452860d00ef0ebf7bcbd605380123eae9441c",
+    ("fk", "multiplicative"): "fe1675a2b6f36e6d5b5093e1214cc7cefa62d67aeab751cf4fd186823628e99e",
+    ("fk", "hyperbolic"): "bc408d46737e75e78227bf1328f0e5d06520ea3f4f4771db13236bd487ff1bad",
+    ("fk", "lorentz"): "64223e0cf3979187cdabe2776625551a69f2da1d1af5ae55db1c391926f337cc",
+    ("differ", "additive"): "c1b67d49bde5fa040fb8a3ab187c208f587c9f7fec8682261af5d4d6dbb7540e",
+    ("differ", "multiplicative"): "8575272aaa4700bc6e0b5eb05ebb31dc9b721a568f0bac8dd75e43b5b6410f23",
+    ("differ", "hyperbolic"): "d825f45cd702b333b24156e87f05e77b8fd49f996c349d7fc275fd0d40a95e22",
+    ("differ", "lorentz"): "d4529556ac5a4404ddea00a2ab31739861d083a8313981b0600b173158e64047",
+}
+
+
+@pytest.mark.parametrize("what,law", sorted(REPORT_SHA256))
+def test_word_class_reports_pinned(what, law):
+    code, blob = run(["verify", what, "--n", "4", "--fgl", law, "--json"])
+    assert code == 0
+    assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_SHA256[(what, law)]

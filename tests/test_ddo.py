@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubfgl.ddo import (
     OperatorContext,
@@ -15,10 +17,10 @@ from schubfgl.ddo import (
     random_poly,
     twisted_braid_check,
 )
-from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, diff_kernel
+from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec, diff_kernel
 from schubfgl.polycore import Poly, PolyError, graded_degree
 
-from oracles import classical_ddiff, naive_mul
+from oracles import classical_ddiff, division_apply_c, division_apply_delta, naive_mul
 
 ALL = (ADDITIVE, MULTIPLICATIVE, HYPERBOLIC, LORENTZ)
 
@@ -175,3 +177,71 @@ def test_commuting_operators():
     for _ in range(10):
         f = random_poly(rng, 4)
         assert apply_c(ctx, 1, apply_c(ctx, 3, f)) == apply_c(ctx, 3, apply_c(ctx, 1, f))
+
+
+# ----------------------------------------------------------------------
+# table operators against the division-based reference
+
+# the four laws, then integer specializations whose kernels carry
+# coefficients other than +-1 (and a zero coefficient)
+SPECS = ALL + (
+    FglSpec("hyperbolic", mu1=3, mu2=-2),
+    FglSpec("hyperbolic", mu1=0, mu2=5),
+    FglSpec("hyperbolic", mu1=-2),
+    FglSpec("hyperbolic", mu2=4),
+    FglSpec("multiplicative", mu1=-7),
+    FglSpec("lorentz", mu2=2),
+)
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def operator_inputs(draw):
+    """(spec, nvars, i, f): i at either end or inside, x-exponents up to 12,
+    and some terms with equal exponents of x_i and x_{i+1}."""
+    spec = draw(st.sampled_from(SPECS))
+    nvars = draw(st.integers(2, 5))
+    i = draw(st.sampled_from(sorted({1, nvars - 1, (nvars + 1) // 2})))
+    exps = st.integers(0, 12)
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        x = draw(st.lists(exps, min_size=nvars, max_size=nvars))
+        if draw(st.booleans()):
+            x[i] = x[i - 1]
+        mu = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        terms[(tuple(x), mu)] = draw(st.integers(-9, 9))
+    return spec, nvars, i, Poly(nvars, terms)
+
+
+@PROPERTY
+@given(operator_inputs())
+def test_table_c_matches_division(case):
+    spec, nvars, i, f = case
+    assert apply_c(OperatorContext(spec, nvars), i, f) == division_apply_c(spec, i, f)
+
+
+@PROPERTY
+@given(operator_inputs())
+def test_table_delta_matches_division(case):
+    spec, nvars, i, f = case
+    assert apply_delta(OperatorContext(spec, nvars), i, f) == division_apply_delta(spec, i, f)
+
+
+@PROPERTY
+@given(operator_inputs())
+def test_delta_is_kappa_minus_c(case):
+    # the two tables come from different product forms, so this is not
+    # true by construction
+    spec, nvars, i, f = case
+    ctx = OperatorContext(spec, nvars)
+    assert apply_delta(ctx, i, f) == kappa_poly(ctx) * f - apply_c(ctx, i, f)
+
+
+def test_equal_exponent_monomials():
+    # d_i kills x_i^a x_{i+1}^a, so only the m1 kernel term survives in
+    # C_i and nothing in D_i
+    for a in (0, 1, 5, 12):
+        f = Poly.monomial(3, (a, a, 2))
+        ctx = OperatorContext(HYPERBOLIC, 3)
+        assert apply_c(ctx, 1, f) == Poly.monomial(3, (a, a, 2), (1, 0))
+        assert apply_delta(ctx, 1, f).is_zero

@@ -1,10 +1,12 @@
 """Hecke algebra relations, the ordered product, and its verifiers."""
 
 import random
+from itertools import permutations
 
 import pytest
 
-from schubfgl.combi import CapacityError, Permutation
+from schubfgl import ddo, hecke
+from schubfgl.combi import CapacityError, Permutation, word_to_perm
 from schubfgl.ddo import random_poly
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
 from schubfgl.hecke import (
@@ -29,7 +31,28 @@ from schubfgl.hecke import (
     window_vars,
 )
 from schubfgl.polycore import Poly, PolyError
-from schubfgl.schubert import SchubertContext, initial_class
+from schubfgl.schubert import SchubertContext, initial_class, schubert_polynomial
+
+from oracles import brute_reduced_words
+
+
+def all_words(n):
+    return set().union(*(brute_reduced_words(p) for p in permutations(range(1, n + 1))))
+
+
+@pytest.fixture
+def c_calls(monkeypatch):
+    """Record the letter of every C_i application, however it is reached."""
+    calls = []
+    real = ddo.apply_c
+
+    def counting(ctx, i, f):
+        calls.append(i)
+        return real(ctx, i, f)
+
+    monkeypatch.setattr(ddo, "apply_c", counting)
+    monkeypatch.setattr(hecke, "apply_c", counting)
+    return calls
 
 
 def test_quadratic_relation():
@@ -209,3 +232,24 @@ def test_rank_guards():
             fn(HYPERBOLIC, 1)
     with pytest.raises(CapacityError):
         verify_local_identities(HYPERBOLIC, 6, cap=8)
+
+
+def test_word_walk_applies_one_operator_per_word(c_calls):
+    walked = [(w, word) for w, word, _cls in hecke._word_classes(SchubertContext(ADDITIVE, 5))]
+    # every reduced word of S_5 once, in trie (lexicographic) order
+    assert [word for _w, word in walked] == sorted(all_words(5))
+    assert len(walked) == 3061
+    assert all(word_to_perm(word, 5) == w for w, word in walked)
+    assert len(c_calls) == 3060
+
+
+def test_word_walk_classes_match_word_by_word():
+    sctx = SchubertContext(HYPERBOLIC, 4)
+    for _w, word, cls in hecke._word_classes(sctx):
+        assert cls == schubert_polynomial(sctx, word)
+
+
+def test_fk_identity_shares_prefixes(c_calls):
+    rep = verify_fk_identity(HYPERBOLIC, 4)
+    assert rep.passed
+    assert len(c_calls) == len(all_words(4)) - 1
