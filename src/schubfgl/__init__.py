@@ -4,202 +4,9 @@ Everything is exact arithmetic over Z[m1, m2]: sparse polynomials,
 divided-difference operators for the additive, multiplicative,
 hyperbolic and lorentz laws, word classes, coinvariant normal forms, a
 deformed Hecke algebra with its identity verifiers, and the rectangle
-product rule on Grassmannians.
+product rule on Grassmannians.  Import from the submodules, e.g.
+`from schubfgl.polycore import Poly`; the package root holds only the
+version.
 """
 
-from .polycore import (
-    DivisionFailure,
-    Poly,
-    PolyError,
-    graded_degree,
-    series_invert_unit,
-)
-from .fgl import (
-    ADDITIVE,
-    FglSpec,
-    HYPERBOLIC,
-    KINDS,
-    LORENTZ,
-    MULTIPLICATIVE,
-    diff_kernel,
-    diff_kernel_series_check,
-    fgl_sum_series,
-    formal_inverse,
-    inverse_series_check,
-    kappa_of,
-)
-from .combi import (
-    BoxPartition,
-    CapacityError,
-    MAX_ENUM_RANK,
-    Permutation,
-    Word,
-    all_permutations,
-    box_partitions,
-    canonical_word,
-    is_reduced,
-    partition_dual,
-    partition_dual_z,
-    partition_leq,
-    partition_to_perm,
-    reduced_words,
-    support_of,
-    word_to_perm,
-)
-from .ddo import (
-    OperatorContext,
-    apply_c,
-    apply_delta,
-    apply_word,
-    delta_identity_check,
-    kappa_poly,
-    naive_braid_check,
-    random_poly,
-    twisted_braid_check,
-)
-from .coinv import (
-    BasisDependenceError,
-    NotInSpanError,
-    equals_mod_s,
-    expand_in_basis,
-    normal_form,
-    staircase_monomials,
-    top_staircase_class,
-    vandermonde_check,
-    vandermonde_poly,
-)
-from .schubert import (
-    SchubertContext,
-    grothendieck_polynomial,
-    initial_class,
-    schubert_polynomial,
-    smooth_monomial,
-)
-from .hecke import (
-    HeckeElem,
-    alpha_factor,
-    big_product_s,
-    hecke_add,
-    hecke_mul,
-    hecke_one,
-    hecke_scalar,
-    hecke_scale,
-    hecke_sub,
-    hecke_u,
-    heckes_equal,
-    ideal_delete,
-    verify_coeff_corollary,
-    verify_fk_identity,
-    verify_local_identities,
-    verify_ybe,
-    window_delete,
-)
-from .grass import (
-    GR24_ORDER,
-    GrassContext,
-    RectangleClass,
-    all_rectangles,
-    chow_k_cross_check,
-    class_representative,
-    cross_check_gr24,
-    dual_root_monomial,
-    gr24_basis,
-    gr24_smooth_poly,
-    gr24_word,
-    rect_dual,
-    smooth_product,
-)
-from .report import CheckCase, CheckReport
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ADDITIVE",
-    "BasisDependenceError",
-    "BoxPartition",
-    "CapacityError",
-    "CheckCase",
-    "CheckReport",
-    "DivisionFailure",
-    "FglSpec",
-    "GR24_ORDER",
-    "GrassContext",
-    "HYPERBOLIC",
-    "HeckeElem",
-    "KINDS",
-    "LORENTZ",
-    "MAX_ENUM_RANK",
-    "MULTIPLICATIVE",
-    "NotInSpanError",
-    "OperatorContext",
-    "Permutation",
-    "Poly",
-    "PolyError",
-    "RectangleClass",
-    "SchubertContext",
-    "Word",
-    "all_permutations",
-    "all_rectangles",
-    "alpha_factor",
-    "apply_c",
-    "apply_delta",
-    "apply_word",
-    "big_product_s",
-    "box_partitions",
-    "canonical_word",
-    "chow_k_cross_check",
-    "class_representative",
-    "cross_check_gr24",
-    "delta_identity_check",
-    "diff_kernel",
-    "diff_kernel_series_check",
-    "dual_root_monomial",
-    "equals_mod_s",
-    "expand_in_basis",
-    "fgl_sum_series",
-    "formal_inverse",
-    "gr24_basis",
-    "gr24_smooth_poly",
-    "gr24_word",
-    "graded_degree",
-    "grothendieck_polynomial",
-    "hecke_add",
-    "hecke_mul",
-    "hecke_one",
-    "hecke_scalar",
-    "hecke_scale",
-    "hecke_sub",
-    "hecke_u",
-    "heckes_equal",
-    "ideal_delete",
-    "initial_class",
-    "inverse_series_check",
-    "is_reduced",
-    "kappa_of",
-    "kappa_poly",
-    "naive_braid_check",
-    "normal_form",
-    "partition_dual",
-    "partition_dual_z",
-    "partition_leq",
-    "partition_to_perm",
-    "random_poly",
-    "rect_dual",
-    "reduced_words",
-    "schubert_polynomial",
-    "series_invert_unit",
-    "smooth_monomial",
-    "smooth_product",
-    "staircase_monomials",
-    "support_of",
-    "top_staircase_class",
-    "twisted_braid_check",
-    "vandermonde_check",
-    "vandermonde_poly",
-    "verify_coeff_corollary",
-    "verify_fk_identity",
-    "verify_local_identities",
-    "verify_ybe",
-    "window_delete",
-    "word_to_perm",
-]

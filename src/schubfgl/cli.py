@@ -143,9 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument(
         "--jobs",
-        type=int,
-        default=int(os.environ.get("SCHUBFGL_JOBS", "1")),
-        help="worker processes for multi-rank sweeps (env SCHUBFGL_JOBS)",
+        type=_positive_int,
+        # a string default goes through type, so a bad env value is a usage error
+        default=os.environ.get("SCHUBFGL_JOBS", "1"),
+        help="worker processes for multi-rank sweeps, at most one per --n (env SCHUBFGL_JOBS)",
     )
     p.add_argument("--json", action="store_true")
     p.add_argument(
@@ -247,7 +248,7 @@ def _run_verify_task(task: tuple) -> list[CheckReport]:
     if what == "differ":
         return [verify_coeff_corollary(spec, n)]
     if what == "ybe":
-        return [verify_ybe(spec, n, cap)]
+        return [verify_ybe(spec, n)]
     if what == "local":
         return [verify_local_identities(spec, n, 8 if cap is None else cap)]
     if what == "braid":
@@ -290,7 +291,7 @@ def _cmd_verify(args, out) -> int:
     tasks = [(args.what, spec, n, k, args.cap, args.seed, args.samples) for n in ns]
 
     if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             grouped = list(pool.map(_run_verify_task, tasks))
     else:
         grouped = [_run_verify_task(t) for t in tasks]

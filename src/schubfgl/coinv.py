@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product as _it_product
 
 from .fgl import FglSpec, diff_kernel
-from .polycore import MU_ZERO, Poly, PolyError, XExp, series_invert_unit
+from .polycore import Poly, PolyError, XExp, series_invert_unit
 from .report import CheckReport
 
 

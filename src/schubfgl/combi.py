@@ -114,10 +114,6 @@ class Permutation:
         return "Permutation(" + ",".join(map(str, self.oneline)) + ")"
 
 
-def perm_compose(u: Permutation, v: Permutation) -> Permutation:
-    return u * v
-
-
 def all_permutations(n: int) -> list[Permutation]:
     if n > MAX_ENUM_RANK:
         raise CapacityError(

@@ -79,10 +79,6 @@ class FglSpec:
     def mu2_is_zero(self) -> bool:
         return self.mu2 == 0
 
-    @property
-    def mu2_is_symbolic(self) -> bool:
-        return self.mu2 is None
-
     def mu2_zeroed(self) -> "FglSpec":
         """The m2 = 0 degeneration, keeping the m1 behaviour."""
         if self.kind in _MU2_ZERO_KINDS:

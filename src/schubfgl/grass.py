@@ -38,7 +38,6 @@ from .fgl import FglSpec, HYPERBOLIC, formal_inverse
 from .polycore import Poly
 from .report import CheckReport
 from .schubert import SchubertContext, schubert_polynomial
-from .report import CheckCase
 
 
 @dataclass(frozen=True)

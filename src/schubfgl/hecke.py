@@ -44,9 +44,7 @@ from .combi import (
     MAX_ENUM_RANK,
     Permutation,
     Word,
-    all_permutations,
     canonical_word,
-    reduced_words,
     support_of,
 )
 from .ddo import OperatorContext, apply_c, apply_delta
@@ -171,27 +169,12 @@ def hecke_u(n: int, i: int, spec: FglSpec) -> HeckeElem:
     return _mk_elem(n, spec, {Permutation.simple(n, i): Poly.one(n)})
 
 
-def hecke_scalar(n: int, f: Poly, spec: FglSpec) -> HeckeElem:
-    _check_spec(spec)
-    if f.nvars != n:
-        raise PolyError("scalar lives in the wrong ring")
-    return _mk_elem(n, spec, {Permutation.identity(n): f})
-
-
 def hecke_add(e: HeckeElem, f: HeckeElem) -> HeckeElem:
     _check_same(e, f)
     out = dict(e.coeffs)
     for w, c in f.coeffs.items():
         out[w] = out[w] + c if w in out else c
     return _mk_elem(e.n, e.spec, out)
-
-
-def hecke_sub(e: HeckeElem, f: HeckeElem) -> HeckeElem:
-    return hecke_add(e, hecke_neg(f))
-
-
-def hecke_neg(e: HeckeElem) -> HeckeElem:
-    return HeckeElem(e.n, e.spec, {w: -c for w, c in e.coeffs.items()})
 
 
 def hecke_scale(e: HeckeElem, f: Poly) -> HeckeElem:
@@ -257,20 +240,6 @@ def big_product_s(n: int, spec: FglSpec) -> HeckeElem:
     return acc
 
 
-def big_product_double(n: int, spec: FglSpec) -> HeckeElem:
-    """The same product written out factor by factor:
-    prod_{j=1}^{n-1} prod_{i=n-1}^{j} (1 + x_j u_i)."""
-    _check_spec(spec)
-    acc = hecke_one(n, spec)
-    for j in range(1, n):
-        xj = Poly.variable(n, j)
-        for i in range(n - 1, j - 1, -1):
-            acc = hecke_mul(
-                acc, hecke_add(hecke_one(n, spec), hecke_scale(hecke_u(n, i, spec), xj))
-            )
-    return acc
-
-
 def _apply_delta_elem(e: HeckeElem, i: int, negate: bool) -> HeckeElem:
     ctx = OperatorContext(e.spec, e.n)
     out = {}
@@ -317,21 +286,23 @@ def _word_class_cases(
     """
     w0 = Permutation.longest(sctx.n)
     refs: dict[Permutation, Poly] = {}
-    verdicts = {}
+    rows = []
     for w, word, cls in _word_classes(sctx):
         if w not in refs:
             refs[w] = reference(w)
         diff = cls - refs[w]
         supp_w = support_of(w)
-        verdicts[word] = (
+        verdicts = (
             window_delete(diff, supp_w).is_zero,
             ideal_delete(diff, supp_w).is_zero,
             ideal_delete(diff, support_of(w0 * w)).is_zero,
         )
-    for w in sorted(all_permutations(sctx.n), key=lambda p: (p.length(), p.oneline)):
-        wl = ",".join(map(str, w.oneline))
-        for word in reduced_words(w):
-            yield f"w=({wl}) word={word}", verdicts[word]
+        # a reduced word of w has length l(w); words are distinct, so the
+        # sort is by (l(w), w, word) and never compares verdicts
+        rows.append((len(word), w.oneline, word, verdicts))
+    rows.sort()
+    for _length, oneline, word, verdicts in rows:
+        yield f"w=({','.join(map(str, oneline))}) word={word}", verdicts
 
 
 def verify_fk_identity(spec: FglSpec, n: int) -> CheckReport:
@@ -467,11 +438,10 @@ def verify_local_identities(spec: FglSpec, n: int, cap: int) -> CheckReport:
     return rep
 
 
-def verify_ybe(spec: FglSpec, n: int, cap: int | None = None) -> CheckReport:
+def verify_ybe(spec: FglSpec, n: int) -> CheckReport:
     """A_i(x_i) A_i(x_{i+1}) = A_i(x_{i+1}) A_i(x_i), exactly.
 
-    Coefficients are polynomials, so no truncation is involved; the cap
-    argument is accepted for interface symmetry and ignored.
+    Coefficients are polynomials, so no truncation is involved.
     """
     _check_spec(spec)
     _check_rank(n)

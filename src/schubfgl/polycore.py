@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 XExp = tuple[int, ...]
 MuExp = tuple[int, int]
@@ -46,6 +46,11 @@ def term_sort_key(key: TermKey) -> tuple:
     return (sum(exps), tuple(reversed(exps)), mu)
 
 
+def _is_int(v) -> bool:
+    # bool is an int subclass, but True is not an exponent or a coefficient
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _mk(nvars: int, terms: dict[TermKey, int]) -> "Poly":
     # Internal constructor: keys are trusted, zeros already dropped.
     p = Poly.__new__(Poly)
@@ -63,7 +68,7 @@ class Poly:
     terms: dict[TermKey, int]
 
     def __init__(self, nvars: int, terms: dict[TermKey, int] | None = None):
-        if not isinstance(nvars, int) or nvars < 0:
+        if not _is_int(nvars) or nvars < 0:
             raise PolyError(f"nvars must be a non-negative int, got {nvars!r}")
         clean: dict[TermKey, int] = {}
         for key, c in (terms or {}).items():
@@ -76,9 +81,9 @@ class Poly:
                 )
             if len(mu) != 2:
                 raise PolyError(f"mu exponents must be a pair, got {mu}")
-            if any(e < 0 or not isinstance(e, int) for e in exps + mu):
+            if any(not _is_int(e) or e < 0 for e in exps + mu):
                 raise PolyError(f"exponents must be non-negative ints: {exps}, {mu}")
-            if not isinstance(c, int):
+            if not _is_int(c):
                 raise PolyError(f"coefficient {c!r} is not an int")
             if c:
                 k = (exps, mu)
@@ -143,12 +148,6 @@ class Poly:
     def sorted_terms(self) -> list[tuple[TermKey, int]]:
         return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
 
-    def max_x_degree(self) -> int:
-        """Largest total x-degree among terms; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(exps) for (exps, _mu) in self.terms)
-
     def graded_degree(self) -> tuple[bool, int | None]:
         """(is_homogeneous, degree) under deg x_i = 1, deg m1 = -1, deg m2 = -2.
 
@@ -165,21 +164,16 @@ class Poly:
     # ring operations
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _mk(self.nvars, out)
+        return self._add_scaled(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
+        return self._add_scaled(other, -1)
+
+    def _add_scaled(self, other: "Poly", sign: int) -> "Poly":
         self._check_compatible(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, 0) - c
+            s = out.get(key, 0) + sign * c
             if s:
                 out[key] = s
             else:
@@ -410,6 +404,7 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self.nvars}: {self.render_text()})"
 
+    _INT_RE = re.compile(r"-?[0-9]+")
     _TERM_RE = re.compile(
         r"^(-?\d+)(?:\*m1\^(\d+))?(?:\*m2\^(\d+))?\*x\[([0-9,]*)\]$"
     )
@@ -458,7 +453,13 @@ class Poly:
             terms: dict[TermKey, int] = {}
             for t in obj["terms"]:
                 key = (tuple(t["x"]), tuple(t["mu"]))
-                terms[key] = terms.get(key, 0) + int(t["c"])
+                c = t["c"]
+                # to_json_obj writes decimal strings; bare JSON integers are fine too
+                if isinstance(c, str) and cls._INT_RE.fullmatch(c):
+                    c = int(c)
+                elif not _is_int(c):
+                    raise PolyError(f"coefficient {c!r} is not an integer")
+                terms[key] = terms.get(key, 0) + c
         except (KeyError, TypeError) as exc:
             raise PolyError(f"malformed polynomial object: {exc}") from exc
         return cls(nvars, terms)
@@ -466,29 +467,6 @@ class Poly:
     @classmethod
     def from_json(cls, text: str) -> "Poly":
         return cls.from_json_obj(json.loads(text))
-
-
-# ----------------------------------------------------------------------
-# operation-style entry points
-
-def poly_add(f: Poly, g: Poly) -> Poly:
-    return f + g
-
-
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    return f * g
-
-
-def sigma_apply(f: Poly, i: int) -> Poly:
-    return f.sigma(i)
-
-
-def exact_div_diff(f: Poly, i: int) -> Poly:
-    return f.div_diff(i)
-
-
-def graded_degree(f: Poly) -> tuple[bool, int | None]:
-    return f.graded_degree()
 
 
 def series_invert_unit(f: Poly, cap: int) -> Poly:

@@ -37,9 +37,6 @@ class CheckReport:
         """Annotated cases that did not hold literally."""
         return [c for c in self.cases if c.annotated and not c.ok]
 
-    def extend(self, other: "CheckReport") -> None:
-        self.cases.extend(other.cases)
-
     def to_json_obj(self) -> dict:
         return {
             "check": self.name,

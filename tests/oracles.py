@@ -2,10 +2,13 @@
 
 Everything here is deliberately written against plain dicts and
 Fractions, not against the library's own arithmetic, so a bug in the
-package cannot hide inside its oracle.  The one exception is the pair
-of division-based operators, which multiply, swap and divide with the
+package cannot hide inside its oracle.  There are two exceptions.  The
+pair of division-based operators multiply, swap and divide with the
 library's generic `Poly` arithmetic: they are the reference for the
-table-driven operators in `schubfgl.ddo`, which use none of it.
+table-driven operators in `schubfgl.ddo`, which use none of it.  And
+`big_product_double` multiplies the ordered product S one linear factor
+at a time with the library's Hecke arithmetic: it is the reference for
+`schubfgl.hecke.big_product_s`, which groups the factors into A_i.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from schubfgl.fgl import FglSpec, diff_kernel
+from schubfgl.hecke import HeckeElem, hecke_add, hecke_mul, hecke_one, hecke_scale, hecke_u
 from schubfgl.polycore import Poly
 
 
@@ -182,3 +186,16 @@ CLASSICAL_SCHUBERT_S3 = {
     (3, 1, 2): {((2, 0, 0), (0, 0)): 1},
     (3, 2, 1): {((2, 1, 0), (0, 0)): 1},
 }
+
+
+def big_product_double(n: int, spec: FglSpec) -> HeckeElem:
+    """S written out factor by factor:
+    prod_{j=1}^{n-1} prod_{i=n-1}^{j} (1 + x_j u_i)."""
+    acc = hecke_one(n, spec)
+    for j in range(1, n):
+        xj = Poly.variable(n, j)
+        for i in range(n - 1, j - 1, -1):
+            acc = hecke_mul(
+                acc, hecke_add(hecke_one(n, spec), hecke_scale(hecke_u(n, i, spec), xj))
+            )
+    return acc

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from schubfgl import cli
 from schubfgl.cli import main
+from schubfgl.combi import all_permutations, reduced_words
 from schubfgl.report import CheckReport
 
 
@@ -170,6 +172,68 @@ def test_samples_must_be_positive(capsys):
             main(["verify", "braid", "--samples", samples], out=io.StringIO())
         assert e.value.code == 2
         assert "positive" in capsys.readouterr().err
+
+
+def _reduce_json(x, c):
+    return json.dumps({"nvars": 2, "terms": [{"x": x, "mu": [0, 0], "c": c}]})
+
+
+def test_non_integer_json_input_exits_2(capsys):
+    # a float coefficient, a string exponent and a bool exponent
+    for blob in (_reduce_json([1, 0], 1.5), _reduce_json(["1", 0], "1"), _reduce_json([True, 0], "1")):
+        code, _ = run(["reduce"], stdin_text=blob)
+        assert code == 2
+        assert "schubfgl: error:" in capsys.readouterr().err
+    code, text = run(["reduce"], stdin_text=_reduce_json([1, 0], -3))
+    assert (code, text.strip()) == (0, "-3*x[1,0]")
+
+
+def test_jobs_capped_at_one_worker_per_rank(monkeypatch):
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code, _ = run(["verify", "braid", "--n", "2", "--n", "3", "--jobs", "64"])
+    assert code == 0
+    assert workers == [2]
+
+
+def test_bad_jobs_env_fails_only_verify(monkeypatch, capsys):
+    monkeypatch.setenv("SCHUBFGL_JOBS", "abc")
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "braid"], out=io.StringIO())
+    assert e.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    code, _ = run(["poly", "word", "--n", "3", "--word", "1"])
+    assert code == 0
+
+
+def test_word_class_case_order_n5():
+    # the order the cases had when each w's reduced words were enumerated
+    # separately: w by (length, one-line notation), then words lexicographically
+    readings = ("window(supp(w))", "pairs(supp(w))", "pairs(supp(w0*w))")
+    expected = [
+        f"w=({','.join(map(str, w.oneline))}) word={word} difference in {reading}"
+        for w in sorted(all_permutations(5), key=lambda p: (p.length(), p.oneline))
+        for word in reduced_words(w)
+        for reading in readings
+    ]
+    code, blob = run(["verify", "differ", "--n", "5", "--fgl", "additive", "--json"])
+    assert code == 0
+    (rep,) = json.loads(blob)["reports"]
+    assert [c["label"] for c in rep["cases"]] == expected
 
 
 def test_report_without_cases_does_not_pass():

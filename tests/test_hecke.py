@@ -12,14 +12,11 @@ from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
 from schubfgl.hecke import (
     HeckeElem,
     alpha_factor,
-    big_product_double,
     big_product_s,
     hecke_add,
     hecke_mul,
     hecke_one,
-    hecke_scalar,
     hecke_scale,
-    hecke_sub,
     hecke_u,
     heckes_equal,
     ideal_delete,
@@ -33,7 +30,11 @@ from schubfgl.hecke import (
 from schubfgl.polycore import Poly, PolyError
 from schubfgl.schubert import SchubertContext, initial_class, schubert_polynomial
 
-from oracles import brute_reduced_words
+from oracles import big_product_double, brute_reduced_words
+
+
+def hecke_sub(e, f):
+    return hecke_add(e, HeckeElem(f.n, f.spec, {w: -c for w, c in f.coeffs.items()}))
 
 
 def all_words(n):

@@ -17,3 +17,18 @@ def test_fk5_short_run_is_correct():
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
+
+
+def test_traced_compute_run_reaches_every_layer():
+    # the tracer binds package names from outside; a renamed or moved
+    # function would leave its layer with no calls
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "compute", "--seed", "2",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    for name in ("polycore.addsub.calls", "hecke.delete.calls", "ddo.apply_c.calls"):
+        assert result["metrics"][name]["value"] > 0, name

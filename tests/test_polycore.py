@@ -8,7 +8,6 @@ from schubfgl.polycore import (
     DivisionFailure,
     Poly,
     PolyError,
-    graded_degree,
     series_invert_unit,
 )
 from schubfgl.ddo import random_poly
@@ -130,14 +129,14 @@ def test_series_invert_unit_random_roundtrip():
 
 
 def test_graded_degree():
-    assert graded_degree(Poly.monomial(4, (2, 2, 0, 0))) == (True, 4)
+    assert Poly.monomial(4, (2, 2, 0, 0)).graded_degree() == (True, 4)
     # 1 - m2 (x_1 + x_2)^2 + m1^2 m2 x_1^2 x_2^2 is homogeneous of degree 0
     s = Poly.one(4)
     xsum = Poly.variable(4, 1) + Poly.variable(4, 2)
     s = s - (xsum * xsum).mul_mu(0, 1) + Poly.monomial(4, (2, 2, 0, 0), (2, 1))
-    assert graded_degree(s) == (True, 0)
-    assert graded_degree(Poly.variable(2, 1) + Poly.const(2, 1, (1, 0))) == (False, None)
-    assert graded_degree(Poly.zero(3))[0] is True
+    assert s.graded_degree() == (True, 0)
+    assert (Poly.variable(2, 1) + Poly.const(2, 1, (1, 0))).graded_degree() == (False, None)
+    assert Poly.zero(3).graded_degree()[0] is True
 
 
 def test_homogeneity_preserved_by_mul_and_sigma():
@@ -146,9 +145,9 @@ def test_homogeneity_preserved_by_mul_and_sigma():
         d1, d2 = rng.randint(0, 3), rng.randint(0, 3)
         f = Poly.monomial(3, (d1, 0, 0)) + Poly.monomial(3, (0, d1, 0), (0, 0))
         g = Poly.monomial(3, (0, d2, 0)) - Poly.monomial(3, (d2, 0, 0))
-        hom, deg = graded_degree(f * g)
+        hom, deg = (f * g).graded_degree()
         assert hom and (deg == d1 + d2 or (f * g).is_zero)
-        assert graded_degree(f.sigma(1)) == graded_degree(f)
+        assert f.sigma(1).graded_degree() == f.graded_degree()
 
 
 def test_truncate_idempotent():
@@ -187,6 +186,17 @@ def test_json_roundtrip():
     obj = big.to_json_obj()
     assert obj["terms"][0]["c"] == str(10**30)
     assert Poly.from_json_obj(obj) == big
+
+
+def test_bool_and_non_int_input_rejected():
+    key = ((1, 0), (0, 0))
+    for nvars, terms in ((True, {}), (2, {key: True}), (2, {((True, 0), (0, 0)): 1}),
+                         (2, {(("1", 0), (0, 0)): 1}), (2, {key: 1.0})):
+        with pytest.raises(PolyError):
+            Poly(nvars, terms)
+    for c in ("1.5", "x", " 1", True, None):
+        with pytest.raises(PolyError):
+            Poly.from_json_obj({"nvars": 2, "terms": [{"x": [1, 0], "mu": [0, 0], "c": c}]})
 
 
 def test_specialize_mu():

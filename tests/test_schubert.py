@@ -6,7 +6,7 @@ from schubfgl.coinv import normal_form
 from schubfgl.combi import Permutation, all_permutations, reduced_words, support_of
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, MULTIPLICATIVE
 from schubfgl.hecke import ideal_delete, window_delete
-from schubfgl.polycore import Poly, graded_degree
+from schubfgl.polycore import Poly
 from schubfgl.schubert import (
     SchubertContext,
     grothendieck_polynomial,
@@ -21,7 +21,7 @@ from oracles import CLASSICAL_SCHUBERT_S3, oracle_apply_word
 def test_initial_class():
     assert initial_class(SchubertContext(HYPERBOLIC, 2)) == Poly.variable(2, 1)
     assert initial_class(SchubertContext(ADDITIVE, 4)) == Poly.monomial(4, (3, 2, 1, 0))
-    hom, deg = graded_degree(initial_class(SchubertContext(HYPERBOLIC, 4)))
+    hom, deg = initial_class(SchubertContext(HYPERBOLIC, 4)).graded_degree()
     assert hom and deg == 6
 
 
@@ -53,7 +53,7 @@ def test_homogeneity_over_s4_words():
         for w in all_permutations(4):
             for word in reduced_words(w):
                 f = schubert_polynomial(ctx, word)
-                hom, deg = graded_degree(f)
+                hom, deg = f.graded_degree()
                 assert hom and deg == 6 - len(word)
 
 
