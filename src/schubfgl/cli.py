@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .coinv import NotInSpanError, expand_in_basis, normal_form, vandermonde_check
 from .combi import BoxPartition, CapacityError
@@ -51,8 +49,6 @@ from .hecke import (
 from .polycore import Poly, PolyError
 from .report import CheckReport
 from .schubert import SchubertContext, schubert_polynomial
-
-VERIFY_KINDS = ("fk", "differ", "ybe", "local", "braid", "vandermonde", "gr24", "chowk")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -134,20 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("what", choices=VERIFY_KINDS)
+    p.add_argument("what", choices=VERIFY_SUITES)
     p.add_argument("--n", type=int, action="append", default=None, help="rank; repeatable")
-    p.add_argument("--k", type=int, default=None, help="subspace dimension (chowk)")
+    p.add_argument("--k", type=int, default=2, help="subspace dimension (chowk)")
     _add_fgl_flags(p)
     p.add_argument("--cap", type=int, default=None, help="series truncation degree")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_positive_int, default=20)
-    p.add_argument(
-        "--jobs",
-        type=_positive_int,
-        # a string default goes through type, so a bad env value is a usage error
-        default=os.environ.get("SCHUBFGL_JOBS", "1"),
-        help="worker processes for multi-rank sweeps, at most one per --n (env SCHUBFGL_JOBS)",
-    )
     p.add_argument("--json", action="store_true")
     p.add_argument(
         "--strict-literal",
@@ -187,6 +176,8 @@ def _cmd_expand(args, out, stdin) -> int:
     if not isinstance(raw, list) or not raw:
         raise PolyError("basis file must be a nonempty JSON array of polynomials")
     # entries may be bare polynomials or rows of `table ... --json`
+    if not all(isinstance(obj, dict) for obj in raw):
+        raise PolyError("basis file entries must be JSON objects")
     basis = [Poly.from_json_obj(obj.get("poly", obj)) for obj in raw]
     f = _read_stdin_poly(stdin)
     n = args.n if args.n is not None else f.nvars
@@ -241,61 +232,44 @@ def _cmd_table(args, out) -> int:
     return 0
 
 
-def _run_verify_task(task: tuple) -> list[CheckReport]:
-    what, spec, n, k, cap, seed, samples = task
-    if what == "fk":
-        return [verify_fk_identity(spec, n)]
-    if what == "differ":
-        return [verify_coeff_corollary(spec, n)]
-    if what == "ybe":
-        return [verify_ybe(spec, n)]
-    if what == "local":
-        return [verify_local_identities(spec, n, 8 if cap is None else cap)]
-    if what == "braid":
-        ctx = OperatorContext(spec, n)
-        reports = []
-        for i in range(1, n - 1):
-            reports.append(twisted_braid_check(ctx, i, samples, seed))
-            reports.append(naive_braid_check(ctx, i, samples, seed))
-        for i in range(1, n):
-            reports.append(delta_identity_check(ctx, i, samples, seed))
-        return reports
-    if what == "vandermonde":
-        return [vandermonde_check(spec, n, n * (n - 1) // 2 + 2 if cap is None else cap)]
-    if what == "gr24":
-        return [cross_check_gr24(spec)]
-    if what == "chowk":
-        return [chow_k_cross_check(k, n, spec)]
-    raise ValueError(f"unknown verification {what!r}")
+def _braid_reports(spec: FglSpec, n: int, args) -> list[CheckReport]:
+    ctx = OperatorContext(spec, n)
+    reports = []
+    for i in range(1, n - 1):
+        reports.append(twisted_braid_check(ctx, i, args.samples, args.seed))
+        reports.append(naive_braid_check(ctx, i, args.samples, args.seed))
+    for i in range(1, n):
+        reports.append(delta_identity_check(ctx, i, args.samples, args.seed))
+    return reports
 
 
-_VERIFY_DEFAULT_N = {
-    "fk": (3,),
-    "differ": (3,),
-    "ybe": (3,),
-    "local": (2,),
-    "braid": (3,),
-    "vandermonde": (2, 3),
-    "gr24": (0,),
-    "chowk": (4,),
+# kind -> (ranks run when no --n is given, runner(spec, n, args) -> reports);
+# gr24 has a fixed rank and ignores n
+VERIFY_SUITES = {
+    "fk": ((3,), lambda spec, n, args: [verify_fk_identity(spec, n)]),
+    "differ": ((3,), lambda spec, n, args: [verify_coeff_corollary(spec, n)]),
+    "ybe": ((3,), lambda spec, n, args: [verify_ybe(spec, n)]),
+    "local": (
+        (2,),
+        lambda spec, n, args: [verify_local_identities(spec, n, 8 if args.cap is None else args.cap)],
+    ),
+    "braid": ((3,), _braid_reports),
+    "vandermonde": (
+        (2, 3),
+        lambda spec, n, args: [
+            vandermonde_check(spec, n, n * (n - 1) // 2 + 2 if args.cap is None else args.cap)
+        ],
+    ),
+    "gr24": ((0,), lambda spec, n, args: [cross_check_gr24(spec)]),
+    "chowk": ((4,), lambda spec, n, args: [chow_k_cross_check(args.k, n, spec)]),
 }
 
 
 def _cmd_verify(args, out) -> int:
     default_kind = "multiplicative" if args.what == "chowk" else "hyperbolic"
     spec = _spec_of(args, default_kind)
-    ns = tuple(args.n) if args.n else _VERIFY_DEFAULT_N[args.what]
-    if args.what == "braid" and any(n < 2 for n in ns):
-        raise PolyError("braid checks need n >= 2")
-    k = args.k if args.k is not None else 2
-    tasks = [(args.what, spec, n, k, args.cap, args.seed, args.samples) for n in ns]
-
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            grouped = list(pool.map(_run_verify_task, tasks))
-    else:
-        grouped = [_run_verify_task(t) for t in tasks]
-    reports = [rep for group in grouped for rep in group]
+    default_ns, runner = VERIFY_SUITES[args.what]
+    reports = [rep for n in args.n or default_ns for rep in runner(spec, n, args)]
     reports.sort(key=lambda rep: rep.name)
 
     strict = args.strict_literal

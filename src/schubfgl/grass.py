@@ -145,14 +145,15 @@ def gr24_word(lam: BoxPartition) -> Word:
     return _GR24_WORDS[(lam.parts[0], lam.parts[1])]
 
 
+def _gr24_classes(spec: FglSpec) -> dict[tuple[int, ...], Poly]:
+    """The six resolution classes by partition, in GR24_ORDER."""
+    sctx = SchubertContext(spec, 4)
+    return {parts: schubert_polynomial(sctx, _GR24_WORDS[parts]) for parts in GR24_ORDER}
+
+
 def gr24_basis(spec: FglSpec) -> list[Poly]:
     """Normal forms of the six resolution classes, in GR24_ORDER."""
-    sctx = SchubertContext(spec, 4)
-    out = []
-    for parts in GR24_ORDER:
-        lam = BoxPartition(2, 2, parts)
-        out.append(normal_form(schubert_polynomial(sctx, gr24_word(lam)), 4))
-    return out
+    return [normal_form(f, 4) for f in _gr24_classes(spec).values()]
 
 
 def dual_root_monomial(k: int, n: int, power: int, spec: FglSpec) -> Poly:
@@ -207,38 +208,32 @@ def all_rectangles(k: int, n: int) -> list[RectangleClass]:
     ]
 
 
-def _expected_vector(
-    target: BoxPartition | None, order: list[BoxPartition]
-) -> list[Poly]:
-    out = [Poly.zero(0) for _ in order]
-    if target is not None:
-        idx = next(
-            i for i, mu in enumerate(order) if mu.parts == target.parts
-        )
-        out[idx] = Poly.one(0)
-    return out
+def _rule_cross_check(
+    name: str,
+    ctx: GrassContext,
+    classes: dict[tuple[int, ...], Poly],
+    smooth: dict[RectangleClass, Poly],
+) -> CheckReport:
+    """Product rule vs polynomial arithmetic for every (rectangle, lam).
 
-
-def cross_check_gr24(spec: FglSpec = HYPERBOLIC) -> CheckReport:
-    """Combinatorial rule vs polynomial arithmetic, all 24 Gr(2,4) cases.
-
-    For each rectangle and each partition: multiply the smooth
-    representative by the resolution class, reduce, expand over the
-    six-class basis, and compare with the single class (or zero)
-    predicted by smooth_product.
+    classes holds the class of every partition of the box, keyed by its
+    parts, in display order; smooth holds the representative of each
+    rectangle's smooth class.  Each product is reduced, expanded over the
+    normal forms of the classes and compared with the single class (or
+    zero) predicted by smooth_product.
     """
-    rep = CheckReport(f"gr24-cross-check[{spec.label()}]")
-    ctx = GrassContext(2, 4, spec)
-    sctx = SchubertContext(spec, 4)
-    order = [BoxPartition(2, 2, parts) for parts in GR24_ORDER]
-    basis = gr24_basis(spec)
-    for r in all_rectangles(2, 4):
-        smooth = gr24_smooth_poly(r, spec)
+    rep = CheckReport(name)
+    order = [BoxPartition(ctx.k, ctx.m, parts) for parts in classes]
+    basis = [normal_form(f, ctx.n) for f in classes.values()]
+    for r, smooth_poly in smooth.items():
         for lam in order:
             rule = smooth_product(ctx, r, lam)
-            product = normal_form(smooth * schubert_polynomial(sctx, gr24_word(lam)), 4)
-            coeffs = expand_in_basis(product, basis, 4)
-            expected = _expected_vector(rule, order)
+            product = normal_form(smooth_poly * classes[lam.parts], ctx.n)
+            coeffs = expand_in_basis(product, basis, ctx.n)
+            expected = [
+                Poly.one(0) if rule is not None and mu.parts == rule.parts else Poly.zero(0)
+                for mu in order
+            ]
             ok = all((c - e).is_zero for c, e in zip(coeffs, expected))
             rule_txt = rule.render() if rule is not None else "0"
             rep.add(
@@ -247,6 +242,20 @@ def cross_check_gr24(spec: FglSpec = HYPERBOLIC) -> CheckReport:
                 detail="" if ok else "expansion disagrees with the product rule",
             )
     return rep
+
+
+def cross_check_gr24(spec: FglSpec = HYPERBOLIC) -> CheckReport:
+    """Combinatorial rule vs polynomial arithmetic, all 24 Gr(2,4) cases.
+
+    The smooth classes are the representatives of gr24_smooth_poly; the
+    partition classes come from the hard-coded resolution words.
+    """
+    return _rule_cross_check(
+        f"gr24-cross-check[{spec.label()}]",
+        GrassContext(2, 4, spec),
+        _gr24_classes(spec),
+        {r: gr24_smooth_poly(r, spec) for r in all_rectangles(2, 4)},
+    )
 
 
 def class_representative(ctx: GrassContext, lam: BoxPartition) -> Poly:
@@ -275,23 +284,11 @@ def chow_k_cross_check(k: int, n: int, spec: FglSpec) -> CheckReport:
         raise ValueError("chow/K cross-check requires an m2 = 0 law")
     if k * (n - k) > 9:
         raise CapacityError(f"Gr({k},{n}) exceeds the k(n-k) <= 9 bound")
-    rep = CheckReport(f"chowk-cross-check[{spec.label()},k={k},n={n}]")
     ctx = GrassContext(k, n, spec)
-    order = box_partitions(k, n - k)
-    reps = {mu.parts: class_representative(ctx, mu) for mu in order}
-    basis = [normal_form(reps[mu.parts], n) for mu in order]
-    for r in all_rectangles(k, n):
-        smooth = reps[r.as_partition(k, n).parts]
-        for lam in order:
-            rule = smooth_product(ctx, r, lam)
-            product = normal_form(smooth * reps[lam.parts], n)
-            coeffs = expand_in_basis(product, basis, n)
-            expected = _expected_vector(rule, order)
-            ok = all((c - e).is_zero for c, e in zip(coeffs, expected))
-            rule_txt = rule.render() if rule is not None else "0"
-            rep.add(
-                f"rect={r.a},{r.b} lam=({lam.render()}) -> {rule_txt}",
-                ok,
-                detail="" if ok else "expansion disagrees with the product rule",
-            )
-    return rep
+    classes = {mu.parts: class_representative(ctx, mu) for mu in box_partitions(k, n - k)}
+    return _rule_cross_check(
+        f"chowk-cross-check[{spec.label()},k={k},n={n}]",
+        ctx,
+        classes,
+        {r: classes[r.as_partition(k, n).parts] for r in all_rectangles(k, n)},
+    )

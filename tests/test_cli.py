@@ -88,6 +88,15 @@ def test_expand_not_in_span(tmp_path):
     assert code == 2
 
 
+def test_expand_basis_rows_must_be_objects(tmp_path, capsys):
+    for i, rows in enumerate(([5], [[1, 2]])):
+        f = tmp_path / f"basis{i}.json"
+        f.write_text(json.dumps(rows))
+        code, _ = run(["expand", "--basis", str(f), "--n", "2"], stdin_text="x1")
+        assert code == 2
+        assert "schubfgl: error:" in capsys.readouterr().err
+
+
 def test_grprod_examples():
     code, text = run(
         ["grprod", "--k", "2", "--n", "4", "--rect", "1,1", "--lambda", "2,0"]
@@ -135,22 +144,43 @@ def test_verify_fk_finding_is_annotated():
     assert code == 1
 
 
-def test_verify_reports_deterministic_and_parallel_safe():
+def test_verify_reports_deterministic():
     argv = ["verify", "braid", "--n", "2", "--n", "3", "--json"]
     _, a = run(argv)
     _, b = run(argv)
     assert a == b
-    _, c = run(argv + ["--jobs", "2"])
-    assert a == c
 
 
-def test_verify_usage_errors():
+@pytest.mark.parametrize("what", list(cli.VERIFY_SUITES))
+def test_verify_default_ranks_pass(what):
+    # VERIFY_SUITES is the parser's choices for verify
+    code, blob = run(["verify", what, "--json"])
+    assert code == 0
+    obj = json.loads(blob)
+    assert obj["passed"] is True and obj["reports"]
+
+
+def test_verify_ranks_merged_and_sorted_by_name():
+    def reports(*ns):
+        code, blob = run(["verify", "braid", "--json"] + [a for n in ns for a in ("--n", str(n))])
+        assert code == 0
+        return json.loads(blob)["reports"]
+
+    merged = sorted(reports(2) + reports(3), key=lambda rep: rep["check"])
+    assert reports(2, 3) == merged
+
+
+def test_verify_usage_errors(capsys):
     code, _ = run(["verify", "fk", "--n", "99"])
     assert code == 2
     code, _ = run(["verify", "local", "--cap", "3"])
     assert code == 2
     code, _ = run(["poly", "word", "--n", "3", "--word", "1,1"])
     assert code == 2
+    capsys.readouterr()
+    code, _ = run(["verify", "braid", "--n", "1"])
+    assert code == 2
+    assert "schubfgl: error: operators need at least two variables" in capsys.readouterr().err
 
 
 def test_missing_required_arguments_exit_2():
@@ -186,38 +216,6 @@ def test_non_integer_json_input_exits_2(capsys):
         assert "schubfgl: error:" in capsys.readouterr().err
     code, text = run(["reduce"], stdin_text=_reduce_json([1, 0], -3))
     assert (code, text.strip()) == (0, "-3*x[1,0]")
-
-
-def test_jobs_capped_at_one_worker_per_rank(monkeypatch):
-    workers = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    code, _ = run(["verify", "braid", "--n", "2", "--n", "3", "--jobs", "64"])
-    assert code == 0
-    assert workers == [2]
-
-
-def test_bad_jobs_env_fails_only_verify(monkeypatch, capsys):
-    monkeypatch.setenv("SCHUBFGL_JOBS", "abc")
-    with pytest.raises(SystemExit) as e:
-        main(["verify", "braid"], out=io.StringIO())
-    assert e.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
-    code, _ = run(["poly", "word", "--n", "3", "--word", "1"])
-    assert code == 0
 
 
 def test_word_class_case_order_n5():
