@@ -21,7 +21,13 @@ import argparse
 import json
 import sys
 
-from .coinv import NotInSpanError, expand_in_basis, normal_form, vandermonde_check
+from .coinv import (
+    NotInSpanError,
+    check_rewrite_capacity,
+    expand_in_basis,
+    normal_form,
+    vandermonde_check,
+)
 from .combi import BoxPartition, CapacityError
 from .ddo import (
     OperatorContext,
@@ -162,6 +168,7 @@ def _cmd_reduce(args, out, stdin) -> int:
     n = args.n if args.n is not None else f.nvars
     if n != f.nvars:
         raise PolyError(f"--n {n} does not match the input's {f.nvars} variables")
+    check_rewrite_capacity(f, n)
     g = normal_form(f, n)
     if args.json:
         _emit_json(g.to_json_obj(), out)
@@ -181,6 +188,8 @@ def _cmd_expand(args, out, stdin) -> int:
     basis = [Poly.from_json_obj(obj.get("poly", obj)) for obj in raw]
     f = _read_stdin_poly(stdin)
     n = args.n if args.n is not None else f.nvars
+    for g in (f, *basis):
+        check_rewrite_capacity(g, n)
     coords = expand_in_basis(f, basis, n)
     if args.json:
         _emit_json({"coefficients": [c.to_json_obj() for c in coords]}, out)
@@ -244,7 +253,7 @@ def _braid_reports(spec: FglSpec, n: int, args) -> list[CheckReport]:
 
 
 # kind -> (ranks run when no --n is given, runner(spec, n, args) -> reports);
-# gr24 has a fixed rank and ignores n
+# gr24 has a fixed rank, so it runs once with n = None whatever --n says
 VERIFY_SUITES = {
     "fk": ((3,), lambda spec, n, args: [verify_fk_identity(spec, n)]),
     "differ": ((3,), lambda spec, n, args: [verify_coeff_corollary(spec, n)]),
@@ -260,7 +269,7 @@ VERIFY_SUITES = {
             vandermonde_check(spec, n, n * (n - 1) // 2 + 2 if args.cap is None else args.cap)
         ],
     ),
-    "gr24": ((0,), lambda spec, n, args: [cross_check_gr24(spec)]),
+    "gr24": (None, lambda spec, n, args: [cross_check_gr24(spec)]),
     "chowk": ((4,), lambda spec, n, args: [chow_k_cross_check(args.k, n, spec)]),
 }
 
@@ -269,7 +278,8 @@ def _cmd_verify(args, out) -> int:
     default_kind = "multiplicative" if args.what == "chowk" else "hyperbolic"
     spec = _spec_of(args, default_kind)
     default_ns, runner = VERIFY_SUITES[args.what]
-    reports = [rep for n in args.n or default_ns for rep in runner(spec, n, args)]
+    ns = (None,) if default_ns is None else args.n or default_ns
+    reports = [rep for n in ns for rep in runner(spec, n, args)]
     reports.sort(key=lambda rep: rep.name)
 
     strict = args.strict_literal

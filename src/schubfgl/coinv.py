@@ -20,10 +20,22 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _it_product
+from operator import add
 
+from .combi import CapacityError
 from .fgl import FglSpec, diff_kernel
-from .polycore import Poly, PolyError, XExp, series_invert_unit
+from .polycore import Poly, PolyError, XExp, _mk, series_invert_unit
 from .report import CheckReport
+
+
+# A monomial's rewrite can pass through every monomial of its degree: at
+# rank 7 and the top degree 21 that is 296,010 monomials, about 5 s and
+# 100 MB; at rank 8 and degree 28 it is 6.7 million.
+MAX_REWRITE_RANK = 7
+
+# At rank 6 the deformed Vandermonde product takes about a second; at
+# rank 7 it took 30 s and 600 MB.
+MAX_VANDERMONDE_RANK = 6
 
 
 class NotInSpanError(ValueError):
@@ -65,38 +77,72 @@ def is_staircase(exps: XExp, n: int) -> bool:
     return all(exps[k - 1] <= n - k for k in range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
+# Normal forms of the monomials met while rewriting, keyed by exponent
+# vector (its length is the rank), shared by all calls.  Emptied before
+# a rewrite once it holds more than _NF_MEMO_MAX entries.
+_NF_MEMO: dict[XExp, tuple[tuple[XExp, int], ...]] = {}
+_NF_MEMO_MAX = 1 << 18
+
+
+@lru_cache(maxsize=1 << 14)
 def _monomial_normal_form(exps: XExp, n: int) -> tuple[tuple[XExp, int], ...]:
-    """Normal form of a single x-monomial as ((staircase exps, coeff), ...)."""
-    viol = None
+    """Normal form of a single x-monomial as ((staircase exps, coeff), ...).
+
+    A monomial whose last violating variable is x_k rewrites to minus the
+    sum of the monomials subs(e) that replace x_k^{n-k+1} by the other
+    monomials of h_{n-k+1}(x_1..x_k).  Those leave x_{k+1}..x_n alone and
+    lower x_k, so each comes before e when exponents are compared from
+    x_n down to x_1.  The rewrite closure of exps that _NF_MEMO lacks is
+    collected first, then settled in that order, children before parents.
+    """
+    memo = _NF_MEMO
+    if len(memo) > _NF_MEMO_MAX:
+        memo.clear()
+    todo = set()
+    stack = [exps]
+    while stack:
+        e = stack.pop()
+        if e in memo or e in todo:
+            continue
+        subs = _rewrite(e, n)
+        if subs is None:
+            memo[e] = ((e, 1),)
+        else:
+            todo.add(e)
+            stack.extend(subs)
+    for e in sorted(todo, key=lambda e: e[::-1]):
+        acc: dict[XExp, int] = {}
+        for sub in _rewrite(e, n):
+            for e2, c2 in memo[sub]:
+                acc[e2] = acc.get(e2, 0) - c2
+        memo[e] = tuple(sorted((e2, c) for e2, c in acc.items() if c))
+    return memo[exps]
+
+
+def _rewrite(e: XExp, n: int) -> list[XExp] | None:
+    """The monomials whose negated sum e rewrites to; None for a staircase e."""
     for k in range(n, 0, -1):
-        if exps[k - 1] > n - k:
-            viol = k
-            break
-    if viol is None:
-        return ((exps, 1),)
-    k = viol
-    d = n - k + 1
-    base = list(exps)
-    base[k - 1] -= d
-    acc: dict[XExp, int] = {}
-    for rep in _replacement_monomials(k, n):
-        sub = tuple(b + r for b, r in zip(base, rep))
-        for e2, c2 in _monomial_normal_form(sub, n):
-            s = acc.get(e2, 0) - c2
-            if s:
-                acc[e2] = s
-            else:
-                acc.pop(e2, None)
-    return tuple(sorted(acc.items()))
+        if e[k - 1] > n - k:
+            base = list(e)
+            base[k - 1] -= n - k + 1
+            return [tuple(map(add, base, rep)) for rep in _replacement_monomials(k, n)]
+    return None
 
 
 def normal_form(f: Poly, n: int) -> Poly:
-    """The staircase normal form of f modulo S."""
+    """The staircase normal form of f modulo S.
+
+    Every monomial of x-degree above the top staircase degree n(n-1)/2
+    is 0 modulo S (the rewrite keeps the degree and no staircase
+    monomial is that high), so such terms are dropped unread.
+    """
     if f.nvars != n:
         raise PolyError(f"expected a polynomial in {n} variables, got {f.nvars}")
+    top = n * (n - 1) // 2
     out: dict = {}
     for (exps, mu), c in f.terms.items():
+        if sum(exps) > top:
+            continue
         for e2, c2 in _monomial_normal_form(exps, n):
             key = (e2, mu)
             s = out.get(key, 0) + c * c2
@@ -104,7 +150,23 @@ def normal_form(f: Poly, n: int) -> Poly:
                 out[key] = s
             else:
                 del out[key]
-    return Poly(n, out)
+    return _mk(n, out)
+
+
+def check_rewrite_capacity(f: Poly, n: int) -> None:
+    """Raise CapacityError if the normal form of f rewrites above MAX_REWRITE_RANK.
+
+    Terms above the top degree (zero) and staircase terms (already
+    normal) need no rewriting, so they pass at any rank.
+    """
+    if n <= MAX_REWRITE_RANK:
+        return
+    top = n * (n - 1) // 2
+    for exps, _mu in f.terms:
+        if sum(exps) <= top and not is_staircase(exps, n):
+            raise CapacityError(
+                f"normal forms that rewrite are limited to rank {MAX_REWRITE_RANK}, got {n}"
+            )
 
 
 def equals_mod_s(f: Poly, g: Poly, n: int) -> bool:
@@ -256,8 +318,13 @@ def vandermonde_check(spec: FglSpec, n: int, cap: int) -> CheckReport:
         a series through degree cap, is congruent to the Vandermonde
         product.  Anything above the top staircase degree n(n-1)/2 is
         congruent to zero, so cap beyond that bound makes the truncated
-        comparison exact.
+        comparison exact.  normal_form is S-linear, so the product is
+        reduced after every factor and stays in the staircase basis.
     """
+    if n > MAX_VANDERMONDE_RANK:
+        raise CapacityError(
+            f"the Vandermonde check is limited to rank {MAX_VANDERMONDE_RANK}, got {n}"
+        )
     top = n * (n - 1) // 2
     if cap <= top:
         raise PolyError(f"cap must exceed the top staircase degree {top}")
@@ -278,7 +345,7 @@ def vandermonde_check(spec: FglSpec, n: int, cap: int) -> CheckReport:
             factor = (Poly.variable(n, i) - Poly.variable(n, j)) * series_invert_unit(
                 p_ij, cap
             )
-            prod = (prod * factor).truncate(cap)
+            prod = normal_form(prod * factor, n)
     rep.add(
         "part (b): product of F(x_i, chi(x_j)) = product of (x_i - x_j)",
         equals_mod_s(prod, vdm, n),

@@ -159,18 +159,17 @@ def gr24_basis(spec: FglSpec) -> list[Poly]:
 def dual_root_monomial(k: int, n: int, power: int, spec: FglSpec) -> Poly:
     """Normal form of (chi(x_{k+1}) ... chi(x_n))^power.
 
-    chi is the formal inverse series; truncating at the top staircase
-    degree is exact because higher homogeneous components have no
-    staircase monomials left to land on.
+    chi is the formal inverse series; truncating it at the top staircase
+    degree is exact because higher homogeneous components are 0 modulo
+    S, and so is reducing after every factor.
     """
-    cap = n * (n - 1) // 2
-    chi = formal_inverse(spec, cap)
+    chi = formal_inverse(spec, n * (n - 1) // 2)
     out = Poly.one(n)
     for v in range(k + 1, n + 1):
         factor = chi.inject_vars(n, (v,))
         for _ in range(power):
-            out = (out * factor).truncate(cap)
-    return normal_form(out, n)
+            out = normal_form(out * factor, n)
+    return out
 
 
 def gr24_smooth_poly(r: RectangleClass, spec: FglSpec = HYPERBOLIC) -> Poly:
@@ -218,17 +217,19 @@ def _rule_cross_check(
 
     classes holds the class of every partition of the box, keyed by its
     parts, in display order; smooth holds the representative of each
-    rectangle's smooth class.  Each product is reduced, expanded over the
-    normal forms of the classes and compared with the single class (or
-    zero) predicted by smooth_product.
+    rectangle's smooth class.  normal_form is S-linear, so each product
+    is taken of the two factors' normal forms and reduced again, then
+    expanded over the normal forms of the classes and compared with the
+    single class (or zero) predicted by smooth_product.
     """
     rep = CheckReport(name)
     order = [BoxPartition(ctx.k, ctx.m, parts) for parts in classes]
     basis = [normal_form(f, ctx.n) for f in classes.values()]
     for r, smooth_poly in smooth.items():
-        for lam in order:
+        smooth_nf = normal_form(smooth_poly, ctx.n)
+        for lam, lam_nf in zip(order, basis):
             rule = smooth_product(ctx, r, lam)
-            product = normal_form(smooth_poly * classes[lam.parts], ctx.n)
+            product = normal_form(smooth_nf * lam_nf, ctx.n)
             coeffs = expand_in_basis(product, basis, ctx.n)
             expected = [
                 Poly.one(0) if rule is not None and mu.parts == rule.parts else Poly.zero(0)

@@ -185,7 +185,7 @@ def test_criterion_08_local_identities_and_ybe():
 
 def test_criterion_09_vandermonde_congruences():
     with _budget(10.0):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             cap = n * (n - 1) // 2 + 2
             rep = vandermonde_check(HYPERBOLIC, n, cap)
             assert rep.passed, rep.summary_lines()

@@ -3,12 +3,14 @@
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
 from schubfgl import cli
 from schubfgl.cli import main
 from schubfgl.combi import all_permutations, reduced_words
+from schubfgl.polycore import Poly
 from schubfgl.report import CheckReport
 
 
@@ -261,3 +263,86 @@ def test_word_class_reports_pinned(what, law):
     code, blob = run(["verify", what, "--n", "4", "--fgl", law, "--json"])
     assert code == 0
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_SHA256[(what, law)]
+
+
+# sha256 of the full --json output, recorded with products built whole
+# (series truncated at cap) and reduced once at the end: reducing after
+# every multiply must not change a verdict or a printed class
+QUOTIENT_SHA256 = {
+    "verify gr24 --fgl additive": "be0e250996494f740f88443f94a40e970bd9d0419bfdebb8cc2d6717c996dad7",
+    "table gr24 --fgl additive": "b5d9c9ad7c1ed24a043770f97e227da4074cb412a582d8c64d7ca352c1b93d23",
+    "verify gr24 --fgl multiplicative": "8c140044f4589bc0414cb5b5d80e32938c6958c428b5738c5c124cdd4d6fecaa",
+    "table gr24 --fgl multiplicative": "adecece9c1d095331e19d84b8d2b76c1a9b3a167925c8175454480cdff9cc7fe",
+    "verify gr24 --fgl hyperbolic": "5c0b7d0ed53eb9b3018b86ad92ee88f4195a22cb3cbf29f0e9f51dec9488daed",
+    "table gr24 --fgl hyperbolic": "aa12be4158462a6f3ee272cc472c3edb5b198c3a5694670bb70e62610b5e3502",
+    "verify gr24 --fgl lorentz": "1ec8a74ca1431570584ed3500fd1b3623b92db81504acb11f9a4532f3fc75b90",
+    "table gr24 --fgl lorentz": "15125acdabc26dc6996026a3e442e6699621905a09553f0c1fd2a195f56ca507",
+    "verify chowk --k 2 --n 4 --fgl additive": "c2f220a598d0a96cd86bb127488c8a89817c5d3287c9e1518076155d11dd69ae",
+    "verify chowk --k 2 --n 4 --fgl multiplicative": "6d90c4fadee48b97725179a69bea55e32e490b23301ea2529fab270f0f3b6ca7",
+    "verify chowk --k 2 --n 5 --fgl additive": "52d3c02225ac419a0e2ad4d2bfab83286f75c30a6a0f71e0323f99dc30adcbac",
+    "verify chowk --k 2 --n 5 --fgl multiplicative": "7911f37199b65a4447ca5336e2cc898e6c2ae16a1f64a3a146d386672cb6a69a",
+    "verify chowk --k 2 --n 6 --fgl additive": "e5453f3ce48ca0c79088485f3fb402c73bb6027190281915380ecc57a230f1bf",
+    "verify chowk --k 2 --n 6 --fgl multiplicative": "ca1d6474c3d5465dd3e44c1db972a58d6389a6771a334814559840bff7a33053",
+    "verify chowk --k 3 --n 6 --fgl additive": "9a12dec9b2439faf1d364b906e0aed590d65b981babf363b4f3e02fb52861f1a",
+    "verify chowk --k 3 --n 6 --fgl multiplicative": "e9b5422bc6d6044ea664a1f555c6aa11bdef4d9e68359951a1034d2690d8958e",
+    "verify vandermonde --n 2 --fgl additive": "368fc80929ffca4a9a3d36320a7042363d5bdb3e6f9d512cd3a99165e747ebdb",
+    "verify vandermonde --n 3 --fgl additive": "8097c7576d81824abddbf29622858ea90af5586e6a3b10c82893eaaad75eb48a",
+    "verify vandermonde --n 4 --fgl additive": "874e9f73f900d8f5c7208c354299d2eb8606a26b15f87a0b7bf46f769c0ea9fc",
+    "verify vandermonde --n 2 --fgl multiplicative": "c79bf165d7a672e4ef754a919c18e568bf674f68ba9111ac913b59fe56c3464d",
+    "verify vandermonde --n 3 --fgl multiplicative": "8167cf45f864b56bb1c2d2ae1970a0c0d9789894120a916789006bbd64f684b4",
+    "verify vandermonde --n 4 --fgl multiplicative": "d1afacf2a99f948e7061c6e34005d4437662707ea4b029091ef629afac089527",
+    "verify vandermonde --n 2 --fgl hyperbolic": "77fcbe035dec9f32cfcf999cdf38b93229fe6ef0b9004c15b2893f12d0f0b00c",
+    "verify vandermonde --n 3 --fgl hyperbolic": "d87bc7de65fcd6515842526992aa3d448a2ac2195e174eeeb532d8df4a4cd987",
+    "verify vandermonde --n 4 --fgl hyperbolic": "d36094fa6d98f7b8c36b8d07da5bc8b5373c936a919271bd4738f8751c4a4938",
+    "verify vandermonde --n 2 --fgl lorentz": "37036e69e7c6b1b10c87b89fd724329be192bf9edb9dd8bf6063ccdedb0dc25a",
+    "verify vandermonde --n 3 --fgl lorentz": "861d8a44ff2061533eac2d86421aa2508f7e69e70edaa8d375b035243f429ce8",
+    "verify vandermonde --n 4 --fgl lorentz": "7cd5528d1af9c9244078446e8a61901a5764b7bf554eea244ee08c5816b088d0",
+    "verify vandermonde --n 5 --fgl additive": "ba718dc015229c3333f76df9778d56f7fa189c781fea73daf182875c5473a4cc",
+    "verify vandermonde --n 5 --fgl multiplicative": "9dbbaaf85f3cb14d3534343208fc51d86424048f1d74202cc1968d2ecc6f2b43",
+    "verify vandermonde --n 5 --fgl hyperbolic": "bc5b6b4aa369d6f7e11783e2dd14bafc067d97ea716698b674219d6ff042ac9b",
+    "verify vandermonde --n 5 --fgl lorentz": "daee21177cb33c72a2a34f0f479c61723396b00448c2aa107b6b3dd7e72756de",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(QUOTIENT_SHA256))
+def test_quotient_ring_outputs_pinned(argv):
+    code, blob = run(argv.split() + ["--json"])
+    assert code == 0
+    assert hashlib.sha256(blob.encode()).hexdigest() == QUOTIENT_SHA256[argv]
+
+
+def test_verify_gr24_runs_once_whatever_n():
+    code, once = run(["verify", "gr24", "--json"])
+    assert code == 0
+    code, blob = run(["verify", "gr24", "--n", "5", "--n", "6", "--json"])
+    assert (code, blob) == (0, once)
+    assert len(json.loads(blob)["reports"]) == 1
+    code, text = run(["verify", "gr24", "--n", "5", "--n", "6"])
+    assert code == 0 and text.endswith("overall: PASS (1 reports)\n")
+
+
+def test_reduce_above_top_degree_is_zero():
+    # no rewriting: a RecursionError and a run of over a minute before
+    for text in ("1*x[0,0,3000]", "1*x[0,0,0,0,0,0,0,0,40]"):
+        t0 = time.perf_counter()
+        code, out = run(["reduce"], stdin_text=text)
+        assert (code, out) == (0, "0\n")
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_capacity_bounds_exit_2(tmp_path, capsys):
+    # rank 8, degree 28 = top: rewriting would visit 6.7 million monomials
+    code, _ = run(["reduce"], stdin_text="1*x[0,0,0,0,0,0,0,28]")
+    assert code == 2
+    assert "limited to rank 7" in capsys.readouterr().err
+    # terms that need no rewriting are answered at any rank
+    code, out = run(["reduce"], stdin_text="1*x[0,0,0,0,0,0,0,29] + 3*x[7,6,5,4,3,2,1,0]")
+    assert (code, out) == (0, "3*x[7,6,5,4,3,2,1,0]\n")
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps([Poly.one(8).to_json_obj()]))
+    code, _ = run(["expand", "--basis", str(basis)], stdin_text="1*x[0,0,0,0,0,0,0,1]")
+    assert code == 2
+    assert "limited to rank 7" in capsys.readouterr().err
+    code, _ = run(["verify", "vandermonde", "--n", "7"])
+    assert code == 2
+    assert "limited to rank 6" in capsys.readouterr().err

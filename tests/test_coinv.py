@@ -4,10 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubfgl.coinv import (
     BasisDependenceError,
+    MAX_VANDERMONDE_RANK,
     NotInSpanError,
+    _monomial_normal_form,
     equals_mod_s,
     expand_in_basis,
     is_staircase,
@@ -17,6 +21,7 @@ from schubfgl.coinv import (
     vandermonde_check,
     vandermonde_poly,
 )
+from schubfgl.combi import CapacityError
 from schubfgl.ddo import random_poly
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE
 from schubfgl.polycore import Poly, PolyError
@@ -193,3 +198,57 @@ def test_vandermonde_check():
             rep = vandermonde_check(spec, n, cap)
             assert rep.passed, rep.summary_lines()
             assert rep.cases
+
+
+def test_vandermonde_rank_bound():
+    n = MAX_VANDERMONDE_RANK + 1
+    with pytest.raises(CapacityError):
+        vandermonde_check(ADDITIVE, n, n * (n - 1) // 2 + 2)
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def polys(n: int, max_deg: int):
+    """Up to four terms, each of x-degree at most max_deg (the oracle's
+    linear algebra grows fast with the degree)."""
+    exps = st.tuples(*[st.integers(0, max_deg)] * n).filter(lambda e: sum(e) <= max_deg)
+    term = st.tuples(exps, st.tuples(st.integers(0, 1), st.integers(0, 1)))
+    return st.dictionaries(term, st.integers(-5, 5), max_size=4).map(lambda t: Poly(n, t))
+
+
+@st.composite
+def poly_pairs(draw):
+    n = draw(st.integers(1, 3))
+    return n, draw(polys(n, 3)), draw(polys(n, 3))
+
+
+@PROPERTY
+@given(poly_pairs())
+def test_reducing_factors_first_keeps_the_product_class(case):
+    # the identity vandermonde_check and the Grassmannian products rest on
+    n, f, g = case
+    expected = nf_linear_oracle(f * g, n)
+    assert normal_form(f * g, n) == expected
+    assert normal_form(normal_form(f, n) * normal_form(g, n), n) == expected
+
+
+@st.composite
+def above_top_monomials(draw):
+    n = draw(st.integers(1, 3))
+    top = n * (n - 1) // 2
+    exps = draw(
+        st.tuples(*[st.integers(0, top + 3)] * n).filter(lambda e: top < sum(e) <= top + 3)
+    )
+    return n, exps
+
+
+@PROPERTY
+@given(above_top_monomials())
+def test_monomials_above_top_degree_vanish(case):
+    # the rewrite itself, not only the shortcut in normal_form, ends at 0
+    n, exps = case
+    f = Poly.monomial(n, exps)
+    assert nf_linear_oracle(f, n).is_zero
+    assert _monomial_normal_form(exps, n) == ()
+    assert normal_form(f, n).is_zero

@@ -4,6 +4,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubfgl import ddo, hecke
 from schubfgl.combi import CapacityError, Permutation, word_to_perm
@@ -20,6 +22,8 @@ from schubfgl.hecke import (
     hecke_u,
     heckes_equal,
     ideal_delete,
+    in_pair_ideal,
+    in_window_cone,
     verify_coeff_corollary,
     verify_fk_identity,
     verify_local_identities,
@@ -145,6 +149,52 @@ def test_delete_semantics():
     assert got == Poly.monomial(n, (1, 0, 1), (0, 1)) + Poly.monomial(n, (1, 1, 0))
     assert ideal_delete(f, set()) == f
     assert window_delete(f, set()) == f
+
+
+@st.composite
+def deletion_inputs(draw):
+    """(f, indices): f is mostly multiples of the generators m2 x_j x_{j+1}
+    and m2 x_a x_b over the window, so both verdicts come up often."""
+    n = draw(st.integers(2, 5))
+    indices = draw(st.frozensets(st.integers(1, n - 1)))
+    window = sorted(window_vars(indices)) or [1, 2]
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        x = list(draw(st.tuples(*[st.integers(0, 2)] * n)))
+        mu = (draw(st.integers(0, 1)), draw(st.integers(0, 2)))
+        kind = draw(st.sampled_from(("pair", "window", "any")))
+        if kind == "pair" and indices:
+            j = draw(st.sampled_from(sorted(indices)))
+            x[j - 1] += 1
+            x[j] += 1
+            mu = (mu[0], max(mu[1], 1))
+        elif kind == "window":
+            a, b = draw(st.sampled_from(window)), draw(st.sampled_from(window))
+            x[a - 1] += 1
+            x[b - 1] += 1
+            mu = (mu[0], max(mu[1], 1))
+        terms[(tuple(x), mu)] = draw(st.integers(-3, 3))
+    return Poly(n, terms), indices
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(deletion_inputs())
+def test_membership_reads_match_deletion(case):
+    # the fk/differ verdicts read these instead of building the deleted copy
+    f, indices = case
+    assert in_pair_ideal(f, indices) == ideal_delete(f, indices).is_zero
+    assert in_window_cone(f, indices) == window_delete(f, indices).is_zero
+
+
+def test_membership_reads_stop_at_first_survivor():
+    n = 3
+    inside = Poly.monomial(n, (1, 1, 0), (0, 1))
+    assert in_pair_ideal(inside, {1}) and in_window_cone(inside, {1})
+    assert not in_pair_ideal(inside, set()) and not in_window_cone(inside, set())
+    assert in_pair_ideal(Poly.zero(n), set()) and in_window_cone(Poly.zero(n), set())
+    # m2 x_1 x_3 is in the window cone of {1, 2} but in no pair ideal
+    spread = Poly.monomial(n, (1, 0, 1), (0, 1))
+    assert in_window_cone(spread, {1, 2}) and not in_pair_ideal(spread, {1, 2})
 
 
 def test_top_coefficient_is_the_staircase_class():

@@ -19,6 +19,17 @@ def test_fk5_short_run_is_correct():
     assert result["correct"] is True
 
 
+def test_vdm5_short_run_is_correct():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "vdm5", "--seed", "1",
+         "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+
+
 def test_traced_compute_run_reaches_every_layer():
     # the tracer binds package names from outside; a renamed or moved
     # function would leave its layer with no calls
