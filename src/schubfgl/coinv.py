@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _it_product
 from operator import add
 
 from .combi import CapacityError
@@ -49,7 +48,8 @@ class BasisDependenceError(ValueError):
 # ----------------------------------------------------------------------
 # rewriting
 
-@lru_cache(maxsize=None)
+# one entry per (k, n) with k <= n: 55 keys reach rank 10
+@lru_cache(maxsize=64)
 def _replacement_monomials(k: int, n: int) -> tuple[XExp, ...]:
     """Monomials of h_{n-k+1}(x_1..x_k) other than x_k^{n-k+1}.
 
@@ -171,12 +171,6 @@ def check_rewrite_capacity(f: Poly, n: int) -> None:
 
 def equals_mod_s(f: Poly, g: Poly, n: int) -> bool:
     return normal_form(f - g, n).is_zero
-
-
-def staircase_monomials(n: int) -> list[XExp]:
-    """All n! staircase exponent vectors, sorted."""
-    ranges = [range(n - k, -1, -1) for k in range(1, n + 1)]
-    return sorted(tuple(e) for e in _it_product(*ranges))
 
 
 # ----------------------------------------------------------------------
@@ -305,7 +299,11 @@ def vandermonde_poly(n: int) -> Poly:
 
 
 def top_staircase_class(n: int) -> Poly:
-    """x_1^{n-1} x_2^{n-2} ... x_{n-1}."""
+    """x_1^{n-1} x_2^{n-2} ... x_{n-1}, the top staircase monomial.
+
+    The words of push-pull operators start from it (schubert), and the
+    Vandermonde product is n! times it modulo S.
+    """
     return Poly.monomial(n, tuple(n - k for k in range(1, n + 1)))
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations as _it_permutations
 from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
@@ -23,6 +22,11 @@ Word = tuple[int, ...]
 # Reduced-word enumeration is exponential; S_5 (768 words for the
 # longest element) is the supported ceiling.
 MAX_ENUM_RANK = 5
+
+# Bound of the per-permutation caches: all 872 permutations of S_2..S_6
+# fit, more than the fk/differ suites at rank 5 or a Grassmannian
+# cross-check ever look up.
+_PERM_CACHE_SIZE = 1024
 
 
 class CapacityError(ValueError):
@@ -46,14 +50,6 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def simple(cls, n: int, i: int) -> "Permutation":
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"simple reflection index {i} out of range [1, {n - 1}]")
-        ol = list(range(1, n + 1))
-        ol[i - 1], ol[i] = ol[i], ol[i - 1]
-        return cls(tuple(ol))
 
     @classmethod
     def longest(cls, n: int) -> "Permutation":
@@ -114,14 +110,6 @@ class Permutation:
         return "Permutation(" + ",".join(map(str, self.oneline)) + ")"
 
 
-def all_permutations(n: int) -> list[Permutation]:
-    if n > MAX_ENUM_RANK:
-        raise CapacityError(
-            f"permutation enumeration is limited to rank {MAX_ENUM_RANK}, got {n}"
-        )
-    return [Permutation(p) for p in _it_permutations(range(1, n + 1))]
-
-
 # ----------------------------------------------------------------------
 # words
 
@@ -134,12 +122,7 @@ def word_to_perm(word: Iterable[int], n: int) -> Permutation:
     return p
 
 
-def is_reduced(word: Word, n: int) -> bool:
-    word = tuple(word)
-    return word_to_perm(word, n).length() == len(word)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PERM_CACHE_SIZE)
 def _reduced_words_cached(oneline: tuple[int, ...]) -> tuple[Word, ...]:
     p = Permutation(oneline)
     if p.is_identity():
@@ -160,7 +143,7 @@ def reduced_words(w: Permutation) -> tuple[Word, ...]:
     return _reduced_words_cached(w.oneline)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PERM_CACHE_SIZE)
 def canonical_word(w: Permutation) -> Word:
     """The lexicographically smallest reduced word of w."""
     out: list[int] = []
@@ -172,7 +155,7 @@ def canonical_word(w: Permutation) -> Word:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PERM_CACHE_SIZE)
 def support_of(w: Permutation) -> frozenset[int]:
     """Indices of the simple reflections appearing in reduced words of w."""
     return frozenset(canonical_word(w))

@@ -21,6 +21,9 @@ slots to x_i and x_{i+1} in that order).  The kernel constant
 
 equals m1 for the m2-free slice of the family and 0, m1, m1, 0 for the
 additive, multiplicative, hyperbolic and Lorentz laws respectively.
+
+Nothing here expands F itself: its series, with the self-checks that
+tie it to chi and p, lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -102,31 +105,6 @@ HYPERBOLIC = FglSpec("hyperbolic")
 LORENTZ = FglSpec("lorentz")
 
 
-def _sym_numerator() -> Poly:
-    # x + y - m1*x*y in two variables
-    return Poly(2, {
-        ((1, 0), MU_ZERO): 1,
-        ((0, 1), MU_ZERO): 1,
-        ((1, 1), (1, 0)): -1,
-    })
-
-
-def _sym_denominator() -> Poly:
-    # 1 + m2*x*y
-    return Poly(2, {
-        ((0, 0), MU_ZERO): 1,
-        ((1, 1), (0, 1)): 1,
-    })
-
-
-def fgl_sum_series(spec: FglSpec, cap: int) -> Poly:
-    """The series F(x, y) through total x-degree cap, as a 2-variable Poly."""
-    if cap < 1:
-        raise PolyError("cap must be at least 1 to see the linear terms")
-    inv = series_invert_unit(_sym_denominator(), cap)
-    return spec.specialize((_sym_numerator() * inv).truncate(cap))
-
-
 def formal_inverse(spec: FglSpec, cap: int) -> Poly:
     """The series chi(x) = -x/(1 - m1*x) through degree cap, 1 variable."""
     if cap < 1:
@@ -160,48 +138,3 @@ def kappa_of(spec: FglSpec) -> Poly:
             raise PolyError("difference kernel asymmetry is not constant")
         const[((), mu)] = c
     return Poly(0, const)
-
-
-def _subst_second_var(f: Poly, g: Poly, cap: int) -> Poly:
-    """Substitute the 1-variable series g for the second variable of f.
-
-    Both input and output are truncated at total x-degree cap; g must
-    have no constant term so that substitution respects the filtration.
-    """
-    if f.nvars != 2 or g.nvars != 1:
-        raise PolyError("substitution expects a 2-variable target and 1-variable series")
-    if any(not any(exps) for (exps, _mu) in g.terms):
-        raise PolyError("substituted series must have zero constant term")
-    g2 = g.inject_vars(2, (2,))
-    powers: dict[int, Poly] = {0: Poly.one(2)}
-    out = Poly.zero(2)
-    for (exps, mu), c in f.terms.items():
-        i, j = exps
-        if i > cap:
-            continue
-        if j not in powers:
-            pw = powers[max(powers)]
-            for k in range(max(powers) + 1, j + 1):
-                pw = (pw * g2).truncate(cap)
-                powers[k] = pw
-        term = powers[j] * Poly.monomial(2, (i, 0), mu, c)
-        out = out + term.truncate(cap)
-    return out.truncate(cap)
-
-
-def diff_kernel_series_check(spec: FglSpec, cap: int) -> bool:
-    """Verify p(x, y) * F(x, chi(y)) = x - y through degree cap."""
-    F = fgl_sum_series(spec, cap)
-    chi = formal_inverse(spec, cap)
-    lhs = (diff_kernel(spec) * _subst_second_var(F, chi, cap)).truncate(cap)
-    rhs = Poly(2, {((1, 0), MU_ZERO): 1, ((0, 1), MU_ZERO): -1})
-    return lhs == rhs
-
-
-def inverse_series_check(spec: FglSpec, cap: int) -> bool:
-    """Verify F(x, chi(x)) = 0 through degree cap."""
-    F = fgl_sum_series(spec, cap)
-    chi = formal_inverse(spec, cap)
-    two_var = _subst_second_var(F, chi, cap)
-    collapsed = two_var.inject_vars(1, (1, 1)).truncate(cap)
-    return collapsed.is_zero

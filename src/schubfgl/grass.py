@@ -33,7 +33,7 @@ from .combi import (
     partition_to_perm,
     Word,
 )
-from .coinv import expand_in_basis, normal_form
+from .coinv import MAX_REWRITE_RANK, expand_in_basis, normal_form
 from .fgl import FglSpec, HYPERBOLIC, formal_inverse
 from .polycore import Poly
 from .report import CheckReport
@@ -279,12 +279,18 @@ def chow_k_cross_check(k: int, n: int, spec: FglSpec) -> CheckReport:
     """Product rule vs polynomial arithmetic at m2 = 0, all (r, lam).
 
     Both factors use canonical-word representatives, so this covers
-    every rectangle, not only the ones with monomial formulas.
+    every rectangle, not only the ones with monomial formulas.  The
+    representatives at k > n/2 carry large exponents that the normal
+    form has to rewrite (Gr(8,9) took 10 s, Gr(9,10) 75 s), so besides
+    k(n-k) <= 9 the rank is held to MAX_REWRITE_RANK, the bound of every
+    other rewrite.
     """
     if not spec.mu2_is_zero:
         raise ValueError("chow/K cross-check requires an m2 = 0 law")
-    if k * (n - k) > 9:
-        raise CapacityError(f"Gr({k},{n}) exceeds the k(n-k) <= 9 bound")
+    if k * (n - k) > 9 or n > MAX_REWRITE_RANK:
+        raise CapacityError(
+            f"Gr({k},{n}) exceeds the k(n-k) <= 9 bound or the rewrite rank {MAX_REWRITE_RANK}"
+        )
     ctx = GrassContext(k, n, spec)
     classes = {mu.parts: class_representative(ctx, mu) for mu in box_partitions(k, n - k)}
     return _rule_cross_check(

@@ -9,12 +9,22 @@ elements u_w indexed by permutations, with multiplication determined by
     scalars central,
     m2 x_i x_{i+1} u_i = 0.
 
-The braid and quadratic relations give u_w u_v = (-m1)^d u_{w*v} where
-w*v is the Demazure product and d the length drop; the last relation
-generates, for each w, the ideal J_w spanned by terms divisible by
-m2 x_j x_{j+1} with j in the support of w.  Since the generators are
-monomials, reduction modulo J_w just deletes the divisible terms, and
-every element here is kept reduced.
+The last relation generates, for each w, the ideal J_w spanned by terms
+divisible by m2 x_j x_{j+1} with j in the support of w.  Since the
+generators are monomials, reduction modulo J_w just deletes the
+divisible terms, and every element here is kept reduced.
+
+Every product the verifiers take is a product of linear factors
+(1 + g u_j), as in the Fomin-Kirillov construction, so the only
+multiplication here is one step on the right:
+
+    u_w u_j = u_{w s_j}    if w(j) < w(j+1),
+    u_w u_j = -m1 u_w      otherwise,
+
+and e (1 + g u_j) = e + (e u_j) g built on it.  The general product of
+two elements, u_w u_v = (-m1)^d u_{w*v} with w*v the Demazure product
+and d the length drop, is kept in tests/oracles.py as the reference
+these folds are checked against.
 
 The central object is the ordered product
 
@@ -27,7 +37,7 @@ class of each reduced word of w, and the local factorization identities
 the first check rests on.  The coefficient comparison gates on congruence
 modulo m2 times the quadratic cone over the support window; deletion of
 the adjacent generators alone is too narrow once n >= 3 and is reported
-as annotated diagnostics (see window_delete).  Because m2 must stay a
+as annotated diagnostics (see in_window_cone).  Because m2 must stay a
 visible marker for the deletion to make sense, the verifiers reject
 laws that specialize m2 to a nonzero integer; m2 = 0 degenerations are
 fine (the ideal vanishes).
@@ -39,19 +49,19 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterator
 
+from .coinv import top_staircase_class
 from .combi import (
     CapacityError,
     MAX_ENUM_RANK,
     Permutation,
     Word,
-    canonical_word,
     support_of,
 )
 from .ddo import OperatorContext, apply_c, apply_delta
 from .fgl import FglSpec, diff_kernel, formal_inverse
 from .polycore import Poly, PolyError, _mk, series_invert_unit
 from .report import CheckReport
-from .schubert import SchubertContext, grothendieck_polynomial, initial_class
+from .schubert import SchubertContext, grothendieck_polynomial
 
 
 def _pair_survivors(f: Poly, indices: frozenset[int] | set[int]) -> Iterator[tuple]:
@@ -98,8 +108,9 @@ def _window_survivors(f: Poly, indices: frozenset[int] | set[int]) -> Iterator[t
             yield item
 
 
-def window_delete(f: Poly, indices: frozenset[int] | set[int]) -> Poly:
-    """Delete m2-terms of degree >= 2 in the variables touched by indices.
+def in_window_cone(f: Poly, indices: frozenset[int] | set[int]) -> bool:
+    """Whether every term of f is m2 times a monomial of degree >= 2 in the
+    variables touched by indices, read up to the first term that is not.
 
     The letter j contributes the generator m2 x_j x_{j+1}, an adjacent
     quadratic in the window variables.  Divided differences do not fix
@@ -110,13 +121,6 @@ def window_delete(f: Poly, indices: frozenset[int] | set[int]) -> Poly:
     enough for every comparison below, so congruence of word classes is
     taken modulo m2 times that cone.
     """
-    if not indices:
-        return f
-    return _mk(f.nvars, dict(_window_survivors(f, indices)))
-
-
-def in_window_cone(f: Poly, indices: frozenset[int] | set[int]) -> bool:
-    """Whether window_delete(f, indices) is zero, read up to the first survivor."""
     return next(_window_survivors(f, indices), None) is None
 
 
@@ -155,14 +159,6 @@ class HeckeElem:
             self.n, self.spec, {w: c.truncate(cap) for w, c in self.coeffs.items()}
         )
 
-    def render_text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for w in sorted(self.coeffs, key=lambda p: (p.length(), p.oneline)):
-            bits.append(f"({self.coeffs[w].render_text()}) u[{','.join(map(str, w.oneline))}]")
-        return " + ".join(bits)
-
 
 def _mk_elem(n: int, spec: FglSpec, coeffs: dict[Permutation, Poly]) -> HeckeElem:
     clean: dict[Permutation, Poly] = {}
@@ -173,18 +169,9 @@ def _mk_elem(n: int, spec: FglSpec, coeffs: dict[Permutation, Poly]) -> HeckeEle
     return HeckeElem(n, spec, clean)
 
 
-def hecke_reduce(e: HeckeElem) -> HeckeElem:
-    return _mk_elem(e.n, e.spec, e.coeffs)
-
-
 def hecke_one(n: int, spec: FglSpec) -> HeckeElem:
     _check_spec(spec)
     return _mk_elem(n, spec, {Permutation.identity(n): Poly.one(n)})
-
-
-def hecke_u(n: int, i: int, spec: FglSpec) -> HeckeElem:
-    _check_spec(spec)
-    return _mk_elem(n, spec, {Permutation.simple(n, i): Poly.one(n)})
 
 
 def hecke_add(e: HeckeElem, f: HeckeElem) -> HeckeElem:
@@ -206,65 +193,57 @@ def _check_same(e: HeckeElem, f: HeckeElem) -> None:
 
 def heckes_equal(e: HeckeElem, f: HeckeElem) -> bool:
     _check_same(e, f)
-    return hecke_reduce(e).coeffs == hecke_reduce(f).coeffs
+    return _mk_elem(e.n, e.spec, e.coeffs).coeffs == _mk_elem(f.n, f.spec, f.coeffs).coeffs
 
 
-def hecke_mul(e: HeckeElem, f: HeckeElem) -> HeckeElem:
-    """Product via the Demazure walk: u_w u_v = (-m1)^drop u_{w*v}."""
-    _check_same(e, f)
-    n, spec = e.n, e.spec
-    minus_mu1 = -spec.mu1_poly(n)
+def hecke_times_u(e: HeckeElem, j: int) -> HeckeElem:
+    """e u_j: u_w u_j = u_{w s_j} when w(j) < w(j+1), and -m1 u_w otherwise."""
+    minus_mu1 = -e.spec.mu1_poly(e.n)
     out: dict[Permutation, Poly] = {}
-    for v, dv in f.coeffs.items():
-        word_v = canonical_word(v)
-        for w, cw in e.coeffs.items():
-            z = w
-            drop = 0
-            for i in word_v:
-                if z(i) < z(i + 1):
-                    z = z.right_mul_simple(i)
-                else:
-                    drop += 1
-            c = cw * dv
-            if drop:
-                c = c * minus_mu1 ** drop
-            if c.is_zero:
-                continue
-            out[z] = out[z] + c if z in out else c
-    return _mk_elem(n, spec, out)
+    for w, c in e.coeffs.items():
+        if w(j) < w(j + 1):
+            w = w.right_mul_simple(j)
+        else:
+            c = c * minus_mu1
+        out[w] = out[w] + c if w in out else c
+    return _mk_elem(e.n, e.spec, out)
+
+
+def hecke_times_factor(e: HeckeElem, j: int, g: Poly) -> HeckeElem:
+    """e (1 + g u_j) = e + (e u_j) g."""
+    return hecke_add(e, hecke_scale(hecke_times_u(e, j), g))
 
 
 # ----------------------------------------------------------------------
 # the ordered product S and its factors
+
+def _times_alpha(e: HeckeElem, i: int, x: Poly) -> HeckeElem:
+    """e A_i(x) = e (1 + x u_{n-1}) ... (1 + x u_i)."""
+    for j in range(e.n - 1, i - 1, -1):
+        e = hecke_times_factor(e, j, x)
+    return e
+
 
 def alpha_factor(n: int, i: int, x: Poly, spec: FglSpec) -> HeckeElem:
     """A_i(x) = (1 + x u_{n-1}) ... (1 + x u_i); A_n(x) = 1."""
     _check_spec(spec)
     if not 1 <= i <= n:
         raise ValueError(f"factor index {i} out of range [1, {n}]")
-    acc = hecke_one(n, spec)
-    for j in range(n - 1, i - 1, -1):
-        factor = hecke_add(hecke_one(n, spec), hecke_scale(hecke_u(n, j, spec), x))
-        acc = hecke_mul(acc, factor)
-    return acc
+    return _times_alpha(hecke_one(n, spec), i, x)
 
 
 def big_product_s(n: int, spec: FglSpec) -> HeckeElem:
-    """S = A_1(x_1) A_2(x_2) ... A_{n-1}(x_{n-1})."""
-    _check_spec(spec)
+    """S = A_1(x_1) A_2(x_2) ... A_{n-1}(x_{n-1}), one linear factor at a time."""
     acc = hecke_one(n, spec)
     for j in range(1, n):
-        acc = hecke_mul(acc, alpha_factor(n, j, Poly.variable(n, j), spec))
+        acc = _times_alpha(acc, j, Poly.variable(n, j))
     return acc
 
 
-def _apply_delta_elem(e: HeckeElem, i: int, negate: bool) -> HeckeElem:
+def _apply_delta_elem(e: HeckeElem, i: int) -> HeckeElem:
+    """-D_i applied to every coefficient of e."""
     ctx = OperatorContext(e.spec, e.n)
-    out = {}
-    for w, c in e.coeffs.items():
-        d = apply_delta(ctx, i, c)
-        out[w] = -d if negate else d
-    return _mk_elem(e.n, e.spec, out)
+    return _mk_elem(e.n, e.spec, {w: -apply_delta(ctx, i, c) for w, c in e.coeffs.items()})
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +266,7 @@ def _word_classes(sctx: SchubertContext) -> Iterator[tuple[Permutation, Word, Po
             if w(i) < w(i + 1):
                 yield from walk(w.right_mul_simple(i), word + (i,), apply_c(ops, i, cls))
 
-    return walk(Permutation.identity(n), (), initial_class(sctx))
+    return walk(Permutation.identity(n), (), top_staircase_class(n))
 
 
 def _word_class_cases(
@@ -329,7 +308,7 @@ def verify_fk_identity(spec: FglSpec, n: int) -> CheckReport:
     For each w and each reduced word of w, the class of the word must be
     congruent to the coefficient of u_{w_0 w} in S.  The gating reading
     takes the congruence modulo m2 times the quadratic cone over the
-    supp(w) window (see window_delete); that reading holds for every
+    supp(w) window (see in_window_cone); that reading holds for every
     case up to n = 5.  Two narrower readings, deletion of the adjacent
     generators for supp(w) and for supp(w_0 w), are evaluated as
     annotated cases: the supp(w_0 w) one fails already for n = 2,
@@ -343,11 +322,8 @@ def verify_fk_identity(spec: FglSpec, n: int) -> CheckReport:
     _check_rank(n)
     rep = CheckReport(f"fk-identity[{spec.label()},n={n}]")
     S = big_product_s(n, spec)
-    ui = {i: hecke_u(n, i, spec) for i in range(1, n)}
     for i in range(1, n):
-        lhs = _apply_delta_elem(S, i, negate=True)
-        rhs = hecke_mul(S, ui[i])
-        rep.add(f"-D_{i}(S) = S u_{i}", heckes_equal(lhs, rhs))
+        rep.add(f"-D_{i}(S) = S u_{i}", heckes_equal(_apply_delta_elem(S, i), hecke_times_u(S, i)))
 
     w0 = Permutation.longest(n)
     cases = _word_class_cases(SchubertContext(spec, n), lambda w: S.coefficient(w0 * w))
@@ -421,21 +397,15 @@ def verify_local_identities(spec: FglSpec, n: int, cap: int) -> CheckReport:
     W = cap + 2
     rep = CheckReport(f"local-identities[{spec.label()},n={n},cap={cap}]")
     one = hecke_one(n, spec)
-
-    def chi_factor(i: int, v: int) -> HeckeElem:
-        return hecke_add(
-            one, hecke_scale(hecke_u(n, i, spec), _chi_at(spec, n, v, W))
-        )
-
     for i in range(1, n):
         xi1 = Poly.variable(n, i + 1)
-        lhs0 = hecke_mul(
-            hecke_add(one, hecke_scale(hecke_u(n, i, spec), xi1)), chi_factor(i, i + 1)
-        )
+        chi_i1 = _chi_at(spec, n, i + 1, W)
+        chi_factor = hecke_times_factor(one, i, chi_i1)
+        lhs0 = hecke_times_factor(hecke_times_factor(one, i, xi1), i, chi_i1)
         rep.add(f"(0) i={i}", heckes_equal(lhs0.truncate(cap), one))
 
         lhs1 = alpha_factor(n, i + 1, xi1, spec)
-        rhs1 = hecke_mul(alpha_factor(n, i, xi1, spec), chi_factor(i, i + 1))
+        rhs1 = hecke_times_factor(alpha_factor(n, i, xi1, spec), i, chi_i1)
         rep.add(f"(1) i={i}", heckes_equal(lhs1.truncate(cap), rhs1.truncate(cap)))
 
         kernel_swapped = diff_kernel(spec).inject_vars(n, (i + 1, i))
@@ -443,15 +413,12 @@ def verify_local_identities(spec: FglSpec, n: int, cap: int) -> CheckReport:
             (Poly.variable(n, i + 1) - Poly.variable(n, i))
             * series_invert_unit(kernel_swapped, W)
         ).truncate(W)
-        lhs2 = chi_factor(i, i)
-        rhs2 = hecke_mul(
-            hecke_add(one, hecke_scale(hecke_u(n, i, spec), f_series)),
-            chi_factor(i, i + 1),
-        )
+        lhs2 = hecke_times_factor(one, i, _chi_at(spec, n, i, W))
+        rhs2 = hecke_times_factor(hecke_times_factor(one, i, f_series), i, chi_i1)
         rep.add(f"(2) i={i}", heckes_equal(lhs2.truncate(cap), rhs2.truncate(cap)))
 
-        lhs3 = _apply_delta_elem(chi_factor(i, i + 1), i, negate=True)
-        rhs3 = hecke_mul(chi_factor(i, i + 1), hecke_u(n, i, spec))
+        lhs3 = _apply_delta_elem(chi_factor, i)
+        rhs3 = hecke_times_u(chi_factor, i)
         rep.add(f"(3) i={i}", heckes_equal(lhs3.truncate(cap), rhs3.truncate(cap)))
     return rep
 
@@ -465,7 +432,8 @@ def verify_ybe(spec: FglSpec, n: int) -> CheckReport:
     _check_rank(n)
     rep = CheckReport(f"ybe[{spec.label()},n={n}]")
     for i in range(1, n):
-        a = alpha_factor(n, i, Poly.variable(n, i), spec)
-        b = alpha_factor(n, i, Poly.variable(n, i + 1), spec)
-        rep.add(f"i={i}", heckes_equal(hecke_mul(a, b), hecke_mul(b, a)))
+        xi, xi1 = Poly.variable(n, i), Poly.variable(n, i + 1)
+        ab = _times_alpha(alpha_factor(n, i, xi, spec), i, xi1)
+        ba = _times_alpha(alpha_factor(n, i, xi1, spec), i, xi)
+        rep.add(f"i={i}", heckes_equal(ab, ba))
     return rep

@@ -216,14 +216,6 @@ class Poly:
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, e: int) -> "Poly":
-        if not isinstance(e, int) or e < 0:
-            raise PolyError(f"exponent must be a non-negative int, got {e!r}")
-        out = Poly.one(self.nvars)
-        for _ in range(e):
-            out = out * self
-        return out
-
     def mul_mu(self, a: int, b: int) -> "Poly":
         """Multiply by m1^a m2^b."""
         if a < 0 or b < 0:

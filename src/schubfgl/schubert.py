@@ -1,25 +1,21 @@
 """Schubert classes from words of push-pull operators.
 
-The top class is the staircase monomial x_1^{n-1} x_2^{n-2} ... x_{n-1};
-applying C along a reduced word produces the class attached to that
-word.  When m2 = 0 the braid relations hold, so the polynomial depends
-only on the permutation and the canonical (lex-smallest) reduced word
-computes it; this covers the classical Schubert (additive) and
-Grothendieck (multiplicative) cases.  For the full hyperbolic law the
-result genuinely depends on the word, which is why the word, not the
+The top class is the staircase monomial x_1^{n-1} x_2^{n-2} ... x_{n-1}
+(coinv.top_staircase_class), the class of the empty word; applying C
+along a reduced word produces the class attached to that word.  When
+m2 = 0 the braid relations hold, so the polynomial depends only on the
+permutation and the canonical (lex-smallest) reduced word computes it;
+this covers the classical Schubert (additive) and Grothendieck
+(multiplicative) cases.  For the full hyperbolic law the result
+genuinely depends on the word, which is why the word, not the
 permutation, is the argument of record here.
-
-Smooth rectangle classes in a Grassmannian Gr(k, n) have particularly
-simple representatives, independent of the law:
-
-    rows a:  (x_{k+1} * ... * x_n)^(k - a)
-    cols b:  (x_1 * ... * x_k)^(n - k - b)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .coinv import top_staircase_class
 from .combi import Permutation, Word, canonical_word, word_to_perm
 from .ddo import OperatorContext, apply_word
 from .fgl import FglSpec
@@ -39,12 +35,6 @@ class SchubertContext:
         return OperatorContext(self.spec, self.n)
 
 
-def initial_class(ctx: SchubertContext) -> Poly:
-    """x_1^{n-1} x_2^{n-2} ... x_{n-1}, the class of the longest element."""
-    n = ctx.n
-    return Poly.monomial(n, tuple(n - k for k in range(1, n + 1)))
-
-
 def schubert_polynomial(ctx: SchubertContext, word: Word) -> Poly:
     """Apply C along a reduced word to the top class, first letter first.
 
@@ -55,7 +45,7 @@ def schubert_polynomial(ctx: SchubertContext, word: Word) -> Poly:
     perm = word_to_perm(word, ctx.n)
     if perm.length() != len(word):
         raise ValueError(f"word {word} is not reduced")
-    return apply_word(ctx.operators(), word, initial_class(ctx))
+    return apply_word(ctx.operators(), word, top_staircase_class(ctx.n))
 
 
 def grothendieck_polynomial(ctx: SchubertContext, w: Permutation) -> Poly:
@@ -68,29 +58,3 @@ def grothendieck_polynomial(ctx: SchubertContext, w: Permutation) -> Poly:
         raise ValueError("permutation rank does not match the context")
     flat = SchubertContext(ctx.spec.mu2_zeroed(), ctx.n)
     return schubert_polynomial(flat, canonical_word(w))
-
-
-def smooth_monomial(k: int, n: int, *, rows: int | None = None, cols: int | None = None) -> Poly:
-    """Monomial representative of a smooth rectangle class in Gr(k, n).
-
-    Exactly one of rows/cols selects the family: rows=a is the class of
-    the subvariety cut by a rows of the full k x (n-k) rectangle
-    (1 <= a <= k), cols=b the one cut by b columns (1 <= b <= n-k).
-    The representative does not depend on the formal group law.
-    """
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if (rows is None) == (cols is None):
-        raise ValueError("pass exactly one of rows= or cols=")
-    exps = [0] * n
-    if rows is not None:
-        if not 1 <= rows <= k:
-            raise ValueError(f"rows must lie in [1, {k}]")
-        for t in range(k, n):
-            exps[t] = k - rows
-    else:
-        if not 1 <= cols <= n - k:
-            raise ValueError(f"cols must lie in [1, {n - k}]")
-        for t in range(k):
-            exps[t] = n - k - cols
-    return Poly.monomial(n, tuple(exps))

@@ -2,23 +2,42 @@
 
 Everything here is deliberately written against plain dicts and
 Fractions, not against the library's own arithmetic, so a bug in the
-package cannot hide inside its oracle.  There are two exceptions.  The
-pair of division-based operators multiply, swap and divide with the
-library's generic `Poly` arithmetic: they are the reference for the
-table-driven operators in `schubfgl.ddo`, which use none of it.  And
-`big_product_double` multiplies the ordered product S one linear factor
-at a time with the library's Hecke arithmetic: it is the reference for
-`schubfgl.hecke.big_product_s`, which groups the factors into A_i.
+package cannot hide inside its oracle.  There are three exceptions,
+which use the library's generic `Poly` arithmetic but none of the code
+they check:
+
+- the pair of division-based operators multiply, swap and divide: they
+  are the reference for the table-driven operators in `schubfgl.ddo`;
+- `demazure_mul` is the general product of two Hecke elements, a walk
+  over the canonical word of every right-hand permutation.  It is the
+  reference for the one-step products `hecke_times_u` and
+  `hecke_times_factor` that build everything in `schubfgl.hecke`, and
+  `big_product_double` multiplies the ordered product S with it, one
+  linear factor at a time;
+- the series of the formal group law F(x, y) and its self-checks
+  against the formal inverse and the difference kernel of `schubfgl.fgl`.
+
+The rest are small enumerations and deletions that only the tests use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from itertools import permutations as _it_permutations
+from itertools import product as _it_product
 
-from schubfgl.fgl import FglSpec, diff_kernel
-from schubfgl.hecke import HeckeElem, hecke_add, hecke_mul, hecke_one, hecke_scale, hecke_u
-from schubfgl.polycore import Poly
+from schubfgl.combi import (
+    CapacityError,
+    MAX_ENUM_RANK,
+    Permutation,
+    Word,
+    canonical_word,
+    word_to_perm,
+)
+from schubfgl.fgl import FglSpec, diff_kernel, formal_inverse
+from schubfgl.hecke import HeckeElem, hecke_add, hecke_one, hecke_scale
+from schubfgl.polycore import MU_ZERO, Poly, PolyError, series_invert_unit
 
 
 def naive_mul(f: Poly, g: Poly) -> Poly:
@@ -188,6 +207,94 @@ CLASSICAL_SCHUBERT_S3 = {
 }
 
 
+def all_permutations(n: int) -> list[Permutation]:
+    if n > MAX_ENUM_RANK:
+        raise CapacityError(
+            f"permutation enumeration is limited to rank {MAX_ENUM_RANK}, got {n}"
+        )
+    return [Permutation(p) for p in _it_permutations(range(1, n + 1))]
+
+
+def is_reduced(word: Word, n: int) -> bool:
+    word = tuple(word)
+    return word_to_perm(word, n).length() == len(word)
+
+
+def staircase_monomials(n: int) -> list[tuple[int, ...]]:
+    """All n! staircase exponent vectors, sorted."""
+    ranges = [range(n - k, -1, -1) for k in range(1, n + 1)]
+    return sorted(tuple(e) for e in _it_product(*ranges))
+
+
+def smooth_monomial(k: int, n: int, *, rows: int | None = None, cols: int | None = None) -> Poly:
+    """Monomial representative of a smooth rectangle class in Gr(k, n).
+
+    Exactly one of rows/cols selects the family: rows=a is the class of
+    the subvariety cut by a rows of the full k x (n-k) rectangle
+    (1 <= a <= k), cols=b the one cut by b columns (1 <= b <= n-k).
+    The representative does not depend on the formal group law:
+
+        rows a:  (x_{k+1} * ... * x_n)^(k - a)
+        cols b:  (x_1 * ... * x_k)^(n - k - b)
+    """
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if (rows is None) == (cols is None):
+        raise ValueError("pass exactly one of rows= or cols=")
+    exps = [0] * n
+    if rows is not None:
+        if not 1 <= rows <= k:
+            raise ValueError(f"rows must lie in [1, {k}]")
+        for t in range(k, n):
+            exps[t] = k - rows
+    else:
+        if not 1 <= cols <= n - k:
+            raise ValueError(f"cols must lie in [1, {n - k}]")
+        for t in range(k):
+            exps[t] = n - k - cols
+    return Poly.monomial(n, tuple(exps))
+
+
+def window_delete(f: Poly, indices) -> Poly:
+    """Delete the m2-terms of degree >= 2 in the variables x_j, x_{j+1}, j in indices."""
+    window = {v for j in indices for v in (j - 1, j)}
+    return Poly(f.nvars, {
+        (exps, mu): c
+        for (exps, mu), c in f.terms.items()
+        if not (mu[1] and sum(exps[v] for v in window) >= 2)
+    })
+
+
+# ----------------------------------------------------------------------
+# the general Hecke product
+
+def hecke_u(n: int, i: int, spec: FglSpec) -> HeckeElem:
+    """The generator u_i."""
+    return HeckeElem(n, spec, {word_to_perm((i,), n): Poly.one(n)})
+
+
+def demazure_mul(e: HeckeElem, f: HeckeElem) -> HeckeElem:
+    """Product via the Demazure walk: u_w u_v = (-m1)^drop u_{w*v}."""
+    n, spec = e.n, e.spec
+    assert (f.n, f.spec) == (n, spec)
+    minus_mu1 = -spec.mu1_poly(n)
+    out: dict[Permutation, Poly] = {}
+    for v, dv in f.coeffs.items():
+        word_v = canonical_word(v)
+        for w, cw in e.coeffs.items():
+            z = w
+            c = cw * dv
+            for i in word_v:
+                if z(i) < z(i + 1):
+                    z = z.right_mul_simple(i)
+                else:
+                    c = c * minus_mu1
+            if c.is_zero:
+                continue
+            out[z] = out[z] + c if z in out else c
+    return hecke_add(HeckeElem(n, spec), HeckeElem(n, spec, out))
+
+
 def big_product_double(n: int, spec: FglSpec) -> HeckeElem:
     """S written out factor by factor:
     prod_{j=1}^{n-1} prod_{i=n-1}^{j} (1 + x_j u_i)."""
@@ -195,7 +302,80 @@ def big_product_double(n: int, spec: FglSpec) -> HeckeElem:
     for j in range(1, n):
         xj = Poly.variable(n, j)
         for i in range(n - 1, j - 1, -1):
-            acc = hecke_mul(
+            acc = demazure_mul(
                 acc, hecke_add(hecke_one(n, spec), hecke_scale(hecke_u(n, i, spec), xj))
             )
     return acc
+
+
+# ----------------------------------------------------------------------
+# the series F(x, y) and its self-checks
+
+def _sym_numerator() -> Poly:
+    # x + y - m1*x*y in two variables
+    return Poly(2, {
+        ((1, 0), MU_ZERO): 1,
+        ((0, 1), MU_ZERO): 1,
+        ((1, 1), (1, 0)): -1,
+    })
+
+
+def _sym_denominator() -> Poly:
+    # 1 + m2*x*y
+    return Poly(2, {
+        ((0, 0), MU_ZERO): 1,
+        ((1, 1), (0, 1)): 1,
+    })
+
+
+def fgl_sum_series(spec: FglSpec, cap: int) -> Poly:
+    """The series F(x, y) through total x-degree cap, as a 2-variable Poly."""
+    if cap < 1:
+        raise PolyError("cap must be at least 1 to see the linear terms")
+    inv = series_invert_unit(_sym_denominator(), cap)
+    return spec.specialize((_sym_numerator() * inv).truncate(cap))
+
+
+def _subst_second_var(f: Poly, g: Poly, cap: int) -> Poly:
+    """Substitute the 1-variable series g for the second variable of f.
+
+    Both input and output are truncated at total x-degree cap; g must
+    have no constant term so that substitution respects the filtration.
+    """
+    if f.nvars != 2 or g.nvars != 1:
+        raise PolyError("substitution expects a 2-variable target and 1-variable series")
+    if any(not any(exps) for (exps, _mu) in g.terms):
+        raise PolyError("substituted series must have zero constant term")
+    g2 = g.inject_vars(2, (2,))
+    powers: dict[int, Poly] = {0: Poly.one(2)}
+    out = Poly.zero(2)
+    for (exps, mu), c in f.terms.items():
+        i, j = exps
+        if i > cap:
+            continue
+        if j not in powers:
+            pw = powers[max(powers)]
+            for k in range(max(powers) + 1, j + 1):
+                pw = (pw * g2).truncate(cap)
+                powers[k] = pw
+        term = powers[j] * Poly.monomial(2, (i, 0), mu, c)
+        out = out + term.truncate(cap)
+    return out.truncate(cap)
+
+
+def diff_kernel_series_check(spec: FglSpec, cap: int) -> bool:
+    """Verify p(x, y) * F(x, chi(y)) = x - y through degree cap."""
+    F = fgl_sum_series(spec, cap)
+    chi = formal_inverse(spec, cap)
+    lhs = (diff_kernel(spec) * _subst_second_var(F, chi, cap)).truncate(cap)
+    rhs = Poly(2, {((1, 0), MU_ZERO): 1, ((0, 1), MU_ZERO): -1})
+    return lhs == rhs
+
+
+def inverse_series_check(spec: FglSpec, cap: int) -> bool:
+    """Verify F(x, chi(x)) = 0 through degree cap."""
+    F = fgl_sum_series(spec, cap)
+    chi = formal_inverse(spec, cap)
+    two_var = _subst_second_var(F, chi, cap)
+    collapsed = two_var.inject_vars(1, (1, 1)).truncate(cap)
+    return collapsed.is_zero

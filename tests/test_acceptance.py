@@ -11,10 +11,9 @@ import time
 from schubfgl.coinv import (
     expand_in_basis,
     normal_form,
-    staircase_monomials,
     vandermonde_check,
 )
-from schubfgl.combi import BoxPartition, all_permutations, reduced_words
+from schubfgl.combi import BoxPartition, reduced_words
 from schubfgl.ddo import (
     OperatorContext,
     delta_identity_check,
@@ -26,7 +25,6 @@ from schubfgl.fgl import (
     HYPERBOLIC,
     LORENTZ,
     MULTIPLICATIVE,
-    diff_kernel_series_check,
     kappa_of,
 )
 from schubfgl.grass import (
@@ -45,7 +43,9 @@ from schubfgl.hecke import (
     verify_ybe,
 )
 from schubfgl.polycore import Poly
-from schubfgl.schubert import SchubertContext, schubert_polynomial, smooth_monomial
+from schubfgl.schubert import SchubertContext, schubert_polynomial
+
+from oracles import all_permutations, diff_kernel_series_check, smooth_monomial, staircase_monomials
 
 ALL_SPECS = (ADDITIVE, MULTIPLICATIVE, LORENTZ, HYPERBOLIC)
 

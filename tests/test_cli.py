@@ -9,9 +9,11 @@ import pytest
 
 from schubfgl import cli
 from schubfgl.cli import main
-from schubfgl.combi import all_permutations, reduced_words
+from schubfgl.combi import reduced_words
 from schubfgl.polycore import Poly
 from schubfgl.report import CheckReport
+
+from oracles import all_permutations
 
 
 def run(argv, stdin_text=None):
@@ -311,6 +313,69 @@ def test_quotient_ring_outputs_pinned(argv):
     assert hashlib.sha256(blob.encode()).hexdigest() == QUOTIENT_SHA256[argv]
 
 
+# sha256 of the full --json output, recorded with every Hecke product
+# taken by the general product of two elements (a Demazure walk over the
+# right factor): building them from the step e (1 + g u_j) must not
+# change a verdict
+HECKE_SHA256 = {
+    "verify ybe --n 2 --fgl additive": "adc1193bd65f6244926d5e2b82be73c9711717819c0361b428144350723270e7",
+    "verify ybe --n 3 --fgl additive": "0b6f8c958b71758e204ec06f7f590ed00ea80ba414629ec2724b24b62b692953",
+    "verify ybe --n 4 --fgl additive": "c35a2afc577f15a010b7ab1780c309596ee52c09a444abd80ea073f5cc24fe85",
+    "verify ybe --n 5 --fgl additive": "4717f682be755a00a928cb438b08d6e5ab537efa94efd353e06b592c22e40624",
+    "verify local --n 2 --fgl additive": "88606c4bec2382e0f1354e02def4bea92252aa81e8013a034565caecc720562e",
+    "verify local --n 3 --fgl additive": "1c13ce8e4f01dd9bd72d86618a386a9f27a69186ab95eeb4ffc5e7d1638010d6",
+    "verify local --n 4 --fgl additive": "dcf3d290bdc9bfc256e422bd1eebac54e86b4876fa2c909862ea366c0fdbb392",
+    "verify local --n 3 --cap 12 --fgl additive": "7bf19e387a7c7243b5afc410ec72a2d47918a402d53a33be78ce2272114c7b12",
+    "verify fk --n 2 --fgl additive": "0ebef6c8b2145d454f231d7264d82fb7deb94979f3e45c0aca0cfd636ba38ac3",
+    "verify fk --n 3 --fgl additive": "eb0eaa3ce93fb658e5b98688061ea01eb39e90ce55d353682b42b9ad75918a33",
+    "verify differ --n 2 --fgl additive": "b68c3f8075c822381e2d86f2d4ea2448ad569d1872a88e3f043ef4233ed5ae03",
+    "verify differ --n 3 --fgl additive": "263097833d903c37a01cd6178a32fe059fdb2906c474953752fb33043288cfef",
+    "verify ybe --n 2 --fgl multiplicative": "deaf0de09c0a3e1cd2dde061cee9ab4f1d33307e36aaad3c299686a98e3e7ded",
+    "verify ybe --n 3 --fgl multiplicative": "80f302e29541919638ef29c81cea5265c8d2bd312293086a68313fa9cf46f410",
+    "verify ybe --n 4 --fgl multiplicative": "e8dc130936ab59fb08acff08093b3432c7f70c97e5235f54e57f58cad9bc820b",
+    "verify ybe --n 5 --fgl multiplicative": "01bafa933d57e805c62bd95c5c22db6a1230c4df4eb77079892791ef11834c28",
+    "verify local --n 2 --fgl multiplicative": "45be1680f15bea22c79ff06c718aa5361fdf2803b2e91c57a9ee182e7269b98a",
+    "verify local --n 3 --fgl multiplicative": "341b6d0fca27507e6f78ef4dddcead0722fe14bcda6c52b04e2a01454df3a685",
+    "verify local --n 4 --fgl multiplicative": "46323ad800db009516205e60c7f00b1c3e24fc7262dbc0947a7e8a8a6c0a040b",
+    "verify local --n 3 --cap 12 --fgl multiplicative": "c4cb194d361a34657f761a6ef13702d2ae9f55d3277f760646b9f841fef419ee",
+    "verify fk --n 2 --fgl multiplicative": "00197a882b23276de465dde1cf191ee5e8c93c98b293ecb5afaadacd40821a85",
+    "verify fk --n 3 --fgl multiplicative": "b27757a6083a163cf670374e705bca787916deeef25d0e22e7501e3e9ca50816",
+    "verify differ --n 2 --fgl multiplicative": "e89117cb631478d4e3b4e180a9353bba052cb976869968f55cd7021851050bc1",
+    "verify differ --n 3 --fgl multiplicative": "611b996fc71467f29b3d1e674b274752a95428d0deb5430301fea1edd4f4e3f4",
+    "verify ybe --n 2 --fgl hyperbolic": "f24c4ba2d9f58332ea0a56163c4bde130e59a7dfc76c33230045500c18a31b37",
+    "verify ybe --n 3 --fgl hyperbolic": "348ef0829256ace4d80371e53082f029b88d96b0720770414e412c48eb42f01f",
+    "verify ybe --n 4 --fgl hyperbolic": "bc9ae9adbc069547a83a8bc4d7260c95ffe92c4bacc5e42b1da129c9794f41b1",
+    "verify ybe --n 5 --fgl hyperbolic": "4361794e22f7f3d4c3ce0b983c42769c8943655a6036f9d79e74f13d560e20bb",
+    "verify local --n 2 --fgl hyperbolic": "5cd3595887f12f15b5a03328f09eec2a015f2fa5c02a1d6853bc84209ff32bcd",
+    "verify local --n 3 --fgl hyperbolic": "43b6a661432509a37033e2c5ec798166f6c0bab3635e99df5288277ae9913098",
+    "verify local --n 4 --fgl hyperbolic": "37169df1e7fa41bbc695287bbdcc00f14774ecb99c69dbd754713e0fb24b4253",
+    "verify local --n 3 --cap 12 --fgl hyperbolic": "fbd1090f6d8e032f23fc9478a84e1806f49e2f8aff4f39dd467a8d4fe795322a",
+    "verify fk --n 2 --fgl hyperbolic": "dd1ecd0c184e55469f5a3eb157b4582b44f864573afff9965a0fc65332cf3983",
+    "verify fk --n 3 --fgl hyperbolic": "e2e3b08c38a6de40db897d7191a25618d1df2bc8aba2a63c4fe617a386d3fc23",
+    "verify differ --n 2 --fgl hyperbolic": "81bf9f2b96d5be2ce64fc31aa7be9fa8d3fc4ca38f9ec19d62566ef871622ab7",
+    "verify differ --n 3 --fgl hyperbolic": "5ff994781b4474e0d72a979fba52a97804a97ccd26b66034547ac11b13421380",
+    "verify ybe --n 2 --fgl lorentz": "02a64ad9392008f9756205f6be3552fc84f3b3976d3ae22bef1f809d72588c54",
+    "verify ybe --n 3 --fgl lorentz": "b49459e86e69ca56d4a88a7938c375952eb6f0de890bb8b2d0d605d783351477",
+    "verify ybe --n 4 --fgl lorentz": "292474acf1ba3f23856bf293b1e9a73dea73eaf0cec70b59a6dfc01a18413927",
+    "verify ybe --n 5 --fgl lorentz": "306668948bcfa3034bcd5e724bc4974a3f5e2c312abad6e28d9d6662dad6dea3",
+    "verify local --n 2 --fgl lorentz": "3f28c018cf33830429d9452fce9a437f634ee41cf03659cb8a0d2bf139337854",
+    "verify local --n 3 --fgl lorentz": "e30f7bded41a02f1cd6609ad41acb50b7df2ae23d42446ac2b8752a450c38439",
+    "verify local --n 4 --fgl lorentz": "0ee02984a86538fe0d3268f98157f99b8f20103f30b9e59fd1c106f85186dba3",
+    "verify local --n 3 --cap 12 --fgl lorentz": "619a84d3e4a55644b708c7ea4d3d7ec7231d03b9be109d78b0d715a4cafcd438",
+    "verify fk --n 2 --fgl lorentz": "0bff6f2ada389fd7ddefbe953c0dbea1f0360f75b3559a811fb7b4ecce0dd1d9",
+    "verify fk --n 3 --fgl lorentz": "90353b0792dd6bde7e67418bb72ce62d46d7fe85007940d34c3982bf39509ae6",
+    "verify differ --n 2 --fgl lorentz": "b869d57e655e7eeff6acb7acced42c454866b0f340464cda10a33ce71751ea68",
+    "verify differ --n 3 --fgl lorentz": "a6d36a18fb2c7888c061feaae6280d3e219206fa844cdb8df09d74470e2179db",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HECKE_SHA256))
+def test_hecke_outputs_pinned(argv):
+    code, blob = run(argv.split() + ["--json"])
+    assert code == 0
+    assert hashlib.sha256(blob.encode()).hexdigest() == HECKE_SHA256[argv]
+
+
 def test_verify_gr24_runs_once_whatever_n():
     code, once = run(["verify", "gr24", "--json"])
     assert code == 0
@@ -346,3 +411,14 @@ def test_capacity_bounds_exit_2(tmp_path, capsys):
     code, _ = run(["verify", "vandermonde", "--n", "7"])
     assert code == 2
     assert "limited to rank 6" in capsys.readouterr().err
+
+
+def test_chowk_rank_bound_exits_2_at_once(capsys):
+    # Gr(9,10) took 75 s and Gr(8,9) 10 s before the rank bound
+    for argv in (["verify", "chowk", "--k", "9", "--n", "10"],
+                 ["verify", "chowk", "--k", "8", "--n", "9", "--fgl", "multiplicative"]):
+        t0 = time.perf_counter()
+        code, _ = run(argv)
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "rewrite rank 7" in capsys.readouterr().err

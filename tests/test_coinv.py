@@ -16,7 +16,6 @@ from schubfgl.coinv import (
     expand_in_basis,
     is_staircase,
     normal_form,
-    staircase_monomials,
     top_staircase_class,
     vandermonde_check,
     vandermonde_poly,
@@ -27,7 +26,7 @@ from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE
 from schubfgl.polycore import Poly, PolyError
 from schubfgl.schubert import SchubertContext, schubert_polynomial
 
-from oracles import nf_linear_oracle
+from oracles import nf_linear_oracle, staircase_monomials
 
 
 def _elementary(n: int, k: int) -> Poly:

@@ -9,10 +9,8 @@ from schubfgl.combi import (
     CapacityError,
     MAX_ENUM_RANK,
     Permutation,
-    all_permutations,
     box_partitions,
     canonical_word,
-    is_reduced,
     partition_dual,
     partition_dual_z,
     partition_leq,
@@ -22,7 +20,7 @@ from schubfgl.combi import (
     word_to_perm,
 )
 
-from oracles import brute_reduced_words
+from oracles import all_permutations, brute_reduced_words, is_reduced
 
 
 def test_compose_convention():

@@ -9,13 +9,12 @@ from schubfgl.fgl import (
     LORENTZ,
     MULTIPLICATIVE,
     diff_kernel,
-    diff_kernel_series_check,
-    fgl_sum_series,
     formal_inverse,
-    inverse_series_check,
     kappa_of,
 )
 from schubfgl.polycore import Poly
+
+from oracles import diff_kernel_series_check, fgl_sum_series, inverse_series_check
 
 ALL = (ADDITIVE, MULTIPLICATIVE, HYPERBOLIC, LORENTZ)
 

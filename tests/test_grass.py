@@ -187,7 +187,9 @@ def test_chow_k_cross_check():
     rep = chow_k_cross_check(2, 4, ADDITIVE)
     assert rep.passed, rep.summary_lines()
     assert len(rep.cases) == 24
-    with pytest.raises(CapacityError):
-        chow_k_cross_check(3, 7, ADDITIVE)
+    # k(n-k) > 9, then k(n-k) <= 9 above the rewrite rank 7
+    for k, n in ((3, 7), (1, 8), (7, 8), (1, 10), (9, 10)):
+        with pytest.raises(CapacityError):
+            chow_k_cross_check(k, n, ADDITIVE)
     with pytest.raises(ValueError):
         chow_k_cross_check(2, 4, HYPERBOLIC)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schubfgl import ddo, hecke
+from schubfgl.coinv import top_staircase_class
 from schubfgl.combi import CapacityError, Permutation, word_to_perm
 from schubfgl.ddo import random_poly
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
@@ -16,10 +17,10 @@ from schubfgl.hecke import (
     alpha_factor,
     big_product_s,
     hecke_add,
-    hecke_mul,
     hecke_one,
     hecke_scale,
-    hecke_u,
+    hecke_times_factor,
+    hecke_times_u,
     heckes_equal,
     ideal_delete,
     in_pair_ideal,
@@ -28,13 +29,21 @@ from schubfgl.hecke import (
     verify_fk_identity,
     verify_local_identities,
     verify_ybe,
-    window_delete,
     window_vars,
 )
 from schubfgl.polycore import Poly, PolyError
-from schubfgl.schubert import SchubertContext, initial_class, schubert_polynomial
+from schubfgl.schubert import SchubertContext, schubert_polynomial
 
-from oracles import big_product_double, brute_reduced_words
+from oracles import (
+    all_permutations,
+    big_product_double,
+    brute_reduced_words,
+    demazure_mul,
+    hecke_u,
+    window_delete,
+)
+
+LAWS = (ADDITIVE, MULTIPLICATIVE, HYPERBOLIC, LORENTZ)
 
 
 def hecke_sub(e, f):
@@ -60,27 +69,32 @@ def c_calls(monkeypatch):
     return calls
 
 
+def times_word(e, word):
+    for j in word:
+        e = hecke_times_u(e, j)
+    return e
+
+
 def test_quadratic_relation():
     n = 3
     for spec in (HYPERBOLIC, MULTIPLICATIVE):
         for i in (1, 2):
             u = hecke_u(n, i, spec)
-            lhs = hecke_mul(u, u)
+            lhs = hecke_times_u(u, i)
             rhs = hecke_scale(u, -spec.mu1_poly(n))
             assert heckes_equal(lhs, rhs)
     # additive: -m1 specializes to 0, so u_i squares to zero
     u = hecke_u(n, 1, ADDITIVE)
-    assert hecke_mul(u, u).coeffs == {}
+    assert hecke_times_u(u, 1).coeffs == {}
 
 
 def test_braid_and_commuting_relations():
-    u1 = hecke_u(4, 1, HYPERBOLIC)
+    one = hecke_one(4, HYPERBOLIC)
+    assert heckes_equal(times_word(one, (1, 2, 1)), times_word(one, (2, 1, 2)))
+    assert heckes_equal(times_word(one, (1, 3)), times_word(one, (3, 1)))
+    # the step from an element, not only from 1
     u2 = hecke_u(4, 2, HYPERBOLIC)
-    u3 = hecke_u(4, 3, HYPERBOLIC)
-    assert heckes_equal(
-        hecke_mul(hecke_mul(u1, u2), u1), hecke_mul(hecke_mul(u2, u1), u2)
-    )
-    assert heckes_equal(hecke_mul(u1, u3), hecke_mul(u3, u1))
+    assert heckes_equal(times_word(u2, (3, 2, 3)), times_word(u2, (2, 3, 2)))
 
 
 def test_module_relation_deletes_marked_terms():
@@ -91,12 +105,10 @@ def test_module_relation_deletes_marked_terms():
     # the same scalar survives on a basis element whose support misses it
     u2 = hecke_u(n, 2, HYPERBOLIC)
     kept = hecke_scale(u2, killer)
-    assert kept.coefficient(Permutation.simple(n, 2)) == killer
+    assert kept.coefficient(word_to_perm((2,), n)) == killer
 
 
 def _random_elem(rng: random.Random, n: int, spec: FglSpec) -> HeckeElem:
-    from schubfgl.combi import all_permutations
-
     perms = all_permutations(n)
     coeffs = {}
     for w in rng.sample(perms, 3):
@@ -105,6 +117,7 @@ def _random_elem(rng: random.Random, n: int, spec: FglSpec) -> HeckeElem:
 
 
 def test_algebra_axioms_sampled():
+    # the axioms of the reference product the one-step products are checked against
     rng = random.Random(23)
     n = 3
     for spec in (HYPERBOLIC, LORENTZ):
@@ -113,16 +126,48 @@ def test_algebra_axioms_sampled():
             b = _random_elem(rng, n, spec)
             c = _random_elem(rng, n, spec)
             assert heckes_equal(
-                hecke_mul(hecke_mul(a, b), c), hecke_mul(a, hecke_mul(b, c))
+                demazure_mul(demazure_mul(a, b), c), demazure_mul(a, demazure_mul(b, c))
             )
             assert heckes_equal(
-                hecke_mul(a, hecke_add(b, c)),
-                hecke_add(hecke_mul(a, b), hecke_mul(a, c)),
+                demazure_mul(a, hecke_add(b, c)),
+                hecke_add(demazure_mul(a, b), demazure_mul(a, c)),
             )
             one = hecke_one(n, spec)
-            assert heckes_equal(hecke_mul(one, a), a)
-            assert heckes_equal(hecke_mul(a, one), a)
+            assert heckes_equal(demazure_mul(one, a), a)
+            assert heckes_equal(demazure_mul(a, one), a)
             assert heckes_equal(hecke_sub(a, a), HeckeElem(n, spec, {}))
+
+
+@st.composite
+def step_inputs(draw):
+    """(e, j, g): a reduced element over a random law at n <= 4, a letter
+    and a polynomial; about half of the terms carry m2, so reduction bites."""
+    n = draw(st.integers(2, 4))
+    spec = draw(st.sampled_from(LAWS))
+    perms = all_permutations(n)
+
+    def poly():
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            x = draw(st.tuples(*[st.integers(0, 2)] * n))
+            mu = (draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+            terms[(x, mu)] = draw(st.integers(-2, 2))
+        return spec.specialize(Poly(n, terms))
+
+    coeffs = {draw(st.sampled_from(perms)): poly() for _ in range(draw(st.integers(0, 4)))}
+    e = hecke_add(HeckeElem(n, spec), HeckeElem(n, spec, coeffs))
+    return e, draw(st.integers(1, n - 1)), poly()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(step_inputs())
+def test_step_matches_general_product(case):
+    e, j, g = case
+    n, spec = e.n, e.spec
+    u = hecke_u(n, j, spec)
+    assert hecke_times_u(e, j).coeffs == demazure_mul(e, u).coeffs
+    factor = hecke_add(hecke_one(n, spec), hecke_scale(u, g))
+    assert hecke_times_factor(e, j, g).coeffs == demazure_mul(e, factor).coeffs
 
 
 def test_spec_guard():
@@ -202,7 +247,7 @@ def test_top_coefficient_is_the_staircase_class():
         for n in (2, 3, 4):
             s = big_product_s(n, spec)
             top = s.coefficient(Permutation.longest(n))
-            assert top == initial_class(SchubertContext(spec, n))
+            assert top == top_staircase_class(n)
 
 
 def test_double_product_agrees():
