@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .coinv import (
     NotInSpanError,
@@ -102,6 +103,9 @@ def _add_fgl_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu2", type=int, default=None, help="specialize m2 to an integer")
 
 
+# Building the parser costs more than most calls do; parse_args leaves it
+# as it was, so one parser serves every call in the process.
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="schubfgl", description=__doc__.split("\n")[0])
     sub = top.add_subparsers(dest="cmd", required=True)
@@ -308,8 +312,7 @@ def _cmd_verify(args, out) -> int:
 def main(argv: list[str] | None = None, out=None, stdin=None) -> int:
     out = out if out is not None else sys.stdout
     stdin = stdin if stdin is not None else sys.stdin
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.cmd == "poly":
             return _cmd_poly(args, out)

@@ -23,6 +23,15 @@ the two product forms separately, so D_i = kappa - C_i, with kappa the
 kernel constant, stays an identity between independent computations.
 Both operators drop graded degree by exactly one on homogeneous input.
 
+The pass runs on packed term keys (PackedLayout), as in Monagan-Pearce's
+sparse multiplication: one int per term holds the fields m2, m1, x_1,
+..., x_n, each wide enough for the input's largest exponent plus the
+number of letters, and each table row is stored as (key delta,
+coefficient) pairs, so an output term costs one int add.
+apply_word packs once, applies every letter and unpacks once; apply_c
+and apply_delta are its one-letter case, and the word walk in hecke
+keeps its classes packed from start to end.
+
 At m2 = 0 the operators satisfy the braid relations.  For the full
 hyperbolic law only the twisted form holds:
 
@@ -38,7 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .fgl import FglSpec, diff_kernel, kappa_of
 from .polycore import MuExp, Poly, PolyError, _mk
@@ -48,9 +57,10 @@ from .report import CheckReport
 # and the integer coefficient of one output term.
 Row = tuple[tuple[tuple[int, int], MuExp, int], ...]
 
-# Bound on the (law, a, b) keys each table cache holds.  C_i never
-# raises the largest exponent of one variable, so the word classes of
-# S_n only meet a, b < n: a few dozen keys per law at n = 5.
+# Bound on the keys each table cache holds.  C_i never raises the
+# largest exponent of one variable, so the word classes of S_n only meet
+# a, b < n: a few dozen (law, a, b) keys per law at n = 5, and a hundred
+# (law, layout, letter, a, b) keys of packed rows.
 _TABLE_SIZE = 1024
 
 
@@ -105,42 +115,134 @@ def _d_row(spec: FglSpec, a: int, b: int) -> Row:
     return _collect(acc)
 
 
-def _apply_rows(ctx: OperatorContext, i: int, f: Poly, row_of) -> Poly:
-    """Replace x_i^a x_{i+1}^b in every term of f by its table row."""
-    _check_index(ctx, i)
-    if f.nvars != ctx.nvars:
-        raise PolyError("polynomial does not live in the context ring")
-    spec, j, k = ctx.spec, i - 1, i + 1
-    rows: dict = {}
-    out: dict = {}
+class PackedLayout(NamedTuple):
+    """Term keys of `nvars` variables packed into one int.
+
+    The fields are `width` bits wide, most significant first m2, m1,
+    x_1, ..., x_n: x_v sits at shift (n - v) * width, m1 at n * width
+    and m2 on top, so `key >> m2_shift` is the m2 exponent.  Adding two
+    keys adds their exponents field by field as long as no field
+    overflows, so multiplying by a term is one int add.
+    """
+
+    nvars: int
+    width: int
+
+    @classmethod
+    def fit(cls, f: Poly, letters: int) -> "PackedLayout":
+        """The narrowest layout for f and its images under `letters` operators.
+
+        C_i and D_i never raise the largest exponent of one variable and
+        raise the m1 and m2 exponents by at most one each, so the fields
+        hold the largest exponent of f plus the letter count.
+        """
+        top = max((max(exps + mu) for exps, mu in f.terms), default=0)
+        return cls(f.nvars, max(1, (top + letters).bit_length()))
+
+    @property
+    def mask(self) -> int:
+        return (1 << self.width) - 1
+
+    @property
+    def m1_shift(self) -> int:
+        return self.nvars * self.width
+
+    @property
+    def m2_shift(self) -> int:
+        return (self.nvars + 1) * self.width
+
+    def x_shift(self, v: int) -> int:
+        """Shift of the x_v field, v in [1, nvars]."""
+        return (self.nvars - v) * self.width
+
+    def pack(self, f: Poly) -> dict[int, int]:
+        if f.nvars != self.nvars:
+            raise PolyError("polynomial does not live in the layout's ring")
+        w = self.width
+        out = {}
+        for (exps, (m1, m2)), c in f.terms.items():
+            if (m1 | m2 | max(exps, default=0)) >> w:
+                raise PolyError(f"exponent above the {w}-bit field of the layout")
+            key = m2 << w | m1
+            for e in exps:
+                key = key << w | e
+            out[key] = c
+        return out
+
+    def unpack(self, terms: dict[int, int]) -> Poly:
+        n, mask, m1_shift, m2_shift = self.nvars, self.mask, self.m1_shift, self.m2_shift
+        shifts = [self.x_shift(v) for v in range(1, n + 1)]
+        return _mk(n, {
+            (tuple([key >> s & mask for s in shifts]), (key >> m1_shift & mask, key >> m2_shift)): c
+            for key, c in terms.items()
+        })
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _delta_row(row_of, spec: FglSpec, layout: PackedLayout, i: int, ab: int) -> tuple:
+    """row_of(spec, a, b) for letter i, each term as (key delta, coefficient).
+
+    ab holds the x_i and x_{i+1} fields of a key, a above b.  Adding a
+    delta to a key with these fields replaces x_i^a x_{i+1}^b by the
+    term's monomial and multiplies by its m1/m2 power.
+    """
+    w, lo = layout.width, layout.x_shift(i + 1)
+    hi = lo + w
+    a, b = ab >> w, ab & layout.mask
+    return tuple(
+        (
+            ((t - a) << hi) + ((s - b) << lo) + (d1 << layout.m1_shift) + (d2 << layout.m2_shift),
+            r,
+        )
+        for (t, s), (d1, d2), r in row_of(spec, a, b)
+    )
+
+
+def _apply_letter(
+    spec: FglSpec, layout: PackedLayout, i: int, terms: dict[int, int], row_of
+) -> dict[int, int]:
+    """One operator on packed terms: every term's key plus each delta of its row."""
+    shift, pair_mask = layout.x_shift(i + 1), (1 << 2 * layout.width) - 1
+    rows: dict[int, tuple] = {}
+    out: dict[int, int] = {}
     get = out.get
-    for (exps, (m1, m2)), c in f.terms.items():
-        ab = exps[j:k]
+    for key, c in terms.items():
+        ab = key >> shift & pair_mask
         row = rows.get(ab)
         if row is None:
-            row = rows[ab] = row_of(spec, *ab)
-        head, tail = exps[:j], exps[k:]
-        for xy, (d1, d2), r in row:
-            key = (head + xy + tail, (m1 + d1, m2 + d2))
-            out[key] = get(key, 0) + c * r
-    return _mk(f.nvars, {key: c for key, c in out.items() if c})
+            row = rows[ab] = _delta_row(row_of, spec, layout, i, ab)
+        for delta, r in row:
+            k = key + delta
+            out[k] = get(k, 0) + c * r
+    return {k: c for k, c in out.items() if c}
+
+
+def _apply_packed(ctx: OperatorContext, word: tuple[int, ...], f: Poly, row_of) -> Poly:
+    """Pack f once, apply the word's letters first to last, unpack once."""
+    for i in word:
+        _check_index(ctx, i)
+    if f.nvars != ctx.nvars:
+        raise PolyError("polynomial does not live in the context ring")
+    layout = PackedLayout.fit(f, len(word))
+    terms = layout.pack(f)
+    for i in word:
+        terms = _apply_letter(ctx.spec, layout, i, terms, row_of)
+    return layout.unpack(terms)
 
 
 def apply_c(ctx: OperatorContext, i: int, f: Poly) -> Poly:
     """C_i(f), exact polynomial output."""
-    return _apply_rows(ctx, i, f, _c_row)
+    return _apply_packed(ctx, (i,), f, _c_row)
 
 
 def apply_delta(ctx: OperatorContext, i: int, f: Poly) -> Poly:
     """D_i(f), exact polynomial output."""
-    return _apply_rows(ctx, i, f, _d_row)
+    return _apply_packed(ctx, (i,), f, _d_row)
 
 
 def apply_word(ctx: OperatorContext, word: Iterable[int], f: Poly) -> Poly:
     """Apply C along the word left to right: the first letter acts first."""
-    for i in word:
-        f = apply_c(ctx, i, f)
-    return f
+    return _apply_packed(ctx, tuple(word), f, _c_row)
 
 
 def kappa_poly(ctx: OperatorContext) -> Poly:

@@ -46,7 +46,6 @@ fine (the ideal vanishes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Iterator
 
 from .coinv import top_staircase_class
@@ -57,32 +56,48 @@ from .combi import (
     Word,
     support_of,
 )
-from .ddo import OperatorContext, apply_c, apply_delta
+from .ddo import OperatorContext, PackedLayout, _apply_letter, _c_row, apply_delta
 from .fgl import FglSpec, diff_kernel, formal_inverse
 from .polycore import Poly, PolyError, _mk, series_invert_unit
 from .report import CheckReport
 from .schubert import SchubertContext, grothendieck_polynomial
 
 
-def _pair_survivors(f: Poly, indices: frozenset[int] | set[int]) -> Iterator[tuple]:
-    """The terms of f divisible by no m2 x_j x_{j+1} with j in indices."""
-    pairs = [(j - 1, j) for j in indices]
-    for item in f.terms.items():
-        (exps, (_m1, m2)), _c = item
-        if not (m2 and any(exps[a] and exps[b] for a, b in pairs)):
-            yield item
-
-
 def ideal_delete(f: Poly, indices: frozenset[int] | set[int]) -> Poly:
     """Delete the terms divisible by m2 x_j x_{j+1} for some j in indices."""
     if not indices:
         return f
-    return _mk(f.nvars, dict(_pair_survivors(f, indices)))
+    pairs = [(j - 1, j) for j in indices]
+    return _mk(f.nvars, {
+        (exps, mu): c
+        for (exps, mu), c in f.terms.items()
+        if not (mu[1] and any(exps[a] and exps[b] for a, b in pairs))
+    })
 
 
-def in_pair_ideal(f: Poly, indices: frozenset[int] | set[int]) -> bool:
-    """Whether ideal_delete(f, indices) is zero, read up to the first survivor."""
-    return next(_pair_survivors(f, indices), None) is None
+def in_pair_ideal(
+    terms: dict[int, int], layout: PackedLayout, indices: frozenset[int] | set[int]
+) -> bool:
+    """Whether deleting the packed terms divisible by m2 x_j x_{j+1}, j in
+    indices, leaves nothing, read up to the first term that survives.
+
+    A term is divisible when its m2 field and the x_j and x_{j+1} fields
+    of some j are all nonzero.
+    """
+    m2_shift = layout.m2_shift
+    pairs = [
+        (layout.mask << layout.x_shift(j), layout.mask << layout.x_shift(j + 1))
+        for j in indices
+    ]
+    for key in terms:
+        if not key >> m2_shift:
+            return False
+        for lo, hi in pairs:
+            if key & lo and key & hi:
+                break
+        else:
+            return False
+    return True
 
 
 def window_vars(indices: frozenset[int] | set[int]) -> frozenset[int]:
@@ -93,24 +108,16 @@ def window_vars(indices: frozenset[int] | set[int]) -> frozenset[int]:
     return frozenset(vs)
 
 
-def _window_survivors(f: Poly, indices: frozenset[int] | set[int]) -> Iterator[tuple]:
-    """The terms of f that are not m2 times a monomial of degree >= 2 in
-    the variables touched by indices."""
-    vs = window_vars(indices)
-    if not vs:
-        yield from f.terms.items()
-        return
-    # a nonempty window has at least two variables, so this picks a tuple
-    pick = itemgetter(*(v - 1 for v in vs))
-    for item in f.terms.items():
-        (exps, (_m1, m2)), _c = item
-        if not m2 or sum(pick(exps)) < 2:
-            yield item
+def in_window_cone(
+    terms: dict[int, int], layout: PackedLayout, indices: frozenset[int] | set[int]
+) -> bool:
+    """Whether every packed term is m2 times a monomial of degree >= 2 in
+    the variables touched by indices.
 
-
-def in_window_cone(f: Poly, indices: frozenset[int] | set[int]) -> bool:
-    """Whether every term of f is m2 times a monomial of degree >= 2 in the
-    variables touched by indices, read up to the first term that is not.
+    On the key: the m2 field is nonzero, and the window fields, masked
+    out of the key, are neither all zero nor one unit of a single field.
+    The m2 field is on top, so the smallest key decides the first test;
+    the second stops at the first term that fails it.
 
     The letter j contributes the generator m2 x_j x_{j+1}, an adjacent
     quadratic in the window variables.  Divided differences do not fix
@@ -121,7 +128,15 @@ def in_window_cone(f: Poly, indices: frozenset[int] | set[int]) -> bool:
     enough for every comparison below, so congruence of word classes is
     taken modulo m2 times that cone.
     """
-    return next(_window_survivors(f, indices), None) is None
+    if not terms:
+        return True
+    vs = window_vars(indices)
+    window = sum(layout.mask << layout.x_shift(v) for v in vs)
+    below_two = {0, *(1 << layout.x_shift(v) for v in vs)}
+    # m2 is the top field, so the smallest key has the smallest m2 exponent
+    return bool(min(terms) >> layout.m2_shift) and below_two.isdisjoint(
+        map(window.__and__, terms)
+    )
 
 
 def _check_spec(spec: FglSpec) -> None:
@@ -174,30 +189,14 @@ def hecke_one(n: int, spec: FglSpec) -> HeckeElem:
     return _mk_elem(n, spec, {Permutation.identity(n): Poly.one(n)})
 
 
-def hecke_add(e: HeckeElem, f: HeckeElem) -> HeckeElem:
-    _check_same(e, f)
-    out = dict(e.coeffs)
-    for w, c in f.coeffs.items():
-        out[w] = out[w] + c if w in out else c
-    return _mk_elem(e.n, e.spec, out)
-
-
-def hecke_scale(e: HeckeElem, f: Poly) -> HeckeElem:
-    return _mk_elem(e.n, e.spec, {w: c * f for w, c in e.coeffs.items()})
-
-
-def _check_same(e: HeckeElem, f: HeckeElem) -> None:
+def heckes_equal(e: HeckeElem, f: HeckeElem) -> bool:
     if e.n != f.n or e.spec != f.spec:
         raise ValueError("elements live over different contexts")
-
-
-def heckes_equal(e: HeckeElem, f: HeckeElem) -> bool:
-    _check_same(e, f)
     return _mk_elem(e.n, e.spec, e.coeffs).coeffs == _mk_elem(f.n, f.spec, f.coeffs).coeffs
 
 
-def hecke_times_u(e: HeckeElem, j: int) -> HeckeElem:
-    """e u_j: u_w u_j = u_{w s_j} when w(j) < w(j+1), and -m1 u_w otherwise."""
+def _times_u_coeffs(e: HeckeElem, j: int) -> dict[Permutation, Poly]:
+    """The coefficients of e u_j, not yet reduced."""
     minus_mu1 = -e.spec.mu1_poly(e.n)
     out: dict[Permutation, Poly] = {}
     for w, c in e.coeffs.items():
@@ -206,12 +205,26 @@ def hecke_times_u(e: HeckeElem, j: int) -> HeckeElem:
         else:
             c = c * minus_mu1
         out[w] = out[w] + c if w in out else c
-    return _mk_elem(e.n, e.spec, out)
+    return out
+
+
+def hecke_times_u(e: HeckeElem, j: int) -> HeckeElem:
+    """e u_j: u_w u_j = u_{w s_j} when w(j) < w(j+1), and -m1 u_w otherwise."""
+    return _mk_elem(e.n, e.spec, _times_u_coeffs(e, j))
 
 
 def hecke_times_factor(e: HeckeElem, j: int, g: Poly) -> HeckeElem:
-    """e (1 + g u_j) = e + (e u_j) g."""
-    return hecke_add(e, hecke_scale(hecke_times_u(e, j), g))
+    """e (1 + g u_j) = e + (e u_j) g.
+
+    Deletion modulo J_w is linear and J_w is an ideal, so reducing the
+    sum once gives what reducing e u_j, its product with g and the sum
+    one after another gives.
+    """
+    out = dict(e.coeffs)
+    for w, c in _times_u_coeffs(e, j).items():
+        c = c * g
+        out[w] = out[w] + c if w in out else c
+    return _mk_elem(e.n, e.spec, out)
 
 
 # ----------------------------------------------------------------------
@@ -249,24 +262,37 @@ def _apply_delta_elem(e: HeckeElem, i: int) -> HeckeElem:
 # ----------------------------------------------------------------------
 # verifiers
 
-def _word_classes(sctx: SchubertContext) -> Iterator[tuple[Permutation, Word, Poly]]:
-    """(w, word, class of word) for every reduced word of S_n, in trie order.
+def _walk_layout(n: int) -> PackedLayout:
+    """The packed layout of every word class of S_n and of its references.
+
+    The words have at most n(n-1)/2 letters and start from the staircase
+    monomial, whose largest exponent is n - 1.  The coefficients of S and
+    the m2 = 0 classes stay inside the same bound, and packing checks it.
+    """
+    return PackedLayout.fit(top_staircase_class(n), n * (n - 1) // 2)
+
+
+def _word_classes(
+    sctx: SchubertContext, layout: PackedLayout
+) -> Iterator[tuple[Permutation, Word, dict[int, int]]]:
+    """(w, word, packed class of word) for every reduced word of S_n, in trie order.
 
     Reduced words are closed under prefixes and the class of word + (i,)
     is C_i of the class of word, so a depth-first walk over the trie
     applies one operator per word.  Only the classes along the current
-    path are held.
+    path are held, packed in `layout` and never unpacked.
     """
-    ops = sctx.operators()
-    n = sctx.n
+    spec, n = sctx.spec, sctx.n
 
-    def walk(w: Permutation, word: Word, cls: Poly):
+    def walk(w: Permutation, word: Word, cls: dict[int, int]):
         yield w, word, cls
         for i in range(1, n):
             if w(i) < w(i + 1):
-                yield from walk(w.right_mul_simple(i), word + (i,), apply_c(ops, i, cls))
+                yield from walk(
+                    w.right_mul_simple(i), word + (i,), _apply_letter(spec, layout, i, cls, _c_row)
+                )
 
-    return walk(Permutation.identity(n), (), top_staircase_class(n))
+    return walk(Permutation.identity(n), (), layout.pack(top_staircase_class(n)))
 
 
 def _word_class_cases(
@@ -276,23 +302,32 @@ def _word_class_cases(
 
     The verdicts per word say whether the difference vanishes after
     window deletion for supp(w), after adjacent-pair deletion for
-    supp(w) and after adjacent-pair deletion for supp(w_0 w).  The walk
-    keeps only these; the cases then come out ordered by (length,
-    one-line notation) of w and lexicographically by word, each with
-    its "w=(...) word=(...)" label.
+    supp(w) and after adjacent-pair deletion for supp(w_0 w).  Each
+    reference is packed once, and the differences and verdicts are
+    taken on packed keys.  The walk keeps only the verdicts; the cases
+    then come out ordered by (length, one-line notation) of w and
+    lexicographically by word, each with its "w=(...) word=(...)" label.
     """
     w0 = Permutation.longest(sctx.n)
-    refs: dict[Permutation, Poly] = {}
+    layout = _walk_layout(sctx.n)
+    refs: dict[Permutation, dict[int, int]] = {}
     rows = []
-    for w, word, cls in _word_classes(sctx):
-        if w not in refs:
-            refs[w] = reference(w)
-        diff = cls - refs[w]
+    for w, word, cls in _word_classes(sctx, layout):
+        ref = refs.get(w)
+        if ref is None:
+            ref = refs[w] = layout.pack(reference(w))
+        diff = dict(cls)
+        for key, c in ref.items():
+            c = diff.get(key, 0) - c
+            if c:
+                diff[key] = c
+            else:
+                del diff[key]
         supp_w = support_of(w)
         verdicts = (
-            in_window_cone(diff, supp_w),
-            in_pair_ideal(diff, supp_w),
-            in_pair_ideal(diff, support_of(w0 * w)),
+            in_window_cone(diff, layout, supp_w),
+            in_pair_ideal(diff, layout, supp_w),
+            in_pair_ideal(diff, layout, support_of(w0 * w)),
         )
         # a reduced word of w has length l(w); words are distinct, so the
         # sort is by (l(w), w, word) and never compares verdicts

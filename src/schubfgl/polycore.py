@@ -43,7 +43,7 @@ class DivisionFailure(PolyError):
 
 def term_sort_key(key: TermKey) -> tuple:
     exps, mu = key
-    return (sum(exps), tuple(reversed(exps)), mu)
+    return (sum(exps), exps[::-1], mu)
 
 
 def _is_int(v) -> bool:

@@ -9,7 +9,8 @@ they check:
 - the pair of division-based operators multiply, swap and divide: they
   are the reference for the table-driven operators in `schubfgl.ddo`;
 - `demazure_mul` is the general product of two Hecke elements, a walk
-  over the canonical word of every right-hand permutation.  It is the
+  over the canonical word of every right-hand permutation, with the sum
+  `hecke_add` and the scalar multiple `hecke_scale` beside it.  It is the
   reference for the one-step products `hecke_times_u` and
   `hecke_times_factor` that build everything in `schubfgl.hecke`, and
   `big_product_double` multiplies the ordered product S with it, one
@@ -33,10 +34,11 @@ from schubfgl.combi import (
     Permutation,
     Word,
     canonical_word,
+    support_of,
     word_to_perm,
 )
 from schubfgl.fgl import FglSpec, diff_kernel, formal_inverse
-from schubfgl.hecke import HeckeElem, hecke_add, hecke_one, hecke_scale
+from schubfgl.hecke import HeckeElem, hecke_one, ideal_delete
 from schubfgl.polycore import MU_ZERO, Poly, PolyError, series_invert_unit
 
 
@@ -268,6 +270,28 @@ def window_delete(f: Poly, indices) -> Poly:
 # ----------------------------------------------------------------------
 # the general Hecke product
 
+def _reduced_elem(n: int, spec: FglSpec, coeffs: dict) -> HeckeElem:
+    """Delete the J_w terms of every coefficient and drop the zero ones."""
+    out = {}
+    for w, c in coeffs.items():
+        c = ideal_delete(c, support_of(w))
+        if not c.is_zero:
+            out[w] = c
+    return HeckeElem(n, spec, out)
+
+
+def hecke_add(e: HeckeElem, f: HeckeElem) -> HeckeElem:
+    assert (e.n, e.spec) == (f.n, f.spec)
+    out = dict(e.coeffs)
+    for w, c in f.coeffs.items():
+        out[w] = out[w] + c if w in out else c
+    return _reduced_elem(e.n, e.spec, out)
+
+
+def hecke_scale(e: HeckeElem, g: Poly) -> HeckeElem:
+    return _reduced_elem(e.n, e.spec, {w: c * g for w, c in e.coeffs.items()})
+
+
 def hecke_u(n: int, i: int, spec: FglSpec) -> HeckeElem:
     """The generator u_i."""
     return HeckeElem(n, spec, {word_to_perm((i,), n): Poly.one(n)})
@@ -292,7 +316,7 @@ def demazure_mul(e: HeckeElem, f: HeckeElem) -> HeckeElem:
             if c.is_zero:
                 continue
             out[z] = out[z] + c if z in out else c
-    return hecke_add(HeckeElem(n, spec), HeckeElem(n, spec, out))
+    return _reduced_elem(n, spec, out)
 
 
 def big_product_double(n: int, spec: FglSpec) -> HeckeElem:

@@ -267,6 +267,34 @@ def test_word_class_reports_pinned(what, law):
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_SHA256[(what, law)]
 
 
+# sha256 of the full --json output at n = 5, recorded with the tuple-keyed
+# operators: the packed walk over all 3,061 reduced words of S_5 must not
+# reorder a case or change a verdict (the hyperbolic runs take seconds;
+# these take a fraction of one)
+WALK_N5_SHA256 = {
+    ("fk", "additive"): "b9976677fb5eaeb30e8160f14751d4f17e97fd4f1620613b1be274de9563ed2f",
+    ("fk", "multiplicative"): "75e741babdf850cf8789f2efabe6d32f1cb8eec5adee132e495a0bf899e424ad",
+    ("differ", "additive"): "ee1365f9a3bf918de4f7026eaa5ae7dbff016fe104552a8267ab37ca7d83729a",
+    ("differ", "multiplicative"): "fc2c9f7b958c076670a5783327d31c2cc2b4a85abe25c8f450a5dabd4078b2e1",
+}
+
+
+@pytest.mark.parametrize("what,law", sorted(WALK_N5_SHA256))
+def test_word_class_reports_pinned_n5(what, law):
+    code, blob = run(["verify", what, "--n", "5", "--fgl", law, "--json"])
+    assert code == 0
+    assert hashlib.sha256(blob.encode()).hexdigest() == WALK_N5_SHA256[(what, law)]
+
+
+def test_poly_word_at_rank_40_pinned():
+    # 40 variables: the packed key has 42 fields; recorded with tuple keys
+    code, text = run(["poly", "word", "--n", "40", "--word", "1,2,3"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e64fc9e7bcd7e8880fbdf47a4013cde96c00c36adfa6d3caaac479a49018f97d"
+    )
+
+
 # sha256 of the full --json output, recorded with products built whole
 # (series truncated at cap) and reduced once at the end: reducing after
 # every multiply must not change a verdict or a printed class
@@ -422,3 +450,29 @@ def test_chowk_rank_bound_exits_2_at_once(capsys):
         assert code == 2
         assert time.perf_counter() - t0 < 1.0
         assert "rewrite rank 7" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call():
+    # main builds the parser once per process; no argument of one call
+    # carries over to the next
+    sequence = [
+        ["verify", "braid", "--n", "4", "--n", "3", "--json"],
+        ["verify", "braid"],
+        ["poly", "word", "--n", "3", "--word", "1,2", "--json"],
+        ["poly", "word", "--n", "3", "--word", "2"],
+        ["verify", "braid", "--fgl", "additive", "--samples", "3"],
+        ["verify", "braid"],
+        ["table", "gr24", "--fgl", "lorentz"],
+        ["grprod", "--k", "2", "--n", "4", "--rect", "1,1", "--lambda", "2,1"],
+    ]
+    reused = [run(argv) for argv in sequence]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    # `verify braid` after `--n 4 --n 3 --json` runs rank 3 alone, as text
+    code, text = reused[1]
+    assert code == 0 and text.endswith("overall: PASS (4 reports)\n")
+    assert "n=4" not in text and "n=3" in text

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from schubfgl.ddo import (
     OperatorContext,
+    PackedLayout,
     apply_c,
     apply_delta,
     apply_word,
@@ -245,3 +246,63 @@ def test_equal_exponent_monomials():
         ctx = OperatorContext(HYPERBOLIC, 3)
         assert apply_c(ctx, 1, f) == Poly.monomial(3, (a, a, 2), (1, 0))
         assert apply_delta(ctx, 1, f).is_zero
+
+
+# ----------------------------------------------------------------------
+# the packed engine
+
+@st.composite
+def word_inputs(draw):
+    """(spec, nvars, word, f) at n <= 4 with words of up to 8 letters.
+
+    The exponents of x and of m1, m2 each lie within 3 of a base that is
+    0 or at least 255, so fields wider than a byte come up while C_i,
+    which never moves an exponent below the smaller one of its pair,
+    keeps the classes small.
+    """
+    spec = draw(st.sampled_from(SPECS))
+    nvars = draw(st.integers(2, 4))
+    word = tuple(draw(st.lists(st.integers(1, nvars - 1), max_size=8)))
+    x_base, mu_base = (draw(st.sampled_from((0, 255, 256, 300))) for _ in range(2))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        x = tuple(x_base + draw(st.integers(0, 3)) for _ in range(nvars))
+        mu = (mu_base + draw(st.integers(0, 2)), mu_base + draw(st.integers(0, 2)))
+        terms[(x, mu)] = draw(st.integers(-9, 9))
+    return spec, nvars, word, Poly(nvars, terms)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(word_inputs())
+def test_packed_engine_matches_division(case):
+    spec, nvars, word, f = case
+    ctx = OperatorContext(spec, nvars)
+    expected = f
+    for i in word:
+        expected = division_apply_c(spec, i, expected)
+    assert apply_word(ctx, word, f) == expected
+    for i in set(word):
+        assert apply_c(ctx, i, f) == division_apply_c(spec, i, f)
+        assert apply_delta(ctx, i, f) == division_apply_delta(spec, i, f)
+
+
+def test_layout_width_covers_input_and_letters():
+    f = Poly.monomial(3, (255, 0, 1), (1, 255))
+    assert PackedLayout.fit(f, 0).width == 8
+    assert PackedLayout.fit(f, 1).width == 9
+    assert PackedLayout.fit(Poly.zero(3), 0).width == 1
+    layout = PackedLayout.fit(f, 0)
+    assert layout.unpack(layout.pack(f)) == f
+    # m2 on top, then m1, then x_1 .. x_n
+    (key,) = layout.pack(f)
+    assert key >> layout.m2_shift == 255
+    assert key >> layout.m1_shift & layout.mask == 1
+    assert [key >> layout.x_shift(v) & layout.mask for v in (1, 2, 3)] == [255, 0, 1]
+    with pytest.raises(PolyError):
+        PackedLayout(3, 7).pack(f)
+    with pytest.raises(PolyError):
+        layout.pack(Poly.one(2))
+    # C_1 takes m1^255 x_2 to -m1^255 + m1^256 (x_1 + x_2): the one letter
+    # needs the ninth bit
+    g = Poly.monomial(2, (0, 1), (255, 0))
+    assert apply_c(OperatorContext(MULTIPLICATIVE, 2), 1, g) == division_apply_c(MULTIPLICATIVE, 1, g)

@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 from schubfgl import ddo, hecke
 from schubfgl.coinv import top_staircase_class
 from schubfgl.combi import CapacityError, Permutation, word_to_perm
-from schubfgl.ddo import random_poly
+from schubfgl.ddo import PackedLayout, apply_word, random_poly
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
 from schubfgl.hecke import (
     HeckeElem,
     alpha_factor,
     big_product_s,
-    hecke_add,
     hecke_one,
-    hecke_scale,
     hecke_times_factor,
     hecke_times_u,
     heckes_equal,
@@ -32,13 +30,15 @@ from schubfgl.hecke import (
     window_vars,
 )
 from schubfgl.polycore import Poly, PolyError
-from schubfgl.schubert import SchubertContext, schubert_polynomial
+from schubfgl.schubert import SchubertContext
 
 from oracles import (
     all_permutations,
     big_product_double,
     brute_reduced_words,
     demazure_mul,
+    hecke_add,
+    hecke_scale,
     hecke_u,
     window_delete,
 )
@@ -56,16 +56,18 @@ def all_words(n):
 
 @pytest.fixture
 def c_calls(monkeypatch):
-    """Record the letter of every C_i application, however it is reached."""
+    """Record the letter of every C_i step of the packed engine, however it
+    is reached: apply_c, apply_word and the word walk all go through it."""
     calls = []
-    real = ddo.apply_c
+    real = ddo._apply_letter
 
-    def counting(ctx, i, f):
-        calls.append(i)
-        return real(ctx, i, f)
+    def counting(spec, layout, i, terms, row_of):
+        if row_of is ddo._c_row:
+            calls.append(i)
+        return real(spec, layout, i, terms, row_of)
 
-    monkeypatch.setattr(ddo, "apply_c", counting)
-    monkeypatch.setattr(hecke, "apply_c", counting)
+    monkeypatch.setattr(ddo, "_apply_letter", counting)
+    monkeypatch.setattr(hecke, "_apply_letter", counting)
     return calls
 
 
@@ -99,12 +101,12 @@ def test_braid_and_commuting_relations():
 
 def test_module_relation_deletes_marked_terms():
     n = 3
-    u1 = hecke_u(n, 1, HYPERBOLIC)
+    one = hecke_one(n, HYPERBOLIC)
     killer = Poly.monomial(n, (1, 1, 0), (0, 1))
-    assert hecke_scale(u1, killer).coeffs == {}
+    # 1 + killer u_1: the coefficient of u_1 lies in J_{s_1} and is deleted
+    assert hecke_times_factor(one, 1, killer).coeffs == one.coeffs
     # the same scalar survives on a basis element whose support misses it
-    u2 = hecke_u(n, 2, HYPERBOLIC)
-    kept = hecke_scale(u2, killer)
+    kept = hecke_times_factor(one, 2, killer)
     assert kept.coefficient(word_to_perm((2,), n)) == killer
 
 
@@ -219,27 +221,43 @@ def deletion_inputs(draw):
             x[b - 1] += 1
             mu = (mu[0], max(mu[1], 1))
         terms[(tuple(x), mu)] = draw(st.integers(-3, 3))
-    return Poly(n, terms), indices
+    # a wider layout than f needs, as the walk's is
+    layout = PackedLayout.fit(Poly(n, terms), draw(st.integers(0, 300)))
+    return Poly(n, terms), indices, layout
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(deletion_inputs())
 def test_membership_reads_match_deletion(case):
-    # the fk/differ verdicts read these instead of building the deleted copy
-    f, indices = case
-    assert in_pair_ideal(f, indices) == ideal_delete(f, indices).is_zero
-    assert in_window_cone(f, indices) == window_delete(f, indices).is_zero
+    # the fk/differ verdicts are mask tests on packed keys; the references
+    # delete terms of the tuple-keyed polynomial
+    f, indices, layout = case
+    terms = layout.pack(f)
+    assert in_pair_ideal(terms, layout, indices) == ideal_delete(f, indices).is_zero
+    assert in_window_cone(terms, layout, indices) == window_delete(f, indices).is_zero
 
 
 def test_membership_reads_stop_at_first_survivor():
     n = 3
+
+    def reads(f, indices):
+        layout = PackedLayout.fit(f, 0)
+        terms = layout.pack(f)
+        return in_pair_ideal(terms, layout, indices), in_window_cone(terms, layout, indices)
+
     inside = Poly.monomial(n, (1, 1, 0), (0, 1))
-    assert in_pair_ideal(inside, {1}) and in_window_cone(inside, {1})
-    assert not in_pair_ideal(inside, set()) and not in_window_cone(inside, set())
-    assert in_pair_ideal(Poly.zero(n), set()) and in_window_cone(Poly.zero(n), set())
+    assert reads(inside, {1}) == (True, True)
+    assert reads(inside, set()) == (False, False)
+    assert reads(Poly.zero(n), set()) == (True, True)
     # m2 x_1 x_3 is in the window cone of {1, 2} but in no pair ideal
     spread = Poly.monomial(n, (1, 0, 1), (0, 1))
-    assert in_window_cone(spread, {1, 2}) and not in_pair_ideal(spread, {1, 2})
+    assert reads(spread, {1, 2}) == (False, True)
+    # one unit of a single window field is below degree two, two units are not
+    assert reads(Poly.monomial(n, (0, 1, 0), (0, 1)), {1}) == (False, False)
+    assert reads(Poly.monomial(n, (0, 2, 0), (0, 1)), {1}) == (False, True)
+    # a term without m2 is in neither, whatever its m1 field holds
+    assert reads(Poly.monomial(n, (1, 1, 0), (3, 0)), {1}) == (False, False)
+    assert reads(inside + Poly.monomial(n, (1, 1, 0), (0, 0)), {1}) == (False, False)
 
 
 def test_top_coefficient_is_the_staircase_class():
@@ -331,7 +349,8 @@ def test_rank_guards():
 
 
 def test_word_walk_applies_one_operator_per_word(c_calls):
-    walked = [(w, word) for w, word, _cls in hecke._word_classes(SchubertContext(ADDITIVE, 5))]
+    sctx = SchubertContext(ADDITIVE, 5)
+    walked = [(w, word) for w, word, _cls in hecke._word_classes(sctx, hecke._walk_layout(5))]
     # every reduced word of S_5 once, in trie (lexicographic) order
     assert [word for _w, word in walked] == sorted(all_words(5))
     assert len(walked) == 3061
@@ -340,9 +359,14 @@ def test_word_walk_applies_one_operator_per_word(c_calls):
 
 
 def test_word_walk_classes_match_word_by_word():
-    sctx = SchubertContext(HYPERBOLIC, 4)
-    for _w, word, cls in hecke._word_classes(sctx):
-        assert cls == schubert_polynomial(sctx, word)
+    # the packed walk against apply_word, which packs and unpacks per word
+    for spec in LAWS:
+        for n in (2, 3, 4):
+            sctx = SchubertContext(spec, n)
+            layout = hecke._walk_layout(n)
+            ops, top = sctx.operators(), top_staircase_class(n)
+            for _w, word, cls in hecke._word_classes(sctx, layout):
+                assert layout.unpack(cls) == apply_word(ops, word, top)
 
 
 def test_fk_identity_shares_prefixes(c_calls):
