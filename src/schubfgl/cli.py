@@ -53,9 +53,9 @@ from .hecke import (
     verify_local_identities,
     verify_ybe,
 )
-from .polycore import Poly, PolyError
+from .polycore import Poly, PolyError, packed_json_obj, render_packed
 from .report import CheckReport
-from .schubert import SchubertContext, schubert_polynomial
+from .schubert import SchubertContext, schubert
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -158,12 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_poly(args, out) -> int:
-    spec = _spec_of(args)
-    f = schubert_polynomial(SchubertContext(spec, args.n), args.word)
+    layout, terms = schubert(SchubertContext(_spec_of(args), args.n), args.word)
     if args.json:
-        _emit_json(f.to_json_obj(), out)
+        _emit_json(packed_json_obj(layout, terms), out)
     else:
-        out.write(f.render_text() + "\n")
+        out.write(render_packed(layout, terms) + "\n")
     return 0
 
 

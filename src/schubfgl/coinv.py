@@ -319,6 +319,11 @@ def vandermonde_check(spec: FglSpec, n: int, cap: int) -> CheckReport:
         comparison exact.  normal_form is S-linear, so the product is
         reduced after every factor and stays in the staircase basis.
     """
+    # below rank 2 both products are empty and the check would pass unread
+    if n < 2:
+        raise CapacityError(
+            f"verifier rank n={n} outside the supported range [2, {MAX_VANDERMONDE_RANK}]"
+        )
     if n > MAX_VANDERMONDE_RANK:
         raise CapacityError(
             f"the Vandermonde check is limited to rank {MAX_VANDERMONDE_RANK}, got {n}"

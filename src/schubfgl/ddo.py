@@ -23,14 +23,14 @@ the two product forms separately, so D_i = kappa - C_i, with kappa the
 kernel constant, stays an identity between independent computations.
 Both operators drop graded degree by exactly one on homogeneous input.
 
-The pass runs on packed term keys (PackedLayout), as in Monagan-Pearce's
-sparse multiplication: one int per term holds the fields m2, m1, x_1,
-..., x_n, each wide enough for the input's largest exponent plus the
-number of letters, and each table row is stored as (key delta,
-coefficient) pairs, so an output term costs one int add.
-apply_word packs once, applies every letter and unpacks once; apply_c
-and apply_delta are its one-letter case, and the word walk in hecke
-keeps its classes packed from start to end.
+The pass runs on packed term keys (polycore.PackedLayout), as in
+Monagan-Pearce's sparse multiplication: one int per term holds the
+fields m2, m1, x_1, ..., x_n, each wide enough for the input's largest
+exponent plus the number of letters, and each table row is stored as
+(key delta, coefficient) pairs, so an output term costs one int add.
+apply_word_packed packs once and applies every letter; apply_word,
+apply_c and apply_delta unpack its result.  The word walk in hecke and
+`poly word`, printed by polycore's one printer, never unpack a class.
 
 At m2 = 0 the operators satisfy the braid relations.  For the full
 hyperbolic law only the twisted form holds:
@@ -47,10 +47,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .fgl import FglSpec, diff_kernel, kappa_of
-from .polycore import MuExp, Poly, PolyError, _mk
+from .polycore import MuExp, PackedLayout, Poly, PolyError
 from .report import CheckReport
 
 # One table entry: the exponents of x_i, x_{i+1}, the m1/m2 exponents
@@ -115,69 +115,6 @@ def _d_row(spec: FglSpec, a: int, b: int) -> Row:
     return _collect(acc)
 
 
-class PackedLayout(NamedTuple):
-    """Term keys of `nvars` variables packed into one int.
-
-    The fields are `width` bits wide, most significant first m2, m1,
-    x_1, ..., x_n: x_v sits at shift (n - v) * width, m1 at n * width
-    and m2 on top, so `key >> m2_shift` is the m2 exponent.  Adding two
-    keys adds their exponents field by field as long as no field
-    overflows, so multiplying by a term is one int add.
-    """
-
-    nvars: int
-    width: int
-
-    @classmethod
-    def fit(cls, f: Poly, letters: int) -> "PackedLayout":
-        """The narrowest layout for f and its images under `letters` operators.
-
-        C_i and D_i never raise the largest exponent of one variable and
-        raise the m1 and m2 exponents by at most one each, so the fields
-        hold the largest exponent of f plus the letter count.
-        """
-        top = max((max(exps + mu) for exps, mu in f.terms), default=0)
-        return cls(f.nvars, max(1, (top + letters).bit_length()))
-
-    @property
-    def mask(self) -> int:
-        return (1 << self.width) - 1
-
-    @property
-    def m1_shift(self) -> int:
-        return self.nvars * self.width
-
-    @property
-    def m2_shift(self) -> int:
-        return (self.nvars + 1) * self.width
-
-    def x_shift(self, v: int) -> int:
-        """Shift of the x_v field, v in [1, nvars]."""
-        return (self.nvars - v) * self.width
-
-    def pack(self, f: Poly) -> dict[int, int]:
-        if f.nvars != self.nvars:
-            raise PolyError("polynomial does not live in the layout's ring")
-        w = self.width
-        out = {}
-        for (exps, (m1, m2)), c in f.terms.items():
-            if (m1 | m2 | max(exps, default=0)) >> w:
-                raise PolyError(f"exponent above the {w}-bit field of the layout")
-            key = m2 << w | m1
-            for e in exps:
-                key = key << w | e
-            out[key] = c
-        return out
-
-    def unpack(self, terms: dict[int, int]) -> Poly:
-        n, mask, m1_shift, m2_shift = self.nvars, self.mask, self.m1_shift, self.m2_shift
-        shifts = [self.x_shift(v) for v in range(1, n + 1)]
-        return _mk(n, {
-            (tuple([key >> s & mask for s in shifts]), (key >> m1_shift & mask, key >> m2_shift)): c
-            for key, c in terms.items()
-        })
-
-
 @lru_cache(maxsize=_TABLE_SIZE)
 def _delta_row(row_of, spec: FglSpec, layout: PackedLayout, i: int, ab: int) -> tuple:
     """row_of(spec, a, b) for letter i, each term as (key delta, coefficient).
@@ -217,8 +154,12 @@ def _apply_letter(
     return {k: c for k, c in out.items() if c}
 
 
-def _apply_packed(ctx: OperatorContext, word: tuple[int, ...], f: Poly, row_of) -> Poly:
-    """Pack f once, apply the word's letters first to last, unpack once."""
+def apply_word_packed(
+    ctx: OperatorContext, word: Iterable[int], f: Poly, row_of=_c_row
+) -> tuple[PackedLayout, dict[int, int]]:
+    """Pack f once and apply the word's letters first to last, C_i by
+    default; the result stays packed, as (layout, terms)."""
+    word = tuple(word)
     for i in word:
         _check_index(ctx, i)
     if f.nvars != ctx.nvars:
@@ -227,22 +168,22 @@ def _apply_packed(ctx: OperatorContext, word: tuple[int, ...], f: Poly, row_of) 
     terms = layout.pack(f)
     for i in word:
         terms = _apply_letter(ctx.spec, layout, i, terms, row_of)
-    return layout.unpack(terms)
+    return layout, terms
 
 
 def apply_c(ctx: OperatorContext, i: int, f: Poly) -> Poly:
     """C_i(f), exact polynomial output."""
-    return _apply_packed(ctx, (i,), f, _c_row)
+    return PackedLayout.unpack(*apply_word_packed(ctx, (i,), f))
 
 
 def apply_delta(ctx: OperatorContext, i: int, f: Poly) -> Poly:
     """D_i(f), exact polynomial output."""
-    return _apply_packed(ctx, (i,), f, _d_row)
+    return PackedLayout.unpack(*apply_word_packed(ctx, (i,), f, _d_row))
 
 
 def apply_word(ctx: OperatorContext, word: Iterable[int], f: Poly) -> Poly:
     """Apply C along the word left to right: the first letter acts first."""
-    return _apply_packed(ctx, tuple(word), f, _c_row)
+    return PackedLayout.unpack(*apply_word_packed(ctx, word, f))
 
 
 def kappa_poly(ctx: OperatorContext) -> Poly:

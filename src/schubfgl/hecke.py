@@ -56,9 +56,9 @@ from .combi import (
     Word,
     support_of,
 )
-from .ddo import OperatorContext, PackedLayout, _apply_letter, _c_row, apply_delta
+from .ddo import OperatorContext, _apply_letter, _c_row, apply_delta
 from .fgl import FglSpec, diff_kernel, formal_inverse
-from .polycore import Poly, PolyError, _mk, series_invert_unit
+from .polycore import PackedLayout, Poly, PolyError, _mk, series_invert_unit
 from .report import CheckReport
 from .schubert import SchubertContext, grothendieck_polynomial
 

@@ -14,7 +14,10 @@ deg(m2) = -2.  The graded degree of a term is therefore
 Term order is graded lex with x_1 < x_2 < ... < x_n (the exponent of
 x_n is compared first), then (a, b) lexicographically.  Rendering and
 JSON output list terms in this order, so equal polynomials render
-identically.
+identically.  They share one printer, which works on the packed term
+keys of PackedLayout (one int per term, the format the operators of
+ddo use) and reads the order off each key, so a class computed on
+packed keys is printed without being unpacked.
 
 Instances are treated as immutable: operations return new objects and
 never mutate their arguments.
@@ -24,7 +27,8 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 XExp = tuple[int, ...]
 MuExp = tuple[int, int]
@@ -39,11 +43,6 @@ class PolyError(ValueError):
 
 class DivisionFailure(PolyError):
     """An exact division left a nonzero remainder."""
-
-
-def term_sort_key(key: TermKey) -> tuple:
-    exps, mu = key
-    return (sum(exps), exps[::-1], mu)
 
 
 def _is_int(v) -> bool:
@@ -144,9 +143,6 @@ class Poly:
 
     def coefficient(self, exps: Iterable[int], mu: MuExp = MU_ZERO) -> int:
         return self.terms.get((tuple(exps), tuple(mu)), 0)
-
-    def sorted_terms(self) -> list[tuple[TermKey, int]]:
-        return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
 
     def graded_degree(self) -> tuple[bool, int | None]:
         """(is_homogeneous, degree) under deg x_i = 1, deg m1 = -1, deg m2 = -2.
@@ -380,18 +376,8 @@ class Poly:
     # rendering and parsing
 
     def render_text(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for (exps, (a, b)), c in self.sorted_terms():
-            s = str(c)
-            if a:
-                s += f"*m1^{a}"
-            if b:
-                s += f"*m2^{b}"
-            s += "*x[" + ",".join(map(str, exps)) + "]"
-            chunks.append(s)
-        return " + ".join(chunks)
+        layout = PackedLayout.fit(self, 0)
+        return render_packed(layout, layout.pack(self))
 
     def __repr__(self) -> str:
         return f"Poly({self.nvars}: {self.render_text()})"
@@ -427,13 +413,8 @@ class Poly:
         return cls(seen_nvars, terms)
 
     def to_json_obj(self) -> dict:
-        return {
-            "nvars": self.nvars,
-            "terms": [
-                {"x": list(exps), "mu": [a, b], "c": str(c)}
-                for (exps, (a, b)), c in self.sorted_terms()
-            ],
-        }
+        layout = PackedLayout.fit(self, 0)
+        return packed_json_obj(layout, layout.pack(self))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
@@ -459,6 +440,116 @@ class Poly:
     @classmethod
     def from_json(cls, text: str) -> "Poly":
         return cls.from_json_obj(json.loads(text))
+
+
+# The hyperbolic classes of all reduced words of S_5 meet 2,045 x parts.
+_X_PART_CACHE = 8192
+
+
+@lru_cache(maxsize=_X_PART_CACHE)
+def _x_part(layout: "PackedLayout", xbits: int) -> tuple[int, tuple[int, ...], str]:
+    """(order prefix, exponents, "*x[...]" text) of the x fields of a key;
+    the prefix packs the x-degree above x_n, ..., x_1."""
+    w, mask = layout.width, layout.mask
+    exps = tuple([xbits >> s & mask for s in range(layout.m1_shift - w, -1, -w)])
+    prefix = sum(exps)
+    for e in reversed(exps):
+        prefix = prefix << w | e
+    return prefix, exps, "*x[" + ",".join(map(str, exps)) + "]"
+
+
+class PackedLayout(NamedTuple):
+    """Term keys of `nvars` variables packed into one int.
+
+    The fields are `width` bits wide, most significant first m2, m1,
+    x_1, ..., x_n: x_v sits at shift (n - v) * width, m1 at n * width
+    and m2 on top, so `key >> m2_shift` is the m2 exponent.  Adding two
+    keys adds their exponents field by field as long as no field
+    overflows, so multiplying by a term is one int add.
+    """
+
+    nvars: int
+    width: int
+
+    @classmethod
+    def fit(cls, f: Poly, letters: int) -> "PackedLayout":
+        """The narrowest layout for f and its images under `letters` operators.
+
+        C_i and D_i never raise the largest exponent of one variable and
+        raise the m1 and m2 exponents by at most one each, so the fields
+        hold the largest exponent of f plus the letter count.
+        """
+        top = max((max(exps + mu) for exps, mu in f.terms), default=0)
+        return cls(f.nvars, max(1, (top + letters).bit_length()))
+
+    @property
+    def mask(self) -> int:
+        return (1 << self.width) - 1
+
+    @property
+    def m1_shift(self) -> int:
+        return self.nvars * self.width
+
+    @property
+    def m2_shift(self) -> int:
+        return (self.nvars + 1) * self.width
+
+    def x_shift(self, v: int) -> int:
+        """Shift of the x_v field, v in [1, nvars]."""
+        return (self.nvars - v) * self.width
+
+    def pack(self, f: Poly) -> dict[int, int]:
+        if f.nvars != self.nvars:
+            raise PolyError("polynomial does not live in the layout's ring")
+        w = self.width
+        out = {}
+        for (exps, (m1, m2)), c in f.terms.items():
+            if (m1 | m2 | max(exps, default=0)) >> w:
+                raise PolyError(f"exponent above the {w}-bit field of the layout")
+            key = m2 << w | m1
+            for e in exps:
+                key = key << w | e
+            out[key] = c
+        return out
+
+    def unpack(self, terms: dict[int, int]) -> Poly:
+        n, mask, m1_shift, m2_shift = self.nvars, self.mask, self.m1_shift, self.m2_shift
+        shifts = [self.x_shift(v) for v in range(1, n + 1)]
+        return _mk(n, {
+            (tuple([key >> s & mask for s in shifts]), (key >> m1_shift & mask, key >> m2_shift)): c
+            for key, c in terms.items()
+        })
+
+
+def _in_term_order(layout: PackedLayout, terms: dict[int, int]) -> list[tuple]:
+    """(c, m1, m2, exponents, x text) of every packed term, in term order:
+    sorted by one int per term, the x part's order prefix, m1, m2."""
+    w, mask, m1_shift = layout.width, layout.mask, layout.m1_shift
+    x_mask = (1 << m1_shift) - 1
+    rows = {}
+    for key, c in terms.items():
+        prefix, exps, text = _x_part(layout, key & x_mask)
+        mu = key >> m1_shift
+        a, b = mu & mask, mu >> w
+        rows[(prefix << w | a) << w | b] = (c, a, b, exps, text)
+    return [rows[k] for k in sorted(rows)]
+
+
+def render_packed(layout: PackedLayout, terms: dict[int, int]) -> str:
+    """The text of a packed polynomial."""
+    return " + ".join([
+        f"{c}{f'*m1^{a}' if a else ''}{f'*m2^{b}' if b else ''}{text}"
+        for c, a, b, _exps, text in _in_term_order(layout, terms)
+    ]) or "0"
+
+
+def packed_json_obj(layout: PackedLayout, terms: dict[int, int]) -> dict:
+    """The JSON object of a packed polynomial."""
+    rows = _in_term_order(layout, terms)
+    return {
+        "nvars": layout.nvars,
+        "terms": [{"x": list(exps), "mu": [a, b], "c": str(c)} for c, a, b, exps, _text in rows],
+    }
 
 
 def series_invert_unit(f: Poly, cap: int) -> Poly:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .coinv import top_staircase_class
 from .combi import Permutation, Word, canonical_word, word_to_perm
-from .ddo import OperatorContext, apply_word
+from .ddo import OperatorContext, apply_word_packed
 from .fgl import FglSpec
-from .polycore import Poly, PolyError
+from .polycore import PackedLayout, Poly, PolyError
 
 
 @dataclass(frozen=True)
@@ -35,17 +35,23 @@ class SchubertContext:
         return OperatorContext(self.spec, self.n)
 
 
-def schubert_polynomial(ctx: SchubertContext, word: Word) -> Poly:
+def schubert(ctx: SchubertContext, word: Word) -> tuple[PackedLayout, dict[int, int]]:
     """Apply C along a reduced word to the top class, first letter first.
 
     The word must be reduced: its letter count must equal the length of
-    the permutation it multiplies out to.
+    the permutation it multiplies out to.  The class stays packed: this
+    returns its layout and its packed terms.
     """
     word = tuple(word)
     perm = word_to_perm(word, ctx.n)
     if perm.length() != len(word):
         raise ValueError(f"word {word} is not reduced")
-    return apply_word(ctx.operators(), word, top_staircase_class(ctx.n))
+    return apply_word_packed(ctx.operators(), word, top_staircase_class(ctx.n))
+
+
+def schubert_polynomial(ctx: SchubertContext, word: Word) -> Poly:
+    """The class of a reduced word (see schubert) as a Poly."""
+    return PackedLayout.unpack(*schubert(ctx, word))
 
 
 def grothendieck_polynomial(ctx: SchubertContext, w: Permutation) -> Poly:

@@ -16,7 +16,10 @@ they check:
   `big_product_double` multiplies the ordered product S with it, one
   linear factor at a time;
 - the series of the formal group law F(x, y) and its self-checks
-  against the formal inverse and the difference kernel of `schubfgl.fgl`.
+  against the formal inverse and the difference kernel of `schubfgl.fgl`;
+- the tuple-key printer, which sorts `Poly.terms` by a tuple per term:
+  it is the reference for the printer of `schubfgl.polycore`, which
+  reads the term order off packed keys.
 
 The rest are small enumerations and deletions that only the tests use.
 """
@@ -53,6 +56,36 @@ def naive_mul(f: Poly, g: Poly) -> Poly:
             )
             acc[key] = acc.get(key, 0) + c * d
     return Poly(f.nvars, acc)
+
+
+def _reference_order(f: Poly) -> list:
+    """f's terms sorted by (x-degree, x_n, ..., x_1, m1, m2)."""
+    return sorted(f.terms.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0][::-1], kv[0][1]))
+
+
+def reference_render_text(f: Poly) -> str:
+    if not f.terms:
+        return "0"
+    chunks = []
+    for (exps, (a, b)), c in _reference_order(f):
+        s = str(c)
+        if a:
+            s += f"*m1^{a}"
+        if b:
+            s += f"*m2^{b}"
+        s += "*x[" + ",".join(map(str, exps)) + "]"
+        chunks.append(s)
+    return " + ".join(chunks)
+
+
+def reference_json_obj(f: Poly) -> dict:
+    return {
+        "nvars": f.nvars,
+        "terms": [
+            {"x": list(exps), "mu": [a, b], "c": str(c)}
+            for (exps, (a, b)), c in _reference_order(f)
+        ],
+    }
 
 
 def classical_ddiff(f: Poly, i: int) -> Poly:

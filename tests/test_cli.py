@@ -185,6 +185,11 @@ def test_verify_usage_errors(capsys):
     code, _ = run(["verify", "braid", "--n", "1"])
     assert code == 2
     assert "schubfgl: error: operators need at least two variables" in capsys.readouterr().err
+    # both products are empty below rank 2; n = -2 used to fail inside Poly
+    for n in ("0", "1", "-2"):
+        code, _ = run(["verify", "vandermonde", "--n", n])
+        assert code == 2
+        assert f"verifier rank n={n} outside the supported range [2, 6]" in capsys.readouterr().err
 
 
 def test_missing_required_arguments_exit_2():
@@ -293,6 +298,38 @@ def test_poly_word_at_rank_40_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "e64fc9e7bcd7e8880fbdf47a4013cde96c00c36adfa6d3caaac479a49018f97d"
     )
+
+
+# Every 10th reduced word of S_5 in (length, lex) order, counted back
+# from the last longest word: 307 words, classes of up to 1,972 terms.
+S5_WORD_SAMPLE = sorted(
+    (word for w in all_permutations(5) for word in reduced_words(w)),
+    key=lambda word: (len(word), word),
+)[::-10]
+
+# sha256 of the concatenated `poly word --n 5` outputs over the sample,
+# recorded with the tuple-keyed printer: a change to the printed term
+# order of a large class fails here, where comparing parsed classes
+# would not.  Hyperbolic JSON pins every third word of the sample; the
+# indented JSON of a large class takes tens of milliseconds to write.
+POLY_WORD_N5_SHA256 = {
+    ("hyperbolic", ""): (1, "fdf8ac74c2c94570d7be3468c167e9d69138ac99342d1f69e3f37abd15042273"),
+    ("hyperbolic", "--json"): (3, "20ef3e2528677828a8afcac133cda4a8af5c4ff6a415bdf1c14c123afb89dd58"),
+    ("multiplicative", ""): (1, "265a2e5cb78fd154961e7d810d213fa8324ad07adcc1c40a4f3e9da3ecb52566"),
+    ("multiplicative", "--json"): (1, "51e8268b100c4be0dfd4721d7ef24d0e51df5ebd6b1267612774b41f6c97ef34"),
+}
+
+
+@pytest.mark.parametrize("law,fmt", sorted(POLY_WORD_N5_SHA256))
+def test_poly_word_outputs_pinned_n5(law, fmt):
+    step, digest = POLY_WORD_N5_SHA256[(law, fmt)]
+    h = hashlib.sha256()
+    for word in S5_WORD_SAMPLE[::step]:
+        argv = ["poly", "word", "--n", "5", "--word", ",".join(map(str, word)), "--fgl", law]
+        code, text = run(argv + ([fmt] if fmt else []))
+        assert code == 0
+        h.update(text.encode())
+    assert h.hexdigest() == digest
 
 
 # sha256 of the full --json output, recorded with products built whole

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from schubfgl.ddo import (
     OperatorContext,
-    PackedLayout,
     apply_c,
     apply_delta,
     apply_word,
@@ -19,7 +18,7 @@ from schubfgl.ddo import (
     twisted_braid_check,
 )
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec, diff_kernel
-from schubfgl.polycore import Poly, PolyError
+from schubfgl.polycore import PackedLayout, Poly, PolyError
 
 from oracles import classical_ddiff, division_apply_c, division_apply_delta, naive_mul
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from schubfgl import ddo, hecke
 from schubfgl.coinv import top_staircase_class
 from schubfgl.combi import CapacityError, Permutation, word_to_perm
-from schubfgl.ddo import PackedLayout, apply_word, random_poly
+from schubfgl.ddo import apply_word, random_poly
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
 from schubfgl.hecke import (
     HeckeElem,
@@ -29,7 +29,7 @@ from schubfgl.hecke import (
     verify_ybe,
     window_vars,
 )
-from schubfgl.polycore import Poly, PolyError
+from schubfgl.polycore import PackedLayout, Poly, PolyError
 from schubfgl.schubert import SchubertContext
 
 from oracles import (

@@ -43,3 +43,16 @@ def test_traced_compute_run_reaches_every_layer():
     assert result["correct"] is True
     for name in ("polycore.addsub.calls", "hecke.delete.calls", "ddo.apply_c.calls"):
         assert result["metrics"][name]["value"] > 0, name
+
+
+def test_traced_fk5_run_is_correct():
+    # the tracer patches Poly's printer methods by name and hooks
+    # schubert.schubert_polynomial; moving the printer must not break it
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "fk5", "--seed", "2",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True

@@ -3,16 +3,23 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schubfgl.polycore import (
     DivisionFailure,
+    PackedLayout,
     Poly,
     PolyError,
+    packed_json_obj,
+    render_packed,
     series_invert_unit,
 )
 from schubfgl.ddo import random_poly
 
-from oracles import naive_mul
+from oracles import naive_mul, reference_json_obj, reference_render_text
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 def test_add_inverse_and_merge():
@@ -41,16 +48,24 @@ def test_mul_pinned():
     assert Poly.zero(4) * g == Poly.zero(4)
 
 
-def test_ring_axioms_against_naive_mul():
-    rng = random.Random(11)
-    for _ in range(40):
-        f = random_poly(rng, 3)
-        g = random_poly(rng, 3)
-        h = random_poly(rng, 3)
-        assert f * g == naive_mul(f, g)
-        assert f * g == g * f
-        assert (f * g) * h == f * (g * h)
-        assert f * (g + h) == f * g + f * h
+@st.composite
+def poly_triples(draw):
+    n = draw(st.integers(0, 4))
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 3)] * n), st.tuples(st.integers(0, 2), st.integers(0, 2))
+    )
+    polys = st.dictionaries(term, st.integers(-4, 4), max_size=5).map(lambda t: Poly(n, t))
+    return draw(polys), draw(polys), draw(polys)
+
+
+@PROPERTY
+@given(poly_triples())
+def test_ring_axioms_against_naive_mul(triple):
+    f, g, h = triple
+    assert f * g == naive_mul(f, g)
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
 
 
 def test_nvars_mismatch_rejected():
@@ -186,6 +201,36 @@ def test_json_roundtrip():
     obj = big.to_json_obj()
     assert obj["terms"][0]["c"] == str(10**30)
     assert Poly.from_json_obj(obj) == big
+
+
+# exponents small enough to collide in every field, and the largest and
+# smallest values of field widths from 1 to 70 bits
+EXPONENTS = st.one_of(
+    st.integers(0, 4), st.integers(1, 70).flatmap(lambda k: st.sampled_from((2**k - 1, 2**k)))
+)
+
+
+@st.composite
+def printable_polys(draw):
+    n = draw(st.integers(0, 6))
+    term = st.tuples(st.tuples(*[EXPONENTS] * n), st.tuples(EXPONENTS, EXPONENTS))
+    return Poly(n, draw(st.dictionaries(term, st.integers(-10**30, 10**30), max_size=12)))
+
+
+@PROPERTY
+@given(printable_polys(), st.integers(0, 40))
+@example(Poly.zero(0), 0)
+@example(Poly.zero(5), 3)
+def test_printer_matches_tuple_key_reference(f, extra_width):
+    text, obj = reference_render_text(f), reference_json_obj(f)
+    assert f.render_text() == text
+    assert f.to_json_obj() == obj
+    # a class printed straight from the engine's keys sits in a wider layout
+    layout = PackedLayout(f.nvars, PackedLayout.fit(f, 0).width + extra_width)
+    assert render_packed(layout, layout.pack(f)) == text
+    assert packed_json_obj(layout, layout.pack(f)) == obj
+    assert Poly.parse_text(text, f.nvars) == f
+    assert Poly.from_json(f.to_json()) == f
 
 
 def test_bool_and_non_int_input_rejected():
