@@ -83,13 +83,14 @@ def _spec_of(args: argparse.Namespace, default_kind: str = "hyperbolic") -> FglS
     return FglSpec(kind, args.mu1, args.mu2)
 
 
-def _read_stdin_poly(stdin) -> Poly:
+def _read_stdin_poly(stdin, nvars: int | None) -> Poly:
+    """The polynomial on stdin; nvars (from --n) only sizes a bare '0'."""
     text = stdin.read().strip()
     if not text:
         raise PolyError("no polynomial on stdin")
     if text.startswith("{"):
         return Poly.from_json(text)
-    return Poly.parse_text(text)
+    return Poly.parse_text(text, nvars if text == "0" else None)
 
 
 def _emit_json(obj, out) -> None:
@@ -167,7 +168,7 @@ def _cmd_poly(args, out) -> int:
 
 
 def _cmd_reduce(args, out, stdin) -> int:
-    f = _read_stdin_poly(stdin)
+    f = _read_stdin_poly(stdin, args.n)
     n = args.n if args.n is not None else f.nvars
     if n != f.nvars:
         raise PolyError(f"--n {n} does not match the input's {f.nvars} variables")
@@ -189,7 +190,7 @@ def _cmd_expand(args, out, stdin) -> int:
     if not all(isinstance(obj, dict) for obj in raw):
         raise PolyError("basis file entries must be JSON objects")
     basis = [Poly.from_json_obj(obj.get("poly", obj)) for obj in raw]
-    f = _read_stdin_poly(stdin)
+    f = _read_stdin_poly(stdin, args.n)
     n = args.n if args.n is not None else f.nvars
     for g in (f, *basis):
         check_rewrite_capacity(g, n)

@@ -17,7 +17,6 @@ class in a given basis with integer linear algebra.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -266,21 +265,18 @@ def expand_in_basis(f: Poly, basis: list[Poly], n: int) -> list[Poly]:
     if rank < len(unknowns):
         raise BasisDependenceError("basis is not linearly independent modulo S")
 
-    sol: list[Fraction] = [Fraction(0)] * len(unknowns)
+    sol = [0] * len(unknowns)
     for r in range(rank - 1, -1, -1):
         c = pivots[r]
-        acc = Fraction(ech[r][len(unknowns)])
+        acc = ech[r][len(unknowns)]
         for cc in range(c + 1, len(unknowns)):
             acc -= ech[r][cc] * sol[cc]
-        sol[c] = acc / ech[r][c]
-    ints: list[int] = []
-    for v in sol:
-        if v.denominator != 1:
+        sol[c], rem = divmod(acc, ech[r][c])
+        if rem:
             raise NotInSpanError("no integral combination exists")
-        ints.append(int(v))
 
     out = [Poly.zero(0) for _ in basis]
-    for (j, a, b2), v in zip(unknowns, ints):
+    for (j, a, b2), v in zip(unknowns, sol):
         if v:
             out[j] = out[j] + Poly.const(0, v, (a, b2))
     return out
@@ -312,12 +308,12 @@ def vandermonde_check(spec: FglSpec, n: int, cap: int) -> CheckReport:
 
     (a) The Vandermonde product is congruent to n! times the top
         staircase monomial (independent of the law).
-    (b) The deformed product of F(x_i, chi(x_j)) over i < j, expanded as
-        a series through degree cap, is congruent to the Vandermonde
-        product.  Anything above the top staircase degree n(n-1)/2 is
-        congruent to zero, so cap beyond that bound makes the truncated
-        comparison exact.  normal_form is S-linear, so the product is
-        reduced after every factor and stays in the staircase basis.
+    (b) The deformed product of F(x_i, chi(x_j)) over i < j is congruent
+        to the Vandermonde product.  Terms above the top staircase degree
+        n(n-1)/2 are congruent to zero, so each series is expanded through
+        that degree only, and cap (which must exceed it) just names the
+        report.  normal_form is S-linear, so the product is reduced after
+        every factor and stays in the staircase basis.
     """
     # below rank 2 both products are empty and the check would pass unread
     if n < 2:
@@ -346,7 +342,7 @@ def vandermonde_check(spec: FglSpec, n: int, cap: int) -> CheckReport:
         for j in range(i + 1, n + 1):
             p_ij = kernel.inject_vars(n, (i, j))
             factor = (Poly.variable(n, i) - Poly.variable(n, j)) * series_invert_unit(
-                p_ij, cap
+                p_ij, top
             )
             prod = normal_form(prod * factor, n)
     rep.add(

@@ -192,7 +192,7 @@ def hecke_one(n: int, spec: FglSpec) -> HeckeElem:
 def heckes_equal(e: HeckeElem, f: HeckeElem) -> bool:
     if e.n != f.n or e.spec != f.spec:
         raise ValueError("elements live over different contexts")
-    return _mk_elem(e.n, e.spec, e.coeffs).coeffs == _mk_elem(f.n, f.spec, f.coeffs).coeffs
+    return e.coeffs == f.coeffs
 
 
 def _times_u_coeffs(e: HeckeElem, j: int) -> dict[Permutation, Poly]:

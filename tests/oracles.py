@@ -2,7 +2,7 @@
 
 Everything here is deliberately written against plain dicts and
 Fractions, not against the library's own arithmetic, so a bug in the
-package cannot hide inside its oracle.  There are three exceptions,
+package cannot hide inside its oracle.  There are five exceptions,
 which use the library's generic `Poly` arithmetic but none of the code
 they check:
 
@@ -19,7 +19,11 @@ they check:
   against the formal inverse and the difference kernel of `schubfgl.fgl`;
 - the tuple-key printer, which sorts `Poly.terms` by a tuple per term:
   it is the reference for the printer of `schubfgl.polycore`, which
-  reads the term order off packed keys.
+  reads the term order off packed keys;
+- the Grassmannian product rule checked by one exact expansion per
+  (rectangle, partition) case with `schubfgl.coinv.expand_in_basis`:
+  it is the reference for `schubfgl.grass`, which compares each
+  product's normal form with the predicted class's.
 
 The rest are small enumerations and deletions that only the tests use.
 """
@@ -32,6 +36,7 @@ from itertools import permutations as _it_permutations
 from itertools import product as _it_product
 
 from schubfgl.combi import (
+    BoxPartition,
     CapacityError,
     MAX_ENUM_RANK,
     Permutation,
@@ -40,7 +45,9 @@ from schubfgl.combi import (
     support_of,
     word_to_perm,
 )
+from schubfgl.coinv import NotInSpanError, expand_in_basis, normal_form
 from schubfgl.fgl import FglSpec, diff_kernel, formal_inverse
+from schubfgl.grass import GrassContext, RectangleClass, smooth_product
 from schubfgl.hecke import HeckeElem, hecke_one, ideal_delete
 from schubfgl.polycore import MU_ZERO, Poly, PolyError, series_invert_unit
 
@@ -436,3 +443,37 @@ def inverse_series_check(spec: FglSpec, cap: int) -> bool:
     two_var = _subst_second_var(F, chi, cap)
     collapsed = two_var.inject_vars(1, (1, 1)).truncate(cap)
     return collapsed.is_zero
+
+
+def expansion_rule_cross_check(
+    ctx: GrassContext,
+    classes: dict[tuple[int, ...], Poly],
+    smooth: dict[RectangleClass, Poly],
+) -> list[tuple[str, bool]]:
+    """(label, ok) per (rectangle, lam): expand each product over the classes.
+
+    A case holds when the expansion is exactly the single class (or the
+    zero) that smooth_product predicts; a product outside the span of
+    the classes fails its case.
+    """
+    out = []
+    order = [BoxPartition(ctx.k, ctx.m, parts) for parts in classes]
+    basis = [normal_form(f, ctx.n) for f in classes.values()]
+    for r, smooth_poly in smooth.items():
+        smooth_nf = normal_form(smooth_poly, ctx.n)
+        for lam, lam_nf in zip(order, basis):
+            rule = smooth_product(ctx, r, lam)
+            product = normal_form(smooth_nf * lam_nf, ctx.n)
+            expected = [
+                Poly.one(0) if rule is not None and mu.parts == rule.parts else Poly.zero(0)
+                for mu in order
+            ]
+            try:
+                coeffs = expand_in_basis(product, basis, ctx.n)
+            except NotInSpanError:
+                ok = False
+            else:
+                ok = all((c - e).is_zero for c, e in zip(coeffs, expected))
+            rule_txt = rule.render() if rule is not None else "0"
+            out.append((f"rect={r.a},{r.b} lam=({lam.render()}) -> {rule_txt}", ok))
+    return out

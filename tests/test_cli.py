@@ -39,13 +39,30 @@ def test_poly_word_json_roundtrip_through_reduce():
     assert text.strip() == "1*x[0,0]"
 
 
-def test_reduce_text_input():
+def test_reduce_text_input(tmp_path, capsys):
     code, text = run(["reduce", "--n", "2"], stdin_text="1*x[1,0] + -1*x[0,1]")
     assert code == 0
     assert text.strip() == "2*x[1,0]"
     code, text = run(["reduce"], stdin_text="1*x[1,0] + 1*x[0,1]")
     assert code == 0
     assert text.strip() == "0"
+    # reduce reads its own zero output once --n gives the variable count
+    code, text = run(["reduce", "--n", "2"], stdin_text="0\n")
+    assert (code, text.strip()) == (0, "0")
+    code, text = run(["reduce", "--n", "2", "--json"], stdin_text="0")
+    assert code == 0
+    assert json.loads(text) == {"nvars": 2, "terms": []}
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps([Poly.variable(2, 1).to_json_obj()]))
+    code, text = run(["expand", "--basis", str(basis), "--n", "2"], stdin_text="0")
+    assert (code, text) == (0, "[0] 0\n")
+    # a bare 0 without --n, and a nonzero input with a mismatched --n, stay errors
+    capsys.readouterr()
+    for argv in (["reduce"], ["expand", "--basis", str(basis)]):
+        assert run(argv, stdin_text="0") == (2, "")
+        assert "parsing '0' needs an explicit variable count" in capsys.readouterr().err
+    assert run(["reduce", "--n", "3"], stdin_text="1*x[1,0]") == (2, "")
+    assert "--n 3 does not match the input's 2 variables" in capsys.readouterr().err
 
 
 def test_reduce_arity_mismatch():

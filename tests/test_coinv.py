@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schubfgl.coinv as coinv
 from schubfgl.coinv import (
     BasisDependenceError,
     MAX_VANDERMONDE_RANK,
@@ -169,6 +170,9 @@ def test_expand_in_basis_errors():
         expand_in_basis(Poly.variable(n, 1), [Poly.monomial(n, (2, 0, 0))], n)
     with pytest.raises(NotInSpanError):
         expand_in_basis(Poly.variable(n, 1), [Poly(n, {((1, 0, 0), (0, 0)): 2})], n)
+    # a negative pivot: divmod rounds toward -inf, the remainder still shows
+    with pytest.raises(NotInSpanError):
+        expand_in_basis(Poly.variable(n, 1), [Poly(n, {((1, 0, 0), (0, 0)): -2})], n)
     with pytest.raises(BasisDependenceError):
         expand_in_basis(
             Poly.variable(n, 1), [Poly.variable(n, 1), Poly.variable(n, 1)], n
@@ -197,6 +201,21 @@ def test_vandermonde_check():
             rep = vandermonde_check(spec, n, cap)
             assert rep.passed, rep.summary_lines()
             assert rep.cases
+
+
+def test_vandermonde_series_stop_at_top_degree(monkeypatch):
+    # degrees above n(n-1)/2 vanish modulo S, so --cap must not add work
+    caps = []
+    invert = coinv.series_invert_unit
+
+    def recording_invert(f, cap):
+        caps.append(cap)
+        return invert(f, cap)
+
+    monkeypatch.setattr(coinv, "series_invert_unit", recording_invert)
+    rep = vandermonde_check(HYPERBOLIC, 3, 400)
+    assert rep.passed and rep.name.endswith("cap=400]")
+    assert caps and max(caps) <= 3
 
 
 def test_vandermonde_rank_bound():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from schubfgl.coinv import equals_mod_s, normal_form
+import schubfgl.grass as grass
+from schubfgl.coinv import BasisDependenceError, equals_mod_s, normal_form
 from schubfgl.combi import BoxPartition, CapacityError, box_partitions
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE
 from schubfgl.grass import (
@@ -17,11 +18,15 @@ from schubfgl.grass import (
     gr24_basis,
     gr24_smooth_poly,
     gr24_word,
+    _gr24_classes,
+    _rule_cross_check,
     rect_dual,
     smooth_product,
 )
 from schubfgl.polycore import Poly
 from schubfgl.schubert import SchubertContext, schubert_polynomial
+
+from oracles import expansion_rule_cross_check
 
 
 def _bp(*parts: int) -> BoxPartition:
@@ -193,3 +198,63 @@ def test_chow_k_cross_check():
             chow_k_cross_check(k, n, ADDITIVE)
     with pytest.raises(ValueError):
         chow_k_cross_check(2, 4, HYPERBOLIC)
+
+
+def _gr24_inputs(spec, smooth_override=None):
+    smooth = {r: gr24_smooth_poly(r, spec) for r in all_rectangles(2, 4)}
+    smooth.update(smooth_override or {})
+    return GrassContext(2, 4, spec), _gr24_classes(spec), smooth
+
+
+def _chowk_inputs(k, n, spec):
+    ctx = GrassContext(k, n, spec)
+    classes = {mu.parts: class_representative(ctx, mu) for mu in box_partitions(k, n - k)}
+    smooth = {r: classes[r.as_partition(k, n).parts] for r in all_rectangles(k, n)}
+    return ctx, classes, smooth
+
+
+# plain x3 x4 for the 1x2 rectangle breaks the rule at m1 != 0; x1 x2
+# (the 2x1 class) in place of the line also fails cases that predict 0
+_PLAIN_1X2 = {RectangleClass(1, 2): Poly.monomial(4, (0, 0, 1, 1))}
+_WRONG_LINE = {RectangleClass(1, 1): Poly.monomial(4, (1, 1, 0, 0))}
+
+_RULE_INPUTS = [
+    *(
+        pytest.param(_gr24_inputs, (spec,), True, id=f"gr24-{spec.label()}")
+        for spec in (ADDITIVE, MULTIPLICATIVE, LORENTZ, HYPERBOLIC)
+    ),
+    *(
+        pytest.param(_chowk_inputs, (k, n, spec), True, id=f"chowk-{k}-{n}-{spec.label()}")
+        for k, n in ((2, 4), (2, 5), (3, 5))
+        for spec in (ADDITIVE, MULTIPLICATIVE)
+    ),
+    pytest.param(_gr24_inputs, (HYPERBOLIC, _PLAIN_1X2), False, id="gr24-plain-1x2"),
+    pytest.param(_gr24_inputs, (HYPERBOLIC, _WRONG_LINE), False, id="gr24-wrong-line"),
+]
+
+
+@pytest.mark.parametrize("make,args,passes", _RULE_INPUTS)
+def test_rule_cross_check_matches_expansion_oracle(make, args, passes, monkeypatch):
+    ctx, classes, smooth = make(*args)
+    expand_in_basis = grass.expand_in_basis
+    calls = []
+
+    def counting_expand(*a):
+        calls.append(a)
+        return expand_in_basis(*a)
+
+    monkeypatch.setattr(grass, "expand_in_basis", counting_expand)
+    rep = _rule_cross_check("rule", ctx, classes, smooth)
+    assert len(calls) == 1
+    got = [(c.label, c.ok) for c in rep.cases]
+    assert got == expansion_rule_cross_check(ctx, classes, smooth)
+    assert len(got) == len(classes) * len(smooth)
+    assert rep.passed == passes
+
+
+def test_rule_cross_check_rejects_dependent_classes():
+    ctx, classes, smooth = _gr24_inputs(HYPERBOLIC)
+    twice = dict(classes)
+    twice[(1, 1)] = classes[(1, 0)]
+    with pytest.raises(BasisDependenceError):
+        _rule_cross_check("rule", ctx, twice, smooth)
