@@ -24,7 +24,6 @@ from functools import lru_cache
 
 from .coinv import (
     NotInSpanError,
-    check_rewrite_capacity,
     expand_in_basis,
     normal_form,
     vandermonde_check,
@@ -172,7 +171,6 @@ def _cmd_reduce(args, out, stdin) -> int:
     n = args.n if args.n is not None else f.nvars
     if n != f.nvars:
         raise PolyError(f"--n {n} does not match the input's {f.nvars} variables")
-    check_rewrite_capacity(f, n)
     g = normal_form(f, n)
     if args.json:
         _emit_json(g.to_json_obj(), out)
@@ -192,8 +190,6 @@ def _cmd_expand(args, out, stdin) -> int:
     basis = [Poly.from_json_obj(obj.get("poly", obj)) for obj in raw]
     f = _read_stdin_poly(stdin, args.n)
     n = args.n if args.n is not None else f.nvars
-    for g in (f, *basis):
-        check_rewrite_capacity(g, n)
     coords = expand_in_basis(f, basis, n)
     if args.json:
         _emit_json({"coefficients": [c.to_json_obj() for c in coords]}, out)

@@ -13,11 +13,19 @@ Z[m1, m2]-basis of the quotient, the rewrite preserves total x-degree,
 and the normal form of a product of two normal forms depends only on
 the classes of the factors.  All of this powers exact expansion of a
 class in a given basis with integer linear algebra.
+
+Monomial normal forms are kept in one bounded memo shared by all calls.
+Every rewrite is rank-bounded where it happens: above MAX_REWRITE_RANK
+a monomial that needs rewriting raises CapacityError, whichever of
+normal_form, equals_mod_s or expand_in_basis asked.  Staircase
+monomials and monomials above the top degree need none, so they are
+answered at any rank.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from operator import add
 
 from .combi import CapacityError
@@ -28,7 +36,8 @@ from .report import CheckReport
 
 # A monomial's rewrite can pass through every monomial of its degree: at
 # rank 7 and the top degree 21 that is 296,010 monomials, about 5 s and
-# 100 MB; at rank 8 and degree 28 it is 6.7 million.
+# 100 MB; at rank 8 and degree 28 it is 6.7 million.  _rewrite holds
+# every rewrite to this rank.
 MAX_REWRITE_RANK = 7
 
 # At rank 6 the deformed Vandermonde product takes about a second; at
@@ -54,36 +63,25 @@ def _replacement_monomials(k: int, n: int) -> tuple[XExp, ...]:
 
     Exponent vectors come back in full length n.
     """
-    d = n - k + 1
     out = []
-    for exps in _compositions(d, k):
-        if exps[k - 1] == d:
+    for combo in combinations_with_replacement(range(k), n - k + 1):
+        if combo[0] == k - 1:  # x_k^{n-k+1} itself
             continue
-        out.append(tuple(exps) + (0,) * (n - k))
+        exps = [0] * n
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
     return tuple(out)
 
 
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        out.extend((first,) + rest for rest in _compositions(total - first, parts - 1))
-    return out
-
-
-def is_staircase(exps: XExp, n: int) -> bool:
-    return all(exps[k - 1] <= n - k for k in range(1, n + 1))
-
-
 # Normal forms of the monomials met while rewriting, keyed by exponent
-# vector (its length is the rank), shared by all calls.  Emptied before
-# a rewrite once it holds more than _NF_MEMO_MAX entries.
+# vector (its length is the rank), shared by all calls.  The only
+# normal-form cache: emptied before a rewrite once it holds more than
+# _NF_MEMO_MAX entries.  An entry may be empty (x_1^n is 0 modulo S).
 _NF_MEMO: dict[XExp, tuple[tuple[XExp, int], ...]] = {}
 _NF_MEMO_MAX = 1 << 18
 
 
-@lru_cache(maxsize=1 << 14)
 def _monomial_normal_form(exps: XExp, n: int) -> tuple[tuple[XExp, int], ...]:
     """Normal form of a single x-monomial as ((staircase exps, coeff), ...).
 
@@ -95,6 +93,9 @@ def _monomial_normal_form(exps: XExp, n: int) -> tuple[tuple[XExp, int], ...]:
     collected first, then settled in that order, children before parents.
     """
     memo = _NF_MEMO
+    known = memo.get(exps)
+    if known is not None:
+        return known
     if len(memo) > _NF_MEMO_MAX:
         memo.clear()
     todo = set()
@@ -119,9 +120,16 @@ def _monomial_normal_form(exps: XExp, n: int) -> tuple[tuple[XExp, int], ...]:
 
 
 def _rewrite(e: XExp, n: int) -> list[XExp] | None:
-    """The monomials whose negated sum e rewrites to; None for a staircase e."""
+    """The monomials whose negated sum e rewrites to; None for a staircase e.
+
+    Raises CapacityError when e needs a rewrite above MAX_REWRITE_RANK.
+    """
     for k in range(n, 0, -1):
         if e[k - 1] > n - k:
+            if n > MAX_REWRITE_RANK:
+                raise CapacityError(
+                    f"normal forms that rewrite are limited to rank {MAX_REWRITE_RANK}, got {n}"
+                )
             base = list(e)
             base[k - 1] -= n - k + 1
             return [tuple(map(add, base, rep)) for rep in _replacement_monomials(k, n)]
@@ -133,16 +141,22 @@ def normal_form(f: Poly, n: int) -> Poly:
 
     Every monomial of x-degree above the top staircase degree n(n-1)/2
     is 0 modulo S (the rewrite keeps the degree and no staircase
-    monomial is that high), so such terms are dropped unread.
+    monomial is that high), so such terms are dropped unread.  Other
+    terms go through _NF_MEMO; above MAX_REWRITE_RANK a term that is
+    not a staircase monomial raises CapacityError.
     """
     if f.nvars != n:
         raise PolyError(f"expected a polynomial in {n} variables, got {f.nvars}")
     top = n * (n - 1) // 2
+    memo = _NF_MEMO
     out: dict = {}
     for (exps, mu), c in f.terms.items():
         if sum(exps) > top:
             continue
-        for e2, c2 in _monomial_normal_form(exps, n):
+        nf = memo.get(exps)
+        if nf is None:
+            nf = _monomial_normal_form(exps, n)
+        for e2, c2 in nf:
             key = (e2, mu)
             s = out.get(key, 0) + c * c2
             if s:
@@ -150,22 +164,6 @@ def normal_form(f: Poly, n: int) -> Poly:
             else:
                 del out[key]
     return _mk(n, out)
-
-
-def check_rewrite_capacity(f: Poly, n: int) -> None:
-    """Raise CapacityError if the normal form of f rewrites above MAX_REWRITE_RANK.
-
-    Terms above the top degree (zero) and staircase terms (already
-    normal) need no rewriting, so they pass at any rank.
-    """
-    if n <= MAX_REWRITE_RANK:
-        return
-    top = n * (n - 1) // 2
-    for exps, _mu in f.terms:
-        if sum(exps) <= top and not is_staircase(exps, n):
-            raise CapacityError(
-                f"normal forms that rewrite are limited to rank {MAX_REWRITE_RANK}, got {n}"
-            )
 
 
 def equals_mod_s(f: Poly, g: Poly, n: int) -> bool:

@@ -5,10 +5,11 @@ Composition is (u * v)(i) = u(v(i)), so in a product of simple
 transpositions s_{i_1} * s_{i_2} * ... * s_{i_r} the rightmost letter
 acts first.  A word (i_1, ..., i_r) denotes exactly that product.
 
-Reduced-word enumeration peels letters off the right (the recursion is
-over right descents), and the canonical word of a permutation is the
-lexicographically smallest reduced word, obtained by repeatedly taking
-the smallest left descent.
+The canonical word of a permutation is the lexicographically smallest
+reduced word, obtained by repeatedly taking the smallest left descent.
+The package never lists all reduced words of one permutation: the
+word-class suites walk them all at once (hecke), and the enumeration
+the tests compare against lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
 
-# Reduced-word enumeration is exponential; S_5 (768 words for the
-# longest element) is the supported ceiling.
+# Walking every reduced word of S_n is exponential; S_5 (768 words for
+# the longest element) is the supported ceiling of the Hecke verifiers.
 MAX_ENUM_RANK = 5
 
 # Bound of the per-permutation caches: all 872 permutations of S_2..S_6
@@ -120,27 +121,6 @@ def word_to_perm(word: Iterable[int], n: int) -> Permutation:
             raise ValueError(f"word letter {i} out of range [1, {n - 1}]")
         p = p.right_mul_simple(i)
     return p
-
-
-@lru_cache(maxsize=_PERM_CACHE_SIZE)
-def _reduced_words_cached(oneline: tuple[int, ...]) -> tuple[Word, ...]:
-    p = Permutation(oneline)
-    if p.is_identity():
-        return ((),)
-    out: list[Word] = []
-    for i in p.right_descents():
-        shorter = p.right_mul_simple(i)
-        out.extend(w + (i,) for w in _reduced_words_cached(shorter.oneline))
-    return tuple(sorted(out))
-
-
-def reduced_words(w: Permutation) -> tuple[Word, ...]:
-    """All reduced words of w, sorted lexicographically."""
-    if w.n > MAX_ENUM_RANK:
-        raise CapacityError(
-            f"reduced-word enumeration is limited to rank {MAX_ENUM_RANK}, got {w.n}"
-        )
-    return _reduced_words_cached(w.oneline)
 
 
 @lru_cache(maxsize=_PERM_CACHE_SIZE)

@@ -26,7 +26,6 @@ from .combi import (
     CapacityError,
     Permutation,
     box_partitions,
-    canonical_word,
     partition_dual,
     partition_dual_z,
     partition_leq,
@@ -37,7 +36,7 @@ from .coinv import MAX_REWRITE_RANK, expand_in_basis, normal_form
 from .fgl import FglSpec, HYPERBOLIC, formal_inverse
 from .polycore import Poly
 from .report import CheckReport
-from .schubert import SchubertContext, schubert_polynomial
+from .schubert import SchubertContext, grothendieck_polynomial, schubert_polynomial
 
 
 @dataclass(frozen=True)
@@ -263,15 +262,13 @@ def class_representative(ctx: GrassContext, lam: BoxPartition) -> Poly:
 
     The resolution class of lam corresponds to the word of
     w_0 * w_{dual(lam)}; with m2 = 0 any reduced word gives the same
-    polynomial, so the canonical word of that permutation is canonical
-    for the class as well.
+    polynomial, so the word-independent class of that permutation
+    (schubert.grothendieck_polynomial) represents the class of lam.
     """
     if not ctx.spec.mu2_is_zero:
         raise ValueError("word-independent representatives need m2 = 0")
-    w0 = Permutation.longest(ctx.n)
-    w = w0 * partition_to_perm(partition_dual(lam), ctx.n)
-    sctx = SchubertContext(ctx.spec, ctx.n)
-    return schubert_polynomial(sctx, canonical_word(w))
+    w = Permutation.longest(ctx.n) * partition_to_perm(partition_dual(lam), ctx.n)
+    return grothendieck_polynomial(SchubertContext(ctx.spec, ctx.n), w)
 
 
 def chow_k_cross_check(k: int, n: int, spec: FglSpec) -> CheckReport:

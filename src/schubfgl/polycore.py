@@ -393,7 +393,7 @@ class Poly:
         if text == "0":
             if nvars is None:
                 raise PolyError("parsing '0' needs an explicit variable count")
-            return cls.zero(nvars)
+            return cls(nvars)  # the checking constructor: nvars may come from --n
         terms: dict[TermKey, int] = {}
         seen_nvars = nvars
         for chunk in text.split(" + "):

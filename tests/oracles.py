@@ -31,6 +31,7 @@ The rest are small enumerations and deletions that only the tests use.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from itertools import permutations as _it_permutations
 from itertools import product as _it_product
@@ -260,6 +261,31 @@ def all_permutations(n: int) -> list[Permutation]:
 def is_reduced(word: Word, n: int) -> bool:
     word = tuple(word)
     return word_to_perm(word, n).length() == len(word)
+
+
+@lru_cache(maxsize=1024)
+def _reduced_words_cached(oneline: tuple[int, ...]) -> tuple[Word, ...]:
+    p = Permutation(oneline)
+    if p.is_identity():
+        return ((),)
+    out: list[Word] = []
+    for i in p.right_descents():
+        shorter = p.right_mul_simple(i)
+        out.extend(w + (i,) for w in _reduced_words_cached(shorter.oneline))
+    return tuple(sorted(out))
+
+
+def reduced_words(w: Permutation) -> tuple[Word, ...]:
+    """All reduced words of w, sorted lexicographically.
+
+    Letters are peeled off the right (the recursion is over right
+    descents), memoized per permutation.
+    """
+    if w.n > MAX_ENUM_RANK:
+        raise CapacityError(
+            f"reduced-word enumeration is limited to rank {MAX_ENUM_RANK}, got {w.n}"
+        )
+    return _reduced_words_cached(w.oneline)
 
 
 def staircase_monomials(n: int) -> list[tuple[int, ...]]:

@@ -13,7 +13,7 @@ from schubfgl.coinv import (
     normal_form,
     vandermonde_check,
 )
-from schubfgl.combi import BoxPartition, reduced_words
+from schubfgl.combi import BoxPartition
 from schubfgl.ddo import (
     OperatorContext,
     delta_identity_check,
@@ -45,7 +45,13 @@ from schubfgl.hecke import (
 from schubfgl.polycore import Poly
 from schubfgl.schubert import SchubertContext, schubert_polynomial
 
-from oracles import all_permutations, diff_kernel_series_check, smooth_monomial, staircase_monomials
+from oracles import (
+    all_permutations,
+    diff_kernel_series_check,
+    reduced_words,
+    smooth_monomial,
+    staircase_monomials,
+)
 
 ALL_SPECS = (ADDITIVE, MULTIPLICATIVE, LORENTZ, HYPERBOLIC)
 

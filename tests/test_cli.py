@@ -9,11 +9,10 @@ import pytest
 
 from schubfgl import cli
 from schubfgl.cli import main
-from schubfgl.combi import reduced_words
 from schubfgl.polycore import Poly
 from schubfgl.report import CheckReport
 
-from oracles import all_permutations
+from oracles import all_permutations, reduced_words
 
 
 def run(argv, stdin_text=None):
@@ -63,6 +62,10 @@ def test_reduce_text_input(tmp_path, capsys):
         assert "parsing '0' needs an explicit variable count" in capsys.readouterr().err
     assert run(["reduce", "--n", "3"], stdin_text="1*x[1,0]") == (2, "")
     assert "--n 3 does not match the input's 2 variables" in capsys.readouterr().err
+    # a negative --n on a bare 0 is a usage error, not an internal one
+    for n in ("-1", "-2"):
+        assert run(["reduce", "--n", n], stdin_text="0") == (2, "")
+        assert f"nvars must be a non-negative int, got {n}" in capsys.readouterr().err
 
 
 def test_reduce_arity_mismatch():

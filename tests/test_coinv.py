@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 import schubfgl.coinv as coinv
 from schubfgl.coinv import (
     BasisDependenceError,
+    MAX_REWRITE_RANK,
     MAX_VANDERMONDE_RANK,
     NotInSpanError,
     _monomial_normal_form,
     equals_mod_s,
     expand_in_basis,
-    is_staircase,
     normal_form,
     top_staircase_class,
     vandermonde_check,
@@ -28,6 +28,10 @@ from schubfgl.polycore import Poly, PolyError
 from schubfgl.schubert import SchubertContext, schubert_polynomial
 
 from oracles import nf_linear_oracle, staircase_monomials
+
+
+def is_staircase(exps, n: int) -> bool:
+    return all(exps[k - 1] <= n - k for k in range(1, n + 1))
 
 
 def _elementary(n: int, k: int) -> Poly:
@@ -270,3 +274,58 @@ def test_monomials_above_top_degree_vanish(case):
     assert nf_linear_oracle(f, n).is_zero
     assert _monomial_normal_form(exps, n) == ()
     assert normal_form(f, n).is_zero
+
+
+def test_every_rewrite_is_rank_bounded():
+    # rank 8: x_8 needs a rewrite, whichever entry point asks for it
+    n = MAX_REWRITE_RANK + 1
+    x8 = Poly.variable(n, n)
+    for call in (
+        lambda: normal_form(x8, n),
+        lambda: equals_mod_s(x8, Poly.zero(n), n),
+        lambda: expand_in_basis(x8, [Poly.one(n)], n),
+    ):
+        with pytest.raises(CapacityError, match=f"limited to rank {MAX_REWRITE_RANK}, got {n}"):
+            call()
+    # staircase terms and terms above the top degree need none
+    f = Poly.monomial(n, (7, 6, 5, 4, 3, 2, 1, 0), c=3) + Poly.monomial(n, (0,) * 7 + (29,))
+    assert normal_form(f, n) == Poly.monomial(n, (7, 6, 5, 4, 3, 2, 1, 0), c=3)
+
+
+def test_memo_stays_bounded_and_correct(monkeypatch):
+    # every monomial of a closure has the root's degree, so one closure
+    # holds at most the C(d + n - 1, n - 1) monomials of degree d
+    bound = 4
+    memo: dict = {}
+    monkeypatch.setattr(coinv, "_NF_MEMO", memo)
+    monkeypatch.setattr(coinv, "_NF_MEMO_MAX", bound)
+    sizes = []
+    monomial_nf = coinv._monomial_normal_form
+
+    def recording(exps, n):
+        out = monomial_nf(exps, n)
+        sizes.append((len(memo), math.comb(sum(exps) + n - 1, n - 1)))
+        return out
+
+    monkeypatch.setattr(coinv, "_monomial_normal_form", recording)
+    rng = random.Random(23)
+    for n in (1, 2, 3):
+        for _ in range(10):
+            f = random_poly(rng, n, terms=5, max_total_deg=4, max_mu=1)
+            assert normal_form(f, n) == nf_linear_oracle(f, n)
+    assert sizes and all(size <= bound + closure for size, closure in sizes)
+    assert max(size for size, _ in sizes) > bound  # the bound was reached
+
+
+def test_empty_normal_form_is_memoized(monkeypatch):
+    # x_1^3 is 0 modulo S at rank 3; its empty entry is read, not recomputed
+    monkeypatch.setattr(coinv, "_NF_MEMO", {})
+    f = Poly.monomial(3, (3, 0, 0))
+    assert normal_form(f, 3).is_zero
+    assert coinv._NF_MEMO[(3, 0, 0)] == ()
+
+    def no_rewrite(exps, n):
+        raise AssertionError(f"{exps} was rewritten again")
+
+    monkeypatch.setattr(coinv, "_monomial_normal_form", no_rewrite)
+    assert normal_form(f, 3).is_zero

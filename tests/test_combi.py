@@ -15,12 +15,11 @@ from schubfgl.combi import (
     partition_dual_z,
     partition_leq,
     partition_to_perm,
-    reduced_words,
     support_of,
     word_to_perm,
 )
 
-from oracles import all_permutations, brute_reduced_words, is_reduced
+from oracles import all_permutations, brute_reduced_words, is_reduced, reduced_words
 
 
 def test_compose_convention():

@@ -4,7 +4,7 @@ import pytest
 
 from schubfgl.coinv import normal_form
 from schubfgl.coinv import top_staircase_class
-from schubfgl.combi import Permutation, reduced_words, support_of
+from schubfgl.combi import Permutation, support_of
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, MULTIPLICATIVE
 from schubfgl.hecke import ideal_delete
 from schubfgl.polycore import Poly
@@ -14,6 +14,7 @@ from oracles import (
     CLASSICAL_SCHUBERT_S3,
     all_permutations,
     oracle_apply_word,
+    reduced_words,
     smooth_monomial,
     window_delete,
 )

@@ -5,9 +5,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "schubfgl"
 
-# reduced_words: read by the benchmark tracer's combi.reduced_words group.
 # Poly.to_json: the benchmark tracer patches it by name on the class.
-UNREFERENCED_ALLOWED = {"reduced_words", "to_json"}
+UNREFERENCED_ALLOWED = {"to_json"}
 
 
 def _trees():
