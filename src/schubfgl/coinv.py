@@ -205,6 +205,20 @@ def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]]
     return m, pivots
 
 
+def basis_degrees(basis: list[Poly]) -> list[int]:
+    """The graded degree of every basis element.
+
+    Raises PolyError unless every element is graded-homogeneous and nonzero.
+    """
+    degs = []
+    for j, b in enumerate(basis):
+        homog, deg = b.graded_degree()
+        if not homog or deg is None:
+            raise PolyError(f"basis element {j} must be graded-homogeneous and nonzero")
+        degs.append(deg)
+    return degs
+
+
 def expand_in_basis(f: Poly, basis: list[Poly], n: int) -> list[Poly]:
     """Write f modulo S as an integral Z[m1, m2]-combination of basis classes.
 
@@ -218,14 +232,8 @@ def expand_in_basis(f: Poly, basis: list[Poly], n: int) -> list[Poly]:
     homog, fdeg = f.graded_degree()
     if not homog:
         raise PolyError("expansion requires a graded-homogeneous polynomial")
-    nfs = []
-    degs = []
-    for j, b in enumerate(basis):
-        bh, bdeg = b.graded_degree()
-        if not bh or bdeg is None:
-            raise PolyError(f"basis element {j} must be graded-homogeneous and nonzero")
-        nfs.append(normal_form(b, n))
-        degs.append(bdeg)
+    degs = basis_degrees(basis)
+    nfs = [normal_form(b, n) for b in basis]
     nf_f = normal_form(f, n)
     if nf_f.is_zero:
         return [Poly.zero(0) for _ in basis]

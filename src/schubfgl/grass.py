@@ -32,7 +32,7 @@ from .combi import (
     partition_to_perm,
     Word,
 )
-from .coinv import MAX_REWRITE_RANK, expand_in_basis, normal_form
+from .coinv import MAX_REWRITE_RANK, basis_degrees, expand_in_basis, normal_form
 from .fgl import FglSpec, HYPERBOLIC, formal_inverse
 from .polycore import Poly
 from .report import CheckReport
@@ -226,7 +226,8 @@ def _rule_cross_check(
     rep = CheckReport(name)
     order = [BoxPartition(ctx.k, ctx.m, parts) for parts in classes]
     basis = [normal_form(f, ctx.n) for f in classes.values()]
-    expand_in_basis(min(basis, key=lambda f: f.graded_degree()[1]), basis, ctx.n)
+    degrees = basis_degrees(basis)
+    expand_in_basis(basis[degrees.index(min(degrees))], basis, ctx.n)
     nf_of = dict(zip(order, basis))
     nf_of[None] = Poly.zero(ctx.n)
     for r, smooth_poly in smooth.items():

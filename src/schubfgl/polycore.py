@@ -16,8 +16,14 @@ x_n is compared first), then (a, b) lexicographically.  Rendering and
 JSON output list terms in this order, so equal polynomials render
 identically.  They share one printer, which works on the packed term
 keys of PackedLayout (one int per term, the format the operators of
-ddo use) and reads the order off each key, so a class computed on
-packed keys is printed without being unpacked.
+ddo use), so a class computed on packed keys is printed without being
+unpacked.  Two memos per layout, keyed by the whole packed key, hold
+the key's place in term order as one int and its "*m1^a*m2^b*x[...]"
+text, so sorting and printing a term are a dict lookup each.  A memo
+is emptied when it reaches _KEY_MEMO_MAX (16,384) entries and the
+memos of the last _LAYOUTS_KEPT (16) layouts are kept, so together they
+hold at most 524,288 entries; a full pair of memos takes about 3.4 MB
+at n = 5.
 
 Instances are treated as immutable: operations return new objects and
 never mutate their arguments.
@@ -442,22 +448,6 @@ class Poly:
         return cls.from_json_obj(json.loads(text))
 
 
-# The hyperbolic classes of all reduced words of S_5 meet 2,045 x parts.
-_X_PART_CACHE = 8192
-
-
-@lru_cache(maxsize=_X_PART_CACHE)
-def _x_part(layout: "PackedLayout", xbits: int) -> tuple[int, tuple[int, ...], str]:
-    """(order prefix, exponents, "*x[...]" text) of the x fields of a key;
-    the prefix packs the x-degree above x_n, ..., x_1."""
-    w, mask = layout.width, layout.mask
-    exps = tuple([xbits >> s & mask for s in range(layout.m1_shift - w, -1, -w)])
-    prefix = sum(exps)
-    for e in reversed(exps):
-        prefix = prefix << w | e
-    return prefix, exps, "*x[" + ",".join(map(str, exps)) + "]"
-
-
 class PackedLayout(NamedTuple):
     """Term keys of `nvars` variables packed into one int.
 
@@ -498,6 +488,11 @@ class PackedLayout(NamedTuple):
         """Shift of the x_v field, v in [1, nvars]."""
         return (self.nvars - v) * self.width
 
+    @property
+    def x_shifts(self) -> list[int]:
+        """Shifts of the x_1, ..., x_n fields."""
+        return [self.x_shift(v) for v in range(1, self.nvars + 1)]
+
     def pack(self, f: Poly) -> dict[int, int]:
         if f.nvars != self.nvars:
             raise PolyError("polynomial does not live in the layout's ring")
@@ -513,43 +508,79 @@ class PackedLayout(NamedTuple):
         return out
 
     def unpack(self, terms: dict[int, int]) -> Poly:
-        n, mask, m1_shift, m2_shift = self.nvars, self.mask, self.m1_shift, self.m2_shift
-        shifts = [self.x_shift(v) for v in range(1, n + 1)]
-        return _mk(n, {
+        mask, m1_shift, m2_shift, shifts = self.mask, self.m1_shift, self.m2_shift, self.x_shifts
+        return _mk(self.nvars, {
             (tuple([key >> s & mask for s in shifts]), (key >> m1_shift & mask, key >> m2_shift)): c
             for key, c in terms.items()
         })
 
 
-def _in_term_order(layout: PackedLayout, terms: dict[int, int]) -> list[tuple]:
-    """(c, m1, m2, exponents, x text) of every packed term, in term order:
-    sorted by one int per term, the x part's order prefix, m1, m2."""
-    w, mask, m1_shift = layout.width, layout.mask, layout.m1_shift
-    x_mask = (1 << m1_shift) - 1
-    rows = {}
-    for key, c in terms.items():
-        prefix, exps, text = _x_part(layout, key & x_mask)
-        mu = key >> m1_shift
-        a, b = mu & mask, mu >> w
-        rows[(prefix << w | a) << w | b] = (c, a, b, exps, text)
-    return [rows[k] for k in sorted(rows)]
+# Bounds of the printer's memos.  The hyperbolic classes of all 3,061
+# reduced words of S_5 hold 10,372 distinct keys in two layouts; a mixed
+# session of small calls (`poly`, `reduce`, `expand`, `table`, `grprod`
+# at n <= 6) prints in 15 layouts, and with fewer kept it rebuilds
+# memos so often that the printer runs slower than with no memo.
+_KEY_MEMO_MAX = 16384
+_LAYOUTS_KEPT = 16
+
+
+class _KeyMemo(dict):
+    """key -> build(key), emptied wholesale when it holds _KEY_MEMO_MAX entries."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        if len(self) >= _KEY_MEMO_MAX:
+            self.clear()
+        value = self[key] = self.build(key)
+        return value
+
+
+@lru_cache(maxsize=_LAYOUTS_KEPT)
+def _key_memos(layout: PackedLayout) -> tuple[_KeyMemo, _KeyMemo]:
+    """(order, text) memos of a layout: order[key] is one int that sorts
+    the key into term order (x-degree, x_n down to x_1, m1, m2, packed
+    into `width`-bit fields under the degree), text[key] is the key's
+    "*m1^a*m2^b*x[...]" suffix."""
+    w, mask, m1_shift, m2_shift = layout.width, layout.mask, layout.m1_shift, layout.m2_shift
+    shifts = layout.x_shifts
+
+    def order(key: int) -> int:
+        exps = [key >> s & mask for s in shifts]
+        rank = sum(exps)
+        for e in reversed(exps):
+            rank = rank << w | e
+        return (rank << w | key >> m1_shift & mask) << w | key >> m2_shift
+
+    def text(key: int) -> str:
+        a, b = key >> m1_shift & mask, key >> m2_shift
+        exps = ",".join([str(key >> s & mask) for s in shifts])
+        return f"{f'*m1^{a}' if a else ''}{f'*m2^{b}' if b else ''}*x[{exps}]"
+
+    return _KeyMemo(order), _KeyMemo(text)
 
 
 def render_packed(layout: PackedLayout, terms: dict[int, int]) -> str:
     """The text of a packed polynomial."""
-    return " + ".join([
-        f"{c}{f'*m1^{a}' if a else ''}{f'*m2^{b}' if b else ''}{text}"
-        for c, a, b, _exps, text in _in_term_order(layout, terms)
-    ]) or "0"
+    order, text = _key_memos(layout)
+    keys = sorted(terms, key=order.__getitem__)
+    return " + ".join([f"{terms[k]}{text[k]}" for k in keys]) or "0"
 
 
 def packed_json_obj(layout: PackedLayout, terms: dict[int, int]) -> dict:
     """The JSON object of a packed polynomial."""
-    rows = _in_term_order(layout, terms)
-    return {
-        "nvars": layout.nvars,
-        "terms": [{"x": list(exps), "mu": [a, b], "c": str(c)} for c, a, b, exps, _text in rows],
-    }
+    order, _text = _key_memos(layout)
+    mask, m1_shift, m2_shift = layout.mask, layout.m1_shift, layout.m2_shift
+    shifts = layout.x_shifts
+    return {"nvars": layout.nvars, "terms": [
+        {"x": [k >> s & mask for s in shifts], "mu": [k >> m1_shift & mask, k >> m2_shift],
+         "c": str(terms[k])}
+        for k in sorted(terms, key=order.__getitem__)
+    ]}
 
 
 def series_invert_unit(f: Poly, cap: int) -> Poly:

@@ -210,6 +210,17 @@ def test_verify_usage_errors(capsys):
         code, _ = run(["verify", "vandermonde", "--n", n])
         assert code == 2
         assert f"verifier rank n={n} outside the supported range [2, 6]" in capsys.readouterr().err
+    # an integer m1 or m2 breaks the grading of the classes, which the
+    # cross-checks need to pick the class of least degree
+    for argv in ("verify gr24 --mu1 2", "verify gr24 --mu2 1",
+                 "verify gr24 --fgl multiplicative --mu1 3",
+                 "verify chowk --k 2 --n 4 --fgl multiplicative --mu1 2"):
+        code, _ = run(argv.split())
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "schubfgl: error: basis element" in err and "Traceback" not in err
+    code, _ = run("verify chowk --k 2 --n 4 --fgl multiplicative --mu1 0".split())
+    assert code == 0
 
 
 def test_missing_required_arguments_exit_2():
@@ -328,13 +339,21 @@ S5_WORD_SAMPLE = sorted(
 )[::-10]
 
 # sha256 of the concatenated `poly word --n 5` outputs over the sample,
-# recorded with the tuple-keyed printer: a change to the printed term
-# order of a large class fails here, where comparing parsed classes
-# would not.  Hyperbolic JSON pins every third word of the sample; the
-# indented JSON of a large class takes tens of milliseconds to write.
+# recorded with the tuple-keyed printer (the additive, lorentz and
+# specialized pins with the x-part cache printer): a change to the
+# printed term order of a large class fails here, where comparing
+# parsed classes would not.  Hyperbolic and lorentz JSON pin every third
+# word of the sample; the indented JSON of a large class takes tens of
+# milliseconds to write.  The law is the text after --fgl.
 POLY_WORD_N5_SHA256 = {
+    ("additive", ""): (1, "ebd725538ca4e742e7de770588ee8299826393a918d19f3f5196b8fac5d1d28a"),
     ("hyperbolic", ""): (1, "fdf8ac74c2c94570d7be3468c167e9d69138ac99342d1f69e3f37abd15042273"),
     ("hyperbolic", "--json"): (3, "20ef3e2528677828a8afcac133cda4a8af5c4ff6a415bdf1c14c123afb89dd58"),
+    ("hyperbolic --mu1 2 --mu2 -3", ""): (
+        1, "6499e8bd2f27c5b6ff7fe6e1b6d18180143894517499a69834b1135282df4cd2"
+    ),
+    ("lorentz", ""): (1, "e063e0ab8c388f8202c294e9a159291236ab716c544e1bc42972cf9f504f088c"),
+    ("lorentz", "--json"): (3, "8cfc4289fbb855be9714e94a0ac36b77a3be3574afe0a4767fc03eb6beff45e0"),
     ("multiplicative", ""): (1, "265a2e5cb78fd154961e7d810d213fa8324ad07adcc1c40a4f3e9da3ecb52566"),
     ("multiplicative", "--json"): (1, "51e8268b100c4be0dfd4721d7ef24d0e51df5ebd6b1267612774b41f6c97ef34"),
 }
@@ -345,7 +364,8 @@ def test_poly_word_outputs_pinned_n5(law, fmt):
     step, digest = POLY_WORD_N5_SHA256[(law, fmt)]
     h = hashlib.sha256()
     for word in S5_WORD_SAMPLE[::step]:
-        argv = ["poly", "word", "--n", "5", "--word", ",".join(map(str, word)), "--fgl", law]
+        argv = ["poly", "word", "--n", "5", "--word", ",".join(map(str, word))]
+        argv += ["--fgl", *law.split()]
         code, text = run(argv + ([fmt] if fmt else []))
         assert code == 0
         h.update(text.encode())

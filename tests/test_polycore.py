@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from schubfgl import polycore
 from schubfgl.polycore import (
     DivisionFailure,
     PackedLayout,
@@ -231,6 +232,31 @@ def test_printer_matches_tuple_key_reference(f, extra_width):
     assert packed_json_obj(layout, layout.pack(f)) == obj
     assert Poly.parse_text(text, f.nvars) == f
     assert Poly.from_json(f.to_json()) == f
+
+
+def test_printer_memos_stay_bounded_and_correct(monkeypatch):
+    # the memos are kept per layout and emptied when full: two widths at
+    # one rank share no entry, and a key seen again after a clear is rebuilt
+    bound = 8
+    monkeypatch.setattr(polycore, "_KEY_MEMO_MAX", bound)
+    polycore._key_memos.cache_clear()
+    sizes = []
+    missing = polycore._KeyMemo.__missing__
+
+    def recording(memo, key):
+        value = missing(memo, key)
+        sizes.append(len(memo))
+        return value
+
+    monkeypatch.setattr(polycore._KeyMemo, "__missing__", recording)
+    rng = random.Random(31)
+    for _ in range(30):
+        f = random_poly(rng, 3, terms=12, max_total_deg=5, max_mu=2)
+        for width in (3, 5):
+            layout = PackedLayout(3, width)
+            assert render_packed(layout, layout.pack(f)) == reference_render_text(f)
+            assert packed_json_obj(layout, layout.pack(f)) == reference_json_obj(f)
+    assert sizes and max(sizes) == bound  # the bound was reached, never passed
 
 
 def test_bool_and_non_int_input_rejected():
