@@ -34,7 +34,7 @@ from .combi import (
 )
 from .coinv import MAX_REWRITE_RANK, basis_degrees, expand_in_basis, normal_form
 from .fgl import FglSpec, HYPERBOLIC, formal_inverse
-from .polycore import Poly
+from .polycore import Poly, PolyError
 from .report import CheckReport
 from .schubert import SchubertContext, grothendieck_polynomial, schubert_polynomial
 
@@ -226,7 +226,16 @@ def _rule_cross_check(
     rep = CheckReport(name)
     order = [BoxPartition(ctx.k, ctx.m, parts) for parts in classes]
     basis = [normal_form(f, ctx.n) for f in classes.values()]
-    degrees = basis_degrees(basis)
+    try:
+        degrees = basis_degrees(basis)
+    except PolyError as exc:
+        fixed = [f"m{i} = {v}" for i, v in ((1, ctx.spec.mu1), (2, ctx.spec.mu2)) if v]
+        if not fixed:
+            raise
+        raise PolyError(
+            f"{exc}: an integer m1 or m2 breaks the grading of the classes"
+            f" (this law sets {', '.join(fixed)}); only 0 keeps it"
+        ) from exc
     expand_in_basis(basis[degrees.index(min(degrees))], basis, ctx.n)
     nf_of = dict(zip(order, basis))
     nf_of[None] = Poly.zero(ctx.n)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -202,6 +203,32 @@ class Poly:
         out: dict[TermKey, int] = {}
         for (ea, ma), ca in a.items():
             for (eb, mb), cb in b.items():
+                key = (
+                    tuple(x + y for x, y in zip(ea, eb)),
+                    (ma[0] + mb[0], ma[1] + mb[1]),
+                )
+                s = out.get(key, 0) + ca * cb
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return _mk(self.nvars, out)
+
+    def mul_truncated(self, other: "Poly", cap: int) -> "Poly":
+        """(self * other).truncate(cap), forming only the pairs that survive.
+
+        A short product: the larger operand is sorted by x-degree, and each
+        term of the smaller one meets only the prefix that fits in cap.
+        """
+        self._check_compatible(other)
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        ladder = sorted(b.items(), key=lambda kv: sum(kv[0][0]))
+        degrees = [sum(exps) for (exps, _), _ in ladder]
+        out: dict[TermKey, int] = {}
+        for (ea, ma), ca in a.items():
+            for (eb, mb), cb in ladder[:bisect_right(degrees, cap - sum(ea))]:
                 key = (
                     tuple(x + y for x, y in zip(ea, eb)),
                     (ma[0] + mb[0], ma[1] + mb[1]),

@@ -223,6 +223,18 @@ def test_verify_usage_errors(capsys):
     assert code == 0
 
 
+def test_grading_error_names_the_integer_parameter(capsys):
+    for argv, named in (("verify gr24 --mu1 2", "m1 = 2"), ("verify gr24 --mu2 1", "m2 = 1"),
+                        ("verify chowk --k 2 --n 4 --fgl multiplicative --mu1 2", "m1 = 2")):
+        code, _ = run(argv.split())
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "must be graded-homogeneous and nonzero" in err
+        assert f"(this law sets {named}); only 0 keeps it" in err
+    code, _ = run("verify gr24 --mu1 0".split())
+    assert code == 0
+
+
 def test_missing_required_arguments_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["poly", "word", "--n", "2"], out=io.StringIO())
@@ -416,6 +428,43 @@ def test_quotient_ring_outputs_pinned(argv):
     code, blob = run(argv.split() + ["--json"])
     assert code == 0
     assert hashlib.sha256(blob.encode()).hexdigest() == QUOTIENT_SHA256[argv]
+
+
+# sha256 of the whole output, recorded with one series inverted per pair
+# (i, j) and every product formed whole before its normal form: the
+# shared two-variable factor and the products cut at the top staircase
+# degree must not change a verdict or a printed byte.  The argv is
+# followed by --fgl and the law.
+VANDERMONDE_SHA256 = {
+    ("--n 6", "additive"): "90ed548671994336798d5d5888f0de1c0c54ea4ef04ca4f69b11166e3bbb48fc",
+    ("--n 6 --json", "additive"): "928a6dcce7db49f0a8f610212b95d0f909b4488a1ccd8bce0ff7ee32f83e0678",
+    ("--n 6", "multiplicative"): "7fb9be1a80c5829f25dc21f0f9f78af1c73f56500c37e33207c21bedc9753fe0",
+    ("--n 6 --json", "multiplicative"): "b39e9e406cfc89d89bccc29db274c855a0edb60b13aa621a7b6b31ac47ea2e52",
+    ("--n 6", "hyperbolic"): "4f0ab2f799c321df8f8e674418910d49f257344ecf33806dcfdfd1141da503b8",
+    ("--n 6 --json", "hyperbolic"): "3c31b25efb29d7e7e04266fb3c3c2d1130bf9bb58298fc9e87c952fd2a943c59",
+    ("--n 6", "lorentz"): "b1d37248c1235261e24335dca34c4f7e53a5088e1633a5fddfe4614864c3a85f",
+    ("--n 6 --json", "lorentz"): "3a7442fbbabc1376bf74b157d970eb51f8c1c24b63a4884e775e03f3c3cdbd80",
+    ("--n 5 --json", "hyperbolic"): "bc5b6b4aa369d6f7e11783e2dd14bafc067d97ea716698b674219d6ff042ac9b",
+    ("--n 5", "hyperbolic --mu1 2 --mu2 -3"): (
+        "7781e0e23a013995b8504f91ab91439c2def1f482af36a435b3f2dfd575190e6"
+    ),
+    ("--n 5 --json", "hyperbolic --mu1 2 --mu2 -3"): (
+        "62ff4539a0655a12c515fd091123aa1d8ac425520fcd37d6e246396bec9301c8"
+    ),
+    ("--n 6 --json", "hyperbolic --mu1 2 --mu2 -3"): (
+        "6ffe225443653dd137cdc58b46c28d362bece9036e5f93af7d6b93f6a83cf54b"
+    ),
+    ("--n 4 --cap 40 --json", "lorentz"): (
+        "c79a5eb18aa48b7f5eaea6cfbdcf9cf87a73712b28bfe8a52b844ac61934c518"
+    ),
+}
+
+
+@pytest.mark.parametrize("args,law", sorted(VANDERMONDE_SHA256))
+def test_vandermonde_outputs_pinned(args, law):
+    code, blob = run(["verify", "vandermonde", *args.split(), "--fgl", *law.split()])
+    assert code == 0
+    assert hashlib.sha256(blob.encode()).hexdigest() == VANDERMONDE_SHA256[(args, law)]
 
 
 # sha256 of the full --json output, recorded with every Hecke product

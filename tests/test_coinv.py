@@ -222,6 +222,21 @@ def test_vandermonde_series_stop_at_top_degree(monkeypatch):
     assert caps and max(caps) <= 3
 
 
+def test_vandermonde_inverts_the_kernel_once(monkeypatch):
+    # one two-variable series serves every pair (i, j), relabelled
+    calls = []
+    invert = coinv.series_invert_unit
+
+    def recording_invert(f, cap):
+        calls.append((f.nvars, cap))
+        return invert(f, cap)
+
+    monkeypatch.setattr(coinv, "series_invert_unit", recording_invert)
+    rep = vandermonde_check(HYPERBOLIC, 5, 40)
+    assert rep.passed
+    assert calls == [(2, 10)]
+
+
 def test_vandermonde_rank_bound():
     n = MAX_VANDERMONDE_RANK + 1
     with pytest.raises(CapacityError):

@@ -69,6 +69,44 @@ def test_ring_axioms_against_naive_mul(triple):
     assert f * (g + h) == f * g + f * h
 
 
+@st.composite
+def truncated_products(draw):
+    n = draw(st.integers(1, 4))
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 3)] * n), st.tuples(st.integers(0, 1), st.integers(0, 1))
+    )
+    f = Poly(n, draw(st.dictionaries(term, st.integers(-3, 3), max_size=8)))
+    g = Poly(n, draw(st.dictionaries(term, st.integers(-3, 3), max_size=3)))
+    return f, g, draw(st.integers(-2, 8 * n))
+
+
+@PROPERTY
+@given(truncated_products())
+def test_mul_truncated_is_truncated_product(case):
+    f, g, cap = case
+    full = naive_mul(f, g)
+    # either operand may be the larger one
+    assert f.mul_truncated(g, cap) == (f * g).truncate(cap) == full.truncate(cap)
+    assert g.mul_truncated(f, cap) == full.truncate(cap)
+    degrees = [sum(exps) for exps, _ in full.terms]
+    # a cap above every degree keeps the whole product, one below every degree none of it
+    assert f.mul_truncated(g, max(degrees, default=0)) == full
+    assert f.mul_truncated(g, min(degrees, default=0) - 1).is_zero
+    zero = Poly.zero(f.nvars)
+    assert f.mul_truncated(zero, cap).is_zero and zero.mul_truncated(g, cap).is_zero
+
+
+def test_mul_truncated_pinned_and_nvars_mismatch():
+    # (1 + x_1 + x_1 x_2)(1 - x_2) through degree 1; x_1 x_2 - x_1 x_2 cancels at degree 2
+    f = Poly.one(2) + Poly.variable(2, 1) + Poly.monomial(2, (1, 1))
+    g = Poly.one(2) - Poly.variable(2, 2)
+    assert f.mul_truncated(g, 1) == Poly.one(2) + Poly.variable(2, 1) - Poly.variable(2, 2)
+    assert f.mul_truncated(g, 2) == Poly.one(2) + Poly.variable(2, 1) - Poly.variable(2, 2)
+    assert f.mul_truncated(g, 3) == f * g
+    with pytest.raises(PolyError):
+        Poly.variable(2, 1).mul_truncated(Poly.variable(3, 1), 5)
+
+
 def test_nvars_mismatch_rejected():
     with pytest.raises(PolyError):
         Poly.variable(2, 1) + Poly.variable(3, 1)
