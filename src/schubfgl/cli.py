@@ -54,7 +54,7 @@ from .hecke import (
 )
 from .polycore import Poly, PolyError, packed_json_obj, render_packed
 from .report import CheckReport
-from .schubert import SchubertContext, schubert
+from .schubert import schubert
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_poly(args, out) -> int:
-    layout, terms = schubert(SchubertContext(_spec_of(args), args.n), args.word)
+    layout, terms = schubert(OperatorContext(_spec_of(args), args.n), args.word)
     if args.json:
         _emit_json(packed_json_obj(layout, terms), out)
     else:
@@ -297,10 +297,7 @@ def _cmd_verify(args, out) -> int:
         )
     else:
         for rep in reports:
-            for line in rep.summary_lines():
-                bad = "[FAIL]" in line or "[FINDING]" in line
-                if bad or not line.startswith("["):
-                    out.write(line + "\n")
+            out.writelines(line + "\n" for line in rep.summary_lines())
         out.write(f"overall: {'PASS' if ok else 'FAIL'} ({len(reports)} reports)\n")
     return 0 if ok else 1
 

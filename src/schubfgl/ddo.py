@@ -16,11 +16,12 @@ block: for a > b
 the case a < b is the negative of the swapped block, and a = b gives
 zero.  Each operator's image of x_i^a x_{i+1}^b is therefore a short
 fixed table of terms: C_i spreads the three kernel terms over blocks,
-D_i multiplies one block by the swapped kernel.  The tables are built
-once per (law, a, b) and applied in one pass over the input terms; no
-product, swap or division is carried out.  The two tables come from
-the two product forms separately, so D_i = kappa - C_i, with kappa the
-kernel constant, stays an identity between independent computations.
+D_i multiplies one block by the swapped kernel.  One bounded cache
+holds the tables, one per (law, packed layout, letter, a, b), and each
+is applied in one pass over the input terms; no product, swap or
+division is carried out.  The two tables come from the two product
+forms separately, so D_i = kappa - C_i, with kappa the kernel constant,
+stays an identity between independent computations.
 Both operators drop graded degree by exactly one on homogeneous input.
 
 The pass runs on packed term keys (polycore.PackedLayout), as in
@@ -50,23 +51,25 @@ from functools import lru_cache
 from typing import Iterable
 
 from .fgl import FglSpec, diff_kernel, kappa_of
-from .polycore import MuExp, PackedLayout, Poly, PolyError
+from .polycore import PackedLayout, Poly, PolyError
 from .report import CheckReport
 
-# One table entry: the exponents of x_i, x_{i+1}, the m1/m2 exponents
-# and the integer coefficient of one output term.
-Row = tuple[tuple[tuple[int, int], MuExp, int], ...]
-
-# Bound on the keys each table cache holds.  C_i never raises the
-# largest exponent of one variable, so the word classes of S_n only meet
-# a, b < n: a few dozen (law, a, b) keys per law at n = 5, and a hundred
-# (law, layout, letter, a, b) keys of packed rows.
+# Bound on the packed rows _delta_row holds, one per (builder, law,
+# layout, letter, a, b).  C_i never raises the largest exponent of one
+# variable, so the word classes of S_n only meet a, b < n.  Measured
+# over 40 batches of a benchmark workload (seed 1): fk5 builds 116 rows
+# and reuses them 65,092 times; compute builds 1,266 and reuses them
+# 32,731 times, so it fills all 1,024 entries and evicts.
 _TABLE_SIZE = 1024
 
 
 @dataclass(frozen=True)
 class OperatorContext:
-    """A formal group law fixed together with the ambient variable count."""
+    """A formal group law fixed together with the ambient variable count.
+
+    The one context of the operator layer: the C_i and D_i here, and the
+    classes of words (schubert) and the word walk (hecke) built on them.
+    """
 
     spec: FglSpec
     nvars: int
@@ -89,35 +92,30 @@ def _block(a: int, b: int) -> list[tuple[int, int, int]]:
     return [(t, a + b - 1 - t, sign) for t in range(min(a, b), max(a, b))]
 
 
-def _collect(acc: dict) -> Row:
-    return tuple((xy, mu, c) for (xy, mu), c in acc.items() if c)
-
-
-@lru_cache(maxsize=_TABLE_SIZE)
-def _c_row(spec: FglSpec, a: int, b: int) -> Row:
-    """C_i(x_i^a x_{i+1}^b) = d_i(p(x_i, x_{i+1}) x_i^a x_{i+1}^b)."""
+def _c_row(spec: FglSpec, a: int, b: int) -> dict:
+    """C_i(x_i^a x_{i+1}^b) = d_i(p(x_i, x_{i+1}) x_i^a x_{i+1}^b),
+    as {((t, s), mu): coefficient}; coefficients may be zero."""
     acc: dict = {}
     for ((ex, ey), mu), k in diff_kernel(spec).terms.items():
         for t, s, sign in _block(a + ex, b + ey):
             key = ((t, s), mu)
             acc[key] = acc.get(key, 0) + sign * k
-    return _collect(acc)
+    return acc
 
 
-@lru_cache(maxsize=_TABLE_SIZE)
-def _d_row(spec: FglSpec, a: int, b: int) -> Row:
-    """D_i(x_i^a x_{i+1}^b) = -p(x_{i+1}, x_i) d_i(x_i^a x_{i+1}^b)."""
+def _d_row(spec: FglSpec, a: int, b: int) -> dict:
+    """D_i(x_i^a x_{i+1}^b) = -p(x_{i+1}, x_i) d_i(x_i^a x_{i+1}^b), as _c_row."""
     acc: dict = {}
     for ((ex, ey), mu), k in diff_kernel(spec).terms.items():
         for t, s, sign in _block(a, b):
             key = ((t + ey, s + ex), mu)
             acc[key] = acc.get(key, 0) - sign * k
-    return _collect(acc)
+    return acc
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
 def _delta_row(row_of, spec: FglSpec, layout: PackedLayout, i: int, ab: int) -> tuple:
-    """row_of(spec, a, b) for letter i, each term as (key delta, coefficient).
+    """row_of(spec, a, b) for letter i, each nonzero term as (key delta, coefficient).
 
     ab holds the x_i and x_{i+1} fields of a key, a above b.  Adding a
     delta to a key with these fields replaces x_i^a x_{i+1}^b by the
@@ -131,14 +129,16 @@ def _delta_row(row_of, spec: FglSpec, layout: PackedLayout, i: int, ab: int) -> 
             ((t - a) << hi) + ((s - b) << lo) + (d1 << layout.m1_shift) + (d2 << layout.m2_shift),
             r,
         )
-        for (t, s), (d1, d2), r in row_of(spec, a, b)
+        for ((t, s), (d1, d2)), r in row_of(spec, a, b).items()
+        if r
     )
 
 
 def _apply_letter(
-    spec: FglSpec, layout: PackedLayout, i: int, terms: dict[int, int], row_of
+    spec: FglSpec, layout: PackedLayout, i: int, terms: dict[int, int], row_of=_c_row
 ) -> dict[int, int]:
-    """One operator on packed terms: every term's key plus each delta of its row."""
+    """One operator on packed terms, C_i by default: every term's key plus
+    each delta of its row."""
     shift, pair_mask = layout.x_shift(i + 1), (1 << 2 * layout.width) - 1
     rows: dict[int, tuple] = {}
     out: dict[int, int] = {}
@@ -187,7 +187,7 @@ def apply_word(ctx: OperatorContext, word: Iterable[int], f: Poly) -> Poly:
 
 
 def kappa_poly(ctx: OperatorContext) -> Poly:
-    return kappa_of(ctx.spec).extend_vars(ctx.nvars)
+    return kappa_of(ctx.spec).inject_vars(ctx.nvars, ())
 
 
 # ----------------------------------------------------------------------

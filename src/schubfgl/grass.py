@@ -33,10 +33,11 @@ from .combi import (
     Word,
 )
 from .coinv import MAX_REWRITE_RANK, basis_degrees, expand_in_basis, normal_form
+from .ddo import OperatorContext
 from .fgl import FglSpec, HYPERBOLIC, formal_inverse
 from .polycore import Poly, PolyError
 from .report import CheckReport
-from .schubert import SchubertContext, grothendieck_polynomial, schubert_polynomial
+from .schubert import grothendieck_polynomial, schubert_polynomial
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,8 @@ def gr24_word(lam: BoxPartition) -> Word:
 
 def _gr24_classes(spec: FglSpec) -> dict[tuple[int, ...], Poly]:
     """The six resolution classes by partition, in GR24_ORDER."""
-    sctx = SchubertContext(spec, 4)
-    return {parts: schubert_polynomial(sctx, _GR24_WORDS[parts]) for parts in GR24_ORDER}
+    ctx = OperatorContext(spec, 4)
+    return {parts: schubert_polynomial(ctx, _GR24_WORDS[parts]) for parts in GR24_ORDER}
 
 
 def gr24_basis(spec: FglSpec) -> list[Poly]:
@@ -278,7 +279,7 @@ def class_representative(ctx: GrassContext, lam: BoxPartition) -> Poly:
     if not ctx.spec.mu2_is_zero:
         raise ValueError("word-independent representatives need m2 = 0")
     w = Permutation.longest(ctx.n) * partition_to_perm(partition_dual(lam), ctx.n)
-    return grothendieck_polynomial(SchubertContext(ctx.spec, ctx.n), w)
+    return grothendieck_polynomial(OperatorContext(ctx.spec, ctx.n), w)
 
 
 def chow_k_cross_check(k: int, n: int, spec: FglSpec) -> CheckReport:

@@ -300,13 +300,6 @@ class Poly:
                 del out[key]
         return _mk(nvars, out)
 
-    def extend_vars(self, nvars: int) -> "Poly":
-        """Reinterpret in a larger ring by appending variables."""
-        if nvars < self.nvars:
-            raise PolyError("cannot shrink the variable count")
-        pad = (0,) * (nvars - self.nvars)
-        return _mk(nvars, {(exps + pad, mu): c for (exps, mu), c in self.terms.items()})
-
     def specialize_mu(self, mu1: int | None = None, mu2: int | None = None) -> "Poly":
         """Substitute integer values for m1 and/or m2 (None keeps symbolic)."""
         if mu1 is None and mu2 is None:

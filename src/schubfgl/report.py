@@ -54,18 +54,13 @@ class CheckReport:
         }
 
     def summary_lines(self) -> list[str]:
-        lines = []
-        for c in self.cases:
-            if c.ok:
-                status = "ok"
-            elif c.annotated:
-                status = "FINDING"
-            else:
-                status = "FAIL"
-            line = f"[{status}] {self.name}: {c.label}"
-            if c.detail and not c.ok:
-                line += f" ({c.detail})"
-            lines.append(line)
+        """One line per case that did not hold, then the verdict line."""
+        lines = [
+            f"[{'FINDING' if c.annotated else 'FAIL'}] {self.name}: {c.label}"
+            + (f" ({c.detail})" if c.detail else "")
+            for c in self.cases
+            if not c.ok
+        ]
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(
             f"{self.name}: {verdict} "

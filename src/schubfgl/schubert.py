@@ -13,29 +13,13 @@ permutation, is the argument of record here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coinv import top_staircase_class
 from .combi import Permutation, Word, canonical_word, word_to_perm
 from .ddo import OperatorContext, apply_word_packed
-from .fgl import FglSpec
-from .polycore import PackedLayout, Poly, PolyError
+from .polycore import PackedLayout, Poly
 
 
-@dataclass(frozen=True)
-class SchubertContext:
-    spec: FglSpec
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise PolyError("rank must be at least 2")
-
-    def operators(self) -> OperatorContext:
-        return OperatorContext(self.spec, self.n)
-
-
-def schubert(ctx: SchubertContext, word: Word) -> tuple[PackedLayout, dict[int, int]]:
+def schubert(ctx: OperatorContext, word: Word) -> tuple[PackedLayout, dict[int, int]]:
     """Apply C along a reduced word to the top class, first letter first.
 
     The word must be reduced: its letter count must equal the length of
@@ -43,24 +27,24 @@ def schubert(ctx: SchubertContext, word: Word) -> tuple[PackedLayout, dict[int, 
     returns its layout and its packed terms.
     """
     word = tuple(word)
-    perm = word_to_perm(word, ctx.n)
+    perm = word_to_perm(word, ctx.nvars)
     if perm.length() != len(word):
         raise ValueError(f"word {word} is not reduced")
-    return apply_word_packed(ctx.operators(), word, top_staircase_class(ctx.n))
+    return apply_word_packed(ctx, word, top_staircase_class(ctx.nvars))
 
 
-def schubert_polynomial(ctx: SchubertContext, word: Word) -> Poly:
+def schubert_polynomial(ctx: OperatorContext, word: Word) -> Poly:
     """The class of a reduced word (see schubert) as a Poly."""
     return PackedLayout.unpack(*schubert(ctx, word))
 
 
-def grothendieck_polynomial(ctx: SchubertContext, w: Permutation) -> Poly:
+def grothendieck_polynomial(ctx: OperatorContext, w: Permutation) -> Poly:
     """The word-independent class of w in the m2 = 0 degeneration.
 
     Uses the canonical word of w; with m2 forced to zero the braid
     relations make any reduced word give the same answer.
     """
-    if w.n != ctx.n:
+    if w.n != ctx.nvars:
         raise ValueError("permutation rank does not match the context")
-    flat = SchubertContext(ctx.spec.mu2_zeroed(), ctx.n)
+    flat = OperatorContext(ctx.spec.mu2_zeroed(), ctx.nvars)
     return schubert_polynomial(flat, canonical_word(w))

@@ -43,7 +43,7 @@ from schubfgl.hecke import (
     verify_ybe,
 )
 from schubfgl.polycore import Poly
-from schubfgl.schubert import SchubertContext, schubert_polynomial
+from schubfgl.schubert import schubert_polynomial
 
 from oracles import (
     all_permutations,
@@ -103,7 +103,7 @@ def _displayed_gr24_table() -> dict:
 def test_criterion_01_gr24_table():
     table = _displayed_gr24_table()
     with _budget(1.0):
-        ctx = SchubertContext(HYPERBOLIC, 4)
+        ctx = OperatorContext(HYPERBOLIC, 4)
         for parts in GR24_ORDER:
             word = gr24_word(BoxPartition(2, 2, parts))
             got = normal_form(schubert_polynomial(ctx, word), 4)
@@ -112,7 +112,7 @@ def test_criterion_01_gr24_table():
 
 def test_criterion_02_line_class_square():
     with _budget(1.0):
-        ctx = SchubertContext(HYPERBOLIC, 4)
+        ctx = OperatorContext(HYPERBOLIC, 4)
         lg21 = schubert_polynomial(ctx, gr24_word(BoxPartition(2, 2, (2, 1))))
         coeffs = expand_in_basis(lg21 * lg21, gr24_basis(HYPERBOLIC), 4)
     expected = [
@@ -218,7 +218,7 @@ def test_criterion_10_operator_properties():
 
 def test_criterion_11_structural_invariants():
     with _budget(10.0):
-        ctx = SchubertContext(HYPERBOLIC, 4)
+        ctx = OperatorContext(HYPERBOLIC, 4)
         for w in all_permutations(4):
             for word in reduced_words(w):
                 hom, deg = schubert_polynomial(ctx, word).graded_degree()

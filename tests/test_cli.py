@@ -9,6 +9,7 @@ import pytest
 
 from schubfgl import cli
 from schubfgl.cli import main
+from schubfgl.hecke import MAX_LOCAL_CAP
 from schubfgl.polycore import Poly
 from schubfgl.report import CheckReport
 
@@ -202,9 +203,10 @@ def test_verify_usage_errors(capsys):
     code, _ = run(["poly", "word", "--n", "3", "--word", "1,1"])
     assert code == 2
     capsys.readouterr()
-    code, _ = run(["verify", "braid", "--n", "1"])
-    assert code == 2
-    assert "schubfgl: error: operators need at least two variables" in capsys.readouterr().err
+    for argv in (["verify", "braid", "--n", "1"], ["poly", "word", "--n", "1", "--word", ""]):
+        code, _ = run(argv)
+        assert code == 2
+        assert "schubfgl: error: operators need at least two variables" in capsys.readouterr().err
     # both products are empty below rank 2; n = -2 used to fail inside Poly
     for n in ("0", "1", "-2"):
         code, _ = run(["verify", "vandermonde", "--n", n])
@@ -291,6 +293,35 @@ def test_report_without_cases_does_not_pass():
     assert not rep.passed
     rep.add("known discrepancy", False, annotated=True)
     assert rep.passed
+
+
+def test_summary_lines_render_only_what_is_printed():
+    rep = CheckReport("r")
+    rep.add("holds", True, detail="braid holds")
+    rep.add("known", False, annotated=True, detail="why")
+    rep.add("broken", False)
+    assert rep.summary_lines() == [
+        "[FINDING] r: known (why)",
+        "[FAIL] r: broken",
+        "r: FAIL (1/3 cases ok, 1 findings)",
+    ]
+
+
+# sha256 of the text output, recorded with a line rendered for every case
+# and the passing ones filtered out by the command line: rendering only
+# the printed lines must not change a byte
+TEXT_SHA256 = {
+    "verify fk --n 4": "d83db8be63962e5bd5a849589fd08e079251522c5373060f6a1ed2e4bfb2b381",
+    "verify differ --n 4": "4341019151bc9c12cb592410f57018364d84784d531abe6fc42b89ce4ee30c6e",
+    "verify braid --n 3": "03d6056bb8b847c8433b1bc98c03bc1d0e09e88ea8fae84201ada858cc06b44c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TEXT_SHA256))
+def test_verify_text_outputs_pinned(argv):
+    code, text = run(argv.split())
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == TEXT_SHA256[argv]
 
 
 # sha256 of the full --json output, recorded with word classes computed
@@ -565,6 +596,17 @@ def test_capacity_bounds_exit_2(tmp_path, capsys):
     code, _ = run(["verify", "vandermonde", "--n", "7"])
     assert code == 2
     assert "limited to rank 6" in capsys.readouterr().err
+
+
+def test_local_cap_bound_exits_2_at_once(capsys):
+    # without the bound, cap 1600 ran for minutes at n = 5
+    t0 = time.perf_counter()
+    code, _ = run(["verify", "local", "--n", "5", "--cap", str(MAX_LOCAL_CAP + 1)])
+    assert code == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert f"limited to cap {MAX_LOCAL_CAP}, got {MAX_LOCAL_CAP + 1}" in capsys.readouterr().err
+    code, text = run(["verify", "local", "--n", "5", "--cap", str(MAX_LOCAL_CAP)])
+    assert code == 0 and text.endswith("overall: PASS (1 reports)\n")
 
 
 def test_chowk_rank_bound_exits_2_at_once(capsys):

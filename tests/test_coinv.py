@@ -22,10 +22,10 @@ from schubfgl.coinv import (
     vandermonde_poly,
 )
 from schubfgl.combi import CapacityError
-from schubfgl.ddo import random_poly
+from schubfgl.ddo import OperatorContext, random_poly
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE
 from schubfgl.polycore import Poly, PolyError
-from schubfgl.schubert import SchubertContext, schubert_polynomial
+from schubfgl.schubert import schubert_polynomial
 
 from oracles import nf_linear_oracle, staircase_monomials
 
@@ -91,7 +91,7 @@ def test_normal_form_respects_ring_structure():
 
 
 def test_normal_form_preserves_degree():
-    f = schubert_polynomial(SchubertContext(HYPERBOLIC, 3), (1, 2))
+    f = schubert_polynomial(OperatorContext(HYPERBOLIC, 3), (1, 2))
     hom, deg = f.graded_degree()
     nf = normal_form(f, 3)
     hom2, deg2 = nf.graded_degree()
@@ -109,7 +109,7 @@ def test_symmetric_multiples_vanish():
 
 def test_equals_mod_s():
     assert equals_mod_s(Poly.variable(2, 1), -Poly.variable(2, 2), 2)
-    lg = schubert_polynomial(SchubertContext(HYPERBOLIC, 4), (3, 1))
+    lg = schubert_polynomial(OperatorContext(HYPERBOLIC, 4), (3, 1))
     assert equals_mod_s(lg, Poly.monomial(4, (2, 2, 0, 0)), 4)
     f = Poly.monomial(4, (1, 1, 0, 0))
     g = f - Poly.monomial(4, (2, 2, 0, 0), (0, 1))

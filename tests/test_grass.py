@@ -24,7 +24,8 @@ from schubfgl.grass import (
     smooth_product,
 )
 from schubfgl.polycore import Poly
-from schubfgl.schubert import SchubertContext, schubert_polynomial
+from schubfgl.ddo import OperatorContext
+from schubfgl.schubert import schubert_polynomial
 
 from oracles import expansion_rule_cross_check
 
@@ -131,10 +132,10 @@ def test_gr24_basis_table():
     for parts, poly in zip(GR24_ORDER, basis):
         assert poly == table[parts], parts
     # each table row is the normal form of its word class
-    sctx = SchubertContext(HYPERBOLIC, 4)
+    ctx = OperatorContext(HYPERBOLIC, 4)
     for parts, poly in zip(GR24_ORDER, basis):
         word = gr24_word(_bp(*parts))
-        assert normal_form(schubert_polynomial(sctx, word), 4) == poly
+        assert normal_form(schubert_polynomial(ctx, word), 4) == poly
 
 
 def test_gr24_smooth_polys():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from schubfgl import ddo, hecke
 from schubfgl.coinv import top_staircase_class
 from schubfgl.combi import CapacityError, Permutation, word_to_perm
-from schubfgl.ddo import apply_word, random_poly
+from schubfgl.ddo import OperatorContext, apply_word, random_poly
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
 from schubfgl.hecke import (
     HeckeElem,
@@ -30,7 +30,6 @@ from schubfgl.hecke import (
     window_vars,
 )
 from schubfgl.polycore import PackedLayout, Poly, PolyError
-from schubfgl.schubert import SchubertContext
 
 from oracles import (
     all_permutations,
@@ -61,7 +60,7 @@ def c_calls(monkeypatch):
     calls = []
     real = ddo._apply_letter
 
-    def counting(spec, layout, i, terms, row_of):
+    def counting(spec, layout, i, terms, row_of=ddo._c_row):
         if row_of is ddo._c_row:
             calls.append(i)
         return real(spec, layout, i, terms, row_of)
@@ -349,8 +348,8 @@ def test_rank_guards():
 
 
 def test_word_walk_applies_one_operator_per_word(c_calls):
-    sctx = SchubertContext(ADDITIVE, 5)
-    walked = [(w, word) for w, word, _cls in hecke._word_classes(sctx, hecke._walk_layout(5))]
+    ctx = OperatorContext(ADDITIVE, 5)
+    walked = [(w, word) for w, word, _cls in hecke._word_classes(ctx, hecke._walk_layout(5))]
     # every reduced word of S_5 once, in trie (lexicographic) order
     assert [word for _w, word in walked] == sorted(all_words(5))
     assert len(walked) == 3061
@@ -362,11 +361,11 @@ def test_word_walk_classes_match_word_by_word():
     # the packed walk against apply_word, which packs and unpacks per word
     for spec in LAWS:
         for n in (2, 3, 4):
-            sctx = SchubertContext(spec, n)
+            ctx = OperatorContext(spec, n)
             layout = hecke._walk_layout(n)
-            ops, top = sctx.operators(), top_staircase_class(n)
-            for _w, word, cls in hecke._word_classes(sctx, layout):
-                assert layout.unpack(cls) == apply_word(ops, word, top)
+            top = top_staircase_class(n)
+            for _w, word, cls in hecke._word_classes(ctx, layout):
+                assert layout.unpack(cls) == apply_word(ctx, word, top)
 
 
 def test_fk_identity_shares_prefixes(c_calls):

@@ -217,8 +217,10 @@ def test_inject_and_extend_vars():
     f = Poly.variable(2, 1) * Poly.variable(2, 2)
     g = f.inject_vars(4, (3, 4))
     assert g == Poly.monomial(4, (0, 0, 1, 1))
-    assert f.extend_vars(3).nvars == 3
-    assert f.extend_vars(3).coefficient((1, 1, 0)) == 1
+    assert f.inject_vars(3, (1, 2)).nvars == 3
+    assert f.inject_vars(3, (1, 2)).coefficient((1, 1, 0)) == 1
+    # a polynomial in no variables, such as the kernel constant, extends by ()
+    assert Poly.const(0, 2, (1, 0)).inject_vars(3, ()) == Poly.const(3, 2, (1, 0))
 
 
 def test_text_roundtrip_and_canonical_order():

@@ -8,7 +8,8 @@ from schubfgl.combi import Permutation, support_of
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, MULTIPLICATIVE
 from schubfgl.hecke import ideal_delete
 from schubfgl.polycore import Poly
-from schubfgl.schubert import SchubertContext, grothendieck_polynomial, schubert_polynomial
+from schubfgl.ddo import OperatorContext
+from schubfgl.schubert import grothendieck_polynomial, schubert_polynomial
 
 from oracles import (
     CLASSICAL_SCHUBERT_S3,
@@ -22,14 +23,14 @@ from oracles import (
 
 def test_initial_class():
     # the class of the empty word is the top staircase monomial
-    assert schubert_polynomial(SchubertContext(HYPERBOLIC, 2), ()) == Poly.variable(2, 1)
-    assert schubert_polynomial(SchubertContext(ADDITIVE, 4), ()) == Poly.monomial(4, (3, 2, 1, 0))
+    assert schubert_polynomial(OperatorContext(HYPERBOLIC, 2), ()) == Poly.variable(2, 1)
+    assert schubert_polynomial(OperatorContext(ADDITIVE, 4), ()) == Poly.monomial(4, (3, 2, 1, 0))
     hom, deg = top_staircase_class(4).graded_degree()
     assert hom and deg == 6
 
 
 def test_word_class_pinned_n2():
-    ctx = SchubertContext(HYPERBOLIC, 2)
+    ctx = OperatorContext(HYPERBOLIC, 2)
     got = schubert_polynomial(ctx, (1,))
     assert got == Poly.one(2) - Poly.monomial(2, (1, 1), (0, 1))
     assert schubert_polynomial(ctx, ()) == top_staircase_class(2)
@@ -37,13 +38,13 @@ def test_word_class_pinned_n2():
 
 def test_word_class_top_gr24_entry():
     # the word (3,1) lands on the point class of Gr(2,4)
-    ctx = SchubertContext(HYPERBOLIC, 4)
+    ctx = OperatorContext(HYPERBOLIC, 4)
     got = normal_form(schubert_polynomial(ctx, (3, 1)), 4)
     assert got == Poly.monomial(4, (2, 2, 0, 0))
 
 
 def test_non_reduced_word_rejected():
-    ctx = SchubertContext(HYPERBOLIC, 3)
+    ctx = OperatorContext(HYPERBOLIC, 3)
     with pytest.raises(ValueError):
         schubert_polynomial(ctx, (1, 1))
     with pytest.raises(ValueError):
@@ -52,7 +53,7 @@ def test_non_reduced_word_rejected():
 
 def test_homogeneity_over_s4_words():
     for spec in (ADDITIVE, HYPERBOLIC):
-        ctx = SchubertContext(spec, 4)
+        ctx = OperatorContext(spec, 4)
         for w in all_permutations(4):
             for word in reduced_words(w):
                 f = schubert_polynomial(ctx, word)
@@ -62,7 +63,7 @@ def test_homogeneity_over_s4_words():
 
 def test_word_independence_at_mu2_zero():
     for spec in (ADDITIVE, MULTIPLICATIVE):
-        ctx = SchubertContext(spec, 4)
+        ctx = OperatorContext(spec, 4)
         for w in all_permutations(4):
             words = reduced_words(w)
             base = schubert_polynomial(ctx, words[0])
@@ -71,7 +72,7 @@ def test_word_independence_at_mu2_zero():
 
 
 def test_word_dependence_at_hyperbolic():
-    ctx = SchubertContext(HYPERBOLIC, 3)
+    ctx = OperatorContext(HYPERBOLIC, 3)
     a = schubert_polynomial(ctx, (1, 2, 1))
     b = schubert_polynomial(ctx, (2, 1, 2))
     assert a != b
@@ -81,7 +82,7 @@ def test_word_difference_in_window_ideal():
     # hard invariant: differences vanish under window deletion; the
     # literal adjacent-pair deletion leaves a pinned residue already
     # at n = 3
-    ctx = SchubertContext(HYPERBOLIC, 3)
+    ctx = OperatorContext(HYPERBOLIC, 3)
     a = schubert_polynomial(ctx, (1, 2, 1))
     b = schubert_polynomial(ctx, (2, 1, 2))
     supp = support_of(Permutation.longest(3))
@@ -90,7 +91,7 @@ def test_word_difference_in_window_ideal():
     residue = ideal_delete(diff, supp)
     assert residue == Poly.monomial(3, (2, 0, 0), (0, 1))
 
-    ctx4 = SchubertContext(HYPERBOLIC, 4)
+    ctx4 = OperatorContext(HYPERBOLIC, 4)
     literal_failures = 0
     for w in all_permutations(4):
         words = reduced_words(w)
@@ -105,7 +106,7 @@ def test_word_difference_in_window_ideal():
 
 
 def test_grothendieck_against_classical_table():
-    ctx = SchubertContext(ADDITIVE, 3)
+    ctx = OperatorContext(ADDITIVE, 3)
     w0 = Permutation.longest(3)
     for w in all_permutations(3):
         got = grothendieck_polynomial(ctx, w)
@@ -116,7 +117,7 @@ def test_grothendieck_against_classical_table():
 def test_schubert_matches_divided_difference_oracle():
     # at the additive law every word class equals the classical
     # operator chain applied to the staircase monomial
-    ctx = SchubertContext(ADDITIVE, 4)
+    ctx = OperatorContext(ADDITIVE, 4)
     top = Poly.monomial(4, (3, 2, 1, 0))
     for w in all_permutations(4):
         for word in reduced_words(w):
@@ -124,10 +125,10 @@ def test_schubert_matches_divided_difference_oracle():
 
 
 def test_grothendieck_word_independent_and_mu2_zeroed():
-    ctx = SchubertContext(HYPERBOLIC, 3)
+    ctx = OperatorContext(HYPERBOLIC, 3)
     w = Permutation.longest(3)
     klg = grothendieck_polynomial(ctx, w)
-    flat = SchubertContext(MULTIPLICATIVE, 3)
+    flat = OperatorContext(MULTIPLICATIVE, 3)
     assert klg == schubert_polynomial(flat, (1, 2, 1))
     assert klg == schubert_polynomial(flat, (2, 1, 2))
     assert grothendieck_polynomial(ctx, Permutation((2, 1, 3))) == schubert_polynomial(

@@ -18,6 +18,8 @@ def _public_defs(tree):
         if isinstance(node, ast.FunctionDef):
             yield node.name
         elif isinstance(node, ast.ClassDef):
+            # the class itself too, so that no dead alias of a folded type stays
+            yield node.name
             yield from (sub.name for sub in node.body if isinstance(sub, ast.FunctionDef))
 
 
