@@ -30,7 +30,7 @@ from operator import add
 
 from .combi import CapacityError
 from .fgl import FglSpec, diff_kernel
-from .polycore import Poly, PolyError, XExp, _mk, series_invert_unit
+from .polycore import MU_ZERO, Poly, PolyError, XExp, _mk, series_invert_unit
 from .report import CheckReport
 
 
@@ -293,12 +293,23 @@ def expand_in_basis(f: Poly, basis: list[Poly], n: int) -> list[Poly]:
 # Vandermonde congruences
 
 def vandermonde_poly(n: int) -> Poly:
-    """The product of (x_i - x_j) over i < j."""
-    out = Poly.one(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out = out * (Poly.variable(n, i) - Poly.variable(n, j))
-    return out
+    """The product of (x_i - x_j) over i < j, as its determinant expansion.
+
+    The product is det(x_i^(n-j)) = sum over permutations sigma of
+    sgn(sigma) x^sigma(delta), delta = (n-1, ..., 1, 0): n! signed
+    monomials, built without a multiplication.  The exponents 0, 1, ...,
+    n-1 are placed in turn; a new one is larger than every exponent
+    placed before it, so setting it at position p puts it after p
+    smaller ones and turns the sign p times.
+    """
+    signed: list[tuple[XExp, int]] = [((), 1)]
+    for d in range(n):
+        signed = [
+            (exps[:p] + (d,) + exps[p:], -s if p % 2 else s)
+            for exps, s in signed
+            for p in range(d + 1)
+        ]
+    return _mk(n, {(exps, MU_ZERO): s for exps, s in signed})
 
 
 def top_staircase_class(n: int) -> Poly:
@@ -314,7 +325,9 @@ def vandermonde_check(spec: FglSpec, n: int, cap: int) -> CheckReport:
     """Two congruences modulo S.
 
     (a) The Vandermonde product is congruent to n! times the top
-        staircase monomial (independent of the law).
+        staircase monomial (independent of the law).  The product is
+        reduced as its determinant expansion, n! signed monomials, so
+        this part multiplies nothing.
     (b) The deformed product of F(x_i, chi(x_j)) over i < j is congruent
         to the Vandermonde product.  Terms above the top staircase degree
         n(n-1)/2 are congruent to zero, so the series is expanded through

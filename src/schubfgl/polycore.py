@@ -35,6 +35,7 @@ import json
 import re
 from bisect import bisect_right
 from functools import lru_cache
+from operator import add
 from typing import Iterable, NamedTuple
 
 XExp = tuple[int, ...]
@@ -204,7 +205,7 @@ class Poly:
         for (ea, ma), ca in a.items():
             for (eb, mb), cb in b.items():
                 key = (
-                    tuple(x + y for x, y in zip(ea, eb)),
+                    tuple(map(add, ea, eb)),
                     (ma[0] + mb[0], ma[1] + mb[1]),
                 )
                 s = out.get(key, 0) + ca * cb
@@ -230,7 +231,7 @@ class Poly:
         for (ea, ma), ca in a.items():
             for (eb, mb), cb in ladder[:bisect_right(degrees, cap - sum(ea))]:
                 key = (
-                    tuple(x + y for x, y in zip(ea, eb)),
+                    tuple(map(add, ea, eb)),
                     (ma[0] + mb[0], ma[1] + mb[1]),
                 )
                 s = out.get(key, 0) + ca * cb

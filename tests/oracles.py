@@ -2,7 +2,7 @@
 
 Everything here is deliberately written against plain dicts and
 Fractions, not against the library's own arithmetic, so a bug in the
-package cannot hide inside its oracle.  There are five exceptions,
+package cannot hide inside its oracle.  There are six exceptions,
 which use the library's generic `Poly` arithmetic but none of the code
 they check:
 
@@ -23,7 +23,10 @@ they check:
 - the Grassmannian product rule checked by one exact expansion per
   (rectangle, partition) case with `schubfgl.coinv.expand_in_basis`:
   it is the reference for `schubfgl.grass`, which compares each
-  product's normal form with the predicted class's.
+  product's normal form with the predicted class's;
+- the Vandermonde product, multiplied out factor by factor with
+  `naive_mul`: it is the reference for `schubfgl.coinv.vandermonde_poly`,
+  which writes down the determinant expansion.
 
 The rest are small enumerations and deletions that only the tests use.
 """
@@ -64,6 +67,15 @@ def naive_mul(f: Poly, g: Poly) -> Poly:
             )
             acc[key] = acc.get(key, 0) + c * d
     return Poly(f.nvars, acc)
+
+
+def vandermonde_product(n: int) -> Poly:
+    """The product of (x_i - x_j) over i < j, one factor at a time."""
+    out = Poly.one(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            out = naive_mul(out, Poly.variable(n, i) - Poly.variable(n, j))
+    return out
 
 
 def _reference_order(f: Poly) -> list:

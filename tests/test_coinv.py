@@ -27,7 +27,7 @@ from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE
 from schubfgl.polycore import Poly, PolyError
 from schubfgl.schubert import schubert_polynomial
 
-from oracles import nf_linear_oracle, staircase_monomials
+from oracles import nf_linear_oracle, staircase_monomials, vandermonde_product
 
 
 def is_staircase(exps, n: int) -> bool:
@@ -196,6 +196,33 @@ def test_vandermonde_and_top_staircase():
         lhs = normal_form(vandermonde_poly(n), n)
         rhs = normal_form(top_staircase_class(n), n) * math.factorial(n)
         assert lhs == rhs
+
+
+def test_vandermonde_poly_is_the_product():
+    # the determinant expansion against the product multiplied out; the
+    # empty product below rank 2 is one
+    for n in range(7):
+        assert vandermonde_poly(n) == vandermonde_product(n)
+    assert vandermonde_poly(0) == Poly.one(0) and vandermonde_poly(1) == Poly.one(1)
+
+
+def test_vandermonde_part_a_reads_the_polynomial(monkeypatch):
+    # one sign flipped in the alternant must fail part (a)
+    alternant = vandermonde_poly
+
+    def one_sign_flipped(n):
+        f = alternant(n)
+        flipped = dict(f.terms)
+        key = next(iter(flipped))
+        flipped[key] = -flipped[key]
+        return Poly(n, flipped)
+
+    monkeypatch.setattr(coinv, "vandermonde_poly", one_sign_flipped)
+    for n in (3, 5):
+        rep = vandermonde_check(HYPERBOLIC, n, n * (n - 1) // 2 + 1)
+        part_a = [c for c in rep.cases if c.label.startswith("part (a)")]
+        assert len(part_a) == 1 and not part_a[0].ok
+        assert not rep.passed
 
 
 def test_vandermonde_check():
