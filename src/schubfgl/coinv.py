@@ -16,21 +16,22 @@ class in a given basis with integer linear algebra.
 
 Monomial normal forms are kept in one bounded memo shared by all calls.
 Every rewrite is rank-bounded where it happens: above MAX_REWRITE_RANK
-a monomial that needs rewriting raises CapacityError, whichever of
-normal_form, equals_mod_s or expand_in_basis asked.  Staircase
-monomials and monomials above the top degree need none, so they are
-answered at any rank.
+a monomial that needs rewriting raises CapacityError, whether
+normal_form or expand_in_basis asked.  Staircase monomials and
+monomials above the top degree need none, so they are answered at any
+rank.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import factorial
 from operator import add
 
 from .combi import CapacityError
-from .fgl import FglSpec, diff_kernel
-from .polycore import MU_ZERO, Poly, PolyError, XExp, _mk, series_invert_unit
+from .fgl import FglSpec, chi_difference
+from .polycore import MU_ZERO, Poly, PolyError, XExp, _mk
 from .report import CheckReport
 
 
@@ -165,10 +166,6 @@ def normal_form(f: Poly, n: int) -> Poly:
             else:
                 del out[key]
     return _mk(n, out)
-
-
-def equals_mod_s(f: Poly, g: Poly, n: int) -> bool:
-    return normal_form(f - g, n).is_zero
 
 
 # ----------------------------------------------------------------------
@@ -326,16 +323,18 @@ def vandermonde_check(spec: FglSpec, n: int, cap: int) -> CheckReport:
 
     (a) The Vandermonde product is congruent to n! times the top
         staircase monomial (independent of the law).  The product is
-        reduced as its determinant expansion, n! signed monomials, so
-        this part multiplies nothing.
+        reduced once, as its determinant expansion of n! signed
+        monomials, so this part multiplies nothing.
     (b) The deformed product of F(x_i, chi(x_j)) over i < j is congruent
         to the Vandermonde product.  Terms above the top staircase degree
-        n(n-1)/2 are congruent to zero, so the series is expanded through
+        n(n-1)/2 are congruent to zero, so the series is taken through
         that degree only, and cap (which must exceed it) just names the
-        report.  F(x, chi(y)) is built once in two variables and
-        relabelled for each pair.  normal_form is S-linear, so the product
-        is reduced after every factor, and each multiply is a short
-        product that skips the term pairs above the top degree.
+        report.  F(x, chi(y)) is fgl.chi_difference, in closed form in
+        two variables, relabelled for each pair.  normal_form is
+        S-linear, so the product is reduced after every factor, each
+        multiply is a short product that skips the term pairs above the
+        top degree, and the last reduction is compared with the normal
+        form of part (a).
     """
     # below rank 2 both products are empty and the check would pass unread
     if n < 2:
@@ -350,23 +349,19 @@ def vandermonde_check(spec: FglSpec, n: int, cap: int) -> CheckReport:
     if cap <= top:
         raise PolyError(f"cap must exceed the top staircase degree {top}")
     rep = CheckReport(f"vandermonde[{spec.label()},n={n},cap={cap}]")
-    from math import factorial
-
-    vdm = vandermonde_poly(n)
+    vdm = normal_form(vandermonde_poly(n), n)
     rep.add(
         "part (a): product of (x_i - x_j) = n! * top staircase class",
-        equals_mod_s(vdm, top_staircase_class(n).scale(factorial(n)), n),
+        vdm == top_staircase_class(n).scale(factorial(n)),
     )
 
-    factor = (Poly.variable(2, 1) - Poly.variable(2, 2)) * series_invert_unit(
-        diff_kernel(spec), top
-    )
+    factor = chi_difference(spec, top)
     prod = Poly.one(n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             prod = normal_form(prod.mul_truncated(factor.inject_vars(n, (i, j)), top), n)
     rep.add(
         "part (b): product of F(x_i, chi(x_j)) = product of (x_i - x_j)",
-        equals_mod_s(prod, vdm, n),
+        prod == vdm,
     )
     return rep

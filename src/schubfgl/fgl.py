@@ -22,15 +22,21 @@ slots to x_i and x_{i+1} in that order).  The kernel constant
 equals m1 for the m2-free slice of the family and 0, m1, m1, 0 for the
 additive, multiplicative, hyperbolic and Lorentz laws respectively.
 
-Nothing here expands F itself: its series, with the self-checks that
-tie it to chi and p, lives in tests/oracles.py.
+The two series the package needs are written here in closed form:
+chi(x) = -sum_{d >= 1} m1^(d-1) x^d, and
+
+    F(x, chi(y)) = (x - y) / p(x, y) = (x - y) * sum_k y^k (m1 + m2*x)^k.
+
+F itself, the generic series inverter, and the self-checks that tie F
+to chi and p live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .polycore import MU_ZERO, Poly, PolyError, series_invert_unit
+from .polycore import MU_ZERO, Poly, PolyError
 
 KINDS = ("additive", "multiplicative", "hyperbolic", "lorentz")
 
@@ -109,9 +115,23 @@ def formal_inverse(spec: FglSpec, cap: int) -> Poly:
     """The series chi(x) = -x/(1 - m1*x) through degree cap, 1 variable."""
     if cap < 1:
         raise PolyError("cap must be at least 1")
-    denom = Poly(1, {((0,), MU_ZERO): 1, ((1,), (1, 0)): -1})
-    x = Poly.variable(1, 1)
-    return spec.specialize((-x * series_invert_unit(denom, cap - 1)).truncate(cap))
+    return spec.specialize(Poly(1, {((d,), (d - 1, 0)): -1 for d in range(1, cap + 1)}))
+
+
+def chi_difference(spec: FglSpec, cap: int) -> Poly:
+    """F(x, chi(y)) = (x - y)/p(x, y) through x-degree cap, a 2-variable Poly.
+
+    1/p = sum_k y^k (m1 + m2*x)^k, whose term x^j y^k carries
+    C(k, j) m1^(k-j) m2^j; it is needed through degree cap - 1.
+    """
+    if cap < 1:
+        raise PolyError("cap must be at least 1")
+    inv_p = Poly(2, {
+        ((j, k), (k - j, j)): comb(k, j)
+        for k in range(cap)
+        for j in range(min(k, cap - 1 - k) + 1)
+    })
+    return spec.specialize((Poly.variable(2, 1) - Poly.variable(2, 2)) * inv_p)
 
 
 def diff_kernel(spec: FglSpec) -> Poly:

@@ -57,8 +57,8 @@ from .combi import (
     support_of,
 )
 from .ddo import OperatorContext, _apply_letter, apply_delta
-from .fgl import FglSpec, diff_kernel, formal_inverse
-from .polycore import PackedLayout, Poly, PolyError, _mk, series_invert_unit
+from .fgl import FglSpec, chi_difference, formal_inverse
+from .polycore import PackedLayout, Poly, PolyError, _mk
 from .report import CheckReport
 from .schubert import grothendieck_polynomial
 
@@ -427,8 +427,8 @@ def verify_local_identities(spec: FglSpec, n: int, cap: int) -> CheckReport:
 
     (2) and (3) hold modulo the deletion ideal, which the element
     representation applies automatically.  chi and F(x, chi(y)) are
-    expanded once per report, in one and two variables, and relabelled
-    for each i.
+    the closed forms of fgl, taken once per report in one and two
+    variables and relabelled for each i.
     """
     _check_spec(spec)
     _check_rank(n)
@@ -440,9 +440,7 @@ def verify_local_identities(spec: FglSpec, n: int, cap: int) -> CheckReport:
     rep = CheckReport(f"local-identities[{spec.label()},n={n},cap={cap}]")
     one = hecke_one(n, spec)
     chi = formal_inverse(spec, W)
-    f_chi = (
-        (Poly.variable(2, 1) - Poly.variable(2, 2)) * series_invert_unit(diff_kernel(spec), W)
-    ).truncate(W)
+    f_chi = chi_difference(spec, W)
     for i in range(1, n):
         xi1 = Poly.variable(n, i + 1)
         chi_i1 = chi.inject_vars(n, (i + 1,))

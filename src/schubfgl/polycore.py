@@ -149,9 +149,6 @@ class Poly:
 
     __hash__ = None  # mutable-looking container; not usable as a dict key
 
-    def coefficient(self, exps: Iterable[int], mu: MuExp = MU_ZERO) -> int:
-        return self.terms.get((tuple(exps), tuple(mu)), 0)
-
     def graded_degree(self) -> tuple[bool, int | None]:
         """(is_homogeneous, degree) under deg x_i = 1, deg m1 = -1, deg m2 = -2.
 
@@ -332,13 +329,6 @@ class Poly:
             self.nvars,
             {key: c for key, c in self.terms.items() if sum(key[0]) <= cap},
         )
-
-    def x_degree_slices(self) -> dict[int, "Poly"]:
-        """Split into homogeneous pieces by total x-degree."""
-        slices: dict[int, dict[TermKey, int]] = {}
-        for key, c in self.terms.items():
-            slices.setdefault(sum(key[0]), {})[key] = c
-        return {d: _mk(self.nvars, t) for d, t in slices.items()}
 
     # ------------------------------------------------------------------
     # exact division by x_i - x_{i+1}
@@ -602,33 +592,3 @@ def packed_json_obj(layout: PackedLayout, terms: dict[int, int]) -> dict:
          "c": str(terms[k])}
         for k in sorted(terms, key=order.__getitem__)
     ]}
-
-
-def series_invert_unit(f: Poly, cap: int) -> Poly:
-    """Invert f as a power series in the x variables, up to x-degree cap.
-
-    The entire x-degree-0 slice of f must be the constant 1 or -1 (an
-    m-dependent constant slice has no polynomial inverse over Z[m1, m2]).
-    """
-    if cap < 0:
-        raise PolyError("cap must be non-negative")
-    slices = f.x_degree_slices()
-    c0_poly = slices.get(0, Poly.zero(f.nvars))
-    unit = c0_poly.coefficient((0,) * f.nvars, MU_ZERO)
-    if unit not in (1, -1) or c0_poly != Poly.const(f.nvars, unit):
-        raise PolyError("non-unit constant term: x-degree-0 slice must be 1 or -1")
-    inv_slices: dict[int, Poly] = {0: Poly.const(f.nvars, unit)}
-    for d in range(1, cap + 1):
-        acc = Poly.zero(f.nvars)
-        for j in range(1, d + 1):
-            fj = slices.get(j)
-            gdj = inv_slices.get(d - j)
-            if fj is not None and gdj is not None:
-                acc = acc + fj * gdj
-        gd = acc.scale(-unit)
-        if not gd.is_zero:
-            inv_slices[d] = gd
-    out = Poly.zero(f.nvars)
-    for g in inv_slices.values():
-        out = out + g
-    return out

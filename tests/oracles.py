@@ -15,8 +15,10 @@ they check:
   `hecke_times_factor` that build everything in `schubfgl.hecke`, and
   `big_product_double` multiplies the ordered product S with it, one
   linear factor at a time;
-- the series of the formal group law F(x, y) and its self-checks
-  against the formal inverse and the difference kernel of `schubfgl.fgl`;
+- the generic series inverter `series_invert_unit`, the series of the
+  formal group law F(x, y) built with it, and their self-checks against
+  the formal inverse and the difference kernel of `schubfgl.fgl`: they
+  are the reference for the closed forms of chi and F(x, chi(y)) there;
 - the tuple-key printer, which sorts `Poly.terms` by a tuple per term:
   it is the reference for the printer of `schubfgl.polycore`, which
   reads the term order off packed keys;
@@ -28,7 +30,8 @@ they check:
   `naive_mul`: it is the reference for `schubfgl.coinv.vandermonde_poly`,
   which writes down the determinant expansion.
 
-The rest are small enumerations and deletions that only the tests use.
+The rest are small enumerations, deletions and comparisons that only
+the tests use.
 """
 
 from __future__ import annotations
@@ -53,7 +56,12 @@ from schubfgl.coinv import NotInSpanError, expand_in_basis, normal_form
 from schubfgl.fgl import FglSpec, diff_kernel, formal_inverse
 from schubfgl.grass import GrassContext, RectangleClass, smooth_product
 from schubfgl.hecke import HeckeElem, hecke_one, ideal_delete
-from schubfgl.polycore import MU_ZERO, Poly, PolyError, series_invert_unit
+from schubfgl.polycore import MU_ZERO, Poly, PolyError
+
+
+def equals_mod_s(f: Poly, g: Poly, n: int) -> bool:
+    """f and g are congruent modulo the symmetric ideal S."""
+    return normal_form(f - g, n).is_zero
 
 
 def naive_mul(f: Poly, g: Poly) -> Poly:
@@ -420,6 +428,39 @@ def _sym_numerator() -> Poly:
         ((0, 1), MU_ZERO): 1,
         ((1, 1), (1, 0)): -1,
     })
+
+
+def series_invert_unit(f: Poly, cap: int) -> Poly:
+    """Invert f as a power series in the x variables, up to x-degree cap.
+
+    The entire x-degree-0 slice of f must be the constant 1 or -1 (an
+    m-dependent constant slice has no polynomial inverse over Z[m1, m2]).
+    """
+    if cap < 0:
+        raise PolyError("cap must be non-negative")
+    by_degree: dict = {}
+    for key, c in f.terms.items():
+        by_degree.setdefault(sum(key[0]), {})[key] = c
+    slices = {d: Poly(f.nvars, t) for d, t in by_degree.items()}
+    c0_poly = slices.get(0, Poly.zero(f.nvars))
+    unit = c0_poly.terms.get(((0,) * f.nvars, MU_ZERO), 0)
+    if unit not in (1, -1) or c0_poly != Poly.const(f.nvars, unit):
+        raise PolyError("non-unit constant term: x-degree-0 slice must be 1 or -1")
+    inv_slices: dict[int, Poly] = {0: Poly.const(f.nvars, unit)}
+    for d in range(1, cap + 1):
+        acc = Poly.zero(f.nvars)
+        for j in range(1, d + 1):
+            fj = slices.get(j)
+            gdj = inv_slices.get(d - j)
+            if fj is not None and gdj is not None:
+                acc = acc + fj * gdj
+        gd = acc.scale(-unit)
+        if not gd.is_zero:
+            inv_slices[d] = gd
+    out = Poly.zero(f.nvars)
+    for g in inv_slices.values():
+        out = out + g
+    return out
 
 
 def _sym_denominator() -> Poly:

@@ -451,6 +451,11 @@ QUOTIENT_SHA256 = {
     "verify vandermonde --n 5 --fgl multiplicative": "9dbbaaf85f3cb14d3534343208fc51d86424048f1d74202cc1968d2ecc6f2b43",
     "verify vandermonde --n 5 --fgl hyperbolic": "bc5b6b4aa369d6f7e11783e2dd14bafc067d97ea716698b674219d6ff042ac9b",
     "verify vandermonde --n 5 --fgl lorentz": "daee21177cb33c72a2a34f0f479c61723396b00448c2aa107b6b3dd7e72756de",
+    # recorded with chi built by the generic inverter and then specialized;
+    # it reaches gr24 through dual_root_monomial
+    "verify gr24 --fgl hyperbolic --mu2 0": (
+        "d3c89bd10edd517db273f64e4e0cd94e05d7566368421774983d131be4b4a499"
+    ),
 }
 
 
@@ -487,6 +492,20 @@ VANDERMONDE_SHA256 = {
     ),
     ("--n 4 --cap 40 --json", "lorentz"): (
         "c79a5eb18aa48b7f5eaea6cfbdcf9cf87a73712b28bfe8a52b844ac61934c518"
+    ),
+    # recorded with the series built by the generic inverter and then
+    # specialized: the closed form must specialize the same way
+    ("--n 5", "multiplicative --mu1 0"): (
+        "96bf1e71e5673253c17a0a50040e32be75675fbe236ccbe51840f5085b2fddeb"
+    ),
+    ("--n 5 --json", "multiplicative --mu1 0"): (
+        "90eab780b26305c817272d03e07a6005b06bc8c0e1c07241567b0e445f09f566"
+    ),
+    ("--n 5", "lorentz --mu2 5"): (
+        "f8bec27a02b0c2ed0d6877ce91db097c36fbbcf9d026e2b8fb26368aa175b357"
+    ),
+    ("--n 5 --json", "lorentz --mu2 5"): (
+        "33e93ff6fe8e22b970c27d5cec79f17ed4f734445a9d016da3cd943d8a33838e"
     ),
 }
 
@@ -551,6 +570,17 @@ HECKE_SHA256 = {
     "verify fk --n 3 --fgl lorentz": "90353b0792dd6bde7e67418bb72ce62d46d7fe85007940d34c3982bf39509ae6",
     "verify differ --n 2 --fgl lorentz": "b869d57e655e7eeff6acb7acced42c454866b0f340464cda10a33ce71751ea68",
     "verify differ --n 3 --fgl lorentz": "a6d36a18fb2c7888c061feaae6280d3e219206fa844cdb8df09d74470e2179db",
+    # recorded with chi and F(x, chi(y)) built by the generic inverter and
+    # then specialized: the closed forms must specialize the same way
+    "verify local --n 3 --cap 12 --fgl multiplicative --mu1 0": (
+        "35a43a1292df8bf2ba650ea48bbc937dd34c4717ff90517384daf722990e0c27"
+    ),
+    "verify local --n 3 --cap 12 --fgl hyperbolic --mu1 2": (
+        "9133eb7b797f129c7e5b276550d04ca5db16c68075985e2adf49956dde9ec52a"
+    ),
+    "verify local --n 3 --cap 12 --fgl hyperbolic --mu1 -1 --mu2 0": (
+        "a8c89dd4bb350c9633312aec1f546b7b7de456996e286340ccf616f6389c531f"
+    ),
 }
 
 

@@ -14,7 +14,6 @@ from schubfgl.coinv import (
     MAX_VANDERMONDE_RANK,
     NotInSpanError,
     _monomial_normal_form,
-    equals_mod_s,
     expand_in_basis,
     normal_form,
     top_staircase_class,
@@ -27,7 +26,7 @@ from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE
 from schubfgl.polycore import Poly, PolyError
 from schubfgl.schubert import schubert_polynomial
 
-from oracles import nf_linear_oracle, staircase_monomials, vandermonde_product
+from oracles import equals_mod_s, nf_linear_oracle, staircase_monomials, vandermonde_product
 
 
 def is_staircase(exps, n: int) -> bool:
@@ -237,13 +236,13 @@ def test_vandermonde_check():
 def test_vandermonde_series_stop_at_top_degree(monkeypatch):
     # degrees above n(n-1)/2 vanish modulo S, so --cap must not add work
     caps = []
-    invert = coinv.series_invert_unit
+    series = coinv.chi_difference
 
-    def recording_invert(f, cap):
+    def recording_series(spec, cap):
         caps.append(cap)
-        return invert(f, cap)
+        return series(spec, cap)
 
-    monkeypatch.setattr(coinv, "series_invert_unit", recording_invert)
+    monkeypatch.setattr(coinv, "chi_difference", recording_series)
     rep = vandermonde_check(HYPERBOLIC, 3, 400)
     assert rep.passed and rep.name.endswith("cap=400]")
     assert caps and max(caps) <= 3
@@ -252,16 +251,31 @@ def test_vandermonde_series_stop_at_top_degree(monkeypatch):
 def test_vandermonde_inverts_the_kernel_once(monkeypatch):
     # one two-variable series serves every pair (i, j), relabelled
     calls = []
-    invert = coinv.series_invert_unit
+    series = coinv.chi_difference
 
-    def recording_invert(f, cap):
-        calls.append((f.nvars, cap))
-        return invert(f, cap)
+    def recording_series(spec, cap):
+        calls.append((spec, cap))
+        return series(spec, cap)
 
-    monkeypatch.setattr(coinv, "series_invert_unit", recording_invert)
+    monkeypatch.setattr(coinv, "chi_difference", recording_series)
     rep = vandermonde_check(HYPERBOLIC, 5, 40)
     assert rep.passed
-    assert calls == [(2, 10)]
+    assert calls == [(HYPERBOLIC, 10)]
+
+
+def test_vandermonde_reduces_the_alternant_once(monkeypatch):
+    # part (b) compares with part (a)'s normal form instead of reducing
+    # the n! monomials of the alternant again
+    sizes = []
+    reduce = coinv.normal_form
+
+    def recording_normal_form(f, n):
+        sizes.append(len(f.terms))
+        return reduce(f, n)
+
+    monkeypatch.setattr(coinv, "normal_form", recording_normal_form)
+    assert vandermonde_check(HYPERBOLIC, 5, 11).passed
+    assert sizes.count(math.factorial(5)) == 1
 
 
 def test_vandermonde_rank_bound():

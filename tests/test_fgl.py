@@ -8,15 +8,30 @@ from schubfgl.fgl import (
     HYPERBOLIC,
     LORENTZ,
     MULTIPLICATIVE,
+    chi_difference,
     diff_kernel,
     formal_inverse,
     kappa_of,
 )
-from schubfgl.polycore import Poly
+from schubfgl.polycore import Poly, PolyError
 
-from oracles import diff_kernel_series_check, fgl_sum_series, inverse_series_check
+from oracles import (
+    diff_kernel_series_check,
+    fgl_sum_series,
+    inverse_series_check,
+    series_invert_unit,
+)
 
 ALL = (ADDITIVE, MULTIPLICATIVE, HYPERBOLIC, LORENTZ)
+# integer values too: m1 = 0 must keep the constant term of 1/p (0**0 == 1)
+SPECIALIZED = ALL + (
+    FglSpec("multiplicative", mu1=0),
+    FglSpec("multiplicative", mu1=2),
+    FglSpec("multiplicative", mu1=-1),
+    FglSpec("hyperbolic", mu1=0),
+    FglSpec("hyperbolic", mu1=2, mu2=-3),
+    FglSpec("lorentz", mu2=-1),
+)
 
 
 def test_sum_series_additive():
@@ -25,16 +40,16 @@ def test_sum_series_additive():
 
 def test_sum_series_hyperbolic_low_order():
     f = fgl_sum_series(HYPERBOLIC, 4)
-    assert f.coefficient((1, 0)) == 1
-    assert f.coefficient((0, 1)) == 1
-    assert f.coefficient((1, 1), (1, 0)) == -1
+    assert f.terms.get(((1, 0), (0, 0)), 0) == 1
+    assert f.terms.get(((0, 1), (0, 0)), 0) == 1
+    assert f.terms.get(((1, 1), (1, 0)), 0) == -1
     # the degree-3 m2 terms are negative: the rational form
     # (x + y - m1 xy) / (1 + m2 xy) forces it, and so does the
     # degree-4 coefficient below (a positive quadratic term would
     # flip its sign)
-    assert f.coefficient((2, 1), (0, 1)) == -1
-    assert f.coefficient((1, 2), (0, 1)) == -1
-    assert f.coefficient((2, 2), (1, 1)) == 1
+    assert f.terms.get(((2, 1), (0, 1)), 0) == -1
+    assert f.terms.get(((1, 2), (0, 1)), 0) == -1
+    assert f.terms.get(((2, 2), (1, 1)), 0) == 1
 
 
 def test_sum_series_matches_rational_form():
@@ -81,6 +96,29 @@ def test_formal_inverse_satisfies_defining_identity():
         lhs = (x + chi - spec.specialize((x * chi).mul_mu(1, 0))).truncate(cap)
         assert lhs.is_zero
         assert inverse_series_check(spec, 10)
+
+
+@pytest.mark.parametrize("spec", SPECIALIZED, ids=FglSpec.label)
+def test_formal_inverse_is_the_inverted_unit(spec):
+    x = Poly.variable(1, 1)
+    unit = spec.specialize(Poly.one(1) - Poly.monomial(1, (1,), (1, 0)))
+    for cap in range(1, 13):
+        assert formal_inverse(spec, cap) == (-x * series_invert_unit(unit, cap)).truncate(cap)
+
+
+@pytest.mark.parametrize("spec", SPECIALIZED, ids=FglSpec.label)
+def test_chi_difference_is_the_inverted_kernel(spec):
+    x, y = Poly.variable(2, 1), Poly.variable(2, 2)
+    for cap in range(1, 13):
+        expected = ((x - y) * series_invert_unit(diff_kernel(spec), cap)).truncate(cap)
+        assert chi_difference(spec, cap) == expected
+
+
+def test_closed_forms_reject_caps_below_one():
+    for series in (formal_inverse, chi_difference):
+        for cap in (0, -3):
+            with pytest.raises(PolyError):
+                series(HYPERBOLIC, cap)
 
 
 def test_diff_kernel_closed_forms():

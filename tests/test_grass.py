@@ -3,7 +3,7 @@
 import pytest
 
 import schubfgl.grass as grass
-from schubfgl.coinv import BasisDependenceError, equals_mod_s, normal_form
+from schubfgl.coinv import BasisDependenceError, normal_form
 from schubfgl.combi import BoxPartition, CapacityError, box_partitions
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE
 from schubfgl.grass import (
@@ -27,7 +27,7 @@ from schubfgl.polycore import Poly
 from schubfgl.ddo import OperatorContext
 from schubfgl.schubert import schubert_polynomial
 
-from oracles import expansion_rule_cross_check
+from oracles import equals_mod_s, expansion_rule_cross_check
 
 
 def _bp(*parts: int) -> BoxPartition:
