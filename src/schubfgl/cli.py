@@ -12,7 +12,9 @@ verify       run one of the verification suites
 Exit status: 0 on success / all checks passed, 1 on verification
 failure, 2 on usage errors.  Output is deterministic for a fixed
 command line and seed; annotated findings only fail the run under
---strict-literal.
+--strict-literal.  With --json the output bytes are those of
+json.dump(obj, sort_keys=True, indent=2) plus a newline, written by one
+direct writer (_json_text).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .coinv import (
     NotInSpanError,
@@ -88,13 +91,54 @@ def _read_stdin_poly(stdin, nvars: int | None) -> Poly:
     if not text:
         raise PolyError("no polynomial on stdin")
     if text.startswith("{"):
-        return Poly.from_json(text)
+        try:
+            return Poly.from_json(text)
+        except RecursionError:
+            raise PolyError("the JSON on stdin is nested too deeply") from None
     return Poly.parse_text(text, nvars if text == "0" else None)
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it.
+
+    Dict keys must be str; indent is the indent of the line obj starts on.
+    With indent set, the stdlib runs its pure-Python encoder, which costs
+    more than most calls' mathematics.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join(
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())
+        )
+        # an f-string copies body once; a chain of + would hold three copies
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join(_json_text(v, inner) for v in obj)
+        return f"[\n{inner}{body}\n{indent}]"
+    # floats and unsupported types behave as in the stdlib
+    return json.dumps(obj)
+
+
 def _emit_json(obj, out) -> None:
-    json.dump(obj, out, sort_keys=True, indent=2)
-    out.write("\n")
+    out.write(_json_text(obj) + "\n")
 
 
 def _add_fgl_flags(p: argparse.ArgumentParser) -> None:
@@ -103,10 +147,11 @@ def _add_fgl_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu2", type=int, default=None, help="specialize m2 to an integer")
 
 
-# Building the parser costs more than most calls do; parse_args leaves it
-# as it was, so one parser serves every call in the process.
+# Building the parser costs more than most calls do; parsing leaves it as
+# it was, so one parser serves every call in the process.
 @lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser and the parser of each subcommand by name."""
     top = argparse.ArgumentParser(prog="schubfgl", description=__doc__.split("\n")[0])
     sub = top.add_subparsers(dest="cmd", required=True)
 
@@ -154,11 +199,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="count annotated findings as failures",
     )
 
-    return top
+    return top, sub.choices
+
+
+# A class can grow about fivefold per letter of a chain of adjacent
+# letters (hyperbolic law), and the text of each term grows with the
+# rank.  poly word takes every reduced word up to rank 6 (the longest
+# word takes about 0.5 s there, and about 16 s at rank 7); above it,
+# words of up to 7 letters, which stay under about 0.7 s up to rank 100.
+# The library calls under it stay unbounded: the Chow/K representatives
+# of Gr(6,7) apply 15-letter words at rank 7 under the m2 = 0 laws, and
+# verify chowk --k 6 --n 7 takes about 0.2 s.
+MAX_ANY_WORD_RANK = 6
+MAX_SHORT_WORD = 7
+MAX_WORD_CLASS_RANK = 100
 
 
 def _cmd_poly(args, out) -> int:
-    layout, terms = schubert(OperatorContext(_spec_of(args), args.n), args.word)
+    n, word = args.n, args.word
+    if n > MAX_WORD_CLASS_RANK:
+        raise CapacityError(f"poly word is limited to rank {MAX_WORD_CLASS_RANK}, got {n}")
+    if n > MAX_ANY_WORD_RANK and len(word) > MAX_SHORT_WORD:
+        raise CapacityError(
+            f"above rank {MAX_ANY_WORD_RANK} poly word is limited to words of "
+            f"{MAX_SHORT_WORD} letters, got {len(word)} at rank {n}"
+        )
+    layout, terms = schubert(OperatorContext(_spec_of(args), n), word)
     if args.json:
         _emit_json(packed_json_obj(layout, terms), out)
     else:
@@ -181,7 +247,10 @@ def _cmd_reduce(args, out, stdin) -> int:
 
 def _cmd_expand(args, out, stdin) -> int:
     with open(args.basis, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise PolyError("the basis file is nested too deeply") from None
     if not isinstance(raw, list) or not raw:
         raise PolyError("basis file must be a nonempty JSON array of polynomials")
     # entries may be bare polynomials or rows of `table ... --json`
@@ -305,7 +374,17 @@ def _cmd_verify(args, out) -> int:
 def main(argv: list[str] | None = None, out=None, stdin=None) -> int:
     out = out if out is not None else sys.stdout
     stdin = stdin if stdin is not None else sys.stdin
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    top, commands = build_parser()
+    # a named subcommand goes straight to its own parser, which is all the
+    # top parser would do with it after a pass of its own over argv; the
+    # usage errors read the same
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+        if extras:
+            top.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = top.parse_args(argv)
     try:
         if args.cmd == "poly":
             return _cmd_poly(args, out)

@@ -6,12 +6,17 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubfgl import cli
-from schubfgl.cli import main
+from schubfgl.cli import MAX_ANY_WORD_RANK, MAX_SHORT_WORD, MAX_WORD_CLASS_RANK, main
+from schubfgl.ddo import OperatorContext
+from schubfgl.fgl import FglSpec
 from schubfgl.hecke import MAX_LOCAL_CAP
-from schubfgl.polycore import Poly
+from schubfgl.polycore import Poly, packed_json_obj
 from schubfgl.report import CheckReport
+from schubfgl.schubert import schubert
 
 from oracles import all_permutations, reduced_words
 
@@ -674,3 +679,164 @@ def test_one_parser_serves_every_call():
     code, text = reused[1]
     assert code == 0 and text.endswith("overall: PASS (4 reports)\n")
     assert "n=4" not in text and "n=3" in text
+
+
+def test_deeply_nested_json_input_exits_2(tmp_path, capsys):
+    # both used to escape as a RecursionError traceback with exit 1
+    nested = "[" * 100000 + "]" * 100000
+    code, _ = run(["reduce"], stdin_text='{"nvars": ' + nested + "}")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "schubfgl: error: the JSON on stdin is nested too deeply\n"
+    basis = tmp_path / "basis.json"
+    basis.write_text(nested)
+    code, _ = run(["expand", "--basis", str(basis)], stdin_text="1*x[1,0]")
+    assert code == 2
+    assert capsys.readouterr().err == "schubfgl: error: the basis file is nested too deeply\n"
+
+
+def _word_argv(n, word, law):
+    return ["poly", "word", "--n", str(n), "--word", ",".join(map(str, word)), "--fgl", law]
+
+
+def test_poly_word_at_the_capacity_bound():
+    longest = [j for i in range(1, MAX_ANY_WORD_RANK) for j in range(i, 0, -1)]
+    chain = list(range(MAX_ANY_WORD_RANK, 0, -1))[:MAX_SHORT_WORD - 1] + [MAX_ANY_WORD_RANK]
+    assert len(chain) == MAX_SHORT_WORD
+    for argv in (_word_argv(MAX_ANY_WORD_RANK, longest, "additive"),
+                 _word_argv(MAX_ANY_WORD_RANK + 1, chain, "hyperbolic"),
+                 _word_argv(MAX_WORD_CLASS_RANK, range(1, MAX_SHORT_WORD + 1), "additive")):
+        code, text = run(argv)
+        assert code == 0 and text.startswith("1*x[")
+    # the bound is the command's: the Gr(6,7) representatives apply
+    # 15-letter words at rank 7 through the library
+    code, text = run(["verify", "chowk", "--k", "6", "--n", "7", "--fgl", "additive"])
+    assert code == 0 and text.endswith("overall: PASS (1 reports)\n")
+
+
+def test_poly_word_above_the_capacity_bound_exits_2(capsys):
+    # the rank-7 longest word took about 16 s and 258 MB
+    n = MAX_ANY_WORD_RANK + 1
+    longest = [j for i in range(1, n) for j in range(i, 0, -1)]
+    chain = list(range(n - 1, 0, -1)) + [n - 1, n - 2]
+    assert len(chain) == MAX_SHORT_WORD + 1
+    for word in (longest, chain):
+        t0 = time.perf_counter()
+        code, _ = run(_word_argv(n, word, "hyperbolic"))
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == (
+            f"schubfgl: error: above rank {MAX_ANY_WORD_RANK} poly word is limited to words of "
+            f"{MAX_SHORT_WORD} letters, got {len(word)} at rank {n}\n"
+        )
+    code, _ = run(_word_argv(MAX_WORD_CLASS_RANK + 1, [1], "additive"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"schubfgl: error: poly word is limited to rank {MAX_WORD_CLASS_RANK}, got {MAX_WORD_CLASS_RANK + 1}\n"
+    )
+
+
+# (exit code, last line of stderr, sha256 of stdout + "\0" + stderr) of
+# malformed command lines at an 80-column terminal, recorded while every
+# command line still went through the top parser alone.
+USAGE_PINS = {
+    (): (2, "schubfgl: error: the following arguments are required: cmd",
+         "a943446192b3d8be365c1593acd25c2e64de91bd1c6c8a649424ffb1dd328cb7"),
+    ("nope",): (2, "schubfgl: error: argument cmd: invalid choice: 'nope' (choose from 'poly', "
+                   "'reduce', 'expand', 'grprod', 'table', 'verify')",
+                "85243ddbc8040ea41145dc3f61250cb4e1f03a2bae9cf565300637e774822141"),
+    ("--help",): (0, "", "403fb56b192a21464ac7a19f8cd3cd8589298f85979b70e7e9dcdd3a8e99cd22"),
+    ("poly", "--help"): (0, "", "80d2934588959a4b65e4e1db144ce3b83c535cf2cb9c1ecfc998e4d01cbfaae3"),
+    ("poly",): (2, "schubfgl poly: error: the following arguments are required: what, --n, --word",
+                "2b81183fd8d3267be5d3774b41a39412ec8e4b48dfeef53840b579ea4060f303"),
+    ("poly", "word", "--n", "3", "--word", "1", "--bogus"): (
+        2, "schubfgl: error: unrecognized arguments: --bogus",
+        "7810fcca08162df5773e7e39e298430f689e7badcdb99293eab0a36980666b4c"),
+    ("--n", "x"): (2, "schubfgl: error: argument cmd: invalid choice: 'x' (choose from 'poly', "
+                      "'reduce', 'expand', 'grprod', 'table', 'verify')",
+                   "a76dd16e75bb921190b815a8763a9c7a3bbfd6b4343424089473a8027ee313a0"),
+    ("grprod", "--k", "2", "--n", "4", "--rect", "1,1", "--lambda", "-1,0"): (
+        2, "schubfgl grprod: error: argument --lambda: expected one argument",
+        "a7ada0bb3bd00028bbb7282f1c54e930985710f2c0f5ef5715e7fd3427b84f66"),
+    ("verify", "braid", "--samples", "-1"): (
+        2, "schubfgl verify: error: argument --samples: expected a positive integer, got -1",
+        "1dcf0bb91d9dc1dbafde28727de1714a9cb7648c737140fe95d3aa1df80ce790"),
+    ("poly", "word", "--n", "3", "--word", "1", "extra", "--bogus", "x"): (
+        2, "schubfgl: error: unrecognized arguments: extra --bogus x",
+        "03446526e3848b6f01d76ea0b32dbc787e1d6951939a4646da1d3e190a3ebf08"),
+    ("reduce", "--", "x"): (2, "schubfgl: error: unrecognized arguments: -- x",
+                            "f6e9b23ad2b742bdb5c379e2a8785aa159ebfa8073b84f4beb8d53c9cce031a4"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE_PINS))
+def test_usage_errors_pinned(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    # main(None) reads sys.argv[1:]
+    monkeypatch.setattr("sys.argv", ["schubfgl", *argv])
+    for given_argv in (list(argv), None):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as e:
+            main(given_argv, out=out)
+        captured = capsys.readouterr()
+        blob = (captured.out + out.getvalue() + "\0" + captured.err).encode()
+        last = captured.err.rstrip("\n").rsplit("\n", 1)[-1]
+        assert (e.value.code, last, hashlib.sha256(blob).hexdigest()) == USAGE_PINS[argv]
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["schubfgl", "poly", "word", "--n", "2", "--word", "1"])
+    assert main() == 0
+    assert capsys.readouterr().out == "1*x[0,0] + -1*m2^1*x[1,1]\n"
+
+
+def _stdlib_json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "caf\u00e9 \u2028 \U0001f600", 'a"b\\c\nd\te']
+)
+JSON_LEAVES = (
+    st.none() | st.booleans() | JSON_TEXT | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200) | st.integers(max_value=-(2**64))
+    | st.floats()
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+        | st.lists(st.integers(), max_size=5) | st.dictionaries(JSON_TEXT, inner, max_size=5)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+def test_json_writer_matches_stdlib(obj):
+    assert cli._json_text(obj) == _stdlib_json(obj)
+
+
+def test_json_writer_on_every_object_kind_the_cli_emits():
+    hyperbolic = FglSpec("hyperbolic")
+    report = cli.VERIFY_SUITES["fk"][1](hyperbolic, 3, None)[0]
+    poly = Poly.parse_text("3*x[1,0] + -1*m1^2*x[0,0]")
+    objs = [
+        packed_json_obj(*schubert(OperatorContext(hyperbolic, 3), (1, 2))),  # poly word
+        poly.to_json_obj(),  # reduce
+        Poly.zero(2).to_json_obj(),
+        {"coefficients": [poly.to_json_obj(), Poly.zero(0).to_json_obj()]},  # expand
+        {"k": 2, "n": 4, "rect": [1, 1], "lambda": [2, 1], "result": None},  # grprod
+        {"k": 2, "n": 4, "rect": [1, 1], "lambda": [1], "result": [2, 1]},
+        [{"lam": [2, 1], "word": [3, 1, 2], "poly": poly.to_json_obj()}],  # table
+        {"passed": report.passed, "strict_literal": False, "reports": [report.to_json_obj()]},  # verify
+    ]
+    for obj in objs:
+        assert cli._json_text(obj) == _stdlib_json(obj)
+    out = io.StringIO()
+    cli._emit_json(objs[0], out)
+    assert out.getvalue() == _stdlib_json(objs[0]) + "\n"
+    for bad in ({"a": {1, 2}}, [object()]):
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
