@@ -162,10 +162,11 @@ class BoxPartition:
                 raise ValueError(f"more than {self.k} nonzero parts: {parts}")
             parts = parts[: self.k]
         parts = parts + (0,) * (self.k - len(parts))
+        for p in parts:
+            if not 0 <= p <= self.m:
+                raise ValueError(f"part {p} does not lie in [0, {self.m}]: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must weakly decrease: {parts}")
-        if parts and (parts[0] > self.m or parts[-1] < 0):
-            raise ValueError(f"parts must lie in [0, {self.m}]: {parts}")
         object.__setattr__(self, "parts", parts)
 
     def size(self) -> int:

@@ -57,9 +57,10 @@ from .report import CheckReport
 # Bound on the packed rows _delta_row holds, one per (builder, law,
 # layout, letter, a, b).  C_i never raises the largest exponent of one
 # variable, so the word classes of S_n only meet a, b < n.  Measured
-# over 40 batches of a benchmark workload (seed 1): fk5 builds 116 rows
-# and reuses them 65,092 times; compute builds 1,266 and reuses them
-# 32,731 times, so it fills all 1,024 entries and evicts.
+# over 40 batches of a benchmark workload (seed 1), with one layout per
+# rank for word classes and the memo of schubert in front: fk5 builds
+# 86 rows and reuses them 12,020 times; compute builds 998 and reuses
+# them 15,144 times, just under the 1,024 entries.
 _TABLE_SIZE = 1024
 
 

@@ -60,7 +60,7 @@ from .ddo import OperatorContext, _apply_letter, apply_delta
 from .fgl import FglSpec, chi_difference, formal_inverse
 from .polycore import PackedLayout, Poly, PolyError, _mk
 from .report import CheckReport
-from .schubert import grothendieck_polynomial
+from .schubert import grothendieck_polynomial, word_class_layout
 
 
 def ideal_delete(f: Poly, indices: frozenset[int] | set[int]) -> Poly:
@@ -269,16 +269,6 @@ def _apply_delta_elem(e: HeckeElem, i: int) -> HeckeElem:
 # ----------------------------------------------------------------------
 # verifiers
 
-def _walk_layout(n: int) -> PackedLayout:
-    """The packed layout of every word class of S_n and of its references.
-
-    The words have at most n(n-1)/2 letters and start from the staircase
-    monomial, whose largest exponent is n - 1.  The coefficients of S and
-    the m2 = 0 classes stay inside the same bound, and packing checks it.
-    """
-    return PackedLayout.fit(top_staircase_class(n), n * (n - 1) // 2)
-
-
 def _word_classes(
     ctx: OperatorContext, layout: PackedLayout
 ) -> Iterator[tuple[Permutation, Word, dict[int, int]]]:
@@ -316,7 +306,7 @@ def _word_class_cases(
     lexicographically by word, each with its "w=(...) word=(...)" label.
     """
     w0 = Permutation.longest(ctx.nvars)
-    layout = _walk_layout(ctx.nvars)
+    layout = word_class_layout(ctx.nvars)
     refs: dict[Permutation, dict[int, int]] = {}
     rows = []
     for w, word, cls in _word_classes(ctx, layout):

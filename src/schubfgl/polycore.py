@@ -527,9 +527,9 @@ class PackedLayout(NamedTuple):
 
 
 # Bounds of the printer's memos.  The hyperbolic classes of all 3,061
-# reduced words of S_5 hold 10,372 distinct keys in two layouts; a mixed
+# reduced words of S_5 hold 10,372 distinct keys in one layout; a mixed
 # session of small calls (`poly`, `reduce`, `expand`, `table`, `grprod`
-# at n <= 6) prints in 15 layouts, and with fewer kept it rebuilds
+# at n <= 6) prints in 14 layouts, and with fewer kept it rebuilds
 # memos so often that the printer runs slower than with no memo.
 _KEY_MEMO_MAX = 16384
 _LAYOUTS_KEPT = 16

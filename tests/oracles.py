@@ -308,6 +308,38 @@ def reduced_words(w: Permutation) -> tuple[Word, ...]:
     return _reduced_words_cached(w.oneline)
 
 
+def s5_word_sample() -> list[Word]:
+    """Every 10th reduced word of S_5 in (length, lex) order, counted back
+    from the last longest word: 307 words, classes of up to 1,972 terms."""
+    return sorted(
+        (word for w in all_permutations(5) for word in reduced_words(w)),
+        key=lambda word: (len(word), word),
+    )[::-10]
+
+
+def commutation_classes(words) -> list[set[Word]]:
+    """The words grouped by the closure under swapping two adjacent
+    letters i, j with |i - j| > 1, found by a search from each word not
+    yet grouped.  Every word the search reaches is in the result."""
+    grouped: set[Word] = set()
+    out = []
+    for start in sorted(set(words)):
+        if start in grouped:
+            continue
+        cls, todo = {start}, [start]
+        while todo:
+            word = todo.pop()
+            for k in range(len(word) - 1):
+                if abs(word[k] - word[k + 1]) > 1:
+                    swapped = word[:k] + (word[k + 1], word[k]) + word[k + 2:]
+                    if swapped not in cls:
+                        cls.add(swapped)
+                        todo.append(swapped)
+        grouped |= cls
+        out.append(cls)
+    return out
+
+
 def staircase_monomials(n: int) -> list[tuple[int, ...]]:
     """All n! staircase exponent vectors, sorted."""
     ranges = [range(n - k, -1, -1) for k in range(1, n + 1)]

@@ -18,7 +18,7 @@ from schubfgl.polycore import Poly, packed_json_obj
 from schubfgl.report import CheckReport
 from schubfgl.schubert import schubert
 
-from oracles import all_permutations, reduced_words
+from oracles import all_permutations, reduced_words, s5_word_sample
 
 
 def run(argv, stdin_text=None):
@@ -148,6 +148,13 @@ def test_grprod_bad_rectangle():
         ["grprod", "--k", "2", "--n", "4", "--rect", "3,1", "--lambda", "2,1"]
     )
     assert code == 2
+
+
+def test_grprod_negative_part_is_named(capsys):
+    # `--lambda -1,0` stops in argparse (see USAGE_PINS); the `=` form reaches the partition
+    code, _ = run(["grprod", "--k", "2", "--n", "4", "--rect", "1,1", "--lambda=-1,0"])
+    assert code == 2
+    assert "part -1 does not lie in [0, 2]" in capsys.readouterr().err
 
 
 def test_table_gr24_text():
@@ -379,12 +386,7 @@ def test_poly_word_at_rank_40_pinned():
     )
 
 
-# Every 10th reduced word of S_5 in (length, lex) order, counted back
-# from the last longest word: 307 words, classes of up to 1,972 terms.
-S5_WORD_SAMPLE = sorted(
-    (word for w in all_permutations(5) for word in reduced_words(w)),
-    key=lambda word: (len(word), word),
-)[::-10]
+S5_WORD_SAMPLE = s5_word_sample()
 
 # sha256 of the concatenated `poly word --n 5` outputs over the sample,
 # recorded with the tuple-keyed printer (the additive, lorentz and

@@ -100,6 +100,9 @@ def test_box_partition_padding_and_validation():
         BoxPartition(2, 2, (1, 2))
     with pytest.raises(ValueError):
         BoxPartition(2, 2, (3, 0))
+    # the range check comes first, so a negative part is named as such
+    with pytest.raises(ValueError, match=r"part -1 does not lie in \[0, 2\]"):
+        BoxPartition(2, 2, (-1, 0))
     with pytest.raises(ValueError):
         BoxPartition(2, 2, (2, 2, 1))
 

@@ -30,6 +30,7 @@ from schubfgl.hecke import (
     window_vars,
 )
 from schubfgl.polycore import PackedLayout, Poly, PolyError
+from schubfgl.schubert import word_class_layout
 
 from oracles import (
     all_permutations,
@@ -349,7 +350,7 @@ def test_rank_guards():
 
 def test_word_walk_applies_one_operator_per_word(c_calls):
     ctx = OperatorContext(ADDITIVE, 5)
-    walked = [(w, word) for w, word, _cls in hecke._word_classes(ctx, hecke._walk_layout(5))]
+    walked = [(w, word) for w, word, _cls in hecke._word_classes(ctx, word_class_layout(5))]
     # every reduced word of S_5 once, in trie (lexicographic) order
     assert [word for _w, word in walked] == sorted(all_words(5))
     assert len(walked) == 3061
@@ -362,7 +363,7 @@ def test_word_walk_classes_match_word_by_word():
     for spec in LAWS:
         for n in (2, 3, 4):
             ctx = OperatorContext(spec, n)
-            layout = hecke._walk_layout(n)
+            layout = word_class_layout(n)
             top = top_staircase_class(n)
             for _w, word, cls in hecke._word_classes(ctx, layout):
                 assert layout.unpack(cls) == apply_word(ctx, word, top)

@@ -1,21 +1,36 @@
-"""Word classes: pinned values, homogeneity, word dependence."""
+"""Word classes: pinned values, homogeneity, word dependence, heap memo."""
+
+import hashlib
+import io
+import sys
+from array import array
 
 import pytest
 
+from schubfgl import schubert as word_classes
+from schubfgl.cli import main
 from schubfgl.coinv import normal_form
 from schubfgl.coinv import top_staircase_class
 from schubfgl.combi import Permutation, support_of
-from schubfgl.fgl import ADDITIVE, HYPERBOLIC, MULTIPLICATIVE
+from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
 from schubfgl.hecke import ideal_delete
 from schubfgl.polycore import Poly
 from schubfgl.ddo import OperatorContext
-from schubfgl.schubert import grothendieck_polynomial, schubert_polynomial
+from schubfgl.schubert import (
+    grothendieck_polynomial,
+    heap_keys,
+    schubert,
+    schubert_polynomial,
+    word_class_layout,
+)
 
 from oracles import (
     CLASSICAL_SCHUBERT_S3,
     all_permutations,
+    commutation_classes,
     oracle_apply_word,
     reduced_words,
+    s5_word_sample,
     smooth_monomial,
     window_delete,
 )
@@ -149,3 +164,129 @@ def test_smooth_monomial():
         smooth_monomial(2, 4, rows=3)
     with pytest.raises(ValueError):
         smooth_monomial(4, 4, rows=1)
+
+
+# ----------------------------------------------------------------------
+# heaps and the memo of word classes
+
+
+def _words(n):
+    return [word for w in all_permutations(n) for word in reduced_words(w)]
+
+
+@pytest.fixture
+def memo():
+    """The module's memo, empty before and after the test."""
+    word_classes._MEMO.clear()
+    yield word_classes._MEMO
+    word_classes._MEMO.clear()
+
+
+@pytest.fixture
+def letters(monkeypatch):
+    """The letter of every operator the memo did not spare."""
+    calls = []
+    real = word_classes._apply_letter
+
+    def counting(spec, layout, i, terms):
+        calls.append(i)
+        return real(spec, layout, i, terms)
+
+    monkeypatch.setattr(word_classes, "_apply_letter", counting)
+    return calls
+
+
+def test_heap_keys_are_the_commutation_classes():
+    for n in range(2, 6):
+        words = _words(n)
+        classes = commutation_classes(words)
+        assert set().union(*classes) == set(words)
+        key_of = {word: heap_keys(word)[-1] if word else () for word in words}
+        for cls in classes:
+            keys = {key_of[word] for word in cls}
+            # one key per class, and the key is a word of the class
+            assert len(keys) == 1 and keys <= cls
+        assert len(set(key_of.values())) == len(classes)
+        for word in words:
+            assert heap_keys(word) == [key_of[word[:k]] for k in range(1, len(word) + 1)]
+    assert len(classes) == 476
+
+
+MEMO_LAWS = (ADDITIVE, MULTIPLICATIVE, HYPERBOLIC, LORENTZ, FglSpec("hyperbolic", mu1=2, mu2=-3))
+
+
+def test_warm_memo_gives_the_classes_of_a_cleared_one(memo, letters):
+    # one warm pass over every law and rank, so that entries of other
+    # laws and ranks sit beside each lookup
+    warm = {}
+    for n in (2, 3, 4):
+        words = _words(n)
+        heaps = {heap_keys(word)[-1] for word in words if word}
+        for spec in MEMO_LAWS:
+            ctx = OperatorContext(spec, n)
+            del letters[:]
+            for word in words:
+                warm[spec, n, word] = schubert(ctx, word)
+            # every heap of a nonempty prefix is computed once
+            assert len(letters) == len(heaps)
+    for (spec, n, word), got in warm.items():
+        memo.clear()
+        assert schubert(OperatorContext(spec, n), word) == got
+
+
+def test_warm_memo_on_the_s5_sample(memo):
+    ctx = OperatorContext(HYPERBOLIC, 5)
+    sample = s5_word_sample()
+    warm = [schubert(ctx, word) for word in sample]
+    assert memo.entries
+    for word, got in zip(sample, warm):
+        memo.clear()
+        assert schubert(ctx, word) == got
+
+
+def test_memo_bound_and_typecodes(memo):
+    ctx = OperatorContext(HYPERBOLIC, 5)
+    for word in _words(5):
+        schubert(ctx, word)
+    assert 0 < memo.nbytes <= word_classes._MEMO_BYTES
+    assert memo.nbytes == sum(size for _keys, _coeffs, size in memo.entries.values())
+    # the 475 nonempty heaps hold more than the bound, so some were dropped
+    assert len(memo.entries) < 475
+    # 28-bit keys at rank 5, and coefficients that fit one byte
+    assert {(k.typecode, c.typecode) for k, c, _size in memo.entries.values()} == {("i", "b")}
+
+
+def test_memo_keeps_no_class_above_the_bound(memo, monkeypatch):
+    monkeypatch.setattr(word_classes, "_MEMO_BYTES", 2048)
+    ctx = OperatorContext(HYPERBOLIC, 5)
+    longest = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)
+    stored = []
+    for k in range(1, len(longest) + 1):
+        memo.clear()
+        _layout, cls = schubert(ctx, longest[:k])
+        size = sys.getsizeof(array("i", cls)) + sys.getsizeof(array("b", cls.values()))
+        assert ((HYPERBOLIC, 5, heap_keys(longest)[k - 1]) in memo.entries) == (size <= 2048)
+        stored.append(size <= 2048)
+        assert memo.nbytes <= 2048
+    assert any(stored) and not all(stored)
+
+
+def test_memo_typecode_limits(memo):
+    layout = word_class_layout(3)
+    for c, code in ((-128, "b"), (128, "h"), (-(2**31), "i"), (2**31, "q"), (-(2**63), "q")):
+        memo.put(c, layout, {1: c})
+        assert memo.entries[c][1].typecode == code
+    memo.put("wide", layout, {1: 2**63})
+    assert "wide" not in memo.entries
+
+
+def test_rank_100_word_is_computed_and_not_stored(memo):
+    # keys of 102 13-bit fields exceed 63 bits; pinned at the layout that
+    # sized the fields by the word's own 7 letters
+    out = io.StringIO()
+    assert main(["poly", "word", "--n", "100", "--word", "1,2,3,4,5,6,7"], out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "e1b23b8a77e6661373044adcb352a5a2e4239a5591c534626c745f9da59d971f"
+    )
+    assert word_class_layout(100).width == 13
+    assert not memo.entries and memo.nbytes == 0
