@@ -310,7 +310,16 @@ def _cmd_table(args, out) -> int:
     return 0
 
 
+# verify braid runs 3n - 4 reports of --samples polynomials each.  At both
+# bounds the hyperbolic law, the slowest, took 0.6-1.1 s in process (2 shared
+# CPUs, Python 3.11); rank 1000 took 20 s with one sample, 20,000 samples 25 s.
+MAX_BRAID_RANK, MAX_BRAID_SAMPLES = 12, 100
+
+
 def _braid_reports(spec: FglSpec, n: int, args) -> list[CheckReport]:
+    if n > MAX_BRAID_RANK or args.samples > MAX_BRAID_SAMPLES:
+        raise CapacityError(f"verify braid is limited to rank {MAX_BRAID_RANK} and "
+                            f"{MAX_BRAID_SAMPLES} samples, got {n} and {args.samples}")
     ctx = OperatorContext(spec, n)
     reports = []
     for i in range(1, n - 1):

@@ -8,8 +8,8 @@ acts first.  A word (i_1, ..., i_r) denotes exactly that product.
 The canonical word of a permutation is the lexicographically smallest
 reduced word, obtained by repeatedly taking the smallest left descent.
 The package never lists all reduced words of one permutation: the
-word-class suites walk them all at once (hecke), and the enumeration
-the tests compare against lives in tests/oracles.py.
+word-class suites (hecke) walk them all at once, and the enumerations
+the tests compare against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -115,12 +115,12 @@ class Permutation:
 # words
 
 def word_to_perm(word: Iterable[int], n: int) -> Permutation:
-    p = Permutation.identity(n)
+    ol = list(range(1, n + 1))
     for i in word:
         if not 1 <= i <= n - 1:
             raise ValueError(f"word letter {i} out of range [1, {n - 1}]")
-        p = p.right_mul_simple(i)
-    return p
+        ol[i - 1], ol[i] = ol[i], ol[i - 1]
+    return Permutation(tuple(ol))
 
 
 @lru_cache(maxsize=_PERM_CACHE_SIZE)

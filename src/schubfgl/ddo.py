@@ -30,8 +30,8 @@ fields m2, m1, x_1, ..., x_n, each wide enough for the input's largest
 exponent plus the number of letters, and each table row is stored as
 (key delta, coefficient) pairs, so an output term costs one int add.
 apply_word_packed packs once and applies every letter; apply_word,
-apply_c and apply_delta unpack its result.  The word walk in hecke and
-`poly word`, printed by polycore's one printer, never unpack a class.
+apply_c and apply_delta unpack its result.  The classes of words
+(schubert) stay packed for the fk/differ suites and `poly word`.
 
 At m2 = 0 the operators satisfy the braid relations.  For the full
 hyperbolic law only the twisted form holds:
@@ -69,7 +69,7 @@ class OperatorContext:
     """A formal group law fixed together with the ambient variable count.
 
     The one context of the operator layer: the C_i and D_i here, and the
-    classes of words (schubert) and the word walk (hecke) built on them.
+    classes of words (schubert) and the suites (hecke) built on them.
     """
 
     spec: FglSpec

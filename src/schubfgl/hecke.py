@@ -33,14 +33,14 @@ The central object is the ordered product
 
 whose coefficients recover the push-pull classes: the verifiers below
 check -D_i(S) = S u_i, compare the coefficient of u_{w_0 w} with the
-class of each reduced word of w, and the local factorization identities
-the first check rests on.  The coefficient comparison gates on congruence
-modulo m2 times the quadratic cone over the support window; deletion of
-the adjacent generators alone is too narrow once n >= 3 and is reported
-as annotated diagnostics (see in_window_cone).  Because m2 must stay a
-visible marker for the deletion to make sense, the verifiers reject
-laws that specialize m2 to a nonzero integer; m2 = 0 degenerations are
-fine (the ideal vanishes).
+class of each reduced word of w, taken from schubert once per heap, and
+the local factorization identities the first check rests on.  The
+coefficient comparison gates on congruence modulo m2 times the quadratic
+cone over the support window; deletion of the adjacent generators alone
+is too narrow once n >= 3 and is reported as annotated diagnostics (see
+in_window_cone).  Because m2 must stay a visible marker for the deletion
+to make sense, the verifiers reject laws that specialize m2 to a nonzero
+integer; m2 = 0 degenerations are fine (the ideal vanishes).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .coinv import top_staircase_class
 from .combi import (
     CapacityError,
     MAX_ENUM_RANK,
@@ -56,11 +55,11 @@ from .combi import (
     Word,
     support_of,
 )
-from .ddo import OperatorContext, _apply_letter, apply_delta
+from .ddo import OperatorContext, apply_delta
 from .fgl import FglSpec, chi_difference, formal_inverse
 from .polycore import PackedLayout, Poly, PolyError, _mk
 from .report import CheckReport
-from .schubert import grothendieck_polynomial, word_class_layout
+from .schubert import grothendieck_polynomial, heap_keys, schubert
 
 
 def ideal_delete(f: Poly, indices: frozenset[int] | set[int]) -> Poly:
@@ -269,27 +268,16 @@ def _apply_delta_elem(e: HeckeElem, i: int) -> HeckeElem:
 # ----------------------------------------------------------------------
 # verifiers
 
-def _word_classes(
-    ctx: OperatorContext, layout: PackedLayout
-) -> Iterator[tuple[Permutation, Word, dict[int, int]]]:
-    """(w, word, packed class of word) for every reduced word of S_n, in trie order.
-
-    Reduced words are closed under prefixes and the class of word + (i,)
-    is C_i of the class of word, so a depth-first walk over the trie
-    applies one operator per word.  Only the classes along the current
-    path are held, packed in `layout` and never unpacked.
-    """
-    spec, n = ctx.spec, ctx.nvars
-
-    def walk(w: Permutation, word: Word, cls: dict[int, int]):
-        yield w, word, cls
-        for i in range(1, n):
-            if w(i) < w(i + 1):
-                yield from walk(
-                    w.right_mul_simple(i), word + (i,), _apply_letter(spec, layout, i, cls)
-                )
-
-    return walk(Permutation.identity(n), (), layout.pack(top_staircase_class(n)))
+def _reduced_words(n: int) -> Iterator[tuple[tuple[int, ...], Word]]:
+    """(w in one-line notation, word) for every reduced word of S_n, in trie
+    order: word + (i,) is reduced exactly when w(i) < w(i + 1)."""
+    stack = [(tuple(range(1, n + 1)), ())]
+    while stack:
+        w, word = stack.pop()
+        yield w, word
+        for i in range(n - 1, 0, -1):  # the smallest letter is popped first
+            if w[i - 1] < w[i]:
+                stack.append((w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:], word + (i,)))
 
 
 def _word_class_cases(
@@ -298,37 +286,40 @@ def _word_class_cases(
     """Compare the class of every reduced word of w with reference(w).
 
     The verdicts per word say whether the difference vanishes after
-    window deletion for supp(w), after adjacent-pair deletion for
-    supp(w) and after adjacent-pair deletion for supp(w_0 w).  Each
-    reference is packed once, and the differences and verdicts are
-    taken on packed keys.  The walk keeps only the verdicts; the cases
-    then come out ordered by (length, one-line notation) of w and
-    lexicographically by word, each with its "w=(...) word=(...)" label.
+    window deletion for supp(w), and after adjacent-pair deletion for
+    supp(w) and for supp(w_0 w).  The words of one heap
+    (schubert.heap_keys) share w and the class, so the verdicts are taken
+    on the class schubert.schubert gives the heap's first word and reused
+    for the rest, on packed keys, with each reference packed once per w.
+    The cases come ordered by (length, one-line notation) of w, then word.
     """
     w0 = Permutation.longest(ctx.nvars)
-    layout = word_class_layout(ctx.nvars)
-    refs: dict[Permutation, dict[int, int]] = {}
+    per_w: dict[tuple[int, ...], tuple] = {}  # w -> (packed reference(w), supp(w), supp(w0*w))
+    by_heap: dict[Word, tuple[bool, bool, bool]] = {}
     rows = []
-    for w, word, cls in _word_classes(ctx, layout):
-        ref = refs.get(w)
-        if ref is None:
-            ref = refs[w] = layout.pack(reference(w))
-        diff = dict(cls)
-        for key, c in ref.items():
-            c = diff.get(key, 0) - c
-            if c:
-                diff[key] = c
-            else:
-                del diff[key]
-        supp_w = support_of(w)
-        verdicts = (
-            in_window_cone(diff, layout, supp_w),
-            in_pair_ideal(diff, layout, supp_w),
-            in_pair_ideal(diff, layout, support_of(w0 * w)),
-        )
+    for oneline, word in _reduced_words(ctx.nvars):
+        heap = heap_keys(word)[-1] if word else ()
+        verdicts = by_heap.get(heap)
+        if verdicts is None:
+            layout, diff = schubert(ctx, word)
+            if oneline not in per_w:
+                w = Permutation(oneline)
+                per_w[oneline] = layout.pack(reference(w)), support_of(w), support_of(w0 * w)
+            ref, supp_w, supp_t = per_w[oneline]
+            for key, c in ref.items():
+                c = diff.get(key, 0) - c
+                if c:
+                    diff[key] = c
+                else:
+                    del diff[key]
+            verdicts = by_heap[heap] = (
+                in_window_cone(diff, layout, supp_w),
+                in_pair_ideal(diff, layout, supp_w),
+                in_pair_ideal(diff, layout, supp_t),
+            )
         # a reduced word of w has length l(w); words are distinct, so the
         # sort is by (l(w), w, word) and never compares verdicts
-        rows.append((len(word), w.oneline, word, verdicts))
+        rows.append((len(word), oneline, word, verdicts))
     rows.sort()
     for _length, oneline, word, verdicts in rows:
         yield f"w=({','.join(map(str, oneline))}) word={word}", verdicts

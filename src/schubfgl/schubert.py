@@ -19,7 +19,7 @@ pieces, I", 1986), named here by its Cartier-Foata normal form.  S_5
 has 3,061 reduced words but 476 heaps.  So schubert keeps the packed
 classes it has computed, keyed by law, rank and the normal form of the
 word, and starts each word from the longest prefix whose heap it has
-already met.
+already met; `poly word` and the fk/differ suites (hecke) share the memo.
 """
 
 from __future__ import annotations
@@ -46,14 +46,13 @@ _TYPECODES = (("b", 7), ("h", 15), ("i", 31), ("q", 63))
 
 
 def word_class_layout(n: int) -> PackedLayout:
-    """The packed layout of every word class of S_n and of its references.
-
-    The words have at most n(n-1)/2 letters and start from the staircase
-    monomial, whose largest exponent is n - 1.  The coefficients of S and
-    the m2 = 0 classes stay inside the same bound, and packing checks it.
-    One layout per rank lets the classes of all words share prefixes.
+    """The packed layout of every word class of S_n and of its references:
+    PackedLayout.fit of the staircase (largest exponent n - 1) and n(n-1)/2
+    letters, in closed form.  The coefficients of S and the m2 = 0 classes
+    stay inside that bound, and packing checks it.  One layout per rank
+    lets the classes of all words share prefixes.
     """
-    return PackedLayout.fit(top_staircase_class(n), n * (n - 1) // 2)
+    return PackedLayout(n, max(1, (n - 1 + n * (n - 1) // 2).bit_length()))
 
 
 def heap_keys(word: Word) -> list[Word]:
@@ -142,12 +141,12 @@ def schubert(ctx: OperatorContext, word: Word) -> tuple[PackedLayout, dict[int, 
     """
     word = tuple(word)
     n = ctx.nvars
-    perm = word_to_perm(word, n)
-    if perm.length() != len(word):
-        raise ValueError(f"word {word} is not reduced")
     layout = word_class_layout(n)
     keys = [(ctx.spec, n, form) for form in heap_keys(word)]
     done, terms = _MEMO.resume(keys)
+    # the memo holds heaps of reduced words only, so a word whose heap it holds is one
+    if done < len(word) and word_to_perm(word, n).length() != len(word):
+        raise ValueError(f"word {word} is not reduced")
     if terms is None:
         terms = layout.pack(top_staircase_class(n))
     for k in range(done, len(word)):

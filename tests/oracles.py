@@ -2,7 +2,7 @@
 
 Everything here is deliberately written against plain dicts and
 Fractions, not against the library's own arithmetic, so a bug in the
-package cannot hide inside its oracle.  There are six exceptions,
+package cannot hide inside its oracle.  There are seven exceptions,
 which use the library's generic `Poly` arithmetic but none of the code
 they check:
 
@@ -28,7 +28,13 @@ they check:
   product's normal form with the predicted class's;
 - the Vandermonde product, multiplied out factor by factor with
   `naive_mul`: it is the reference for `schubfgl.coinv.vandermonde_poly`,
-  which writes down the determinant expansion.
+  which writes down the determinant expansion;
+- the all-words walk `word_class_walk`, which applies the library's own
+  C_i once per reduced word along a trie walk, and
+  `word_class_verdicts`, which reads the verdicts of each word off
+  deletions of unpacked polynomials: they are the reference for the
+  word-class cases of `schubfgl.hecke`, which compute one class per
+  heap through `schubfgl.schubert` and test packed keys.
 
 The rest are small enumerations, deletions and comparisons that only
 the tests use.
@@ -52,11 +58,12 @@ from schubfgl.combi import (
     support_of,
     word_to_perm,
 )
-from schubfgl.coinv import NotInSpanError, expand_in_basis, normal_form
+from schubfgl.coinv import NotInSpanError, expand_in_basis, normal_form, top_staircase_class
+from schubfgl.ddo import OperatorContext, _apply_letter
 from schubfgl.fgl import FglSpec, diff_kernel, formal_inverse
 from schubfgl.grass import GrassContext, RectangleClass, smooth_product
 from schubfgl.hecke import HeckeElem, hecke_one, ideal_delete
-from schubfgl.polycore import MU_ZERO, Poly, PolyError
+from schubfgl.polycore import MU_ZERO, PackedLayout, Poly, PolyError
 
 
 def equals_mod_s(f: Poly, g: Poly, n: int) -> bool:
@@ -383,6 +390,57 @@ def window_delete(f: Poly, indices) -> Poly:
         for (exps, mu), c in f.terms.items()
         if not (mu[1] and sum(exps[v] for v in window) >= 2)
     })
+
+
+def word_class_walk(ctx: OperatorContext):
+    """(w, word, class of word) for every reduced word of S_n, in trie order.
+
+    Reduced words are closed under prefixes and the class of word + (i,)
+    is C_i of the class of word, so a depth-first walk over the trie
+    applies one operator per word, to the packed classes along the
+    current path; each class comes out unpacked.
+    """
+    n = ctx.nvars
+    top = top_staircase_class(n)
+    layout = PackedLayout.fit(top, n * (n - 1) // 2)
+
+    def walk(w: Permutation, word: Word, cls: dict[int, int]):
+        yield w, word, layout.unpack(cls)
+        for i in range(1, n):
+            if w(i) < w(i + 1):
+                yield from walk(
+                    w.right_mul_simple(i), word + (i,), _apply_letter(ctx.spec, layout, i, cls)
+                )
+
+    return walk(Permutation.identity(n), (), layout.pack(top))
+
+
+def word_class_verdicts(
+    ctx: OperatorContext, reference
+) -> list[tuple[str, tuple[bool, bool, bool]]]:
+    """The labelled verdicts of every reduced word, word by word.
+
+    For each class of word_class_walk, the difference from reference(w)
+    vanishes or not after window deletion for supp(w) and after
+    adjacent-pair deletion for supp(w) and for supp(w_0 w).  Ordered as
+    the cases of the verifiers: by (length, one-line notation) of w,
+    then by word.
+    """
+    w0 = Permutation.longest(ctx.nvars)
+    rows = []
+    for w, word, cls in word_class_walk(ctx):
+        diff = cls - reference(w)
+        verdicts = (
+            window_delete(diff, support_of(w)).is_zero,
+            ideal_delete(diff, support_of(w)).is_zero,
+            ideal_delete(diff, support_of(w0 * w)).is_zero,
+        )
+        rows.append((len(word), w.oneline, word, verdicts))
+    rows.sort()
+    return [
+        (f"w=({','.join(map(str, oneline))}) word={word}", verdicts)
+        for _length, oneline, word, verdicts in rows
+    ]
 
 
 # ----------------------------------------------------------------------

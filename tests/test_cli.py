@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schubfgl import cli
-from schubfgl.cli import MAX_ANY_WORD_RANK, MAX_SHORT_WORD, MAX_WORD_CLASS_RANK, main
+from schubfgl.cli import (
+    MAX_ANY_WORD_RANK,
+    MAX_BRAID_RANK,
+    MAX_BRAID_SAMPLES,
+    MAX_SHORT_WORD,
+    MAX_WORD_CLASS_RANK,
+    main,
+)
 from schubfgl.ddo import OperatorContext
 from schubfgl.fgl import FglSpec
 from schubfgl.hecke import MAX_LOCAL_CAP
@@ -358,15 +365,20 @@ def test_word_class_reports_pinned(what, law):
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_SHA256[(what, law)]
 
 
-# sha256 of the full --json output at n = 5, recorded with the tuple-keyed
-# operators: the packed walk over all 3,061 reduced words of S_5 must not
-# reorder a case or change a verdict (the hyperbolic runs take seconds;
-# these take a fraction of one)
+# sha256 of the full --json output at n = 5, the m2 = 0 laws recorded with
+# the tuple-keyed operators, hyperbolic and Lorentz with the walk that
+# applied one operator per word: taking one class per heap over the 3,061
+# reduced words of S_5 must not reorder a case or change a verdict (the
+# m2 = 0 runs take a fraction of a second, the others about one)
 WALK_N5_SHA256 = {
     ("fk", "additive"): "b9976677fb5eaeb30e8160f14751d4f17e97fd4f1620613b1be274de9563ed2f",
     ("fk", "multiplicative"): "75e741babdf850cf8789f2efabe6d32f1cb8eec5adee132e495a0bf899e424ad",
     ("differ", "additive"): "ee1365f9a3bf918de4f7026eaa5ae7dbff016fe104552a8267ab37ca7d83729a",
     ("differ", "multiplicative"): "fc2c9f7b958c076670a5783327d31c2cc2b4a85abe25c8f450a5dabd4078b2e1",
+    ("fk", "hyperbolic"): "c3a653f745147a5dd140a26c6d359e914d5f97e151219ce67bd9011fe75fbcb8",
+    ("fk", "lorentz"): "4be123120eb176a303d24daf5b4faf0a24dbb91d51008f7779c6e807cda2cb99",
+    ("differ", "hyperbolic"): "5532ee1c1c6349d946bd9ba03377f7f57d79c1ca4596c9c1913f66fd63201115",
+    ("differ", "lorentz"): "81ae70699b144825a8153cfc95997a6ef769d5b5eb7cc444c2c0d5afa862926c",
 }
 
 
@@ -644,6 +656,21 @@ def test_local_cap_bound_exits_2_at_once(capsys):
     assert f"limited to cap {MAX_LOCAL_CAP}, got {MAX_LOCAL_CAP + 1}" in capsys.readouterr().err
     code, text = run(["verify", "local", "--n", "5", "--cap", str(MAX_LOCAL_CAP)])
     assert code == 0 and text.endswith("overall: PASS (1 reports)\n")
+
+
+def test_braid_bounds(capsys):
+    # without them, rank 1000 took 20 s and 20,000 samples 25 s
+    for n, samples in ((MAX_BRAID_RANK, 1), (3, MAX_BRAID_SAMPLES)):
+        code, _ = run(["verify", "braid", "--n", str(n), "--samples", str(samples)])
+        assert code == 0
+    limits = f"limited to rank {MAX_BRAID_RANK} and {MAX_BRAID_SAMPLES} samples"
+    for n, samples in ((MAX_BRAID_RANK + 1, 20), (3, MAX_BRAID_SAMPLES + 1)):
+        t0 = time.perf_counter()
+        code, _ = run(["verify", "braid", "--n", str(n), "--samples", str(samples)])
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert f"schubfgl: error: verify braid is {limits}, got {n} and {samples}" in err
 
 
 def test_chowk_rank_bound_exits_2_at_once(capsys):

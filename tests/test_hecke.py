@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubfgl import ddo, hecke
+from schubfgl import ddo, hecke, schubert
 from schubfgl.coinv import top_staircase_class
 from schubfgl.combi import CapacityError, Permutation, word_to_perm
 from schubfgl.ddo import OperatorContext, apply_word, random_poly
@@ -30,17 +30,19 @@ from schubfgl.hecke import (
     window_vars,
 )
 from schubfgl.polycore import PackedLayout, Poly, PolyError
-from schubfgl.schubert import word_class_layout
+from schubfgl.schubert import grothendieck_polynomial
 
 from oracles import (
     all_permutations,
     big_product_double,
     brute_reduced_words,
+    commutation_classes,
     demazure_mul,
     hecke_add,
     hecke_scale,
     hecke_u,
     window_delete,
+    word_class_verdicts,
 )
 
 LAWS = (ADDITIVE, MULTIPLICATIVE, HYPERBOLIC, LORENTZ)
@@ -57,7 +59,8 @@ def all_words(n):
 @pytest.fixture
 def c_calls(monkeypatch):
     """Record the letter of every C_i step of the packed engine, however it
-    is reached: apply_c, apply_word and the word walk all go through it."""
+    is reached: apply_c, apply_word and the classes of words (schubert)
+    all go through it.  The memo of word classes starts empty."""
     calls = []
     real = ddo._apply_letter
 
@@ -67,8 +70,10 @@ def c_calls(monkeypatch):
         return real(spec, layout, i, terms, row_of)
 
     monkeypatch.setattr(ddo, "_apply_letter", counting)
-    monkeypatch.setattr(hecke, "_apply_letter", counting)
-    return calls
+    monkeypatch.setattr(schubert, "_apply_letter", counting)
+    schubert._MEMO.clear()
+    yield calls
+    schubert._MEMO.clear()
 
 
 def times_word(e, word):
@@ -348,28 +353,59 @@ def test_rank_guards():
         verify_local_identities(HYPERBOLIC, 6, cap=8)
 
 
-def test_word_walk_applies_one_operator_per_word(c_calls):
-    ctx = OperatorContext(ADDITIVE, 5)
-    walked = [(w, word) for w, word, _cls in hecke._word_classes(ctx, word_class_layout(5))]
+def test_word_walk_applies_one_operator_per_heap(c_calls):
+    walked = list(hecke._reduced_words(5))
     # every reduced word of S_5 once, in trie (lexicographic) order
     assert [word for _w, word in walked] == sorted(all_words(5))
     assert len(walked) == 3061
-    assert all(word_to_perm(word, 5) == w for w, word in walked)
-    assert len(c_calls) == 3060
+    assert all(word_to_perm(word, 5).oneline == oneline for oneline, word in walked)
+    list(hecke._word_class_cases(OperatorContext(ADDITIVE, 5), lambda w: Poly.zero(5)))
+    # one C_i per nonempty heap: the additive classes all fit the memo
+    assert len(c_calls) == 475
 
 
-def test_word_walk_classes_match_word_by_word():
-    # the packed walk against apply_word, which packs and unpacks per word
+def test_word_walk_classes_match_word_by_word(monkeypatch):
+    # one class computed per commutation class, and it is apply_word of
+    # every word of the class, which packs and unpacks per word; the
+    # verdict pins cannot see this, since up to n = 5 all reduced words of
+    # one w happen to share their verdicts
     for spec in LAWS:
         for n in (2, 3, 4):
             ctx = OperatorContext(spec, n)
-            layout = word_class_layout(n)
+            seen = {}
+
+            def recording(context, word):
+                layout, terms = schubert.schubert(context, word)
+                seen[word] = layout.unpack(terms)
+                return layout, terms
+
+            monkeypatch.setattr(hecke, "schubert", recording)
+            list(hecke._word_class_cases(ctx, lambda w: Poly.zero(n)))
             top = top_staircase_class(n)
-            for _w, word, cls in hecke._word_classes(ctx, layout):
-                assert layout.unpack(cls) == apply_word(ctx, word, top)
+            classes = commutation_classes(all_words(n))
+            assert len(seen) == len(classes)
+            for cls in classes:
+                (first,) = cls & seen.keys()
+                for word in cls:
+                    assert seen[first] == apply_word(ctx, word, top)
+
+
+def test_word_class_cases_match_the_all_words_walk():
+    # verdicts per heap against verdicts per word, for both references
+    for spec in LAWS:
+        for n in (2, 3, 4):
+            ctx = OperatorContext(spec, n)
+            S, w0 = big_product_s(n, spec), Permutation.longest(n)
+            for reference in (
+                lambda w: S.coefficient(w0 * w),
+                lambda w: grothendieck_polynomial(ctx, w),
+            ):
+                got = list(hecke._word_class_cases(ctx, reference))
+                assert got == word_class_verdicts(ctx, reference)
 
 
 def test_fk_identity_shares_prefixes(c_calls):
     rep = verify_fk_identity(HYPERBOLIC, 4)
     assert rep.passed
-    assert len(c_calls) == len(all_words(4)) - 1
+    # one C_i per nonempty heap of S_4, counted without heap keys
+    assert len(c_calls) == len(commutation_classes(all_words(4))) - 1

@@ -14,7 +14,7 @@ from schubfgl.coinv import top_staircase_class
 from schubfgl.combi import Permutation, support_of
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
 from schubfgl.hecke import ideal_delete
-from schubfgl.polycore import Poly
+from schubfgl.polycore import PackedLayout, Poly
 from schubfgl.ddo import OperatorContext
 from schubfgl.schubert import (
     grothendieck_polynomial,
@@ -278,6 +278,26 @@ def test_memo_typecode_limits(memo):
         assert memo.entries[c][1].typecode == code
     memo.put("wide", layout, {1: 2**63})
     assert "wide" not in memo.entries
+
+
+def test_words_are_checked_whatever_the_memo_holds(memo):
+    # a full hit skips the check: the memo holds only heaps of reduced
+    # words, so a word that is not reduced or has a letter out of range
+    # never finds its own heap there, even beside stored prefixes
+    ctx = OperatorContext(HYPERBOLIC, 4)
+    for word in _words(4):
+        schubert(ctx, word)
+    bad = ((1, 1), (1, 3, 1), (3, 1, 3, 1), (1, 2, 1, 2), (3, 2, 1, 2, 3, 2, 1), (1, 2, 4), (0,))
+    for word in bad:
+        with pytest.raises(ValueError):
+            schubert(ctx, word)
+    with pytest.raises(ValueError):
+        schubert(OperatorContext(HYPERBOLIC, 3), (3,))
+
+
+def test_word_class_layout_in_closed_form():
+    for n in range(1, 101):
+        assert word_class_layout(n) == PackedLayout.fit(top_staircase_class(n), n * (n - 1) // 2)
 
 
 def test_rank_100_word_is_computed_and_not_stored(memo):
