@@ -32,12 +32,7 @@ from .coinv import (
     vandermonde_check,
 )
 from .combi import BoxPartition, CapacityError
-from .ddo import (
-    OperatorContext,
-    delta_identity_check,
-    naive_braid_check,
-    twisted_braid_check,
-)
+from .ddo import OperatorContext, relation_reports
 from .fgl import FglSpec, KINDS
 from .grass import (
     GR24_ORDER,
@@ -186,7 +181,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("what", choices=VERIFY_SUITES)
-    p.add_argument("--n", type=int, action="append", default=None, help="rank; repeatable")
+    p.add_argument("--n", type=int, action="append", default=None, help="rank; repeatable with distinct ranks")
     p.add_argument("--k", type=int, default=2, help="subspace dimension (chowk)")
     _add_fgl_flags(p)
     p.add_argument("--cap", type=int, default=None, help="series truncation degree")
@@ -310,9 +305,11 @@ def _cmd_table(args, out) -> int:
     return 0
 
 
-# verify braid runs 3n - 4 reports of --samples polynomials each.  At both
-# bounds the hyperbolic law, the slowest, took 0.6-1.1 s in process (2 shared
-# CPUs, Python 3.11); rank 1000 took 20 s with one sample, 20,000 samples 25 s.
+# verify braid runs 3n - 5 reports of --samples polynomials each, all from
+# one pass over the samples.  At both bounds the hyperbolic law, the slowest,
+# took 0.39-0.51 s in process (2 shared CPUs, Python 3.11).  Unbounded, rank
+# 1000 took 20 s with one sample and 20,000 samples 25 s, measured when each
+# report drew its own samples.
 MAX_BRAID_RANK, MAX_BRAID_SAMPLES = 12, 100
 
 
@@ -320,14 +317,7 @@ def _braid_reports(spec: FglSpec, n: int, args) -> list[CheckReport]:
     if n > MAX_BRAID_RANK or args.samples > MAX_BRAID_SAMPLES:
         raise CapacityError(f"verify braid is limited to rank {MAX_BRAID_RANK} and "
                             f"{MAX_BRAID_SAMPLES} samples, got {n} and {args.samples}")
-    ctx = OperatorContext(spec, n)
-    reports = []
-    for i in range(1, n - 1):
-        reports.append(twisted_braid_check(ctx, i, args.samples, args.seed))
-        reports.append(naive_braid_check(ctx, i, args.samples, args.seed))
-    for i in range(1, n):
-        reports.append(delta_identity_check(ctx, i, args.samples, args.seed))
-    return reports
+    return relation_reports(OperatorContext(spec, n), args.samples, args.seed)
 
 
 # kind -> (ranks run when no --n is given, runner(spec, n, args) -> reports);
@@ -356,6 +346,11 @@ def _cmd_verify(args, out) -> int:
     default_kind = "multiplicative" if args.what == "chowk" else "hyperbolic"
     spec = _spec_of(args, default_kind)
     default_ns, runner = VERIFY_SUITES[args.what]
+    # each rank runs once: a repeated rank would run the suite again, so
+    # the per-rank bounds would not bound the call
+    for k, n in enumerate(args.n or ()):
+        if n in args.n[:k]:
+            raise ValueError(f"verify --n {n} is given more than once")
     ns = (None,) if default_ns is None else args.n or default_ns
     reports = [rep for n in ns for rep in runner(spec, n, args)]
     reports.sort(key=lambda rep: rep.name)

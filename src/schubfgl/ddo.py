@@ -40,7 +40,11 @@ hyperbolic law only the twisted form holds:
 
 The naive braid relation genuinely fails there (x_1^2 x_2 is a witness),
 which is why polynomials produced by words of operators depend on the
-word and not just on the permutation.
+word and not just on the permutation.  relation_reports checks both
+relations and D_i = kappa - C_i on seeded samples in one pass: it draws
+the samples once, takes each C_i f once, and makes one defect comparison
+per sample and i, which is the twisted verdict and annotates the naive
+case.
 """
 
 from __future__ import annotations
@@ -216,65 +220,45 @@ def random_poly(
     return Poly(nvars, acc)
 
 
-def twisted_braid_check(
-    ctx: OperatorContext, i: int, samples: int = 20, seed: int = 0
-) -> CheckReport:
-    """C_i C_{i+1} C_i + m2 C_i = C_{i+1} C_i C_{i+1} + m2 C_{i+1} on samples."""
-    _check_index(ctx, i + 1)
-    rep = CheckReport(f"twisted-braid[{ctx.spec.label()},n={ctx.nvars},i={i}]")
-    mu2 = ctx.spec.mu2_poly(ctx.nvars)
-    rng = random.Random(seed)
-    for s in range(samples):
-        f = random_poly(rng, ctx.nvars)
-        lhs = apply_word(ctx, (i, i + 1, i), f) + mu2 * apply_c(ctx, i, f)
-        rhs = apply_word(ctx, (i + 1, i, i + 1), f) + mu2 * apply_c(ctx, i + 1, f)
-        rep.add(f"sample {s}", lhs == rhs)
-    return rep
+def relation_reports(ctx: OperatorContext, samples: int = 20, seed: int = 0) -> list[CheckReport]:
+    """The twisted and naive braid reports for each i in [1, n - 2], then
+    the delta reports D_i f = kappa f - C_i f for each i in [1, n - 1].
 
-
-def naive_braid_check(
-    ctx: OperatorContext, i: int, samples: int = 20, seed: int = 0
-) -> CheckReport:
-    """C_i C_{i+1} C_i = C_{i+1} C_i C_{i+1} on samples.
-
-    This holds when m2 vanishes and fails in general; each failing case
-    records whether the defect matches m2 (C_{i+1} - C_i) f, the
-    correction predicted by the twisted relation.
+    One pass over `samples` polynomials drawn from random.Random(seed)
+    takes each C_i f once and builds both braid sides from it.  One defect
+    comparison per sample, lhs - rhs == m2 (C_{i+1} - C_i) f, is the
+    twisted verdict, and it annotates a failing naive case: at m2 = 0 the
+    naive relation holds, and in general its defect is the m2 correction.
     """
-    _check_index(ctx, i + 1)
-    rep = CheckReport(f"naive-braid[{ctx.spec.label()},n={ctx.nvars},i={i}]")
-    mu2 = ctx.spec.mu2_poly(ctx.nvars)
+    n, label = ctx.nvars, ctx.spec.label()
+    mu2, kap = ctx.spec.mu2_poly(n), kappa_poly(ctx)
     rng = random.Random(seed)
-    for s in range(samples):
-        f = random_poly(rng, ctx.nvars)
-        lhs = apply_word(ctx, (i, i + 1, i), f)
-        rhs = apply_word(ctx, (i + 1, i, i + 1), f)
-        if lhs == rhs:
-            rep.add(f"sample {s}", True, detail="braid holds")
-        else:
-            defect_ok = (lhs - rhs) == mu2 * (
-                apply_c(ctx, i + 1, f) - apply_c(ctx, i, f)
-            )
-            rep.add(
-                f"sample {s}",
-                False,
-                annotated=defect_ok,
-                detail="braid fails; defect matches the m2 correction"
-                if defect_ok
-                else "braid fails with an unexplained defect",
-            )
-    return rep
-
-
-def delta_identity_check(
-    ctx: OperatorContext, i: int, samples: int = 20, seed: int = 0
-) -> CheckReport:
-    """D_i f = kappa f - C_i f on samples."""
-    _check_index(ctx, i)
-    rep = CheckReport(f"delta-identity[{ctx.spec.label()},n={ctx.nvars},i={i}]")
-    kap = kappa_poly(ctx)
-    rng = random.Random(seed)
-    for s in range(samples):
-        f = random_poly(rng, ctx.nvars)
-        rep.add(f"sample {s}", apply_delta(ctx, i, f) == kap * f - apply_c(ctx, i, f))
-    return rep
+    fs = [random_poly(rng, n) for _ in range(samples)]
+    cs = [[apply_c(ctx, i, f) for i in range(1, n)] for f in fs]  # cs[s][i - 1] = C_i f
+    reports = []
+    for i in range(1, n - 1):
+        twisted = CheckReport(f"twisted-braid[{label},n={n},i={i}]")
+        naive = CheckReport(f"naive-braid[{label},n={n},i={i}]")
+        for s, c in enumerate(cs):
+            lhs = apply_word(ctx, (i + 1, i), c[i - 1])
+            rhs = apply_word(ctx, (i, i + 1), c[i])
+            defect_ok = lhs - rhs == mu2 * (c[i] - c[i - 1])
+            twisted.add(f"sample {s}", defect_ok)
+            if lhs == rhs:
+                naive.add(f"sample {s}", True, detail="braid holds")
+            else:
+                naive.add(
+                    f"sample {s}",
+                    False,
+                    annotated=defect_ok,
+                    detail="braid fails; defect matches the m2 correction"
+                    if defect_ok
+                    else "braid fails with an unexplained defect",
+                )
+        reports += (twisted, naive)
+    for i in range(1, n):
+        rep = CheckReport(f"delta-identity[{label},n={n},i={i}]")
+        for s, (f, c) in enumerate(zip(fs, cs)):
+            rep.add(f"sample {s}", apply_delta(ctx, i, f) == kap * f - c[i - 1])
+        reports.append(rep)
+    return reports

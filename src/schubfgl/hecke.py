@@ -325,6 +325,22 @@ def _word_class_cases(
         yield f"w=({','.join(map(str, oneline))}) word={word}", verdicts
 
 
+def _add_word_class_cases(
+    rep: CheckReport,
+    cases: Iterator[tuple[str, tuple[bool, bool, bool]]],
+    phrase: str,
+    pairs_w_detail: str,
+    pairs_t_detail: str,
+) -> None:
+    """Three cases per word of _word_class_cases: the gating window
+    reading, then the two adjacent-pair readings, annotated."""
+    pairs = (("supp(w)", pairs_w_detail), ("supp(w0*w)", pairs_t_detail))
+    for label, (in_window, *in_pairs) in cases:
+        rep.add(f"{label} {phrase} window(supp(w))", in_window)
+        for (support, detail), ok in zip(pairs, in_pairs):
+            rep.add(f"{label} {phrase} pairs({support})", ok, annotated=True, detail=detail)
+
+
 def verify_fk_identity(spec: FglSpec, n: int) -> CheckReport:
     """-D_i(S) = S u_i for every i, then the coefficient comparison.
 
@@ -350,22 +366,15 @@ def verify_fk_identity(spec: FglSpec, n: int) -> CheckReport:
 
     w0 = Permutation.longest(n)
     cases = _word_class_cases(OperatorContext(spec, n), lambda w: S.coefficient(w0 * w))
-    for label, (in_window, in_pairs_w, in_pairs_t) in cases:
-        rep.add(f"{label} congruence mod window(supp(w))", in_window)
-        rep.add(
-            f"{label} congruence mod pairs(supp(w))",
-            in_pairs_w,
-            annotated=True,
-            detail="adjacent-pair generators only; fails from n = 3 on "
-            "because divided differences leak residues across the window",
-        )
-        rep.add(
-            f"{label} congruence mod pairs(supp(w0*w))",
-            in_pairs_t,
-            annotated=True,
-            detail="adjacent-pair generators only; fails when supp(w0*w) "
-            "misses indices that the class difference needs",
-        )
+    _add_word_class_cases(
+        rep,
+        cases,
+        "congruence mod",
+        "adjacent-pair generators only; fails from n = 3 on "
+        "because divided differences leak residues across the window",
+        "adjacent-pair generators only; fails when supp(w0*w) "
+        "misses indices that the class difference needs",
+    )
     return rep
 
 
@@ -385,12 +394,7 @@ def verify_coeff_corollary(spec: FglSpec, n: int) -> CheckReport:
     ctx = OperatorContext(spec, n)
     cases = _word_class_cases(ctx, lambda w: grothendieck_polynomial(ctx, w))
     detail = "adjacent-pair generators only; reported for information"
-    for label, (in_window, in_pairs_w, in_pairs_t) in cases:
-        rep.add(f"{label} difference in window(supp(w))", in_window)
-        rep.add(f"{label} difference in pairs(supp(w))", in_pairs_w, annotated=True, detail=detail)
-        rep.add(
-            f"{label} difference in pairs(supp(w0*w))", in_pairs_t, annotated=True, detail=detail
-        )
+    _add_word_class_cases(rep, cases, "difference in", detail, detail)
     return rep
 
 

@@ -2,7 +2,7 @@
 
 Everything here is deliberately written against plain dicts and
 Fractions, not against the library's own arithmetic, so a bug in the
-package cannot hide inside its oracle.  There are seven exceptions,
+package cannot hide inside its oracle.  There are eight exceptions,
 which use the library's generic `Poly` arithmetic but none of the code
 they check:
 
@@ -34,7 +34,12 @@ they check:
   `word_class_verdicts`, which reads the verdicts of each word off
   deletions of unpacked polynomials: they are the reference for the
   word-class cases of `schubfgl.hecke`, which compute one class per
-  heap through `schubfgl.schubert` and test packed keys.
+  heap through `schubfgl.schubert` and test packed keys;
+- the three relation checks `twisted_braid_check`, `naive_braid_check`
+  and `delta_identity_check`, one report each, which draw their own
+  samples and apply whole words of the library's operators: they are
+  the reference for `schubfgl.ddo.relation_reports`, which draws the
+  samples once and builds every report from one image C_i f per sample.
 
 The rest are small enumerations, deletions and comparisons that only
 the tests use.
@@ -42,6 +47,7 @@ the tests use.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -59,11 +65,21 @@ from schubfgl.combi import (
     word_to_perm,
 )
 from schubfgl.coinv import NotInSpanError, expand_in_basis, normal_form, top_staircase_class
-from schubfgl.ddo import OperatorContext, _apply_letter
+from schubfgl.ddo import (
+    OperatorContext,
+    _apply_letter,
+    _check_index,
+    apply_c,
+    apply_delta,
+    apply_word,
+    kappa_poly,
+    random_poly,
+)
 from schubfgl.fgl import FglSpec, diff_kernel, formal_inverse
 from schubfgl.grass import GrassContext, RectangleClass, smooth_product
 from schubfgl.hecke import HeckeElem, hecke_one, ideal_delete
 from schubfgl.polycore import MU_ZERO, PackedLayout, Poly, PolyError
+from schubfgl.report import CheckReport
 
 
 def equals_mod_s(f: Poly, g: Poly, n: int) -> bool:
@@ -646,3 +662,90 @@ def expansion_rule_cross_check(
             rule_txt = rule.render() if rule is not None else "0"
             out.append((f"rect={r.a},{r.b} lam=({lam.render()}) -> {rule_txt}", ok))
     return out
+
+
+# ----------------------------------------------------------------------
+# the operator relations, one report at a time
+
+def twisted_braid_check(
+    ctx: OperatorContext, i: int, samples: int = 20, seed: int = 0
+) -> CheckReport:
+    """C_i C_{i+1} C_i + m2 C_i = C_{i+1} C_i C_{i+1} + m2 C_{i+1} on samples."""
+    _check_index(ctx, i + 1)
+    rep = CheckReport(f"twisted-braid[{ctx.spec.label()},n={ctx.nvars},i={i}]")
+    mu2 = ctx.spec.mu2_poly(ctx.nvars)
+    rng = random.Random(seed)
+    for s in range(samples):
+        f = random_poly(rng, ctx.nvars)
+        lhs = apply_word(ctx, (i, i + 1, i), f) + mu2 * apply_c(ctx, i, f)
+        rhs = apply_word(ctx, (i + 1, i, i + 1), f) + mu2 * apply_c(ctx, i + 1, f)
+        rep.add(f"sample {s}", lhs == rhs)
+    return rep
+
+
+def naive_braid_check(
+    ctx: OperatorContext, i: int, samples: int = 20, seed: int = 0
+) -> CheckReport:
+    """C_i C_{i+1} C_i = C_{i+1} C_i C_{i+1} on samples.
+
+    This holds when m2 vanishes and fails in general; each failing case
+    records whether the defect matches m2 (C_{i+1} - C_i) f, the
+    correction predicted by the twisted relation.
+    """
+    _check_index(ctx, i + 1)
+    rep = CheckReport(f"naive-braid[{ctx.spec.label()},n={ctx.nvars},i={i}]")
+    mu2 = ctx.spec.mu2_poly(ctx.nvars)
+    rng = random.Random(seed)
+    for s in range(samples):
+        f = random_poly(rng, ctx.nvars)
+        lhs = apply_word(ctx, (i, i + 1, i), f)
+        rhs = apply_word(ctx, (i + 1, i, i + 1), f)
+        if lhs == rhs:
+            rep.add(f"sample {s}", True, detail="braid holds")
+        else:
+            defect_ok = (lhs - rhs) == mu2 * (
+                apply_c(ctx, i + 1, f) - apply_c(ctx, i, f)
+            )
+            rep.add(
+                f"sample {s}",
+                False,
+                annotated=defect_ok,
+                detail="braid fails; defect matches the m2 correction"
+                if defect_ok
+                else "braid fails with an unexplained defect",
+            )
+    return rep
+
+
+def delta_identity_check(
+    ctx: OperatorContext, i: int, samples: int = 20, seed: int = 0
+) -> CheckReport:
+    """D_i f = kappa f - C_i f on samples."""
+    _check_index(ctx, i)
+    rep = CheckReport(f"delta-identity[{ctx.spec.label()},n={ctx.nvars},i={i}]")
+    kap = kappa_poly(ctx)
+    rng = random.Random(seed)
+    for s in range(samples):
+        f = random_poly(rng, ctx.nvars)
+        rep.add(f"sample {s}", apply_delta(ctx, i, f) == kap * f - apply_c(ctx, i, f))
+    return rep
+
+
+def relation_oracle_reports(ctx: OperatorContext, samples: int, seed: int) -> list[CheckReport]:
+    """The reports of schubfgl.ddo.relation_reports in its order, each
+    from the check above that draws its own samples and applies whole
+    words."""
+    n = ctx.nvars
+    reports = []
+    for i in range(1, n - 1):
+        reports.append(twisted_braid_check(ctx, i, samples, seed))
+        reports.append(naive_braid_check(ctx, i, samples, seed))
+    for i in range(1, n):
+        reports.append(delta_identity_check(ctx, i, samples, seed))
+    return reports
+
+
+def relation_report(reports: list[CheckReport], kind: str, i: int) -> CheckReport:
+    """The one report named kind[..., i=i] among reports."""
+    (rep,) = [r for r in reports if r.name.startswith(kind + "[") and r.name.endswith(f",i={i}]")]
+    return rep

@@ -14,12 +14,7 @@ from schubfgl.coinv import (
     vandermonde_check,
 )
 from schubfgl.combi import BoxPartition
-from schubfgl.ddo import (
-    OperatorContext,
-    delta_identity_check,
-    naive_braid_check,
-    twisted_braid_check,
-)
+from schubfgl.ddo import OperatorContext, relation_reports
 from schubfgl.fgl import (
     ADDITIVE,
     HYPERBOLIC,
@@ -49,6 +44,7 @@ from oracles import (
     all_permutations,
     diff_kernel_series_check,
     reduced_words,
+    relation_report,
     smooth_monomial,
     staircase_monomials,
 )
@@ -200,19 +196,22 @@ def test_criterion_09_vandermonde_congruences():
 def test_criterion_10_operator_properties():
     with _budget(30.0):
         for n in (3, 4):
-            ctx = OperatorContext(HYPERBOLIC, n)
+            reports = relation_reports(OperatorContext(HYPERBOLIC, n), samples=50)
             for i in range(1, n - 1):
-                rep = twisted_braid_check(ctx, i, samples=50)
+                rep = relation_report(reports, "twisted-braid", i)
                 assert rep.passed and not rep.findings, rep.summary_lines()
         for spec in (ADDITIVE, MULTIPLICATIVE):
-            rep = naive_braid_check(OperatorContext(spec, 3), 1, samples=50)
+            reports = relation_reports(OperatorContext(spec, 3), samples=50)
+            rep = relation_report(reports, "naive-braid", 1)
             assert rep.passed and not rep.findings
-        rep = naive_braid_check(OperatorContext(HYPERBOLIC, 3), 1, samples=50)
+        reports = relation_reports(OperatorContext(HYPERBOLIC, 3), samples=50)
+        rep = relation_report(reports, "naive-braid", 1)
         assert rep.passed, rep.summary_lines()
         assert rep.findings, "expected recorded naive-braid counterexamples"
         for spec in ALL_SPECS:
+            reports = relation_reports(OperatorContext(spec, 3), samples=50)
             for i in (1, 2):
-                rep = delta_identity_check(OperatorContext(spec, 3), i, samples=50)
+                rep = relation_report(reports, "delta-identity", i)
                 assert rep.passed and not rep.findings
 
 

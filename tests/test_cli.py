@@ -389,6 +389,26 @@ def test_word_class_reports_pinned_n5(what, law):
     assert hashlib.sha256(blob.encode()).hexdigest() == WALK_N5_SHA256[(what, law)]
 
 
+# sha256 of the full --json output of `verify braid`, recorded with one
+# report per check function, each drawing its own samples and applying
+# whole words: one sample pass must not change a case, detail or verdict.
+# The key is the command line after `verify braid`.
+BRAID_N5_SHA256 = {
+    "--n 5 --samples 20 --fgl additive": "4625312e9c6d7db98ddc57d1f9f8b81b6371b7e6e76391176aec0bc032c5a8a6",
+    "--n 5 --samples 20 --fgl multiplicative": "2267aa50f49db0391d447a1c36fe2aad41c579b5a3fd53ec79c9ba48bd640564",
+    "--n 5 --samples 20 --fgl hyperbolic": "ae386a2b1f66a465fef86f51903e1b73d6bd4ad51a8e1ab9e9390bcf8668c2cc",
+    "--n 5 --samples 20 --fgl lorentz": "41fd4d211b30cf532521af9d2f388dd923d69a71ad08d4fb5b072ee88e0fb9be",
+    "--n 4 --mu1 2 --mu2 3": "fe274687e359d6703e44b5f7afaf86ec848a54c29d9b2afa7b77ffbe316df194",
+}
+
+
+@pytest.mark.parametrize("args", sorted(BRAID_N5_SHA256))
+def test_braid_reports_pinned(args):
+    code, blob = run(["verify", "braid", *args.split(), "--json"])
+    assert code == 0
+    assert hashlib.sha256(blob.encode()).hexdigest() == BRAID_N5_SHA256[args]
+
+
 def test_poly_word_at_rank_40_pinned():
     # 40 variables: the packed key has 42 fields; recorded with tuple keys
     code, text = run(["poly", "word", "--n", "40", "--word", "1,2,3"])
@@ -671,6 +691,19 @@ def test_braid_bounds(capsys):
         assert time.perf_counter() - t0 < 1.0
         err = capsys.readouterr().err
         assert f"schubfgl: error: verify braid is {limits}, got {n} and {samples}" in err
+
+
+def test_repeated_verify_rank_exits_2_at_once(capsys):
+    # each repeat used to run the suite again: three `--n 12` took 2.1 s
+    # against 0.65 s for one, and any count of repeats got past the bounds
+    t0 = time.perf_counter()
+    code, out = run(["verify", "braid", "--n", "12", "--n", "12", "--samples", "100"])
+    assert (code, out) == (2, "")
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == "schubfgl: error: verify --n 12 is given more than once\n"
+    code, text = run(["verify", "braid", "--n", "4", "--n", "3"])
+    assert code == 0 and text.endswith("overall: PASS (11 reports)\n")
+    assert "n=4" in text and "n=3" in text
 
 
 def test_chowk_rank_bound_exits_2_at_once(capsys):

@@ -6,21 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schubfgl import ddo
 from schubfgl.ddo import (
     OperatorContext,
     apply_c,
     apply_delta,
     apply_word,
-    delta_identity_check,
     kappa_poly,
-    naive_braid_check,
     random_poly,
-    twisted_braid_check,
+    relation_reports,
 )
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec, diff_kernel
 from schubfgl.polycore import PackedLayout, Poly, PolyError
 
-from oracles import classical_ddiff, division_apply_c, division_apply_delta, naive_mul
+from oracles import (
+    classical_ddiff,
+    division_apply_c,
+    division_apply_delta,
+    naive_mul,
+    relation_oracle_reports,
+    relation_report,
+)
 
 ALL = (ADDITIVE, MULTIPLICATIVE, HYPERBOLIC, LORENTZ)
 
@@ -141,24 +147,57 @@ def test_kappa_poly_matches_table():
 
 def test_delta_identity_sampled_all_specs():
     for spec in ALL:
-        ctx = OperatorContext(spec, 3)
+        reports = relation_reports(OperatorContext(spec, 3), samples=20, seed=0)
         for i in (1, 2):
-            assert delta_identity_check(ctx, i, samples=20, seed=0).passed
+            assert relation_report(reports, "delta-identity", i).passed
 
 
 def test_twisted_braid_all_specs():
     for spec in ALL:
-        ctx = OperatorContext(spec, 3)
-        assert twisted_braid_check(ctx, 1, samples=20, seed=42).passed
+        reports = relation_reports(OperatorContext(spec, 3), samples=20, seed=42)
+        assert relation_report(reports, "twisted-braid", 1).passed
 
 
 def test_naive_braid_holds_iff_mu2_free():
     for spec in (ADDITIVE, MULTIPLICATIVE):
-        rep = naive_braid_check(OperatorContext(spec, 3), 1, samples=20, seed=0)
+        reports = relation_reports(OperatorContext(spec, 3), samples=20, seed=0)
+        rep = relation_report(reports, "naive-braid", 1)
         assert rep.passed and not rep.findings
-    rep = naive_braid_check(OperatorContext(HYPERBOLIC, 3), 1, samples=20, seed=0)
+    reports = relation_reports(OperatorContext(HYPERBOLIC, 3), samples=20, seed=0)
+    rep = relation_report(reports, "naive-braid", 1)
     assert rep.passed  # failures are annotated, the defect shape is pinned
     assert rep.findings
+
+
+@pytest.mark.parametrize("spec", ALL + (FglSpec("hyperbolic", mu1=2, mu2=3),), ids=FglSpec.label)
+def test_relation_reports_match_the_per_report_oracle(spec):
+    # one sample pass against one report at a time, each drawing its own
+    # samples and applying whole words: same reports, same order
+    for n in (2, 3, 4, 5):
+        ctx = OperatorContext(spec, n)
+        for samples in (1, 7):
+            for seed in (0, 5):
+                got = [r.to_json_obj() for r in relation_reports(ctx, samples, seed)]
+                want = [r.to_json_obj() for r in relation_oracle_reports(ctx, samples, seed)]
+                assert got == want, (n, samples, seed)
+
+
+def test_relation_reports_take_each_image_once(monkeypatch):
+    # per sample: C_i f for each i (n - 1 letters), two two-letter braid
+    # sides for each i <= n - 2 (4(n - 2)), D_i f for each i (n - 1)
+    letters = []
+    apply_letter = ddo._apply_letter
+
+    def counting(spec, layout, i, terms, row_of=ddo._c_row):
+        letters.append(i)
+        return apply_letter(spec, layout, i, terms, row_of)
+
+    monkeypatch.setattr(ddo, "_apply_letter", counting)
+    for n in (2, 3, 4, 5):
+        for samples in (1, 4):
+            letters.clear()
+            relation_reports(OperatorContext(HYPERBOLIC, n), samples, seed=0)
+            assert len(letters) == (6 * n - 10) * samples, (n, samples)
 
 
 def test_naive_braid_explicit_counterexample():
