@@ -151,6 +151,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = top.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("poly", help="compute a polynomial")
+    p.set_defaults(run=_cmd_poly)
     p.add_argument("what", choices=("word",))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--word", type=_int_list, required=True, help="e.g. 2,3,1")
@@ -158,15 +159,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("reduce", help="normal form of a stdin polynomial")
+    p.set_defaults(run=_cmd_reduce)
     p.add_argument("--n", type=int, default=None, help="rank; defaults to the input's variable count")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("expand", help="coordinates of a stdin polynomial over a basis")
+    p.set_defaults(run=_cmd_expand)
     p.add_argument("--basis", required=True, help="JSON file: array of polynomials")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("grprod", help="rectangle class times partition class")
+    p.set_defaults(run=_cmd_grprod)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rect", type=_int_list, required=True, help="a,b")
@@ -175,11 +179,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("table", help="print a stored table")
+    p.set_defaults(run=_cmd_table)
     p.add_argument("what", choices=("gr24",))
     _add_fgl_flags(p)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run a verification suite")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("what", choices=VERIFY_SUITES)
     p.add_argument("--n", type=int, action="append", default=None, help="rank; repeatable with distinct ranks")
     p.add_argument("--k", type=int, default=2, help="subspace dimension (chowk)")
@@ -210,7 +216,7 @@ MAX_SHORT_WORD = 7
 MAX_WORD_CLASS_RANK = 100
 
 
-def _cmd_poly(args, out) -> int:
+def _cmd_poly(args, out, stdin) -> int:
     n, word = args.n, args.word
     if n > MAX_WORD_CLASS_RANK:
         raise CapacityError(f"poly word is limited to rank {MAX_WORD_CLASS_RANK}, got {n}")
@@ -263,7 +269,7 @@ def _cmd_expand(args, out, stdin) -> int:
     return 0
 
 
-def _cmd_grprod(args, out) -> int:
+def _cmd_grprod(args, out, stdin) -> int:
     if len(args.rect) != 2:
         raise PolyError("--rect takes exactly two integers a,b")
     # the rule itself is law-independent; the context just carries one
@@ -287,7 +293,7 @@ def _cmd_grprod(args, out) -> int:
     return 0
 
 
-def _cmd_table(args, out) -> int:
+def _cmd_table(args, out, stdin) -> int:
     spec = _spec_of(args)
     basis = gr24_basis(spec)
     rows = []
@@ -342,7 +348,7 @@ VERIFY_SUITES = {
 }
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args, out, stdin) -> int:
     default_kind = "multiplicative" if args.what == "chowk" else "hyperbolic"
     spec = _spec_of(args, default_kind)
     default_ns, runner = VERIFY_SUITES[args.what]
@@ -379,33 +385,30 @@ def main(argv: list[str] | None = None, out=None, stdin=None) -> int:
     out = out if out is not None else sys.stdout
     stdin = stdin if stdin is not None else sys.stdin
     argv = sys.argv[1:] if argv is None else argv
-    top, commands = build_parser()
-    # a named subcommand goes straight to its own parser, which is all the
-    # top parser would do with it after a pass of its own over argv; the
-    # usage errors read the same
-    if argv and argv[0] in commands:
-        args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
-        if extras:
-            top.error(f"unrecognized arguments: {' '.join(extras)}")
-    else:
-        args = top.parse_args(argv)
+    # exact integers have any length: the call lifts CPython's cap on
+    # int/str conversion (3.10.7 on), parsing included, and restores it
+    cap = getattr(sys, "get_int_max_str_digits", None)
+    old_cap = cap() if cap else None
+    if cap:
+        sys.set_int_max_str_digits(0)
     try:
-        if args.cmd == "poly":
-            return _cmd_poly(args, out)
-        if args.cmd == "reduce":
-            return _cmd_reduce(args, out, stdin)
-        if args.cmd == "expand":
-            return _cmd_expand(args, out, stdin)
-        if args.cmd == "grprod":
-            return _cmd_grprod(args, out)
-        if args.cmd == "table":
-            return _cmd_table(args, out)
-        if args.cmd == "verify":
-            return _cmd_verify(args, out)
+        top, commands = build_parser()
+        # a named subcommand goes straight to its own parser, which is all the
+        # top parser would do with it after a pass of its own over argv; the
+        # usage errors read the same
+        if argv and argv[0] in commands:
+            args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+            if extras:
+                top.error(f"unrecognized arguments: {' '.join(extras)}")
+        else:
+            args = top.parse_args(argv)
+        return args.run(args, out, stdin)
     except (PolyError, CapacityError, NotInSpanError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"schubfgl: error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(old_cap)
 
 
 if __name__ == "__main__":

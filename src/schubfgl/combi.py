@@ -20,10 +20,6 @@ from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
 
-# Walking every reduced word of S_n is exponential; S_5 (768 words for
-# the longest element) is the supported ceiling of the Hecke verifiers.
-MAX_ENUM_RANK = 5
-
 # Bound of the per-permutation caches: all 872 permutations of S_2..S_6
 # fit, more than the fk/differ suites at rank 5 or a Grassmannian
 # cross-check ever look up.

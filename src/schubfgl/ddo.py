@@ -17,18 +17,19 @@ the case a < b is the negative of the swapped block, and a = b gives
 zero.  Each operator's image of x_i^a x_{i+1}^b is therefore a short
 fixed table of terms: C_i spreads the three kernel terms over blocks,
 D_i multiplies one block by the swapped kernel.  One bounded cache
-holds the tables, one per (law, packed layout, letter, a, b), and each
-is applied in one pass over the input terms; no product, swap or
-division is carried out.  The two tables come from the two product
-forms separately, so D_i = kappa - C_i, with kappa the kernel constant,
-stays an identity between independent computations.
+holds the tables, one per (law, a, b), and each is applied in one pass
+over the input terms; no product, swap or division is carried out.  The
+two tables come from the two product forms separately, so
+D_i = kappa - C_i, with kappa the kernel constant, stays an identity
+between independent computations.
 Both operators drop graded degree by exactly one on homogeneous input.
 
 The pass runs on packed term keys (polycore.PackedLayout), as in
 Monagan-Pearce's sparse multiplication: one int per term holds the
 fields m2, m1, x_1, ..., x_n, each wide enough for the input's largest
-exponent plus the number of letters, and each table row is stored as
-(key delta, coefficient) pairs, so an output term costs one int add.
+exponent plus the number of letters.  Each call shifts the table rows
+it meets into (key delta, coefficient) pairs for its layout and letter,
+so an output term costs one int add.
 apply_word_packed packs once and applies every letter; apply_word,
 apply_c and apply_delta unpack its result.  The classes of words
 (schubert) stay packed for the fk/differ suites and `poly word`.
@@ -58,13 +59,12 @@ from .fgl import FglSpec, diff_kernel, kappa_of
 from .polycore import PackedLayout, Poly, PolyError
 from .report import CheckReport
 
-# Bound on the packed rows _delta_row holds, one per (builder, law,
-# layout, letter, a, b).  C_i never raises the largest exponent of one
-# variable, so the word classes of S_n only meet a, b < n.  Measured
-# over 40 batches of a benchmark workload (seed 1), with one layout per
-# rank for word classes and the memo of schubert in front: fk5 builds
-# 86 rows and reuses them 12,020 times; compute builds 998 and reuses
-# them 15,144 times, just under the 1,024 entries.
+# Bound on the rows _row holds, one per (builder, law, a, b).  C_i never
+# raises the largest exponent of one variable, so the word classes of S_n
+# only meet a, b < n.  Measured over 40 batches of a benchmark workload
+# (seed 1), with the memo of schubert in front: fk5 builds 24 rows and
+# reuses them 12,082 times; compute builds 157 and reuses them 8,148
+# times, and evicts none.
 _TABLE_SIZE = 1024
 
 
@@ -119,23 +119,11 @@ def _d_row(spec: FglSpec, a: int, b: int) -> dict:
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
-def _delta_row(row_of, spec: FglSpec, layout: PackedLayout, i: int, ab: int) -> tuple:
-    """row_of(spec, a, b) for letter i, each nonzero term as (key delta, coefficient).
-
-    ab holds the x_i and x_{i+1} fields of a key, a above b.  Adding a
-    delta to a key with these fields replaces x_i^a x_{i+1}^b by the
-    term's monomial and multiplies by its m1/m2 power.
-    """
-    w, lo = layout.width, layout.x_shift(i + 1)
-    hi = lo + w
-    a, b = ab >> w, ab & layout.mask
+def _row(row_of, spec: FglSpec, a: int, b: int) -> tuple:
+    """row_of(spec, a, b), each nonzero term as (t - a, s - b, d1, d2, r):
+    the exponent shifts of x_i, x_{i+1}, m1, m2 and the coefficient."""
     return tuple(
-        (
-            ((t - a) << hi) + ((s - b) << lo) + (d1 << layout.m1_shift) + (d2 << layout.m2_shift),
-            r,
-        )
-        for ((t, s), (d1, d2)), r in row_of(spec, a, b).items()
-        if r
+        (t - a, s - b, d1, d2, r) for ((t, s), (d1, d2)), r in row_of(spec, a, b).items() if r
     )
 
 
@@ -143,16 +131,21 @@ def _apply_letter(
     spec: FglSpec, layout: PackedLayout, i: int, terms: dict[int, int], row_of=_c_row
 ) -> dict[int, int]:
     """One operator on packed terms, C_i by default: every term's key plus
-    each delta of its row."""
-    shift, pair_mask = layout.x_shift(i + 1), (1 << 2 * layout.width) - 1
+    each key delta of its row.  A key's x_i and x_{i+1} fields, a above b,
+    pick the row, shifted into this layout's fields once per (a, b)."""
+    w, lo, m1, m2 = layout.width, layout.x_shift(i + 1), layout.m1_shift, layout.m2_shift
+    hi, pair_mask = lo + w, (1 << 2 * w) - 1
     rows: dict[int, tuple] = {}
     out: dict[int, int] = {}
     get = out.get
     for key, c in terms.items():
-        ab = key >> shift & pair_mask
+        ab = key >> lo & pair_mask
         row = rows.get(ab)
         if row is None:
-            row = rows[ab] = _delta_row(row_of, spec, layout, i, ab)
+            row = rows[ab] = tuple(
+                ((dt << hi) + (ds << lo) + (d1 << m1) + (d2 << m2), r)
+                for dt, ds, d1, d2, r in _row(row_of, spec, ab >> w, ab & layout.mask)
+            )
         for delta, r in row:
             k = key + delta
             out[k] = get(k, 0) + c * r

@@ -50,7 +50,6 @@ from typing import Callable, Iterator
 
 from .combi import (
     CapacityError,
-    MAX_ENUM_RANK,
     Permutation,
     Word,
     support_of,
@@ -151,6 +150,10 @@ def _check_spec(spec: FglSpec) -> None:
 # 0.19 s, 120 took 0.73 s and 160 took 1.34 s (in process, one run
 # each, 2 shared CPUs, Python 3.11).
 MAX_LOCAL_CAP = 120
+
+# Walking every reduced word of S_n is exponential; S_5 (768 words for
+# the longest element) is the supported ceiling of the Hecke verifiers.
+MAX_ENUM_RANK = 5
 
 
 def _check_rank(n: int) -> None:

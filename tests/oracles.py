@@ -57,7 +57,6 @@ from itertools import product as _it_product
 from schubfgl.combi import (
     BoxPartition,
     CapacityError,
-    MAX_ENUM_RANK,
     Permutation,
     Word,
     canonical_word,
@@ -77,7 +76,7 @@ from schubfgl.ddo import (
 )
 from schubfgl.fgl import FglSpec, diff_kernel, formal_inverse
 from schubfgl.grass import GrassContext, RectangleClass, smooth_product
-from schubfgl.hecke import HeckeElem, hecke_one, ideal_delete
+from schubfgl.hecke import MAX_ENUM_RANK, HeckeElem, hecke_one, ideal_delete
 from schubfgl.polycore import MU_ZERO, PackedLayout, Poly, PolyError
 from schubfgl.report import CheckReport
 

@@ -1,8 +1,10 @@
 """End-to-end command line checks, run in process."""
 
+import contextlib
 import hashlib
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -25,7 +27,7 @@ from schubfgl.polycore import Poly, packed_json_obj
 from schubfgl.report import CheckReport
 from schubfgl.schubert import schubert
 
-from oracles import all_permutations, reduced_words, s5_word_sample
+from oracles import all_permutations, division_apply_c, reduced_words, s5_word_sample
 
 
 def run(argv, stdin_text=None):
@@ -755,6 +757,63 @@ def test_deeply_nested_json_input_exits_2(tmp_path, capsys):
     code, _ = run(["expand", "--basis", str(basis)], stdin_text="1*x[1,0]")
     assert code == 2
     assert capsys.readouterr().err == "schubfgl: error: the basis file is nested too deeply\n"
+
+
+HAS_DIGIT_CAP = hasattr(sys, "get_int_max_str_digits")
+
+
+@contextlib.contextmanager
+def digit_cap(limit):
+    """CPython's int/str conversion cap set to limit (0: none) inside."""
+    if not HAS_DIGIT_CAP:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_poly_word_beyond_the_digit_cap(fmt):
+    # m1 = a 3,000-digit integer: the m1^2 coefficient has 6,000 digits
+    mu1 = int("7" * 3000)
+    argv = ["poly", "word", "--n", "4", "--word", "3,2,1", "--fgl", "multiplicative", "--mu1", str(mu1)]
+    with digit_cap(4300):
+        code, text = run(argv + (["--json"] if fmt == "json" else []))
+    assert code == 0
+    want = Poly.monomial(4, (3, 2, 1, 0))
+    for i in (3, 2, 1):
+        want = division_apply_c(FglSpec("multiplicative", mu1=mu1), i, want)
+    assert want.terms[((2, 2, 1, 0), (0, 0))] == mu1 * mu1
+    with digit_cap(0):
+        assert len(str(mu1 * mu1)) == 6000
+        assert (Poly.from_json(text) if fmt == "json" else Poly.parse_text(text.strip())) == want
+
+
+def test_reduce_round_trips_a_5000_digit_coefficient():
+    with digit_cap(0):
+        c = str(-(10**4999 + 17))
+    blob = json.dumps({"nvars": 2, "terms": [{"c": c, "mu": [0, 0], "x": [1, 0]}]})
+    with digit_cap(4300):
+        assert run(["reduce", "--n", "2"], stdin_text=f"{c}*x[1,0]") == (0, f"{c}*x[1,0]\n")
+        code, text = run(["reduce", "--n", "2", "--json"], stdin_text=blob)
+    assert code == 0 and json.loads(text)["terms"][0]["c"] == c
+
+
+@pytest.mark.skipif(not HAS_DIGIT_CAP, reason="interpreter without an int/str digit cap")
+def test_main_restores_the_digit_cap():
+    with digit_cap(4321):
+        assert run(["poly", "word", "--n", "2", "--word", "1"])[0] == 0
+        assert sys.get_int_max_str_digits() == 4321
+        # a usage error leaves through SystemExit, an input error returns 2
+        with pytest.raises(SystemExit):
+            main(["poly"])
+        assert sys.get_int_max_str_digits() == 4321
+        assert run(["reduce"], stdin_text="")[0] == 2
+        assert sys.get_int_max_str_digits() == 4321
 
 
 def _word_argv(n, word, law):

@@ -7,7 +7,6 @@ import pytest
 from schubfgl.combi import (
     BoxPartition,
     CapacityError,
-    MAX_ENUM_RANK,
     Permutation,
     box_partitions,
     canonical_word,
@@ -18,6 +17,7 @@ from schubfgl.combi import (
     support_of,
     word_to_perm,
 )
+from schubfgl.hecke import MAX_ENUM_RANK
 
 from oracles import all_permutations, brute_reduced_words, is_reduced, reduced_words
 

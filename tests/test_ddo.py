@@ -344,3 +344,25 @@ def test_layout_width_covers_input_and_letters():
     # needs the ninth bit
     g = Poly.monomial(2, (0, 1), (255, 0))
     assert apply_c(OperatorContext(MULTIPLICATIVE, 2), 1, g) == division_apply_c(MULTIPLICATIVE, 1, g)
+
+
+def test_one_row_per_law_and_exponent_pair():
+    # a row depends on the builder, the law and (a, b) only: every letter
+    # of ranks 3-6, each input packed in two widths, builds it once
+    ddo._row.cache_clear()
+    rng = random.Random(61)
+    builders = ((ddo._c_row, division_apply_c), (ddo._d_row, division_apply_delta))
+    met = set()
+    for spec in ALL:
+        for n in (3, 4, 5, 6):
+            for i in range(1, n):
+                for _ in range(3):
+                    # m1-free, so that one letter's m1 fits the narrowest layout
+                    f = random_poly(rng, n, terms=5, max_total_deg=5, max_mu=0)
+                    narrow = PackedLayout.fit(f, 0)
+                    for layout in (narrow, PackedLayout(n, narrow.width + 5)):
+                        for row_of, oracle in builders:
+                            got = ddo._apply_letter(spec, layout, i, layout.pack(f), row_of)
+                            assert layout.unpack(got) == oracle(spec, i, f), (spec, n, i, layout)
+                            met.update((row_of, spec, x[i - 1], x[i]) for x, _ in f.terms)
+    assert ddo._row.cache_info().currsize == len(met)
