@@ -50,7 +50,7 @@ from .hecke import (
     verify_local_identities,
     verify_ybe,
 )
-from .polycore import Poly, PolyError, packed_json_obj, render_packed
+from .polycore import Poly, PolyError, check_digits, packed_json_obj, render_packed
 from .report import CheckReport
 from .schubert import schubert
 
@@ -249,7 +249,7 @@ def _cmd_reduce(args, out, stdin) -> int:
 def _cmd_expand(args, out, stdin) -> int:
     with open(args.basis, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.loads(check_digits(fh.read()))
         except RecursionError:
             raise PolyError("the basis file is nested too deeply") from None
     if not isinstance(raw, list) or not raw:

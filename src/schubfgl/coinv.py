@@ -14,7 +14,12 @@ and the normal form of a product of two normal forms depends only on
 the classes of the factors.  All of this powers exact expansion of a
 class in a given basis with integer linear algebra.
 
-Monomial normal forms are kept in one bounded memo shared by all calls.
+Reduction runs on the graded packed keys of polycore.GradedLayout
+(x-degree, x_n, ..., x_1, m1, m2, most significant first), one int per
+term.  Monomial normal forms are kept in one memo per rank, keyed by a
+key's x-part and shared by all calls (normal_form also finds them by
+exponent tuple); all ranks together hold at most _NF_MEMO_MAX (262,144)
+entries plus one rewrite closure.
 Every rewrite is rank-bounded where it happens: above MAX_REWRITE_RANK
 a monomial that needs rewriting raises CapacityError, whether
 normal_form or expand_in_basis asked.  Staircase monomials and
@@ -25,25 +30,24 @@ rank.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import factorial
-from operator import add
 
 from .combi import CapacityError
 from .fgl import FglSpec, chi_difference
-from .polycore import MU_ZERO, Poly, PolyError, XExp, _mk
+from .polycore import MU_ZERO, GradedLayout, Poly, PolyError, XExp, _mk, short_product
 from .report import CheckReport
 
 
 # A monomial's rewrite can pass through every monomial of its degree: at
-# rank 7 and the top degree 21 that is 296,010 monomials, about 5 s and
-# 100 MB; at rank 8 and degree 28 it is 6.7 million.  _rewrite holds
+# rank 7 and the top degree 21 that is 296,010 monomials, about 2.9 s and
+# 43 MB; at rank 8 and degree 28 it is 6.7 million.  _rewrite holds
 # every rewrite to this rank.
 MAX_REWRITE_RANK = 7
 
-# At rank 6 the deformed Vandermonde check takes at most 1.2 s, most of
-# it filling _NF_MEMO; the multiplicative one took 134 s and 269 MB at
-# rank 7.
+# At rank 6 the deformed Vandermonde check takes 0.5-0.64 s in a fresh
+# process (multiplicative and hyperbolic, 2 shared CPUs, Python 3.11),
+# most of it filling _NF_MEMO; at rank 7 both took 30-31 s and 362 MB.
 MAX_VANDERMONDE_RANK = 6
 
 
@@ -58,114 +62,159 @@ class BasisDependenceError(ValueError):
 # ----------------------------------------------------------------------
 # rewriting
 
+def nf_layout(n: int, mu_top: int) -> GradedLayout:
+    """The GradedLayout of rank n for mu exponents up to mu_top: x fields of
+    top.bit_length() bits hold every monomial of degree <= top = n(n-1)/2."""
+    return GradedLayout(n, (n * (n - 1) // 2).bit_length(), mu_top.bit_length())
+
+
 # one entry per (k, n) with k <= n: 55 keys reach rank 10
 @lru_cache(maxsize=64)
-def _replacement_monomials(k: int, n: int) -> tuple[XExp, ...]:
-    """Monomials of h_{n-k+1}(x_1..x_k) other than x_k^{n-k+1}.
-
-    Exponent vectors come back in full length n.
-    """
-    out = []
-    for combo in combinations_with_replacement(range(k), n - k + 1):
-        if combo[0] == k - 1:  # x_k^{n-k+1} itself
-            continue
-        exps = [0] * n
-        for i in combo:
-            exps[i] += 1
-        out.append(tuple(exps))
-    return tuple(out)
+def _replacement_monomials(k: int, n: int) -> tuple[int, ...]:
+    """Monomials of h_{n-k+1}(x_1..x_k) other than x_k^{n-k+1}, as
+    x-parts of nf_layout(n) with an empty degree field."""
+    shift = nf_layout(n, 0).x_shift
+    return tuple(
+        sum(1 << shift(i + 1) for i in combo)
+        for combo in combinations_with_replacement(range(k), n - k + 1)
+        if combo[0] != k - 1  # x_k^{n-k+1} itself
+    )
 
 
-# Normal forms of the monomials met while rewriting, keyed by exponent
-# vector (its length is the rank), shared by all calls.  The only
-# normal-form cache: emptied before a rewrite once it holds more than
-# _NF_MEMO_MAX entries.  An entry may be empty (x_1^n is 0 modulo S).
-_NF_MEMO: dict[XExp, tuple[tuple[XExp, int], ...]] = {}
+# Normal forms of the monomials met while rewriting, one dict per rank
+# keyed by x-part and shared by all calls.  An entry lists (staircase
+# x-part, coeff, its exponent tuple) and may be empty (x_1^n is 0).
+# _NF_BY_EXPS holds the same entries keyed by the exponent tuples
+# normal_form has read, so a Poly term costs one lookup; its keys are
+# among _NF_MEMO's, and both are emptied before a rewrite once the ranks
+# of _NF_MEMO together hold more than _NF_MEMO_MAX entries.
+_Entry = tuple[tuple[int, int, XExp], ...]
+_NF_MEMO: dict[int, dict[int, _Entry]] = {}
+_NF_BY_EXPS: dict[int, dict[XExp, _Entry]] = {}
 _NF_MEMO_MAX = 1 << 18
 
 
-def _monomial_normal_form(exps: XExp, n: int) -> tuple[tuple[XExp, int], ...]:
-    """Normal form of a single x-monomial as ((staircase exps, coeff), ...).
+def _monomial_normal_form(x: int, n: int) -> _Entry:
+    """Normal form of the x-part x (degree <= top), an _NF_MEMO entry.
 
-    A monomial whose last violating variable is x_k rewrites to minus the
-    sum of the monomials subs(e) that replace x_k^{n-k+1} by the other
-    monomials of h_{n-k+1}(x_1..x_k).  Those leave x_{k+1}..x_n alone and
-    lower x_k, so each comes before e when exponents are compared from
-    x_n down to x_1.  The rewrite closure of exps that _NF_MEMO lacks is
-    collected first, then settled in that order, children before parents.
+    Every monomial a rewrite gives keeps the degree and x_{k+1}..x_n and
+    lowers x_k, so it is a smaller int: the closure of x that the memo
+    lacks is collected, then settled in int order, children first.
     """
-    memo = _NF_MEMO
-    known = memo.get(exps)
+    memo = _NF_MEMO.setdefault(n, {})
+    known = memo.get(x)
     if known is not None:
         return known
-    if len(memo) > _NF_MEMO_MAX:
-        memo.clear()
+    if sum(map(len, _NF_MEMO.values())) > _NF_MEMO_MAX:
+        for rank_memo in (*_NF_MEMO.values(), *_NF_BY_EXPS.values()):
+            rank_memo.clear()
+    layout = nf_layout(n, 0)
+    shifts, mask = [layout.x_shift(v) for v in range(1, n + 1)], (1 << layout.xwidth) - 1
     todo = set()
-    stack = [exps]
+    stack = [x]
     while stack:
         e = stack.pop()
         if e in memo or e in todo:
             continue
         subs = _rewrite(e, n)
         if subs is None:
-            memo[e] = ((e, 1),)
+            memo[e] = ((e, 1, tuple([e >> s & mask for s in shifts])),)
         else:
             todo.add(e)
             stack.extend(subs)
-    for e in sorted(todo, key=lambda e: e[::-1]):
-        acc: dict[XExp, int] = {}
+    for e in sorted(todo):
+        acc: dict[int, int] = {}
         for sub in _rewrite(e, n):
-            for e2, c2 in memo[sub]:
+            for e2, c2, _exps in memo[sub]:
                 acc[e2] = acc.get(e2, 0) - c2
-        memo[e] = tuple(sorted((e2, c) for e2, c in acc.items() if c))
-    return memo[exps]
+        memo[e] = tuple([(e2, c, memo[e2][0][2]) for e2, c in acc.items() if c])
+    return memo[x]
 
 
-def _rewrite(e: XExp, n: int) -> list[XExp] | None:
-    """The monomials whose negated sum e rewrites to; None for a staircase e.
-
-    Raises CapacityError when e needs a rewrite above MAX_REWRITE_RANK.
-    """
+def _rewrite(x: int, n: int) -> list[int] | None:
+    """The x-parts whose negated sum x rewrites to (None for a staircase x),
+    for the last violating x_k; CapacityError above MAX_REWRITE_RANK."""
+    width = (n * (n - 1) // 2).bit_length()
+    mask = (1 << width) - 1
     for k in range(n, 0, -1):
-        if e[k - 1] > n - k:
+        if x >> (k - 1) * width & mask > n - k:
             if n > MAX_REWRITE_RANK:
                 raise CapacityError(
                     f"normal forms that rewrite are limited to rank {MAX_REWRITE_RANK}, got {n}"
                 )
-            base = list(e)
-            base[k - 1] -= n - k + 1
-            return [tuple(map(add, base, rep)) for rep in _replacement_monomials(k, n)]
+            base = x - ((n - k + 1) << (k - 1) * width)
+            return [base + rep for rep in _replacement_monomials(k, n)]
     return None
 
 
-def normal_form(f: Poly, n: int) -> Poly:
-    """The staircase normal form of f modulo S.
+def reduce_packed(terms: dict[int, int], layout: GradedLayout) -> dict[int, int]:
+    """The staircase normal form of terms packed in layout, an nf_layout.
 
-    Every monomial of x-degree above the top staircase degree n(n-1)/2
-    is 0 modulo S (the rewrite keeps the degree and no staircase
-    monomial is that high), so such terms are dropped unread.  Other
-    terms go through _NF_MEMO; above MAX_REWRITE_RANK a term that is
-    not a staircase monomial raises CapacityError.
+    Terms above the top degree n(n-1)/2 are 0 modulo S (a rewrite keeps
+    the degree and no staircase monomial is that high) and are dropped
+    unread; the others go through _NF_MEMO by their x-part.
+    """
+    n = layout.nvars
+    limit = (n * (n - 1) // 2 + 1) << layout.deg_shift
+    mu_bits = 2 * layout.muwidth
+    mu_mask = (1 << mu_bits) - 1
+    memo = _NF_MEMO.setdefault(n, {})
+    out: dict[int, int] = {}
+    get = out.get
+    misses = []
+    for key, c in terms.items():
+        if key < limit:
+            nf = memo.get(key >> mu_bits)
+            if nf is None:
+                misses.append(key)
+                continue
+            mu = key & mu_mask
+            for x2, c2, _exps in nf:
+                k = x2 << mu_bits | mu
+                out[k] = get(k, 0) + c * c2
+    # misses smallest first, so each closure reuses those before it: in dict
+    # order the rank-7 Vandermonde check made 25 M rewrites, in this 3.4 M
+    for key in sorted(misses):
+        c, mu = terms[key], key & mu_mask
+        for x2, c2, _exps in _monomial_normal_form(key >> mu_bits, n):
+            k = x2 << mu_bits | mu
+            out[k] = get(k, 0) + c * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def normal_form(f: Poly, n: int) -> Poly:
+    """The staircase normal form of f modulo S, from the memo of reduce_packed.
+
+    Terms above the top degree are dropped unread.  The others are looked
+    up by exponent tuple in _NF_BY_EXPS, and on a miss by their x-part in
+    nf_layout(n); the entries carry the exponent tuples of their staircase
+    monomials, so nothing is unpacked.  Above MAX_REWRITE_RANK a term that
+    needs a rewrite raises CapacityError.
     """
     if f.nvars != n:
         raise PolyError(f"expected a polynomial in {n} variables, got {f.nvars}")
     top = n * (n - 1) // 2
-    memo = _NF_MEMO
+    width = top.bit_length()
+    memo = _NF_MEMO.setdefault(n, {})
+    by_exps = _NF_BY_EXPS.setdefault(n, {})
     out: dict = {}
+    get = out.get
     for (exps, mu), c in f.terms.items():
-        if sum(exps) > top:
-            continue
-        nf = memo.get(exps)
+        nf = by_exps.get(exps)
         if nf is None:
-            nf = _monomial_normal_form(exps, n)
-        for e2, c2 in nf:
+            x = sum(exps)
+            if x > top:
+                continue
+            for e in reversed(exps):
+                x = x << width | e
+            nf = memo.get(x)
+            if nf is None:
+                nf = _monomial_normal_form(x, n)
+            by_exps[exps] = nf
+        for _x2, c2, e2 in nf:
             key = (e2, mu)
-            s = out.get(key, 0) + c * c2
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return _mk(n, out)
+            out[key] = get(key, 0) + c * c2
+    return _mk(n, {k: c for k, c in out.items() if c})
 
 
 # ----------------------------------------------------------------------
@@ -319,22 +368,19 @@ def top_staircase_class(n: int) -> Poly:
 
 
 def vandermonde_check(spec: FglSpec, n: int, cap: int) -> CheckReport:
-    """Two congruences modulo S.
+    """Two congruences modulo S, checked on the keys of nf_layout(n, top).
 
-    (a) The Vandermonde product is congruent to n! times the top
-        staircase monomial (independent of the law).  The product is
-        reduced once, as its determinant expansion of n! signed
-        monomials, so this part multiplies nothing.
+    (a) The Vandermonde product, reduced once as its determinant
+        expansion of n! signed monomials, is n! times the top staircase
+        monomial (independent of the law).
     (b) The deformed product of F(x_i, chi(x_j)) over i < j is congruent
-        to the Vandermonde product.  Terms above the top staircase degree
-        n(n-1)/2 are congruent to zero, so the series is taken through
-        that degree only, and cap (which must exceed it) just names the
-        report.  F(x, chi(y)) is fgl.chi_difference, in closed form in
-        two variables, relabelled for each pair.  normal_form is
-        S-linear, so the product is reduced after every factor, each
-        multiply is a short product that skips the term pairs above the
-        top degree, and the last reduction is compared with the normal
-        form of part (a).
+        to the Vandermonde product.  Terms above the top degree
+        top = n(n-1)/2 are 0 modulo S, so F(x, chi(y)) (fgl.chi_difference)
+        is taken through top only, and cap, which must exceed it, only
+        names the report.  Reducing is S-linear, so each factor is a
+        short product through top, reduced at once; the last reduction
+        is compared with part (a)'s.  Every factor and kept product has
+        x-degree >= a + 2b, so top also bounds the mu exponents.
     """
     # below rank 2 both products are empty and the check would pass unread
     if n < 2:
@@ -349,17 +395,22 @@ def vandermonde_check(spec: FglSpec, n: int, cap: int) -> CheckReport:
     if cap <= top:
         raise PolyError(f"cap must exceed the top staircase degree {top}")
     rep = CheckReport(f"vandermonde[{spec.label()},n={n},cap={cap}]")
-    vdm = normal_form(vandermonde_poly(n), n)
+    layout = nf_layout(n, top)
+    vdm = reduce_packed(layout.pack(vandermonde_poly(n), top), layout)
     rep.add(
         "part (a): product of (x_i - x_j) = n! * top staircase class",
-        vdm == top_staircase_class(n).scale(factorial(n)),
+        vdm == {key: factorial(n) for key in layout.pack(top_staircase_class(n), top)},
     )
-
-    factor = chi_difference(spec, top)
-    prod = Poly.one(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            prod = normal_form(prod.mul_truncated(factor.inject_vars(n, (i, j)), top), n)
+    # F(x, chi(y)) as (a, b, key of x^a y^b without its x fields, coeff),
+    # moved to x_i, x_j for each pair by two shifts
+    mw, ds = layout.muwidth, layout.deg_shift
+    factor = [(a, b, (a + b) << ds | m1 << mw | m2, c)
+              for ((a, b), (m1, m2)), c in chi_difference(spec, top).terms.items()]
+    prod = {0: 1}  # the key of 1
+    for i, j in combinations(range(1, n + 1), 2):
+        si, sj = layout.x_shift(i), layout.x_shift(j)
+        pair = {key + (a << si) + (b << sj): c for a, b, key, c in factor}
+        prod = reduce_packed(short_product(prod, pair, (top + 1) << ds), layout)
     rep.add(
         "part (b): product of F(x_i, chi(x_j)) = product of (x_i - x_j)",
         prod == vdm,

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .polycore import MU_ZERO, Poly, PolyError
+from .polycore import MU_ZERO, Poly, PolyError, _mk
 
 KINDS = ("additive", "multiplicative", "hyperbolic", "lorentz")
 
@@ -115,7 +115,7 @@ def formal_inverse(spec: FglSpec, cap: int) -> Poly:
     """The series chi(x) = -x/(1 - m1*x) through degree cap, 1 variable."""
     if cap < 1:
         raise PolyError("cap must be at least 1")
-    return spec.specialize(Poly(1, {((d,), (d - 1, 0)): -1 for d in range(1, cap + 1)}))
+    return spec.specialize(_mk(1, {((d,), (d - 1, 0)): -1 for d in range(1, cap + 1)}))
 
 
 def chi_difference(spec: FglSpec, cap: int) -> Poly:
@@ -126,7 +126,7 @@ def chi_difference(spec: FglSpec, cap: int) -> Poly:
     """
     if cap < 1:
         raise PolyError("cap must be at least 1")
-    inv_p = Poly(2, {
+    inv_p = _mk(2, {
         ((j, k), (k - j, j)): comb(k, j)
         for k in range(cap)
         for j in range(min(k, cap - 1 - k) + 1)

@@ -32,10 +32,11 @@ from .combi import (
     partition_to_perm,
     Word,
 )
-from .coinv import MAX_REWRITE_RANK, basis_degrees, expand_in_basis, normal_form
+from .coinv import (MAX_REWRITE_RANK, basis_degrees, expand_in_basis, nf_layout, normal_form,
+                    reduce_packed)
 from .ddo import OperatorContext
 from .fgl import FglSpec, HYPERBOLIC, formal_inverse
-from .polycore import Poly, PolyError
+from .polycore import Poly, PolyError, short_product
 from .report import CheckReport
 from .schubert import grothendieck_polynomial, schubert_polynomial
 
@@ -161,15 +162,18 @@ def dual_root_monomial(k: int, n: int, power: int, spec: FglSpec) -> Poly:
 
     chi is the formal inverse series; truncating it at the top staircase
     degree is exact because higher homogeneous components are 0 modulo
-    S, and so is reducing after every factor.
+    S, and so is reducing after every factor.  The product stays packed;
+    its terms have x-degree >= a, so top bounds the mu exponents.
     """
-    chi = formal_inverse(spec, n * (n - 1) // 2)
-    out = Poly.one(n)
+    top = n * (n - 1) // 2
+    layout = nf_layout(n, top)
+    chi = formal_inverse(spec, top)
+    out = {0: 1}  # the key of 1
     for v in range(k + 1, n + 1):
-        factor = chi.inject_vars(n, (v,))
+        factor = layout.pack(chi.inject_vars(n, (v,)), top)
         for _ in range(power):
-            out = normal_form(out * factor, n)
-    return out
+            out = reduce_packed(short_product(out, factor, (top + 1) << layout.deg_shift), layout)
+    return layout.unpack(out)
 
 
 def gr24_smooth_poly(r: RectangleClass, spec: FglSpec = HYPERBOLIC) -> Poly:
@@ -238,13 +242,19 @@ def _rule_cross_check(
             f" (this law sets {', '.join(fixed)}); only 0 keeps it"
         ) from exc
     expand_in_basis(basis[degrees.index(min(degrees))], basis, ctx.n)
-    nf_of = dict(zip(order, basis))
-    nf_of[None] = Poly.zero(ctx.n)
+    # the products stay packed; a normal form keeps the mu exponents, so
+    # these mu fields hold those of any product of two
+    top = ctx.n * (ctx.n - 1) // 2
+    polys = (*classes.values(), *smooth.values())
+    layout = nf_layout(ctx.n, 2 * max((max(mu) for f in polys for _x, mu in f.terms), default=0))
+    nf_of = {lam: layout.pack(f, top) for lam, f in zip(order, basis)}
+    nf_of[None] = {}
     for r, smooth_poly in smooth.items():
-        smooth_nf = normal_form(smooth_poly, ctx.n)
-        for lam, lam_nf in zip(order, basis):
+        smooth_nf = reduce_packed(layout.pack(smooth_poly, top), layout)
+        for lam in order:
             rule = smooth_product(ctx, r, lam)
-            ok = normal_form(smooth_nf * lam_nf, ctx.n) == nf_of[rule]
+            product = short_product(smooth_nf, nf_of[lam], (top + 1) << layout.deg_shift)
+            ok = reduce_packed(product, layout) == nf_of[rule]
             rule_txt = rule.render() if rule is not None else "0"
             rep.add(
                 f"rect={r.a},{r.b} lam=({lam.render()}) -> {rule_txt}",

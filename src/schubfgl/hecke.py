@@ -301,10 +301,11 @@ def _word_class_cases(
     by_heap: dict[Word, tuple[bool, bool, bool]] = {}
     rows = []
     for oneline, word in _reduced_words(ctx.nvars):
-        heap = heap_keys(word)[-1] if word else ()
+        heaps = heap_keys(word)
+        heap = heaps[-1] if word else ()
         verdicts = by_heap.get(heap)
         if verdicts is None:
-            layout, diff = schubert(ctx, word)
+            layout, diff = schubert(ctx, word, heaps)
             if oneline not in per_w:
                 w = Permutation(oneline)
                 per_w[oneline] = layout.pack(reference(w)), support_of(w), support_of(w0 * w)

@@ -130,19 +130,22 @@ class _ClassMemo:
 _MEMO = _ClassMemo()
 
 
-def schubert(ctx: OperatorContext, word: Word) -> tuple[PackedLayout, dict[int, int]]:
+def schubert(
+    ctx: OperatorContext, word: Word, heaps: list[Word] | None = None
+) -> tuple[PackedLayout, dict[int, int]]:
     """Apply C along a reduced word to the top class, first letter first.
 
     The word must be reduced: its letter count must equal the length of
     the permutation it multiplies out to.  The class stays packed, in
     word_class_layout(n): this returns that layout and its packed terms.
     The class of the longest prefix whose heap is in the memo is reused,
-    and the classes of the longer prefixes are stored.
+    and the classes of the longer prefixes are stored.  heaps, if given,
+    is heap_keys(word), from a caller that has computed it already.
     """
     word = tuple(word)
     n = ctx.nvars
     layout = word_class_layout(n)
-    keys = [(ctx.spec, n, form) for form in heap_keys(word)]
+    keys = [(ctx.spec, n, form) for form in (heap_keys(word) if heaps is None else heaps)]
     done, terms = _MEMO.resume(keys)
     # the memo holds heaps of reduced words only, so a word whose heap it holds is one
     if done < len(word) and word_to_perm(word, n).length() != len(word):

@@ -50,7 +50,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from itertools import permutations as _it_permutations
 from itertools import product as _it_product
 
@@ -290,6 +290,58 @@ CLASSICAL_SCHUBERT_S3 = {
     (3, 1, 2): {((2, 0, 0), (0, 0)): 1},
     (3, 2, 1): {((2, 1, 0), (0, 0)): 1},
 }
+
+
+def rewrite_normal_form(f: Poly, n: int) -> Poly:
+    """Normal form modulo S by the rewrite on exponent tuples.
+
+    A monomial whose last violating variable is x_k (exponent above
+    n - k) goes to minus the other monomials of h_{n-k+1}(x_1..x_k) times
+    e / x_k^{n-k+1}.  Each of those comes before e when exponents are
+    compared from x_n down, so one call's closure is settled in that
+    order, children before parents.  No degree shortcut and no rank
+    bound: a monomial above the top degree rewrites to 0 by itself.  The
+    reference for the packed rewrite of `schubfgl.coinv`.
+    """
+    def subs(e):
+        for k in range(n, 0, -1):
+            if e[k - 1] > n - k:
+                base = list(e)
+                base[k - 1] -= n - k + 1
+                out = []
+                for combo in combinations_with_replacement(range(k), n - k + 1):
+                    if combo[0] != k - 1:
+                        sub = base[:]
+                        for i in combo:
+                            sub[i] += 1
+                        out.append(tuple(sub))
+                return out
+        return None
+
+    memo: dict = {}
+    todo = set()
+    stack = [exps for exps, _mu in f.terms]
+    while stack:
+        e = stack.pop()
+        if e in memo or e in todo:
+            continue
+        children = subs(e)
+        if children is None:
+            memo[e] = {e: 1}
+        else:
+            todo.add(e)
+            stack.extend(children)
+    for e in sorted(todo, key=lambda e: e[::-1]):
+        acc: dict = {}
+        for sub in subs(e):
+            for e2, c2 in memo[sub].items():
+                acc[e2] = acc.get(e2, 0) - c2
+        memo[e] = acc
+    out: dict = {}
+    for (exps, mu), c in f.terms.items():
+        for e2, c2 in memo[exps].items():
+            out[(e2, mu)] = out.get((e2, mu), 0) + c * c2
+    return Poly(n, out)
 
 
 def all_permutations(n: int) -> list[Permutation]:

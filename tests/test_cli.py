@@ -23,7 +23,7 @@ from schubfgl.cli import (
 from schubfgl.ddo import OperatorContext
 from schubfgl.fgl import FglSpec
 from schubfgl.hecke import MAX_LOCAL_CAP
-from schubfgl.polycore import Poly, packed_json_obj
+from schubfgl.polycore import MAX_INPUT_DIGITS, Poly, packed_json_obj
 from schubfgl.report import CheckReport
 from schubfgl.schubert import schubert
 
@@ -173,6 +173,26 @@ def test_table_gr24_text():
     assert len(lines) == 6
     assert lines[0].startswith("lam=0,0 word=(3,1) ")
     assert "1*x[2,2,0,0]" in lines[0]
+
+
+def test_verify_fk_takes_the_heap_keys_of_each_word_once(monkeypatch):
+    # the walk passes each word's heap keys to schubert instead of having
+    # them built again; every reduced word of S_3 (the empty one too) once
+    from schubfgl import hecke, schubert as schubert_module
+
+    calls = []
+    heap_keys = schubert_module.heap_keys
+
+    def counting(word):
+        calls.append(tuple(word))
+        return heap_keys(word)
+
+    monkeypatch.setattr(hecke, "heap_keys", counting)
+    monkeypatch.setattr(schubert_module, "heap_keys", counting)
+    code, _ = run(["verify", "fk", "--n", "3", "--json"])
+    assert code == 0
+    words = [word for w in all_permutations(3) for word in reduced_words(w)]
+    assert sorted(calls) == sorted(words) and len(words) == 7
 
 
 def test_verify_fk_finding_is_annotated():
@@ -801,6 +821,37 @@ def test_reduce_round_trips_a_5000_digit_coefficient():
         assert run(["reduce", "--n", "2"], stdin_text=f"{c}*x[1,0]") == (0, f"{c}*x[1,0]\n")
         code, text = run(["reduce", "--n", "2", "--json"], stdin_text=blob)
     assert code == 0 and json.loads(text)["terms"][0]["c"] == c
+
+
+def _number(digits: int, sign: str = "") -> str:
+    return sign + "9" * digits
+
+
+@pytest.mark.parametrize("sign", ("", "-"))
+def test_input_integers_are_held_to_the_digit_bound(tmp_path, capsys, sign):
+    # the bound counts digits, not the sign; bound + 1 exits 2 before any conversion
+    ok, big = _number(MAX_INPUT_DIGITS, sign), _number(MAX_INPUT_DIGITS + 1, sign)
+
+    def blob(c):
+        return f'{{"nvars": 2, "terms": [{{"c": {c}, "mu": [0, 0], "x": [1, 0]}}]}}'
+
+    message = f"has {MAX_INPUT_DIGITS + 1} digits, more than the {MAX_INPUT_DIGITS} allowed"
+    for good, bad in (
+        (f"{ok}*x[1,0]", f"{big}*x[1,0]"),  # text
+        (blob(f'"{ok}"'), blob(f'"{big}"')),  # JSON string
+        (blob(ok), blob(big)),  # JSON integer, converted by the parser
+        (f"1*m1^{ok}*x[1,0]", f"1*m1^{big}*x[1,0]"),  # an exponent is an input integer too
+    ):
+        if sign and good.startswith("1*m1^"):
+            continue
+        code, text = run(["reduce", "--n", "2", "--json"], stdin_text=good)
+        assert code == 0, capsys.readouterr().err
+        assert run(["reduce", "--n", "2", "--json"], stdin_text=bad)[0] == 2
+        assert message in capsys.readouterr().err
+    basis = tmp_path / "basis.json"
+    basis.write_text(f"[{blob(big)}]")
+    assert run(["expand", "--basis", str(basis)], stdin_text="1*x[1,0]")[0] == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not HAS_DIGIT_CAP, reason="interpreter without an int/str digit cap")

@@ -13,8 +13,8 @@ from schubfgl.coinv import (
     MAX_REWRITE_RANK,
     MAX_VANDERMONDE_RANK,
     NotInSpanError,
-    _monomial_normal_form,
     expand_in_basis,
+    nf_layout,
     normal_form,
     top_staircase_class,
     vandermonde_check,
@@ -26,7 +26,13 @@ from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE
 from schubfgl.polycore import Poly, PolyError
 from schubfgl.schubert import schubert_polynomial
 
-from oracles import equals_mod_s, nf_linear_oracle, staircase_monomials, vandermonde_product
+from oracles import (
+    equals_mod_s,
+    nf_linear_oracle,
+    rewrite_normal_form,
+    staircase_monomials,
+    vandermonde_product,
+)
 
 
 def is_staircase(exps, n: int) -> bool:
@@ -267,13 +273,13 @@ def test_vandermonde_reduces_the_alternant_once(monkeypatch):
     # part (b) compares with part (a)'s normal form instead of reducing
     # the n! monomials of the alternant again
     sizes = []
-    reduce = coinv.normal_form
+    reduce = coinv.reduce_packed
 
-    def recording_normal_form(f, n):
-        sizes.append(len(f.terms))
-        return reduce(f, n)
+    def recording_reduce(terms, layout):
+        sizes.append(len(terms))
+        return reduce(terms, layout)
 
-    monkeypatch.setattr(coinv, "normal_form", recording_normal_form)
+    monkeypatch.setattr(coinv, "reduce_packed", recording_reduce)
     assert vandermonde_check(HYPERBOLIC, 5, 11).passed
     assert sizes.count(math.factorial(5)) == 1
 
@@ -328,7 +334,7 @@ def test_monomials_above_top_degree_vanish(case):
     n, exps = case
     f = Poly.monomial(n, exps)
     assert nf_linear_oracle(f, n).is_zero
-    assert _monomial_normal_form(exps, n) == ()
+    assert rewrite_normal_form(f, n).is_zero
     assert normal_form(f, n).is_zero
 
 
@@ -348,19 +354,28 @@ def test_every_rewrite_is_rank_bounded():
     assert normal_form(f, n) == Poly.monomial(n, (7, 6, 5, 4, 3, 2, 1, 0), c=3)
 
 
+def _x_part(exps, n: int) -> int:
+    """The x-part of the monomial x^exps in nf_layout(n), its _NF_MEMO key."""
+    (key,) = nf_layout(n, 0).pack(Poly.monomial(n, exps), n * (n - 1) // 2)
+    return key
+
+
 def test_memo_stays_bounded_and_correct(monkeypatch):
     # every monomial of a closure has the root's degree, so one closure
-    # holds at most the C(d + n - 1, n - 1) monomials of degree d
+    # holds at most the C(d + n - 1, n - 1) monomials of degree d; the
+    # bound holds for all ranks together
     bound = 4
     memo: dict = {}
     monkeypatch.setattr(coinv, "_NF_MEMO", memo)
+    monkeypatch.setattr(coinv, "_NF_BY_EXPS", {})
     monkeypatch.setattr(coinv, "_NF_MEMO_MAX", bound)
     sizes = []
     monomial_nf = coinv._monomial_normal_form
 
-    def recording(exps, n):
-        out = monomial_nf(exps, n)
-        sizes.append((len(memo), math.comb(sum(exps) + n - 1, n - 1)))
+    def recording(x, n):
+        out = monomial_nf(x, n)
+        degree = x >> n * nf_layout(n, 0).xwidth
+        sizes.append((sum(map(len, memo.values())), math.comb(degree + n - 1, n - 1)))
         return out
 
     monkeypatch.setattr(coinv, "_monomial_normal_form", recording)
@@ -371,17 +386,60 @@ def test_memo_stays_bounded_and_correct(monkeypatch):
             assert normal_form(f, n) == nf_linear_oracle(f, n)
     assert sizes and all(size <= bound + closure for size, closure in sizes)
     assert max(size for size, _ in sizes) > bound  # the bound was reached
+    assert len(memo) > 1  # more than one rank shared it
 
 
 def test_empty_normal_form_is_memoized(monkeypatch):
     # x_1^3 is 0 modulo S at rank 3; its empty entry is read, not recomputed
     monkeypatch.setattr(coinv, "_NF_MEMO", {})
+    monkeypatch.setattr(coinv, "_NF_BY_EXPS", {})
     f = Poly.monomial(3, (3, 0, 0))
     assert normal_form(f, 3).is_zero
-    assert coinv._NF_MEMO[(3, 0, 0)] == ()
+    assert coinv._NF_MEMO[3][_x_part((3, 0, 0), 3)] == ()
 
-    def no_rewrite(exps, n):
-        raise AssertionError(f"{exps} was rewritten again")
+    def no_rewrite(x, n):
+        raise AssertionError(f"{x} was rewritten again")
 
     monkeypatch.setattr(coinv, "_monomial_normal_form", no_rewrite)
     assert normal_form(f, 3).is_zero
+
+
+@st.composite
+def monomials_up_to_top(draw, max_n: int):
+    n = draw(st.integers(1, max_n))
+    top = n * (n - 1) // 2
+    exps = draw(st.tuples(*[st.integers(0, top)] * n).filter(lambda e: sum(e) <= top))
+    return n, exps
+
+
+@PROPERTY
+@given(monomials_up_to_top(6))
+def test_packed_closure_matches_the_tuple_rewrite(case):
+    n, exps = case
+    nf = rewrite_normal_form(Poly.monomial(n, exps), n)
+    layout = nf_layout(n, 0)
+    entry = coinv._monomial_normal_form(_x_part(exps, n), n)
+    assert layout.unpack({x2: c for x2, c, _exps in entry}) == nf
+    assert all(_x_part(e2, n) == x2 for x2, _c, e2 in entry)
+    term, want = Poly.monomial(n, exps, (1, 2), -3), nf.mul_mu(1, 2).scale(-3)
+    assert normal_form(term, n) == want
+    packed = nf_layout(n, 2)
+    assert packed.unpack(coinv.reduce_packed(packed.pack(term, n * (n - 1) // 2), packed)) == want
+
+
+@PROPERTY
+@given(poly_pairs())
+def test_tuple_rewrite_matches_linear_algebra(case):
+    # the reference rewrite against the reference linear algebra, n <= 3
+    n, f, g = case
+    assert rewrite_normal_form(f + g, n) == nf_linear_oracle(f + g, n)
+
+
+def test_mu_exponents_pass_through_and_must_fit_their_fields():
+    # an m1 exponent of 2^40 rides along the rewrite; packed, it needs a 41-bit field
+    f = Poly.monomial(3, (1, 2, 0), (1 << 40, 3)) + Poly.monomial(3, (0, 2, 1), (0, 1))
+    assert normal_form(f, 3) == rewrite_normal_form(f, 3)
+    layout = nf_layout(3, 1 << 40)
+    assert layout.unpack(coinv.reduce_packed(layout.pack(f, 3), layout)) == normal_form(f, 3)
+    with pytest.raises(PolyError):
+        nf_layout(3, (1 << 40) - 1).pack(f, 3)

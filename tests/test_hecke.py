@@ -374,8 +374,8 @@ def test_word_walk_classes_match_word_by_word(monkeypatch):
             ctx = OperatorContext(spec, n)
             seen = {}
 
-            def recording(context, word):
-                layout, terms = schubert.schubert(context, word)
+            def recording(context, word, heaps=None):
+                layout, terms = schubert.schubert(context, word, heaps)
                 seen[word] = layout.unpack(terms)
                 return layout, terms
 

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from schubfgl import polycore
 from schubfgl.polycore import (
     DivisionFailure,
+    GradedLayout,
     PackedLayout,
     Poly,
     PolyError,
     packed_json_obj,
     render_packed,
+    short_product,
 )
 from schubfgl.ddo import random_poly
 
@@ -81,31 +83,55 @@ def truncated_products(draw):
     return f, g, draw(st.integers(-2, 8 * n))
 
 
+def _short(f: Poly, g: Poly, cap: int) -> Poly:
+    """f * g through x-degree cap by the packed short product, in the
+    narrowest GradedLayout: x fields just wide enough for cap, mu fields
+    for the largest sum of two mu exponents."""
+    mu_top = sum(max((max(mu) for _e, mu in h.terms), default=0) for h in (f, g))
+    layout = GradedLayout(f.nvars, max(cap, 0).bit_length(), mu_top.bit_length())
+    limit = (cap + 1) << layout.deg_shift
+    return layout.unpack(short_product(layout.pack(f, cap), layout.pack(g, cap), limit))
+
+
 @PROPERTY
 @given(truncated_products())
-def test_mul_truncated_is_truncated_product(case):
+def test_short_product_is_truncated_product(case):
     f, g, cap = case
     full = naive_mul(f, g)
-    # either operand may be the larger one
-    assert f.mul_truncated(g, cap) == (f * g).truncate(cap) == full.truncate(cap)
-    assert g.mul_truncated(f, cap) == full.truncate(cap)
+    # either operand may be the sorted one
+    assert _short(f, g, cap) == _short(g, f, cap) == full.truncate(cap)
     degrees = [sum(exps) for exps, _ in full.terms]
-    # a cap above every degree keeps the whole product, one below every degree none of it
-    assert f.mul_truncated(g, max(degrees, default=0)) == full
-    assert f.mul_truncated(g, min(degrees, default=0) - 1).is_zero
+    # a cap at the top degree keeps the whole product, one below every degree none of it
+    assert _short(f, g, max(degrees, default=0)) == full
+    assert _short(f, g, min(degrees, default=0) - 1).is_zero
     zero = Poly.zero(f.nvars)
-    assert f.mul_truncated(zero, cap).is_zero and zero.mul_truncated(g, cap).is_zero
+    assert _short(f, zero, cap).is_zero and _short(zero, g, cap).is_zero
 
 
-def test_mul_truncated_pinned_and_nvars_mismatch():
+def test_short_product_pinned_and_at_the_field_edge():
     # (1 + x_1 + x_1 x_2)(1 - x_2) through degree 1; x_1 x_2 - x_1 x_2 cancels at degree 2
     f = Poly.one(2) + Poly.variable(2, 1) + Poly.monomial(2, (1, 1))
     g = Poly.one(2) - Poly.variable(2, 2)
-    assert f.mul_truncated(g, 1) == Poly.one(2) + Poly.variable(2, 1) - Poly.variable(2, 2)
-    assert f.mul_truncated(g, 2) == Poly.one(2) + Poly.variable(2, 1) - Poly.variable(2, 2)
-    assert f.mul_truncated(g, 3) == f * g
+    assert _short(f, g, 1) == _short(f, g, 2) == Poly.one(2) + Poly.variable(2, 1) - Poly.variable(2, 2)
+    assert _short(f, g, 3) == f * g
+    # cap 3 in 2-bit x fields and 1-bit mu fields: x_1^3 fills its field,
+    # and the degree-4 pairs carry out of theirs (x_1^2 x_1^2 with m1 m2,
+    # x_2^3 x_1) yet stay at or above the limit
+    layout = GradedLayout(2, 2, 1)
+    f = Poly.variable(2, 1) + Poly.monomial(2, (2, 0), (1, 0)) + Poly.monomial(2, (0, 3))
+    g = Poly.monomial(2, (2, 0), (0, 1)) + Poly.monomial(2, (1, 0))
+    got = short_product(layout.pack(f, 3), layout.pack(g, 3), 4 << layout.deg_shift)
+    terms = (((2, 0), (0, 0)), ((3, 0), (0, 1)), ((3, 0), (1, 0)))
+    assert layout.unpack(got) == naive_mul(f, g).truncate(3) == sum(
+        (Poly.monomial(2, e, mu) for e, mu in terms), Poly.zero(2))
+    # int order is term order: x-degree, then x_2, x_1, then m1, m2
+    assert sorted(got) == [layout.pack(Poly.monomial(2, e, mu), 3).popitem()[0] for e, mu in terms]
     with pytest.raises(PolyError):
-        Poly.variable(2, 1).mul_truncated(Poly.variable(3, 1), 5)
+        layout.pack(f, 4)  # 4 does not fit a 2-bit field
+    with pytest.raises(PolyError):
+        layout.pack(Poly.monomial(2, (1, 0), (2, 0)), 3)  # m1^2 does not fit a 1-bit field
+    with pytest.raises(PolyError):
+        layout.pack(Poly.variable(3, 1), 3)
 
 
 def test_nvars_mismatch_rejected():
