@@ -14,12 +14,14 @@ and the normal form of a product of two normal forms depends only on
 the classes of the factors.  All of this powers exact expansion of a
 class in a given basis with integer linear algebra.
 
-Reduction runs on the graded packed keys of polycore.GradedLayout
-(x-degree, x_n, ..., x_1, m1, m2, most significant first), one int per
-term.  Monomial normal forms are kept in one memo per rank, keyed by a
-key's x-part and shared by all calls (normal_form also finds them by
-exponent tuple); all ranks together hold at most _NF_MEMO_MAX (262,144)
-entries plus one rewrite closure.
+Reduction runs on the packed keys of polycore.GradedLayout (x-degree,
+x_n, ..., x_1, m1, m2, most significant first), one int per term: the
+one key format of the package, which the operators of ddo and the
+printer use too, here in nf_layout's field widths.  Monomial normal
+forms are kept in one memo per rank, keyed by a key's x-part and shared
+by all calls (normal_form also finds them by exponent tuple); all ranks
+together hold at most _NF_MEMO_MAX (262,144) entries plus one rewrite
+closure.
 Every rewrite is rank-bounded where it happens: above MAX_REWRITE_RANK
 a monomial that needs rewriting raises CapacityError, whether
 normal_form or expand_in_basis asked.  Staircase monomials and

@@ -24,12 +24,12 @@ D_i = kappa - C_i, with kappa the kernel constant, stays an identity
 between independent computations.
 Both operators drop graded degree by exactly one on homogeneous input.
 
-The pass runs on packed term keys (polycore.PackedLayout), as in
+The pass runs on packed term keys (polycore.GradedLayout), as in
 Monagan-Pearce's sparse multiplication: one int per term holds the
-fields m2, m1, x_1, ..., x_n, each wide enough for the input's largest
-exponent plus the number of letters.  Each call shifts the table rows
-it meets into (key delta, coefficient) pairs for its layout and letter,
-so an output term costs one int add.
+fields x-degree, x_n, ..., x_1, m1, m2, the x and mu fields each wide
+enough for the input's largest exponent plus the number of letters.
+Each call shifts the table rows it meets into (key delta, coefficient)
+pairs for its layout and letter, so an output term costs one int add.
 apply_word_packed packs once and applies every letter; apply_word,
 apply_c and apply_delta unpack its result.  The classes of words
 (schubert) stay packed for the fk/differ suites and `poly word`.
@@ -56,7 +56,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .fgl import FglSpec, diff_kernel, kappa_of
-from .polycore import PackedLayout, Poly, PolyError
+from .polycore import GradedLayout, Poly, PolyError
 from .report import CheckReport
 
 # Bound on the rows _row holds, one per (builder, law, a, b).  C_i never
@@ -128,23 +128,25 @@ def _row(row_of, spec: FglSpec, a: int, b: int) -> tuple:
 
 
 def _apply_letter(
-    spec: FglSpec, layout: PackedLayout, i: int, terms: dict[int, int], row_of=_c_row
+    spec: FglSpec, layout: GradedLayout, i: int, terms: dict[int, int], row_of=_c_row
 ) -> dict[int, int]:
     """One operator on packed terms, C_i by default: every term's key plus
-    each key delta of its row.  A key's x_i and x_{i+1} fields, a above b,
-    pick the row, shifted into this layout's fields once per (a, b)."""
-    w, lo, m1, m2 = layout.width, layout.x_shift(i + 1), layout.m1_shift, layout.m2_shift
-    hi, pair_mask = lo + w, (1 << 2 * w) - 1
+    each key delta of its row.  A key's x_{i+1} and x_i fields, x_{i+1}
+    above, pick the row, shifted into this layout's fields once per pair;
+    the delta moves the degree field by the row's change of x-degree."""
+    xw, mw, deg = layout.xwidth, layout.muwidth, layout.deg_shift
+    lo, hi = layout.x_shift(i), layout.x_shift(i + 1)
+    xmask, pair_mask = (1 << xw) - 1, (1 << 2 * xw) - 1
     rows: dict[int, tuple] = {}
     out: dict[int, int] = {}
     get = out.get
     for key, c in terms.items():
-        ab = key >> lo & pair_mask
-        row = rows.get(ab)
+        ba = key >> lo & pair_mask
+        row = rows.get(ba)
         if row is None:
-            row = rows[ab] = tuple(
-                ((dt << hi) + (ds << lo) + (d1 << m1) + (d2 << m2), r)
-                for dt, ds, d1, d2, r in _row(row_of, spec, ab >> w, ab & layout.mask)
+            row = rows[ba] = tuple(
+                ((dt << lo) + (ds << hi) + ((dt + ds) << deg) + (d1 << mw) + d2, r)
+                for dt, ds, d1, d2, r in _row(row_of, spec, ba & xmask, ba >> xw)
             )
         for delta, r in row:
             k = key + delta
@@ -154,7 +156,7 @@ def _apply_letter(
 
 def apply_word_packed(
     ctx: OperatorContext, word: Iterable[int], f: Poly, row_of=_c_row
-) -> tuple[PackedLayout, dict[int, int]]:
+) -> tuple[GradedLayout, dict[int, int]]:
     """Pack f once and apply the word's letters first to last, C_i by
     default; the result stays packed, as (layout, terms)."""
     word = tuple(word)
@@ -162,7 +164,7 @@ def apply_word_packed(
         _check_index(ctx, i)
     if f.nvars != ctx.nvars:
         raise PolyError("polynomial does not live in the context ring")
-    layout = PackedLayout.fit(f, len(word))
+    layout = GradedLayout.fit(f, len(word))
     terms = layout.pack(f)
     for i in word:
         terms = _apply_letter(ctx.spec, layout, i, terms, row_of)
@@ -171,17 +173,17 @@ def apply_word_packed(
 
 def apply_c(ctx: OperatorContext, i: int, f: Poly) -> Poly:
     """C_i(f), exact polynomial output."""
-    return PackedLayout.unpack(*apply_word_packed(ctx, (i,), f))
+    return GradedLayout.unpack(*apply_word_packed(ctx, (i,), f))
 
 
 def apply_delta(ctx: OperatorContext, i: int, f: Poly) -> Poly:
     """D_i(f), exact polynomial output."""
-    return PackedLayout.unpack(*apply_word_packed(ctx, (i,), f, _d_row))
+    return GradedLayout.unpack(*apply_word_packed(ctx, (i,), f, _d_row))
 
 
 def apply_word(ctx: OperatorContext, word: Iterable[int], f: Poly) -> Poly:
     """Apply C along the word left to right: the first letter acts first."""
-    return PackedLayout.unpack(*apply_word_packed(ctx, word, f))
+    return GradedLayout.unpack(*apply_word_packed(ctx, word, f))
 
 
 def kappa_poly(ctx: OperatorContext) -> Poly:

@@ -56,7 +56,7 @@ from .combi import (
 )
 from .ddo import OperatorContext, apply_delta
 from .fgl import FglSpec, chi_difference, formal_inverse
-from .polycore import PackedLayout, Poly, PolyError, _mk
+from .polycore import GradedLayout, Poly, PolyError, _mk
 from .report import CheckReport
 from .schubert import grothendieck_polynomial, heap_keys, schubert
 
@@ -74,7 +74,7 @@ def ideal_delete(f: Poly, indices: frozenset[int] | set[int]) -> Poly:
 
 
 def in_pair_ideal(
-    terms: dict[int, int], layout: PackedLayout, indices: frozenset[int] | set[int]
+    terms: dict[int, int], layout: GradedLayout, indices: frozenset[int] | set[int]
 ) -> bool:
     """Whether deleting the packed terms divisible by m2 x_j x_{j+1}, j in
     indices, leaves nothing, read up to the first term that survives.
@@ -82,13 +82,10 @@ def in_pair_ideal(
     A term is divisible when its m2 field and the x_j and x_{j+1} fields
     of some j are all nonzero.
     """
-    m2_shift = layout.m2_shift
-    pairs = [
-        (layout.mask << layout.x_shift(j), layout.mask << layout.x_shift(j + 1))
-        for j in indices
-    ]
+    xmask, m2_mask = (1 << layout.xwidth) - 1, (1 << layout.muwidth) - 1
+    pairs = [(xmask << layout.x_shift(j), xmask << layout.x_shift(j + 1)) for j in indices]
     for key in terms:
-        if not key >> m2_shift:
+        if not key & m2_mask:
             return False
         for lo, hi in pairs:
             if key & lo and key & hi:
@@ -107,15 +104,14 @@ def window_vars(indices: frozenset[int] | set[int]) -> frozenset[int]:
 
 
 def in_window_cone(
-    terms: dict[int, int], layout: PackedLayout, indices: frozenset[int] | set[int]
+    terms: dict[int, int], layout: GradedLayout, indices: frozenset[int] | set[int]
 ) -> bool:
     """Whether every packed term is m2 times a monomial of degree >= 2 in
     the variables touched by indices.
 
-    On the key: the m2 field is nonzero, and the window fields, masked
-    out of the key, are neither all zero nor one unit of a single field.
-    The m2 field is on top, so the smallest key decides the first test;
-    the second stops at the first term that fails it.
+    On the key: the m2 field, its lowest bits, is nonzero, and the window
+    fields, masked out of the key, are neither all zero nor one unit of a
+    single field.  Each test stops at the first term that fails it.
 
     The letter j contributes the generator m2 x_j x_{j+1}, an adjacent
     quadratic in the window variables.  Divided differences do not fix
@@ -126,15 +122,11 @@ def in_window_cone(
     enough for every comparison below, so congruence of word classes is
     taken modulo m2 times that cone.
     """
-    if not terms:
-        return True
     vs = window_vars(indices)
-    window = sum(layout.mask << layout.x_shift(v) for v in vs)
+    window = sum(((1 << layout.xwidth) - 1) << layout.x_shift(v) for v in vs)
     below_two = {0, *(1 << layout.x_shift(v) for v in vs)}
-    # m2 is the top field, so the smallest key has the smallest m2 exponent
-    return bool(min(terms) >> layout.m2_shift) and below_two.isdisjoint(
-        map(window.__and__, terms)
-    )
+    m2_mask = (1 << layout.muwidth) - 1
+    return all(map(m2_mask.__and__, terms)) and below_two.isdisjoint(map(window.__and__, terms))
 
 
 def _check_spec(spec: FglSpec) -> None:

@@ -15,15 +15,15 @@ Term order is graded lex with x_1 < x_2 < ... < x_n (the exponent of
 x_n is compared first), then (a, b) lexicographically.  Rendering and
 JSON output list terms in this order, so equal polynomials render
 identically.  They share one printer, which works on the packed term
-keys of PackedLayout (one int per term, the format the operators of
-ddo use), so a class computed on packed keys is printed without being
-unpacked.  Two memos per layout, keyed by the whole packed key, hold
-the key's place in term order as one int and its "*m1^a*m2^b*x[...]"
-text, so sorting and printing a term are a dict lookup each.  A memo
-is emptied when it reaches _KEY_MEMO_MAX (16,384) entries and the
-memos of the last _LAYOUTS_KEPT (16) layouts are kept, so together they
-hold at most 524,288 entries; a full pair of memos takes about 3.4 MB
-at n = 5.
+keys of GradedLayout: one int per term, with its fields in term order,
+the format the operators of ddo and the products and normal forms of
+coinv use.  So plain int order sorts a class, and a class computed on
+packed keys is printed without being unpacked.  One memo per layout,
+keyed by the whole packed key, holds the key's "*m1^a*m2^b*x[...]"
+text, so printing a term is a dict lookup.  A memo is emptied when it
+reaches _KEY_MEMO_MAX (16,384) entries and the memos of the last
+_LAYOUTS_KEPT (16) layouts are kept, so together they hold at most
+262,144 entries.
 
 Instances are treated as immutable: operations return new objects and
 never mutate their arguments.
@@ -76,6 +76,9 @@ def check_digits(text: str) -> str:
     return text
 
 
+_INT_TYPES = frozenset({int})
+
+
 def _is_int(v) -> bool:
     # bool is an int subclass, but True is not an exponent or a coefficient
     return isinstance(v, int) and not isinstance(v, bool)
@@ -111,9 +114,13 @@ class Poly:
                 )
             if len(mu) != 2:
                 raise PolyError(f"mu exponents must be a pair, got {mu}")
-            if any(not _is_int(e) or e < 0 for e in exps + mu):
-                raise PolyError(f"exponents must be non-negative ints: {exps}, {mu}")
-            if not _is_int(c):
+            ex = exps + mu
+            # one set of types and one min per key; the per-element test
+            # only names the fault (int subclasses other than bool pass it)
+            if not {*map(type, ex)} <= _INT_TYPES or min(ex) < 0:
+                if any(not _is_int(e) or e < 0 for e in ex):
+                    raise PolyError(f"exponents must be non-negative ints: {exps}, {mu}")
+            if type(c) is not int and not _is_int(c):
                 raise PolyError(f"coefficient {c!r} is not an int")
             if c:
                 k = (exps, mu)
@@ -390,7 +397,7 @@ class Poly:
     # rendering and parsing
 
     def render_text(self) -> str:
-        layout = PackedLayout.fit(self, 0)
+        layout = GradedLayout.fit(self, 0)
         return render_packed(layout, layout.pack(self))
 
     def __repr__(self) -> str:
@@ -427,7 +434,7 @@ class Poly:
         return cls(seen_nvars, terms)
 
     def to_json_obj(self) -> dict:
-        layout = PackedLayout.fit(self, 0)
+        layout = GradedLayout.fit(self, 0)
         return packed_json_obj(layout, layout.pack(self))
 
     def to_json(self) -> str:
@@ -456,100 +463,62 @@ class Poly:
         return cls.from_json_obj(json.loads(check_digits(text)))
 
 
-class PackedLayout(NamedTuple):
-    """Term keys of `nvars` variables packed into one int.
-
-    The fields are `width` bits wide, most significant first m2, m1,
-    x_1, ..., x_n: x_v sits at shift (n - v) * width, m1 at n * width
-    and m2 on top, so `key >> m2_shift` is the m2 exponent.  Adding two
-    keys adds their exponents field by field as long as no field
-    overflows, so multiplying by a term is one int add.
-    """
-
-    nvars: int
-    width: int
-
-    @classmethod
-    def fit(cls, f: Poly, letters: int) -> "PackedLayout":
-        """The narrowest layout for f and its images under `letters` operators.
-
-        C_i and D_i never raise the largest exponent of one variable and
-        raise the m1 and m2 exponents by at most one each, so the fields
-        hold the largest exponent of f plus the letter count.
-        """
-        top = max((max(exps + mu) for exps, mu in f.terms), default=0)
-        return cls(f.nvars, max(1, (top + letters).bit_length()))
-
-    @property
-    def mask(self) -> int:
-        return (1 << self.width) - 1
-
-    @property
-    def m1_shift(self) -> int:
-        return self.nvars * self.width
-
-    @property
-    def m2_shift(self) -> int:
-        return (self.nvars + 1) * self.width
-
-    def x_shift(self, v: int) -> int:
-        """Shift of the x_v field, v in [1, nvars]."""
-        return (self.nvars - v) * self.width
-
-    @property
-    def x_shifts(self) -> list[int]:
-        """Shifts of the x_1, ..., x_n fields."""
-        return [self.x_shift(v) for v in range(1, self.nvars + 1)]
-
-    def pack(self, f: Poly) -> dict[int, int]:
-        if f.nvars != self.nvars:
-            raise PolyError("polynomial does not live in the layout's ring")
-        w = self.width
-        out = {}
-        for (exps, (m1, m2)), c in f.terms.items():
-            if (m1 | m2 | max(exps, default=0)) >> w:
-                raise PolyError(f"exponent above the {w}-bit field of the layout")
-            key = m2 << w | m1
-            for e in exps:
-                key = key << w | e
-            out[key] = c
-        return out
-
-    def unpack(self, terms: dict[int, int]) -> Poly:
-        mask, m1_shift, m2_shift, shifts = self.mask, self.m1_shift, self.m2_shift, self.x_shifts
-        return _mk(self.nvars, {
-            (tuple([key >> s & mask for s in shifts]), (key >> m1_shift & mask, key >> m2_shift)): c
-            for key, c in terms.items()
-        })
-
-
 class GradedLayout(NamedTuple):
-    """Term keys packed into one int in term order, for products and normal forms.
+    """Term keys packed into one int in term order.
 
     The fields, most significant first, are the x-degree, x_n, ..., x_1
     (`xwidth` bits each), m1 and m2 (`muwidth` bits each): the printer's
-    term order, so int order is term order.  The bits from x_1 up are
-    the key's x-part.  With the degree on top, "x-degree <= cap" reads
+    term order, so int order is term order.  The degree field is on top
+    and has no width.  The bits from x_1 up are the key's x-part.  With
+    the degree on top, "x-degree <= cap" reads
     `key < (cap + 1) << deg_shift`, and adding two keys adds their
-    exponents while no field overflows.
+    exponents while no field overflows, so multiplying by a term is one
+    int add.
     """
 
     nvars: int
     xwidth: int
     muwidth: int
 
+    @classmethod
+    def fit(cls, f: Poly, letters: int) -> "GradedLayout":
+        """The narrowest one-width layout for f and its images under
+        `letters` operators.
+
+        C_i and D_i never raise the largest exponent of one variable and
+        raise the m1 and m2 exponents by at most one each, so the x and mu
+        fields hold the largest exponent of f plus the letter count.
+        """
+        top = max((max(exps + mu) for exps, mu in f.terms), default=0)
+        width = max(1, (top + letters).bit_length())
+        return cls(f.nvars, width, width)
+
     @property
     def deg_shift(self) -> int:
         return self.nvars * self.xwidth + 2 * self.muwidth
 
     def x_shift(self, v: int) -> int:
+        """Shift of the x_v field, v in [1, nvars]."""
         return (v - 1) * self.xwidth + 2 * self.muwidth
 
-    def pack(self, f: Poly, cap: int) -> dict[int, int]:
-        """f's terms of x-degree at most cap, which the x fields must hold."""
+    @property
+    def fields(self) -> tuple[list[int], int, int, int]:
+        """(shifts of x_1, ..., x_n, x-field mask, muwidth, mu-field mask):
+        what reading the fields of a key takes."""
+        mw = self.muwidth
+        shifts = [self.x_shift(v) for v in range(1, self.nvars + 1)]
+        return shifts, (1 << self.xwidth) - 1, mw, (1 << mw) - 1
+
+    def pack(self, f: Poly, cap: int | None = None) -> dict[int, int]:
+        """f's terms, or those of x-degree at most cap, which the x fields
+        must then hold; every exponent must fit its field."""
         xw, mw = self.xwidth, self.muwidth
-        if f.nvars != self.nvars or cap >> xw > 0:
-            raise PolyError(f"x-degree {cap} in {f.nvars} variables does not fit {self}")
+        if f.nvars != self.nvars or (cap is not None and cap >> xw > 0):
+            raise PolyError(f"{f.nvars} variables through x-degree {cap} do not fit {self}")
+        if cap is None:
+            if any(max(exps, default=0) >> xw for exps, _mu in f.terms):
+                raise PolyError(f"x exponent above the fields of {self}")
+            cap = self.nvars << xw  # above every degree the x fields hold
         out = {}
         for (exps, (m1, m2)), c in f.terms.items():
             key = sum(exps)
@@ -562,9 +531,7 @@ class GradedLayout(NamedTuple):
         return out
 
     def unpack(self, terms: dict[int, int]) -> Poly:
-        xmask, mw = (1 << self.xwidth) - 1, self.muwidth
-        mumask = (1 << mw) - 1
-        shifts = [self.x_shift(v) for v in range(1, self.nvars + 1)]
+        shifts, xmask, mw, mumask = self.fields
         return _mk(self.nvars, {
             (tuple([key >> s & xmask for s in shifts]), (key >> mw & mumask, key & mumask)): c
             for key, c in terms.items()
@@ -618,43 +585,30 @@ class _KeyMemo(dict):
 
 
 @lru_cache(maxsize=_LAYOUTS_KEPT)
-def _key_memos(layout: PackedLayout) -> tuple[_KeyMemo, _KeyMemo]:
-    """(order, text) memos of a layout: order[key] is one int that sorts
-    the key into term order (x-degree, x_n down to x_1, m1, m2, packed
-    into `width`-bit fields under the degree), text[key] is the key's
+def _key_memos(layout: GradedLayout) -> _KeyMemo:
+    """The text memo of a layout: memo[key] is the key's
     "*m1^a*m2^b*x[...]" suffix."""
-    w, mask, m1_shift, m2_shift = layout.width, layout.mask, layout.m1_shift, layout.m2_shift
-    shifts = layout.x_shifts
-
-    def order(key: int) -> int:
-        exps = [key >> s & mask for s in shifts]
-        rank = sum(exps)
-        for e in reversed(exps):
-            rank = rank << w | e
-        return (rank << w | key >> m1_shift & mask) << w | key >> m2_shift
+    shifts, xmask, mw, mumask = layout.fields
 
     def text(key: int) -> str:
-        a, b = key >> m1_shift & mask, key >> m2_shift
-        exps = ",".join([str(key >> s & mask) for s in shifts])
+        a, b = key >> mw & mumask, key & mumask
+        exps = ",".join([str(key >> s & xmask) for s in shifts])
         return f"{f'*m1^{a}' if a else ''}{f'*m2^{b}' if b else ''}*x[{exps}]"
 
-    return _KeyMemo(order), _KeyMemo(text)
+    return _KeyMemo(text)
 
 
-def render_packed(layout: PackedLayout, terms: dict[int, int]) -> str:
+def render_packed(layout: GradedLayout, terms: dict[int, int]) -> str:
     """The text of a packed polynomial."""
-    order, text = _key_memos(layout)
-    keys = sorted(terms, key=order.__getitem__)
-    return " + ".join([f"{terms[k]}{text[k]}" for k in keys]) or "0"
+    text = _key_memos(layout)
+    return " + ".join([f"{terms[k]}{text[k]}" for k in sorted(terms)]) or "0"
 
 
-def packed_json_obj(layout: PackedLayout, terms: dict[int, int]) -> dict:
+def packed_json_obj(layout: GradedLayout, terms: dict[int, int]) -> dict:
     """The JSON object of a packed polynomial."""
-    order, _text = _key_memos(layout)
-    mask, m1_shift, m2_shift = layout.mask, layout.m1_shift, layout.m2_shift
-    shifts = layout.x_shifts
+    shifts, xmask, mw, mumask = layout.fields
     return {"nvars": layout.nvars, "terms": [
-        {"x": [k >> s & mask for s in shifts], "mu": [k >> m1_shift & mask, k >> m2_shift],
+        {"x": [k >> s & xmask for s in shifts], "mu": [k >> mw & mumask, k & mumask],
          "c": str(terms[k])}
-        for k in sorted(terms, key=order.__getitem__)
+        for k in sorted(terms)
     ]}

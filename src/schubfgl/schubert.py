@@ -32,7 +32,7 @@ from collections import OrderedDict
 from .coinv import top_staircase_class
 from .combi import Permutation, Word, canonical_word, word_to_perm
 from .ddo import OperatorContext, _apply_letter
-from .polycore import PackedLayout, Poly
+from .polycore import GradedLayout, Poly
 
 # Bound on the bytes of the arrays _MEMO holds.  The classes of all
 # heaps of S_5 take 1.99 MB (hyperbolic), 1.10 MB (Lorentz) and under
@@ -45,14 +45,16 @@ _MEMO_BYTES = 1 << 20
 _TYPECODES = (("b", 7), ("h", 15), ("i", 31), ("q", 63))
 
 
-def word_class_layout(n: int) -> PackedLayout:
+def word_class_layout(n: int) -> GradedLayout:
     """The packed layout of every word class of S_n and of its references:
-    PackedLayout.fit of the staircase (largest exponent n - 1) and n(n-1)/2
-    letters, in closed form.  The coefficients of S and the m2 = 0 classes
-    stay inside that bound, and packing checks it.  One layout per rank
-    lets the classes of all words share prefixes.
+    x fields for the staircase's largest exponent n - 1, which C never
+    raises, and mu fields for n(n-1)/2 letters, each raising m1 and m2 by
+    at most one.  The coefficients of S and the m2 = 0 classes stay inside
+    those bounds, and packing checks them.  At n = 5 the keys take
+    5 + 15 + 8 bits, the degree field on top.  One layout per rank lets
+    the classes of all words share prefixes.
     """
-    return PackedLayout(n, max(1, (n - 1 + n * (n - 1) // 2).bit_length()))
+    return GradedLayout(n, (n - 1).bit_length(), (n * (n - 1) // 2).bit_length())
 
 
 def heap_keys(word: Word) -> list[Word]:
@@ -109,8 +111,10 @@ class _ClassMemo:
                 return k, dict(zip(entry[0], entry[1]))
         return 0, None
 
-    def put(self, key, layout: PackedLayout, terms: dict[int, int]) -> None:
-        key_code = _narrowest((layout.nvars + 2) * layout.width)
+    def put(self, key, layout: GradedLayout, terms: dict[int, int]) -> None:
+        # full x fields bound the degree field, so the layout bounds every key
+        degree_bits = (layout.nvars * ((1 << layout.xwidth) - 1)).bit_length()
+        key_code = _narrowest(layout.deg_shift + degree_bits)
         if key_code is None:
             return
         values = terms.values()
@@ -132,7 +136,7 @@ _MEMO = _ClassMemo()
 
 def schubert(
     ctx: OperatorContext, word: Word, heaps: list[Word] | None = None
-) -> tuple[PackedLayout, dict[int, int]]:
+) -> tuple[GradedLayout, dict[int, int]]:
     """Apply C along a reduced word to the top class, first letter first.
 
     The word must be reduced: its letter count must equal the length of
@@ -160,7 +164,7 @@ def schubert(
 
 def schubert_polynomial(ctx: OperatorContext, word: Word) -> Poly:
     """The class of a reduced word (see schubert) as a Poly."""
-    return PackedLayout.unpack(*schubert(ctx, word))
+    return GradedLayout.unpack(*schubert(ctx, word))
 
 
 def grothendieck_polynomial(ctx: OperatorContext, w: Permutation) -> Poly:

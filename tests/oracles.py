@@ -77,7 +77,7 @@ from schubfgl.ddo import (
 from schubfgl.fgl import FglSpec, diff_kernel, formal_inverse
 from schubfgl.grass import GrassContext, RectangleClass, smooth_product
 from schubfgl.hecke import MAX_ENUM_RANK, HeckeElem, hecke_one, ideal_delete
-from schubfgl.polycore import MU_ZERO, PackedLayout, Poly, PolyError
+from schubfgl.polycore import MU_ZERO, GradedLayout, Poly, PolyError
 from schubfgl.report import CheckReport
 
 
@@ -469,7 +469,7 @@ def word_class_walk(ctx: OperatorContext):
     """
     n = ctx.nvars
     top = top_staircase_class(n)
-    layout = PackedLayout.fit(top, n * (n - 1) // 2)
+    layout = GradedLayout.fit(top, n * (n - 1) // 2)
 
     def walk(w: Permutation, word: Word, cls: dict[int, int]):
         yield w, word, layout.unpack(cls)

@@ -17,7 +17,7 @@ from schubfgl.ddo import (
     relation_reports,
 )
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec, diff_kernel
-from schubfgl.polycore import PackedLayout, Poly, PolyError
+from schubfgl.polycore import GradedLayout, Poly, PolyError
 
 from oracles import (
     classical_ddiff,
@@ -326,18 +326,19 @@ def test_packed_engine_matches_division(case):
 
 def test_layout_width_covers_input_and_letters():
     f = Poly.monomial(3, (255, 0, 1), (1, 255))
-    assert PackedLayout.fit(f, 0).width == 8
-    assert PackedLayout.fit(f, 1).width == 9
-    assert PackedLayout.fit(Poly.zero(3), 0).width == 1
-    layout = PackedLayout.fit(f, 0)
+    assert GradedLayout.fit(f, 0) == GradedLayout(3, 8, 8)
+    assert GradedLayout.fit(f, 1) == GradedLayout(3, 9, 9)
+    assert GradedLayout.fit(Poly.zero(3), 0) == GradedLayout(3, 1, 1)
+    layout = GradedLayout.fit(f, 0)
     assert layout.unpack(layout.pack(f)) == f
-    # m2 on top, then m1, then x_1 .. x_n
+    # the x-degree on top, then x_n .. x_1, then m1, then m2
     (key,) = layout.pack(f)
-    assert key >> layout.m2_shift == 255
-    assert key >> layout.m1_shift & layout.mask == 1
-    assert [key >> layout.x_shift(v) & layout.mask for v in (1, 2, 3)] == [255, 0, 1]
-    with pytest.raises(PolyError):
-        PackedLayout(3, 7).pack(f)
+    assert key >> layout.deg_shift == 256
+    assert [key >> layout.x_shift(v) & 255 for v in (1, 2, 3)] == [255, 0, 1]
+    assert (key >> 8 & 255, key & 255) == (1, 255)
+    for narrow in (GradedLayout(3, 7, 8), GradedLayout(3, 8, 7)):
+        with pytest.raises(PolyError):
+            narrow.pack(f)
     with pytest.raises(PolyError):
         layout.pack(Poly.one(2))
     # C_1 takes m1^255 x_2 to -m1^255 + m1^256 (x_1 + x_2): the one letter
@@ -348,7 +349,7 @@ def test_layout_width_covers_input_and_letters():
 
 def test_one_row_per_law_and_exponent_pair():
     # a row depends on the builder, the law and (a, b) only: every letter
-    # of ranks 3-6, each input packed in two widths, builds it once
+    # of ranks 3-6, each input packed in two layouts, builds it once
     ddo._row.cache_clear()
     rng = random.Random(61)
     builders = ((ddo._c_row, division_apply_c), (ddo._d_row, division_apply_delta))
@@ -359,8 +360,8 @@ def test_one_row_per_law_and_exponent_pair():
                 for _ in range(3):
                     # m1-free, so that one letter's m1 fits the narrowest layout
                     f = random_poly(rng, n, terms=5, max_total_deg=5, max_mu=0)
-                    narrow = PackedLayout.fit(f, 0)
-                    for layout in (narrow, PackedLayout(n, narrow.width + 5)):
+                    narrow = GradedLayout.fit(f, 0)
+                    for layout in (narrow, GradedLayout(n, narrow.xwidth + 5, narrow.muwidth + 2)):
                         for row_of, oracle in builders:
                             got = ddo._apply_letter(spec, layout, i, layout.pack(f), row_of)
                             assert layout.unpack(got) == oracle(spec, i, f), (spec, n, i, layout)

@@ -4,7 +4,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schubfgl import ddo, hecke, schubert
@@ -29,7 +29,7 @@ from schubfgl.hecke import (
     verify_ybe,
     window_vars,
 )
-from schubfgl.polycore import PackedLayout, Poly, PolyError
+from schubfgl.polycore import GradedLayout, Poly, PolyError
 from schubfgl.schubert import grothendieck_polynomial
 
 from oracles import (
@@ -226,13 +226,16 @@ def deletion_inputs(draw):
             x[b - 1] += 1
             mu = (mu[0], max(mu[1], 1))
         terms[(tuple(x), mu)] = draw(st.integers(-3, 3))
-    # a wider layout than f needs, as the walk's is
-    layout = PackedLayout.fit(Poly(n, terms), draw(st.integers(0, 300)))
+    # x exponents up to 3 and mu exponents up to 2 need 2-bit fields; the
+    # walk's layout is wider, and its x and mu fields differ
+    layout = GradedLayout(n, draw(st.integers(2, 9)), draw(st.integers(2, 9)))
     return Poly(n, terms), indices, layout
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(deletion_inputs())
+# the smallest key, of x-degree 2, has m2; the larger x_1^2 x_2 has none
+@example((Poly(2, {((1, 1), (0, 1)): 1, ((2, 1), (0, 0)): 1}), frozenset({1}), GradedLayout(2, 2, 2)))
 def test_membership_reads_match_deletion(case):
     # the fk/differ verdicts are mask tests on packed keys; the references
     # delete terms of the tuple-keyed polynomial
@@ -246,7 +249,7 @@ def test_membership_reads_stop_at_first_survivor():
     n = 3
 
     def reads(f, indices):
-        layout = PackedLayout.fit(f, 0)
+        layout = GradedLayout.fit(f, 0)
         terms = layout.pack(f)
         return in_pair_ideal(terms, layout, indices), in_window_cone(terms, layout, indices)
 

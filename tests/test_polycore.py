@@ -10,7 +10,6 @@ from schubfgl import polycore
 from schubfgl.polycore import (
     DivisionFailure,
     GradedLayout,
-    PackedLayout,
     Poly,
     PolyError,
     packed_json_obj,
@@ -286,15 +285,18 @@ def printable_polys(draw):
 
 
 @PROPERTY
-@given(printable_polys(), st.integers(0, 40))
-@example(Poly.zero(0), 0)
-@example(Poly.zero(5), 3)
-def test_printer_matches_tuple_key_reference(f, extra_width):
+@given(printable_polys(), st.integers(0, 40), st.integers(0, 40))
+@example(Poly.zero(0), 0, 0)
+@example(Poly.zero(5), 3, 0)
+@example(Poly.monomial(2, (3, 1), (1, 2), -5) + Poly.monomial(2, (0, 4)), 0, 7)
+def test_printer_matches_tuple_key_reference(f, extra_x, extra_mu):
     text, obj = reference_render_text(f), reference_json_obj(f)
     assert f.render_text() == text
     assert f.to_json_obj() == obj
-    # a class printed straight from the engine's keys sits in a wider layout
-    layout = PackedLayout(f.nvars, PackedLayout.fit(f, 0).width + extra_width)
+    # a class printed straight from the engine's keys sits in a wider
+    # layout, whose x and mu fields may widen apart (word_class_layout)
+    fit = GradedLayout.fit(f, 0)
+    layout = GradedLayout(f.nvars, fit.xwidth + extra_x, fit.muwidth + extra_mu)
     assert render_packed(layout, layout.pack(f)) == text
     assert packed_json_obj(layout, layout.pack(f)) == obj
     assert Poly.parse_text(text, f.nvars) == f
@@ -302,7 +304,7 @@ def test_printer_matches_tuple_key_reference(f, extra_width):
 
 
 def test_printer_memos_stay_bounded_and_correct(monkeypatch):
-    # the memos are kept per layout and emptied when full: two widths at
+    # the memos are kept per layout and emptied when full: two layouts at
     # one rank share no entry, and a key seen again after a clear is rebuilt
     bound = 8
     monkeypatch.setattr(polycore, "_KEY_MEMO_MAX", bound)
@@ -319,8 +321,7 @@ def test_printer_memos_stay_bounded_and_correct(monkeypatch):
     rng = random.Random(31)
     for _ in range(30):
         f = random_poly(rng, 3, terms=12, max_total_deg=5, max_mu=2)
-        for width in (3, 5):
-            layout = PackedLayout(3, width)
+        for layout in (GradedLayout(3, 3, 3), GradedLayout(3, 5, 2)):
             assert render_packed(layout, layout.pack(f)) == reference_render_text(f)
             assert packed_json_obj(layout, layout.pack(f)) == reference_json_obj(f)
     assert sizes and max(sizes) == bound  # the bound was reached, never passed
@@ -332,6 +333,14 @@ def test_bool_and_non_int_input_rejected():
                          (2, {(("1", 0), (0, 0)): 1}), (2, {key: 1.0})):
         with pytest.raises(PolyError):
             Poly(nvars, terms)
+    # the exponent checks: a bool or a negative in the x or mu part
+    for exps, mu in (((True, 0), (0, 0)), ((1, 0), (True, 0)), ((1, 0), (0, True)),
+                     ((1, -1), (0, 0)), ((1, 0), (-1, 0)), ((1, 0), (0, -2)), ((1, "1"), (0, 0))):
+        with pytest.raises(PolyError, match=r"^exponents must be non-negative ints: "):
+            Poly(2, {(exps, mu): 1})
+    # int subclasses other than bool are exponents
+    exponent = type("Exponent", (int,), {})
+    assert Poly(2, {((exponent(1), 0), (0, exponent(2))): 3}) == Poly.monomial(2, (1, 0), (0, 2), 3)
     for c in ("1.5", "x", " 1", True, None):
         with pytest.raises(PolyError):
             Poly.from_json_obj({"nvars": 2, "terms": [{"x": [1, 0], "mu": [0, 0], "c": c}]})

@@ -14,7 +14,7 @@ from schubfgl.coinv import top_staircase_class
 from schubfgl.combi import Permutation, support_of
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
 from schubfgl.hecke import ideal_delete
-from schubfgl.polycore import PackedLayout, Poly
+from schubfgl.polycore import GradedLayout, Poly
 from schubfgl.ddo import OperatorContext
 from schubfgl.schubert import (
     grothendieck_polynomial,
@@ -296,17 +296,33 @@ def test_words_are_checked_whatever_the_memo_holds(memo):
 
 
 def test_word_class_layout_in_closed_form():
-    for n in range(1, 101):
-        assert word_class_layout(n) == PackedLayout.fit(top_staircase_class(n), n * (n - 1) // 2)
+    # x fields as the staircase alone needs, mu fields as one m1 and one m2
+    # per letter need
+    for n in range(2, 101):
+        letters = n * (n - 1) // 2
+        assert word_class_layout(n) == GradedLayout(
+            n, GradedLayout.fit(top_staircase_class(n), 0).xwidth,
+            GradedLayout.fit(Poly.zero(n), letters).muwidth)
+
+
+def test_s5_word_class_keys_fit_one_digit(memo):
+    # every hyperbolic class of S_5 has keys below 2^30, one CPython digit,
+    # and the memo holds them in 32-bit arrays
+    ctx = OperatorContext(HYPERBOLIC, 5)
+    for word in _words(5):
+        layout, cls = schubert(ctx, word)
+        assert layout == word_class_layout(5) and max(cls) < 1 << 30
+        if word:
+            assert memo.entries[(HYPERBOLIC, 5, heap_keys(word)[-1])][0].typecode == "i"
 
 
 def test_rank_100_word_is_computed_and_not_stored(memo):
-    # keys of 102 13-bit fields exceed 63 bits; pinned at the layout that
+    # keys of 100 7-bit x fields exceed 63 bits; pinned at the layout that
     # sized the fields by the word's own 7 letters
     out = io.StringIO()
     assert main(["poly", "word", "--n", "100", "--word", "1,2,3,4,5,6,7"], out=out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "e1b23b8a77e6661373044adcb352a5a2e4239a5591c534626c745f9da59d971f"
     )
-    assert word_class_layout(100).width == 13
+    assert word_class_layout(100) == GradedLayout(100, 7, 13)
     assert not memo.entries and memo.nbytes == 0

@@ -61,3 +61,15 @@ def test_no_unbounded_cache():
         if isinstance(node, ast.FunctionDef) and any(map(_is_unbounded, node.decorator_list))
     ]
     assert not unbounded, f"unbounded caches: {unbounded}"
+
+
+def test_one_packed_key_layout():
+    # every packed term key has one field order, so one class packs them
+    packers = [
+        f"{module}:{node.name}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and {"pack", "unpack"} <= {sub.name for sub in node.body if isinstance(sub, ast.FunctionDef)}
+    ]
+    assert packers == ["polycore.py:GradedLayout"]
