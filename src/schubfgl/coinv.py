@@ -369,12 +369,21 @@ def top_staircase_class(n: int) -> Poly:
     return Poly.monomial(n, tuple(n - k for k in range(1, n + 1)))
 
 
+@lru_cache(maxsize=MAX_VANDERMONDE_RANK)
+def _reduced_alternant(n: int) -> dict[int, int]:
+    """The Vandermonde product reduced on nf_layout(n, top), part (a) of
+    vandermonde_check: the rank alone fixes it.  Shared, so never changed."""
+    top = n * (n - 1) // 2
+    layout = nf_layout(n, top)
+    return reduce_packed(layout.pack(vandermonde_poly(n), top), layout)
+
+
 def vandermonde_check(spec: FglSpec, n: int, cap: int) -> CheckReport:
     """Two congruences modulo S, checked on the keys of nf_layout(n, top).
 
-    (a) The Vandermonde product, reduced once as its determinant
-        expansion of n! signed monomials, is n! times the top staircase
-        monomial (independent of the law).
+    (a) The Vandermonde product, reduced once per rank and process as its
+        determinant expansion of n! signed monomials, is n! times the top
+        staircase monomial (independent of the law).
     (b) The deformed product of F(x_i, chi(x_j)) over i < j is congruent
         to the Vandermonde product.  Terms above the top degree
         top = n(n-1)/2 are 0 modulo S, so F(x, chi(y)) (fgl.chi_difference)
@@ -398,7 +407,7 @@ def vandermonde_check(spec: FglSpec, n: int, cap: int) -> CheckReport:
         raise PolyError(f"cap must exceed the top staircase degree {top}")
     rep = CheckReport(f"vandermonde[{spec.label()},n={n},cap={cap}]")
     layout = nf_layout(n, top)
-    vdm = reduce_packed(layout.pack(vandermonde_poly(n), top), layout)
+    vdm = _reduced_alternant(n)
     rep.add(
         "part (a): product of (x_i - x_j) = n! * top staircase class",
         vdm == {key: factorial(n) for key in layout.pack(top_staircase_class(n), top)},

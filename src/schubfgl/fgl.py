@@ -74,11 +74,6 @@ class FglSpec:
     def specialize(self, f: Poly) -> Poly:
         return f.specialize_mu(self.mu1, self.mu2)
 
-    def mu1_poly(self, nvars: int) -> Poly:
-        if self.mu1 is not None:
-            return Poly.const(nvars, self.mu1)
-        return Poly.const(nvars, 1, (1, 0))
-
     def mu2_poly(self, nvars: int) -> Poly:
         if self.mu2 is not None:
             return Poly.const(nvars, self.mu2)

@@ -12,7 +12,7 @@ elements u_w indexed by permutations, with multiplication determined by
 The last relation generates, for each w, the ideal J_w spanned by terms
 divisible by m2 x_j x_{j+1} with j in the support of w.  Since the
 generators are monomials, reduction modulo J_w just deletes the
-divisible terms, and every element here is kept reduced.
+divisible terms (ideal_delete), and every element here is kept reduced.
 
 Every product the verifiers take is a product of linear factors
 (1 + g u_j), as in the Fomin-Kirillov construction, so the only
@@ -25,6 +25,16 @@ and e (1 + g u_j) = e + (e u_j) g built on it.  The general product of
 two elements, u_w u_v = (-m1)^d u_{w*v} with w*v the Demazure product
 and d the length drop, is kept in tests/oracles.py as the reference
 these folds are checked against.
+
+Coefficients are dicts of packed term keys in one polycore.GradedLayout
+per element: products are exact polycore.short_products and -D_i is the
+operator pass of ddo.  A field that overflowed would carry into the
+next one unseen, so each verifier picks a layout that holds all of its
+products.  fk and ybe take schubert.word_class_layout(n), so S meets
+the word classes unrepacked: their factors have g = x_j, x_j enters at
+most n - 1 of them, and the coefficient of u_w gains one power of m1
+per factor used beyond l(w), at most n(n-1)/2 with the one -D_i adds.
+local takes its width from the cap.
 
 The central object is the ordered product
 
@@ -48,64 +58,39 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .combi import (
-    CapacityError,
-    Permutation,
-    Word,
-    support_of,
-)
-from .ddo import OperatorContext, apply_delta
+from .combi import CapacityError, Permutation, Word, canonical_word, support_of
+from .ddo import OperatorContext, _apply_letter, _d_row
 from .fgl import FglSpec, chi_difference, formal_inverse
-from .polycore import GradedLayout, Poly, PolyError, _mk
+from .polycore import GradedLayout, Poly, PolyError, short_product
 from .report import CheckReport
-from .schubert import grothendieck_polynomial, heap_keys, schubert
+from .schubert import heap_keys, schubert, word_class_layout
 
 
-def ideal_delete(f: Poly, indices: frozenset[int] | set[int]) -> Poly:
-    """Delete the terms divisible by m2 x_j x_{j+1} for some j in indices."""
-    if not indices:
-        return f
-    pairs = [(j - 1, j) for j in indices]
-    return _mk(f.nvars, {
-        (exps, mu): c
-        for (exps, mu), c in f.terms.items()
-        if not (mu[1] and any(exps[a] and exps[b] for a, b in pairs))
-    })
-
-
-def in_pair_ideal(
-    terms: dict[int, int], layout: GradedLayout, indices: frozenset[int] | set[int]
-) -> bool:
-    """Whether deleting the packed terms divisible by m2 x_j x_{j+1}, j in
-    indices, leaves nothing, read up to the first term that survives.
-
-    A term is divisible when its m2 field and the x_j and x_{j+1} fields
-    of some j are all nonzero.
-    """
+def ideal_delete(
+    terms: dict[int, int], layout: GradedLayout, indices: frozenset[int]
+) -> Iterator[int]:
+    """Deletion modulo J_w, supp(w) = indices, lazily: the keys of the packed
+    terms that m2 x_j x_{j+1} divides for no j in indices, whose m2 field,
+    or the x_j or x_{j+1} field of every j, is zero."""
     xmask, m2_mask = (1 << layout.xwidth) - 1, (1 << layout.muwidth) - 1
     pairs = [(xmask << layout.x_shift(j), xmask << layout.x_shift(j + 1)) for j in indices]
     for key in terms:
-        if not key & m2_mask:
-            return False
-        for lo, hi in pairs:
-            if key & lo and key & hi:
-                break
+        if key & m2_mask:
+            for lo, hi in pairs:
+                if key & lo and key & hi:
+                    break
+            else:
+                yield key
         else:
-            return False
-    return True
+            yield key
 
 
-def window_vars(indices: frozenset[int] | set[int]) -> frozenset[int]:
-    """Variables x_j, x_{j+1} touched by the letters in indices."""
-    vs: set[int] = set()
-    for j in indices:
-        vs.update((j, j + 1))
-    return frozenset(vs)
+def in_pair_ideal(terms: dict[int, int], layout: GradedLayout, indices: frozenset[int]) -> bool:
+    """Whether ideal_delete leaves none of the terms, read up to the first survivor."""
+    return next(ideal_delete(terms, layout, indices), None) is None
 
 
-def in_window_cone(
-    terms: dict[int, int], layout: GradedLayout, indices: frozenset[int] | set[int]
-) -> bool:
+def in_window_cone(terms: dict[int, int], layout: GradedLayout, indices: frozenset[int]) -> bool:
     """Whether every packed term is m2 times a monomial of degree >= 2 in
     the variables touched by indices.
 
@@ -122,7 +107,7 @@ def in_window_cone(
     enough for every comparison below, so congruence of word classes is
     taken modulo m2 times that cone.
     """
-    vs = window_vars(indices)
+    vs = {v for j in indices for v in (j, j + 1)}
     window = sum(((1 << layout.xwidth) - 1) << layout.x_shift(v) for v in vs)
     below_two = {0, *(1 << layout.x_shift(v) for v in vs)}
     m2_mask = (1 << layout.muwidth) - 1
@@ -139,8 +124,8 @@ def _check_spec(spec: FglSpec) -> None:
 
 # Bound on the cap of verify_local_identities: its time grows about as
 # cap^2.  At n = 5 under the hyperbolic law, the slowest, cap 60 took
-# 0.19 s, 120 took 0.73 s and 160 took 1.34 s (in process, one run
-# each, 2 shared CPUs, Python 3.11).
+# 0.07 s, 120 took 0.29 s and 160 took 0.48 s (in process, best of 3,
+# 2 shared CPUs, Python 3.11).
 MAX_LOCAL_CAP = 120
 
 # Walking every reduced word of S_n is exponential; S_5 (768 words for
@@ -160,104 +145,107 @@ def _check_rank(n: int) -> None:
 class HeckeElem:
     """An element sum_w c_w u_w, coefficients in Z[m1, m2][x_1..x_n].
 
-    Stored coefficients are J_w-reduced and nonzero.
+    Each coefficient is a dict of packed terms in `layout`, whose nvars
+    is n, and the layout must hold every product the element takes part
+    in (see the module docstring).  Stored coefficients are J_w-reduced
+    and nonzero.
     """
 
-    n: int
+    layout: GradedLayout
     spec: FglSpec
-    coeffs: dict[Permutation, Poly] = field(default_factory=dict)
-
-    def coefficient(self, w: Permutation) -> Poly:
-        return self.coeffs.get(w, Poly.zero(self.n))
+    coeffs: dict[Permutation, dict[int, int]] = field(default_factory=dict)
 
     def truncate(self, cap: int) -> "HeckeElem":
-        return _mk_elem(
-            self.n, self.spec, {w: c.truncate(cap) for w, c in self.coeffs.items()}
-        )
+        """The terms of x-degree at most cap; dropping terms keeps them reduced."""
+        limit = (cap + 1) << self.layout.deg_shift
+        kept = {w: {k: c for k, c in t.items() if k < limit} for w, t in self.coeffs.items()}
+        return HeckeElem(self.layout, self.spec, {w: t for w, t in kept.items() if t})
 
 
-def _mk_elem(n: int, spec: FglSpec, coeffs: dict[Permutation, Poly]) -> HeckeElem:
-    clean: dict[Permutation, Poly] = {}
+def _mk_elem(layout: GradedLayout, spec: FglSpec, coeffs: dict) -> HeckeElem:
+    """The element of coeffs, each reduced modulo J_w; zeros are dropped."""
+    clean: dict[Permutation, dict[int, int]] = {}
     for w, c in coeffs.items():
-        red = ideal_delete(c, support_of(w))
-        if not red.is_zero:
+        red = {k: c[k] for k in ideal_delete(c, layout, support_of(w)) if c[k]}
+        if red:
             clean[w] = red
-    return HeckeElem(n, spec, clean)
+    return HeckeElem(layout, spec, clean)
 
 
-def hecke_one(n: int, spec: FglSpec) -> HeckeElem:
+def hecke_one(layout: GradedLayout, spec: FglSpec) -> HeckeElem:
     _check_spec(spec)
-    return _mk_elem(n, spec, {Permutation.identity(n): Poly.one(n)})
+    return HeckeElem(layout, spec, {Permutation.identity(layout.nvars): {0: 1}})
 
 
 def heckes_equal(e: HeckeElem, f: HeckeElem) -> bool:
-    if e.n != f.n or e.spec != f.spec:
+    if e.layout != f.layout or e.spec != f.spec:
         raise ValueError("elements live over different contexts")
     return e.coeffs == f.coeffs
 
 
-def _times_u_coeffs(e: HeckeElem, j: int) -> dict[Permutation, Poly]:
-    """The coefficients of e u_j, not yet reduced."""
-    minus_mu1 = -e.spec.mu1_poly(e.n)
-    out: dict[Permutation, Poly] = {}
+def _times_u(e: HeckeElem, j: int, g: dict[int, int], out: dict) -> dict:
+    """out plus the coefficients of (e u_j) g, g packed in e's layout, not
+    yet reduced or free of zeros; the dicts out holds are not changed.
+    The limit of the short products is above every degree, so they are exact."""
+    layout = e.layout
+    limit = (layout.nvars << layout.xwidth) << layout.deg_shift
+    # -m1: minus one unit of the m1 field, or the integer m1 specializes to
+    minus_m1 = {1 << layout.muwidth: -1} if e.spec.mu1 is None else {0: -e.spec.mu1}
+    minus_m1_g = short_product(minus_m1, g, limit)
     for w, c in e.coeffs.items():
         if w(j) < w(j + 1):
-            w = w.right_mul_simple(j)
+            w, c = w.right_mul_simple(j), short_product(c, g, limit)
         else:
-            c = c * minus_mu1
-        out[w] = out[w] + c if w in out else c
+            c = short_product(c, minus_m1_g, limit)
+        acc = out[w] = dict(out.get(w, ()))
+        for k, v in c.items():
+            acc[k] = acc.get(k, 0) + v
     return out
 
 
 def hecke_times_u(e: HeckeElem, j: int) -> HeckeElem:
     """e u_j: u_w u_j = u_{w s_j} when w(j) < w(j+1), and -m1 u_w otherwise."""
-    return _mk_elem(e.n, e.spec, _times_u_coeffs(e, j))
+    return _mk_elem(e.layout, e.spec, _times_u(e, j, {0: 1}, {}))
 
 
-def hecke_times_factor(e: HeckeElem, j: int, g: Poly) -> HeckeElem:
-    """e (1 + g u_j) = e + (e u_j) g.
-
-    Deletion modulo J_w is linear and J_w is an ideal, so reducing the
-    sum once gives what reducing e u_j, its product with g and the sum
-    one after another gives.
-    """
-    out = dict(e.coeffs)
-    for w, c in _times_u_coeffs(e, j).items():
-        c = c * g
-        out[w] = out[w] + c if w in out else c
-    return _mk_elem(e.n, e.spec, out)
+def hecke_times_factor(e: HeckeElem, j: int, g: dict[int, int]) -> HeckeElem:
+    """e (1 + g u_j) = e + (e u_j) g, with g packed in e's layout.  J_w is
+    an ideal and deletion is linear, so the sum is reduced once."""
+    return _mk_elem(e.layout, e.spec, _times_u(e, j, g, dict(e.coeffs)))
 
 
 # ----------------------------------------------------------------------
 # the ordered product S and its factors
 
-def _times_alpha(e: HeckeElem, i: int, x: Poly) -> HeckeElem:
-    """e A_i(x) = e (1 + x u_{n-1}) ... (1 + x u_i)."""
-    for j in range(e.n - 1, i - 1, -1):
+def _times_alpha(e: HeckeElem, i: int, x: dict[int, int]) -> HeckeElem:
+    """e A_i(x) = e (1 + x u_{n-1}) ... (1 + x u_i), x packed in e's layout."""
+    for j in range(e.layout.nvars - 1, i - 1, -1):
         e = hecke_times_factor(e, j, x)
     return e
 
 
-def alpha_factor(n: int, i: int, x: Poly, spec: FglSpec) -> HeckeElem:
+def alpha_factor(layout: GradedLayout, i: int, x: dict[int, int], spec: FglSpec) -> HeckeElem:
     """A_i(x) = (1 + x u_{n-1}) ... (1 + x u_i); A_n(x) = 1."""
-    _check_spec(spec)
-    if not 1 <= i <= n:
-        raise ValueError(f"factor index {i} out of range [1, {n}]")
-    return _times_alpha(hecke_one(n, spec), i, x)
+    if not 1 <= i <= layout.nvars:
+        raise ValueError(f"factor index {i} out of range [1, {layout.nvars}]")
+    return _times_alpha(hecke_one(layout, spec), i, x)
 
 
 def big_product_s(n: int, spec: FglSpec) -> HeckeElem:
-    """S = A_1(x_1) A_2(x_2) ... A_{n-1}(x_{n-1}), one linear factor at a time."""
-    acc = hecke_one(n, spec)
+    """S = A_1(x_1) ... A_{n-1}(x_{n-1}), one linear factor at a time."""
+    layout = word_class_layout(n)
+    acc = hecke_one(layout, spec)
     for j in range(1, n):
-        acc = _times_alpha(acc, j, Poly.variable(n, j))
+        acc = _times_alpha(acc, j, layout.pack(Poly.variable(n, j)))
     return acc
 
 
 def _apply_delta_elem(e: HeckeElem, i: int) -> HeckeElem:
-    """-D_i applied to every coefficient of e."""
-    ctx = OperatorContext(e.spec, e.n)
-    return _mk_elem(e.n, e.spec, {w: -apply_delta(ctx, i, c) for w, c in e.coeffs.items()})
+    """-D_i applied to the packed terms of every coefficient of e."""
+    return _mk_elem(e.layout, e.spec, {
+        w: {k: -c for k, c in _apply_letter(e.spec, e.layout, i, t, _d_row).items()}
+        for w, t in e.coeffs.items()
+    })
 
 
 # ----------------------------------------------------------------------
@@ -276,20 +264,21 @@ def _reduced_words(n: int) -> Iterator[tuple[tuple[int, ...], Word]]:
 
 
 def _word_class_cases(
-    ctx: OperatorContext, reference: Callable[[Permutation], Poly]
+    ctx: OperatorContext, reference: Callable[[Permutation], dict[int, int]]
 ) -> Iterator[tuple[str, tuple[bool, bool, bool]]]:
-    """Compare the class of every reduced word of w with reference(w).
+    """Compare the class of every reduced word of w with reference(w),
+    packed in schubert.word_class_layout(n) as the classes are.
 
     The verdicts per word say whether the difference vanishes after
     window deletion for supp(w), and after adjacent-pair deletion for
     supp(w) and for supp(w_0 w).  The words of one heap
     (schubert.heap_keys) share w and the class, so the verdicts are taken
     on the class schubert.schubert gives the heap's first word and reused
-    for the rest, on packed keys, with each reference packed once per w.
+    for the rest, on packed keys, with each reference taken once per w.
     The cases come ordered by (length, one-line notation) of w, then word.
     """
     w0 = Permutation.longest(ctx.nvars)
-    per_w: dict[tuple[int, ...], tuple] = {}  # w -> (packed reference(w), supp(w), supp(w0*w))
+    per_w: dict[tuple[int, ...], tuple] = {}  # w -> (reference(w), supp(w), supp(w0*w))
     by_heap: dict[Word, tuple[bool, bool, bool]] = {}
     rows = []
     for oneline, word in _reduced_words(ctx.nvars):
@@ -300,7 +289,7 @@ def _word_class_cases(
             layout, diff = schubert(ctx, word, heaps)
             if oneline not in per_w:
                 w = Permutation(oneline)
-                per_w[oneline] = layout.pack(reference(w)), support_of(w), support_of(w0 * w)
+                per_w[oneline] = reference(w), support_of(w), support_of(w0 * w)
             ref, supp_w, supp_t = per_w[oneline]
             for key, c in ref.items():
                 c = diff.get(key, 0) - c
@@ -322,11 +311,7 @@ def _word_class_cases(
 
 
 def _add_word_class_cases(
-    rep: CheckReport,
-    cases: Iterator[tuple[str, tuple[bool, bool, bool]]],
-    phrase: str,
-    pairs_w_detail: str,
-    pairs_t_detail: str,
+    rep: CheckReport, cases: Iterator, phrase: str, pairs_w_detail: str, pairs_t_detail: str
 ) -> None:
     """Three cases per word of _word_class_cases: the gating window
     reading, then the two adjacent-pair readings, annotated."""
@@ -361,7 +346,7 @@ def verify_fk_identity(spec: FglSpec, n: int) -> CheckReport:
         rep.add(f"-D_{i}(S) = S u_{i}", heckes_equal(_apply_delta_elem(S, i), hecke_times_u(S, i)))
 
     w0 = Permutation.longest(n)
-    cases = _word_class_cases(OperatorContext(spec, n), lambda w: S.coefficient(w0 * w))
+    cases = _word_class_cases(OperatorContext(spec, n), lambda w: S.coeffs.get(w0 * w, {}))
     _add_word_class_cases(
         rep,
         cases,
@@ -387,8 +372,10 @@ def verify_coeff_corollary(spec: FglSpec, n: int) -> CheckReport:
     _check_spec(spec)
     _check_rank(n)
     rep = CheckReport(f"coeff-corollary[{spec.label()},n={n}]")
-    ctx = OperatorContext(spec, n)
-    cases = _word_class_cases(ctx, lambda w: grothendieck_polynomial(ctx, w))
+    flat = OperatorContext(spec.mu2_zeroed(), n)
+    cases = _word_class_cases(
+        OperatorContext(spec, n), lambda w: schubert(flat, canonical_word(w))[1]
+    )
     detail = "adjacent-pair generators only; reported for information"
     _add_word_class_cases(rep, cases, "difference in", detail, detail)
     return rep
@@ -419,23 +406,28 @@ def verify_local_identities(spec: FglSpec, n: int, cap: int) -> CheckReport:
         raise CapacityError(f"the local identities are limited to cap {MAX_LOCAL_CAP}, got {cap}")
     W = cap + 2
     rep = CheckReport(f"local-identities[{spec.label()},n={n},cap={cap}]")
-    one = hecke_one(n, spec)
+    # a product has two series through degree W and n - 1 linear factors
+    # at most: x-degree <= 2W + n - 1.  The coefficient of u_w has degree
+    # l(w), or l(w) - 1 after -D_i, so m1 and m2 stay below x-degree + 2
+    width = (2 * W + n).bit_length()
+    layout = GradedLayout(n, width, width)
+    one = hecke_one(layout, spec)
     chi = formal_inverse(spec, W)
     f_chi = chi_difference(spec, W)
     for i in range(1, n):
-        xi1 = Poly.variable(n, i + 1)
-        chi_i1 = chi.inject_vars(n, (i + 1,))
+        xi1 = layout.pack(Poly.variable(n, i + 1))
+        chi_i1 = layout.pack(chi.inject_vars(n, (i + 1,)))
         chi_factor = hecke_times_factor(one, i, chi_i1)
         lhs0 = hecke_times_factor(hecke_times_factor(one, i, xi1), i, chi_i1)
         rep.add(f"(0) i={i}", heckes_equal(lhs0.truncate(cap), one))
 
-        lhs1 = alpha_factor(n, i + 1, xi1, spec)
-        rhs1 = hecke_times_factor(alpha_factor(n, i, xi1, spec), i, chi_i1)
+        lhs1 = alpha_factor(layout, i + 1, xi1, spec)
+        rhs1 = hecke_times_factor(alpha_factor(layout, i, xi1, spec), i, chi_i1)
         rep.add(f"(1) i={i}", heckes_equal(lhs1.truncate(cap), rhs1.truncate(cap)))
 
-        lhs2 = hecke_times_factor(one, i, chi.inject_vars(n, (i,)))
+        lhs2 = hecke_times_factor(one, i, layout.pack(chi.inject_vars(n, (i,))))
         rhs2 = hecke_times_factor(
-            hecke_times_factor(one, i, f_chi.inject_vars(n, (i + 1, i))), i, chi_i1
+            hecke_times_factor(one, i, layout.pack(f_chi.inject_vars(n, (i + 1, i)))), i, chi_i1
         )
         rep.add(f"(2) i={i}", heckes_equal(lhs2.truncate(cap), rhs2.truncate(cap)))
 
@@ -453,9 +445,10 @@ def verify_ybe(spec: FglSpec, n: int) -> CheckReport:
     _check_spec(spec)
     _check_rank(n)
     rep = CheckReport(f"ybe[{spec.label()},n={n}]")
+    layout = word_class_layout(n)
     for i in range(1, n):
-        xi, xi1 = Poly.variable(n, i), Poly.variable(n, i + 1)
-        ab = _times_alpha(alpha_factor(n, i, xi, spec), i, xi1)
-        ba = _times_alpha(alpha_factor(n, i, xi1, spec), i, xi)
+        xi, xi1 = (layout.pack(Poly.variable(n, v)) for v in (i, i + 1))
+        ab = _times_alpha(alpha_factor(layout, i, xi, spec), i, xi1)
+        ba = _times_alpha(alpha_factor(layout, i, xi1, spec), i, xi)
         rep.add(f"i={i}", heckes_equal(ab, ba))
     return rep

@@ -10,9 +10,11 @@ they check:
   are the reference for the table-driven operators in `schubfgl.ddo`;
 - `demazure_mul` is the general product of two Hecke elements, a walk
   over the canonical word of every right-hand permutation, with the sum
-  `hecke_add` and the scalar multiple `hecke_scale` beside it.  It is the
-  reference for the one-step products `hecke_times_u` and
-  `hecke_times_factor` that build everything in `schubfgl.hecke`, and
+  `hecke_add` and the scalar multiple `hecke_scale` beside it.  Its
+  elements are tuple-key dicts {Permutation: Poly}, reduced by the
+  tuple-key `ideal_delete`.  It is the reference for the one-step
+  products `hecke_times_u` and `hecke_times_factor` that build
+  everything in `schubfgl.hecke` on packed keys, and
   `big_product_double` multiplies the ordered product S with it, one
   linear factor at a time;
 - the generic series inverter `series_invert_unit`, the series of the
@@ -76,7 +78,7 @@ from schubfgl.ddo import (
 )
 from schubfgl.fgl import FglSpec, diff_kernel, formal_inverse
 from schubfgl.grass import GrassContext, RectangleClass, smooth_product
-from schubfgl.hecke import MAX_ENUM_RANK, HeckeElem, hecke_one, ideal_delete
+from schubfgl.hecke import MAX_ENUM_RANK
 from schubfgl.polycore import MU_ZERO, GradedLayout, Poly, PolyError
 from schubfgl.report import CheckReport
 
@@ -449,6 +451,16 @@ def smooth_monomial(k: int, n: int, *, rows: int | None = None, cols: int | None
     return Poly.monomial(n, tuple(exps))
 
 
+def ideal_delete(f: Poly, indices) -> Poly:
+    """Delete the terms divisible by m2 x_j x_{j+1} for some j in indices."""
+    pairs = [(j - 1, j) for j in indices]
+    return Poly(f.nvars, {
+        (exps, mu): c
+        for (exps, mu), c in f.terms.items()
+        if not (mu[1] and any(exps[a] and exps[b] for a, b in pairs))
+    })
+
+
 def window_delete(f: Poly, indices) -> Poly:
     """Delete the m2-terms of degree >= 2 in the variables x_j, x_{j+1}, j in indices."""
     window = {v for j in indices for v in (j - 1, j)}
@@ -511,44 +523,46 @@ def word_class_verdicts(
 
 
 # ----------------------------------------------------------------------
-# the general Hecke product
+# the general Hecke product, on tuple-key elements {Permutation: Poly}
 
-def _reduced_elem(n: int, spec: FglSpec, coeffs: dict) -> HeckeElem:
+def _reduced_elem(coeffs: dict) -> dict:
     """Delete the J_w terms of every coefficient and drop the zero ones."""
     out = {}
     for w, c in coeffs.items():
         c = ideal_delete(c, support_of(w))
         if not c.is_zero:
             out[w] = c
-    return HeckeElem(n, spec, out)
+    return out
 
 
-def hecke_add(e: HeckeElem, f: HeckeElem) -> HeckeElem:
-    assert (e.n, e.spec) == (f.n, f.spec)
-    out = dict(e.coeffs)
-    for w, c in f.coeffs.items():
+def hecke_add(e: dict, f: dict) -> dict:
+    out = dict(e)
+    for w, c in f.items():
         out[w] = out[w] + c if w in out else c
-    return _reduced_elem(e.n, e.spec, out)
+    return _reduced_elem(out)
 
 
-def hecke_scale(e: HeckeElem, g: Poly) -> HeckeElem:
-    return _reduced_elem(e.n, e.spec, {w: c * g for w, c in e.coeffs.items()})
+def hecke_scale(e: dict, g: Poly) -> dict:
+    return _reduced_elem({w: c * g for w, c in e.items()})
 
 
-def hecke_u(n: int, i: int, spec: FglSpec) -> HeckeElem:
+def hecke_u(n: int, i: int) -> dict:
     """The generator u_i."""
-    return HeckeElem(n, spec, {word_to_perm((i,), n): Poly.one(n)})
+    return {word_to_perm((i,), n): Poly.one(n)}
 
 
-def demazure_mul(e: HeckeElem, f: HeckeElem) -> HeckeElem:
+def hecke_unit(n: int) -> dict:
+    """The unit u_e."""
+    return {Permutation.identity(n): Poly.one(n)}
+
+
+def demazure_mul(e: dict, f: dict, spec: FglSpec) -> dict:
     """Product via the Demazure walk: u_w u_v = (-m1)^drop u_{w*v}."""
-    n, spec = e.n, e.spec
-    assert (f.n, f.spec) == (n, spec)
-    minus_mu1 = -spec.mu1_poly(n)
     out: dict[Permutation, Poly] = {}
-    for v, dv in f.coeffs.items():
+    for v, dv in f.items():
         word_v = canonical_word(v)
-        for w, cw in e.coeffs.items():
+        minus_mu1 = spec.specialize(Poly.const(v.n, -1, (1, 0)))
+        for w, cw in e.items():
             z = w
             c = cw * dv
             for i in word_v:
@@ -559,19 +573,17 @@ def demazure_mul(e: HeckeElem, f: HeckeElem) -> HeckeElem:
             if c.is_zero:
                 continue
             out[z] = out[z] + c if z in out else c
-    return _reduced_elem(n, spec, out)
+    return _reduced_elem(out)
 
 
-def big_product_double(n: int, spec: FglSpec) -> HeckeElem:
+def big_product_double(n: int, spec: FglSpec) -> dict:
     """S written out factor by factor:
     prod_{j=1}^{n-1} prod_{i=n-1}^{j} (1 + x_j u_i)."""
-    acc = hecke_one(n, spec)
+    acc = hecke_unit(n)
     for j in range(1, n):
         xj = Poly.variable(n, j)
         for i in range(n - 1, j - 1, -1):
-            acc = demazure_mul(
-                acc, hecke_add(hecke_one(n, spec), hecke_scale(hecke_u(n, i, spec), xj))
-            )
+            acc = demazure_mul(acc, hecke_add(hecke_unit(n), hecke_scale(hecke_u(n, i), xj)), spec)
     return acc
 
 

@@ -642,6 +642,19 @@ HECKE_SHA256 = {
     "verify local --n 3 --cap 12 --fgl hyperbolic --mu1 -1 --mu2 0": (
         "a8c89dd4bb350c9633312aec1f546b7b7de456996e286340ccf616f6389c531f"
     ),
+    # the widest layout the local identities take: rank 5 at the cap bound
+    "verify local --n 5 --cap 120 --fgl additive": (
+        "6fc63baed79d76575cde23bfd7943dfd6c77e265d43ee885d2398def33974fb7"
+    ),
+    "verify local --n 5 --cap 120 --fgl multiplicative": (
+        "3f2cb03271376b20d3df140598789173db06f6dd3b226049815ccfa9863cc2af"
+    ),
+    "verify local --n 5 --cap 120 --fgl hyperbolic": (
+        "9cab3722de786d1a3d6d9d573b6efd2f0d6f5cf190a03eb93b9f405536e81924"
+    ),
+    "verify local --n 5 --cap 120 --fgl lorentz": (
+        "f8f26f381b40a12265495abb33f5a6b4078726ad0231df47193b7524532802f5"
+    ),
 }
 
 

@@ -211,7 +211,16 @@ def test_vandermonde_poly_is_the_product():
     assert vandermonde_poly(0) == Poly.one(0) and vandermonde_poly(1) == Poly.one(1)
 
 
-def test_vandermonde_part_a_reads_the_polynomial(monkeypatch):
+@pytest.fixture
+def fresh_alternant():
+    """An empty cache of reduced alternants, emptied again afterwards, so
+    that a patched reduction or alternant reaches no other test."""
+    coinv._reduced_alternant.cache_clear()
+    yield
+    coinv._reduced_alternant.cache_clear()
+
+
+def test_vandermonde_part_a_reads_the_polynomial(monkeypatch, fresh_alternant):
     # one sign flipped in the alternant must fail part (a)
     alternant = vandermonde_poly
 
@@ -269,9 +278,10 @@ def test_vandermonde_inverts_the_kernel_once(monkeypatch):
     assert calls == [(HYPERBOLIC, 10)]
 
 
-def test_vandermonde_reduces_the_alternant_once(monkeypatch):
+def test_vandermonde_reduces_the_alternant_once(monkeypatch, fresh_alternant):
     # part (b) compares with part (a)'s normal form instead of reducing
-    # the n! monomials of the alternant again
+    # the n! monomials of the alternant again, and a second call at the
+    # same rank reduces none
     sizes = []
     reduce = coinv.reduce_packed
 
@@ -281,6 +291,8 @@ def test_vandermonde_reduces_the_alternant_once(monkeypatch):
 
     monkeypatch.setattr(coinv, "reduce_packed", recording_reduce)
     assert vandermonde_check(HYPERBOLIC, 5, 11).passed
+    assert sizes.count(math.factorial(5)) == 1
+    assert vandermonde_check(MULTIPLICATIVE, 5, 12).passed
     assert sizes.count(math.factorial(5)) == 1
 
 

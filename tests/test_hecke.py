@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from schubfgl import ddo, hecke, schubert
 from schubfgl.coinv import top_staircase_class
-from schubfgl.combi import CapacityError, Permutation, word_to_perm
+from schubfgl.combi import CapacityError, Permutation, canonical_word, word_to_perm
 from schubfgl.ddo import OperatorContext, apply_word, random_poly
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
 from schubfgl.hecke import (
+    MAX_ENUM_RANK,
+    MAX_LOCAL_CAP,
     HeckeElem,
     alpha_factor,
     big_product_s,
@@ -20,17 +22,15 @@ from schubfgl.hecke import (
     hecke_times_factor,
     hecke_times_u,
     heckes_equal,
-    ideal_delete,
     in_pair_ideal,
     in_window_cone,
     verify_coeff_corollary,
     verify_fk_identity,
     verify_local_identities,
     verify_ybe,
-    window_vars,
 )
 from schubfgl.polycore import GradedLayout, Poly, PolyError
-from schubfgl.schubert import grothendieck_polynomial
+from schubfgl.schubert import grothendieck_polynomial, word_class_layout
 
 from oracles import (
     all_permutations,
@@ -41,6 +41,8 @@ from oracles import (
     hecke_add,
     hecke_scale,
     hecke_u,
+    hecke_unit,
+    ideal_delete,
     window_delete,
     word_class_verdicts,
 )
@@ -48,8 +50,18 @@ from oracles import (
 LAWS = (ADDITIVE, MULTIPLICATIVE, HYPERBOLIC, LORENTZ)
 
 
+def packed(layout, spec, e):
+    """The element of a reduced tuple-key element {Permutation: Poly}."""
+    return HeckeElem(layout, spec, {w: layout.pack(c) for w, c in e.items()})
+
+
+def tuple_key(e):
+    """e's coefficients as {Permutation: Poly}, the oracle's elements."""
+    return {w: e.layout.unpack(c) for w, c in e.coeffs.items()}
+
+
 def hecke_sub(e, f):
-    return hecke_add(e, HeckeElem(f.n, f.spec, {w: -c for w, c in f.coeffs.items()}))
+    return hecke_add(e, {w: -c for w, c in f.items()})
 
 
 def all_words(n):
@@ -84,43 +96,46 @@ def times_word(e, word):
 
 def test_quadratic_relation():
     n = 3
+    layout = word_class_layout(n)
     for spec in (HYPERBOLIC, MULTIPLICATIVE):
         for i in (1, 2):
-            u = hecke_u(n, i, spec)
-            lhs = hecke_times_u(u, i)
-            rhs = hecke_scale(u, -spec.mu1_poly(n))
-            assert heckes_equal(lhs, rhs)
+            lhs = hecke_times_u(packed(layout, spec, hecke_u(n, i)), i)
+            minus_m1 = spec.specialize(Poly.const(n, -1, (1, 0)))
+            assert tuple_key(lhs) == hecke_scale(hecke_u(n, i), minus_m1)
     # additive: -m1 specializes to 0, so u_i squares to zero
-    u = hecke_u(n, 1, ADDITIVE)
-    assert hecke_times_u(u, 1).coeffs == {}
+    assert hecke_times_u(packed(layout, ADDITIVE, hecke_u(n, 1)), 1).coeffs == {}
 
 
 def test_braid_and_commuting_relations():
-    one = hecke_one(4, HYPERBOLIC)
+    layout = word_class_layout(4)
+    one = hecke_one(layout, HYPERBOLIC)
     assert heckes_equal(times_word(one, (1, 2, 1)), times_word(one, (2, 1, 2)))
     assert heckes_equal(times_word(one, (1, 3)), times_word(one, (3, 1)))
     # the step from an element, not only from 1
-    u2 = hecke_u(4, 2, HYPERBOLIC)
+    u2 = packed(layout, HYPERBOLIC, hecke_u(4, 2))
     assert heckes_equal(times_word(u2, (3, 2, 3)), times_word(u2, (2, 3, 2)))
+    with pytest.raises(ValueError):
+        heckes_equal(one, hecke_one(GradedLayout(4, 3, 3), HYPERBOLIC))
 
 
 def test_module_relation_deletes_marked_terms():
     n = 3
-    one = hecke_one(n, HYPERBOLIC)
-    killer = Poly.monomial(n, (1, 1, 0), (0, 1))
+    layout = word_class_layout(n)
+    one = hecke_one(layout, HYPERBOLIC)
+    killer = layout.pack(Poly.monomial(n, (1, 1, 0), (0, 1)))
     # 1 + killer u_1: the coefficient of u_1 lies in J_{s_1} and is deleted
     assert hecke_times_factor(one, 1, killer).coeffs == one.coeffs
     # the same scalar survives on a basis element whose support misses it
     kept = hecke_times_factor(one, 2, killer)
-    assert kept.coefficient(word_to_perm((2,), n)) == killer
+    assert kept.coeffs[word_to_perm((2,), n)] == killer
 
 
-def _random_elem(rng: random.Random, n: int, spec: FglSpec) -> HeckeElem:
+def _random_elem(rng: random.Random, n: int) -> dict:
     perms = all_permutations(n)
     coeffs = {}
     for w in rng.sample(perms, 3):
         coeffs[w] = random_poly(rng, n, terms=3, max_total_deg=3, max_mu=1)
-    return hecke_add(HeckeElem(n, spec, {}), HeckeElem(n, spec, coeffs))
+    return hecke_add({}, coeffs)
 
 
 def test_algebra_axioms_sampled():
@@ -129,20 +144,16 @@ def test_algebra_axioms_sampled():
     n = 3
     for spec in (HYPERBOLIC, LORENTZ):
         for _ in range(5):
-            a = _random_elem(rng, n, spec)
-            b = _random_elem(rng, n, spec)
-            c = _random_elem(rng, n, spec)
-            assert heckes_equal(
-                demazure_mul(demazure_mul(a, b), c), demazure_mul(a, demazure_mul(b, c))
+            a, b, c = (_random_elem(rng, n) for _ in range(3))
+            assert demazure_mul(demazure_mul(a, b, spec), c, spec) == demazure_mul(
+                a, demazure_mul(b, c, spec), spec
             )
-            assert heckes_equal(
-                demazure_mul(a, hecke_add(b, c)),
-                hecke_add(demazure_mul(a, b), demazure_mul(a, c)),
+            assert demazure_mul(a, hecke_add(b, c), spec) == hecke_add(
+                demazure_mul(a, b, spec), demazure_mul(a, c, spec)
             )
-            one = hecke_one(n, spec)
-            assert heckes_equal(demazure_mul(one, a), a)
-            assert heckes_equal(demazure_mul(a, one), a)
-            assert heckes_equal(hecke_sub(a, a), HeckeElem(n, spec, {}))
+            one = hecke_unit(n)
+            assert demazure_mul(one, a, spec) == a == demazure_mul(a, one, spec)
+            assert hecke_sub(a, a) == {}
 
 
 @st.composite
@@ -162,24 +173,26 @@ def step_inputs(draw):
         return spec.specialize(Poly(n, terms))
 
     coeffs = {draw(st.sampled_from(perms)): poly() for _ in range(draw(st.integers(0, 4)))}
-    e = hecke_add(HeckeElem(n, spec), HeckeElem(n, spec, coeffs))
-    return e, draw(st.integers(1, n - 1)), poly()
+    return spec, hecke_add({}, coeffs), draw(st.integers(1, n - 1)), poly()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(step_inputs())
 def test_step_matches_general_product(case):
-    e, j, g = case
-    n, spec = e.n, e.spec
-    u = hecke_u(n, j, spec)
-    assert hecke_times_u(e, j).coeffs == demazure_mul(e, u).coeffs
-    factor = hecke_add(hecke_one(n, spec), hecke_scale(u, g))
-    assert hecke_times_factor(e, j, g).coeffs == demazure_mul(e, factor).coeffs
+    # the packed one-step products against the tuple-key general product
+    spec, e, j, g = case
+    n = g.nvars
+    # x exponents up to 2 + 2 and mu exponents up to 1 + 1 + 1 fit 3-bit fields
+    layout = GradedLayout(n, 3, 3)
+    elem, u = packed(layout, spec, e), hecke_u(n, j)
+    assert tuple_key(hecke_times_u(elem, j)) == demazure_mul(e, u, spec)
+    factor = hecke_add(hecke_unit(n), hecke_scale(u, g))
+    assert tuple_key(hecke_times_factor(elem, j, layout.pack(g))) == demazure_mul(e, factor, spec)
 
 
 def test_spec_guard():
     with pytest.raises(ValueError):
-        hecke_one(3, FglSpec("hyperbolic", None, 2))
+        hecke_one(word_class_layout(3), FglSpec("hyperbolic", None, 2))
     with pytest.raises(ValueError):
         verify_fk_identity(FglSpec("hyperbolic", 1, 3), 2)
 
@@ -196,11 +209,15 @@ def test_delete_semantics():
     got = ideal_delete(f, {1})
     assert got == f - Poly.monomial(n, (1, 1, 0), (0, 1))
     # window deletion removes any m2-term quadratic in the window vars
-    assert window_vars({1}) == frozenset({1, 2})
     got = window_delete(f, {1})
     assert got == Poly.monomial(n, (1, 0, 1), (0, 1)) + Poly.monomial(n, (1, 1, 0))
     assert ideal_delete(f, set()) == f
     assert window_delete(f, set()) == f
+    # the packed deletion of the elements drops what the reference drops
+    layout = word_class_layout(n)
+    terms = layout.pack(f)
+    kept = {k: terms[k] for k in hecke.ideal_delete(terms, layout, frozenset({1}))}
+    assert kept == layout.pack(ideal_delete(f, {1}))
 
 
 @st.composite
@@ -209,7 +226,7 @@ def deletion_inputs(draw):
     and m2 x_a x_b over the window, so both verdicts come up often."""
     n = draw(st.integers(2, 5))
     indices = draw(st.frozensets(st.integers(1, n - 1)))
-    window = sorted(window_vars(indices)) or [1, 2]
+    window = sorted({v for j in indices for v in (j, j + 1)}) or [1, 2]
     terms = {}
     for _ in range(draw(st.integers(0, 5))):
         x = list(draw(st.tuples(*[st.integers(0, 2)] * n)))
@@ -226,9 +243,10 @@ def deletion_inputs(draw):
             x[b - 1] += 1
             mu = (mu[0], max(mu[1], 1))
         terms[(tuple(x), mu)] = draw(st.integers(-3, 3))
-    # x exponents up to 3 and mu exponents up to 2 need 2-bit fields; the
-    # walk's layout is wider, and its x and mu fields differ
-    layout = GradedLayout(n, draw(st.integers(2, 9)), draw(st.integers(2, 9)))
+    # x exponents up to 4 (a window term on x_a = x_b) need 3-bit fields and
+    # mu exponents up to 2 need 2-bit ones; the walk's layout is wider, and
+    # its x and mu fields differ
+    layout = GradedLayout(n, draw(st.integers(3, 9)), draw(st.integers(2, 9)))
     return Poly(n, terms), indices, layout
 
 
@@ -237,10 +255,13 @@ def deletion_inputs(draw):
 # the smallest key, of x-degree 2, has m2; the larger x_1^2 x_2 has none
 @example((Poly(2, {((1, 1), (0, 1)): 1, ((2, 1), (0, 0)): 1}), frozenset({1}), GradedLayout(2, 2, 2)))
 def test_membership_reads_match_deletion(case):
-    # the fk/differ verdicts are mask tests on packed keys; the references
-    # delete terms of the tuple-keyed polynomial
+    # the fk/differ verdicts and the deletion of the elements are mask
+    # tests on packed keys; the references delete terms of the tuple-keyed
+    # polynomial
     f, indices, layout = case
     terms = layout.pack(f)
+    kept = {k: terms[k] for k in hecke.ideal_delete(terms, layout, indices)}
+    assert kept == layout.pack(ideal_delete(f, indices))
     assert in_pair_ideal(terms, layout, indices) == ideal_delete(f, indices).is_zero
     assert in_window_cone(terms, layout, indices) == window_delete(f, indices).is_zero
 
@@ -249,7 +270,7 @@ def test_membership_reads_stop_at_first_survivor():
     n = 3
 
     def reads(f, indices):
-        layout = GradedLayout.fit(f, 0)
+        layout, indices = GradedLayout.fit(f, 0), frozenset(indices)
         terms = layout.pack(f)
         return in_pair_ideal(terms, layout, indices), in_window_cone(terms, layout, indices)
 
@@ -272,24 +293,25 @@ def test_top_coefficient_is_the_staircase_class():
     for spec in (ADDITIVE, HYPERBOLIC, LORENTZ):
         for n in (2, 3, 4):
             s = big_product_s(n, spec)
-            top = s.coefficient(Permutation.longest(n))
-            assert top == top_staircase_class(n)
+            top = s.coeffs[Permutation.longest(n)]
+            assert s.layout.unpack(top) == top_staircase_class(n)
 
 
 def test_double_product_agrees():
+    # the packed S against the tuple-key S of the general product
     for spec in (HYPERBOLIC, LORENTZ):
         for n in (2, 3, 4):
-            assert heckes_equal(big_product_s(n, spec), big_product_double(n, spec))
+            assert tuple_key(big_product_s(n, spec)) == big_product_double(n, spec)
 
 
 def test_alpha_factor_bounds():
-    assert alpha_factor(3, 3, Poly.variable(3, 1), HYPERBOLIC).coeffs == hecke_one(
-        3, HYPERBOLIC
-    ).coeffs
+    layout = word_class_layout(3)
+    x1 = layout.pack(Poly.variable(3, 1))
+    assert alpha_factor(layout, 3, x1, HYPERBOLIC).coeffs == hecke_one(layout, HYPERBOLIC).coeffs
     with pytest.raises(ValueError):
-        alpha_factor(3, 0, Poly.variable(3, 1), HYPERBOLIC)
+        alpha_factor(layout, 0, x1, HYPERBOLIC)
     with pytest.raises(ValueError):
-        alpha_factor(3, 4, Poly.variable(3, 1), HYPERBOLIC)
+        alpha_factor(layout, 4, x1, HYPERBOLIC)
 
 
 def test_fk_identity_small_ranks():
@@ -339,6 +361,40 @@ def test_local_identities():
         verify_local_identities(HYPERBOLIC, 2, cap=3)
 
 
+def test_layouts_hold_every_product(monkeypatch):
+    # products are exact, and a field that overflows carries into the next
+    # one unseen: a carry out of an x or m1 field breaks "degree field =
+    # sum of the x fields", one out of m2 breaks the homogeneity of the
+    # hyperbolic coefficients.  Every product _mk_elem meets at the widest
+    # inputs of fk and local must show neither, with each field below its
+    # maximum
+    widest = {}
+    real = hecke._mk_elem
+
+    def recording(layout, spec, coeffs):
+        shifts, xmask, mw, mumask = layout.fields
+        top = widest.setdefault(layout, [0, 0])
+        for terms in coeffs.values():
+            degrees = set()
+            for key in terms:
+                xs = [key >> s & xmask for s in shifts]
+                m1, m2 = key >> mw & mumask, key & mumask
+                assert key >> layout.deg_shift == sum(xs)
+                degrees.add(sum(xs) - m1 - 2 * m2)
+                top[0] = max(top[0], *xs)
+                top[1] = max(top[1], m1, m2)
+            assert len(degrees) <= 1
+        return real(layout, spec, coeffs)
+
+    monkeypatch.setattr(hecke, "_mk_elem", recording)
+    assert verify_local_identities(HYPERBOLIC, MAX_ENUM_RANK, MAX_LOCAL_CAP).passed
+    assert verify_fk_identity(HYPERBOLIC, MAX_ENUM_RANK).passed
+    assert len(widest) == 2
+    for layout, (x, mu) in widest.items():
+        assert x < (1 << layout.xwidth) - 1 and mu < (1 << layout.muwidth) - 1, (layout, x, mu)
+    assert sorted(widest.values()) == [[4, 5], [126, 243]]
+
+
 def test_ybe():
     for spec in (ADDITIVE, HYPERBOLIC):
         for n in (2, 3):
@@ -362,7 +418,7 @@ def test_word_walk_applies_one_operator_per_heap(c_calls):
     assert [word for _w, word in walked] == sorted(all_words(5))
     assert len(walked) == 3061
     assert all(word_to_perm(word, 5).oneline == oneline for oneline, word in walked)
-    list(hecke._word_class_cases(OperatorContext(ADDITIVE, 5), lambda w: Poly.zero(5)))
+    list(hecke._word_class_cases(OperatorContext(ADDITIVE, 5), lambda w: {}))
     # one C_i per nonempty heap: the additive classes all fit the memo
     assert len(c_calls) == 475
 
@@ -383,7 +439,7 @@ def test_word_walk_classes_match_word_by_word(monkeypatch):
                 return layout, terms
 
             monkeypatch.setattr(hecke, "schubert", recording)
-            list(hecke._word_class_cases(ctx, lambda w: Poly.zero(n)))
+            list(hecke._word_class_cases(ctx, lambda w: {}))
             top = top_staircase_class(n)
             classes = commutation_classes(all_words(n))
             assert len(seen) == len(classes)
@@ -394,17 +450,22 @@ def test_word_walk_classes_match_word_by_word(monkeypatch):
 
 
 def test_word_class_cases_match_the_all_words_walk():
-    # verdicts per heap against verdicts per word, for both references
+    # verdicts per heap on packed references against verdicts per word on
+    # the tuple-key ones, for the references of fk and of differ
     for spec in LAWS:
         for n in (2, 3, 4):
-            ctx = OperatorContext(spec, n)
+            ctx, flat = OperatorContext(spec, n), OperatorContext(spec.mu2_zeroed(), n)
             S, w0 = big_product_s(n, spec), Permutation.longest(n)
-            for reference in (
-                lambda w: S.coefficient(w0 * w),
-                lambda w: grothendieck_polynomial(ctx, w),
+            S_double = big_product_double(n, spec)
+            for reference, tuple_reference in (
+                (lambda w: S.coeffs.get(w0 * w, {}), lambda w: S_double.get(w0 * w, Poly.zero(n))),
+                (
+                    lambda w: schubert.schubert(flat, canonical_word(w))[1],
+                    lambda w: grothendieck_polynomial(ctx, w),
+                ),
             ):
                 got = list(hecke._word_class_cases(ctx, reference))
-                assert got == word_class_verdicts(ctx, reference)
+                assert got == word_class_verdicts(ctx, tuple_reference)
 
 
 def test_fk_identity_shares_prefixes(c_calls):

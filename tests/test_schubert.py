@@ -13,7 +13,6 @@ from schubfgl.coinv import normal_form
 from schubfgl.coinv import top_staircase_class
 from schubfgl.combi import Permutation, support_of
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
-from schubfgl.hecke import ideal_delete
 from schubfgl.polycore import GradedLayout, Poly
 from schubfgl.ddo import OperatorContext
 from schubfgl.schubert import (
@@ -28,6 +27,7 @@ from oracles import (
     CLASSICAL_SCHUBERT_S3,
     all_permutations,
     commutation_classes,
+    ideal_delete,
     oracle_apply_word,
     reduced_words,
     s5_word_sample,
