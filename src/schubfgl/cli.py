@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from .coinv import (
     NotInSpanError,
     expand_in_basis,
-    normal_form,
+    reduce_polys,
     vandermonde_check,
 )
 from .combi import BoxPartition, CapacityError
@@ -238,11 +238,11 @@ def _cmd_reduce(args, out, stdin) -> int:
     n = args.n if args.n is not None else f.nvars
     if n != f.nvars:
         raise PolyError(f"--n {n} does not match the input's {f.nvars} variables")
-    g = normal_form(f, n)
+    layout, (g,) = reduce_polys([f], n)
     if args.json:
-        _emit_json(g.to_json_obj(), out)
+        _emit_json(packed_json_obj(layout, g), out)
     else:
-        out.write(g.render_text() + "\n")
+        out.write(render_packed(layout, g) + "\n")
     return 0
 
 
@@ -295,19 +295,20 @@ def _cmd_grprod(args, out, stdin) -> int:
 
 def _cmd_table(args, out, stdin) -> int:
     spec = _spec_of(args)
-    basis = gr24_basis(spec)
+    layout, basis = gr24_basis(spec)
     rows = []
-    for key, poly in zip(GR24_ORDER, basis):
+    for key, terms in zip(GR24_ORDER, basis):
         lam = BoxPartition(2, 2, key)
-        rows.append({"lam": list(key), "word": list(gr24_word(lam)), "poly": poly})
+        rows.append({"lam": list(key), "word": list(gr24_word(lam)), "poly": terms})
     if args.json:
         _emit_json(
-            [{**row, "poly": row["poly"].to_json_obj()} for row in rows], out
+            [{**row, "poly": packed_json_obj(layout, row["poly"])} for row in rows], out
         )
     else:
         for row in rows:
             word = ",".join(map(str, row["word"]))
-            out.write(f"lam={row['lam'][0]},{row['lam'][1]} word=({word}) {row['poly'].render_text()}\n")
+            text = render_packed(layout, row["poly"])
+            out.write(f"lam={row['lam'][0]},{row['lam'][1]} word=({word}) {text}\n")
     return 0
 
 

@@ -17,16 +17,16 @@ class in a given basis with integer linear algebra.
 Reduction runs on the packed keys of polycore.GradedLayout (x-degree,
 x_n, ..., x_1, m1, m2, most significant first), one int per term: the
 one key format of the package, which the operators of ddo and the
-printer use too, here in nf_layout's field widths.  Monomial normal
-forms are kept in one memo per rank, keyed by a key's x-part and shared
-by all calls (normal_form also finds them by exponent tuple); all ranks
-together hold at most _NF_MEMO_MAX (262,144) entries plus one rewrite
-closure.
+printer use too, here in nf_layout's field widths.  A Poly enters once,
+through reduce_polys, and its normal form stays packed: reduce and
+table print it as it is, and expand_packed builds its columns on the
+same keys.  Monomial normal forms are kept in one memo per rank, keyed
+by a key's x-part and shared by all calls; all ranks together hold at
+most _NF_MEMO_MAX (262,144) entries plus one rewrite closure.
 Every rewrite is rank-bounded where it happens: above MAX_REWRITE_RANK
-a monomial that needs rewriting raises CapacityError, whether
-normal_form or expand_in_basis asked.  Staircase monomials and
-monomials above the top degree need none, so they are answered at any
-rank.
+a monomial that needs rewriting raises CapacityError, whichever caller
+asked.  Staircase monomials and monomials above the top degree need
+none, so they are answered at any rank.
 """
 
 from __future__ import annotations
@@ -85,14 +85,11 @@ def _replacement_monomials(k: int, n: int) -> tuple[int, ...]:
 
 # Normal forms of the monomials met while rewriting, one dict per rank
 # keyed by x-part and shared by all calls.  An entry lists (staircase
-# x-part, coeff, its exponent tuple) and may be empty (x_1^n is 0).
-# _NF_BY_EXPS holds the same entries keyed by the exponent tuples
-# normal_form has read, so a Poly term costs one lookup; its keys are
-# among _NF_MEMO's, and both are emptied before a rewrite once the ranks
-# of _NF_MEMO together hold more than _NF_MEMO_MAX entries.
-_Entry = tuple[tuple[int, int, XExp], ...]
+# x-part, coeff) pairs and may be empty (x_1^n is 0).  All ranks are
+# emptied before a rewrite once together they hold more than
+# _NF_MEMO_MAX entries.
+_Entry = tuple[tuple[int, int], ...]
 _NF_MEMO: dict[int, dict[int, _Entry]] = {}
-_NF_BY_EXPS: dict[int, dict[XExp, _Entry]] = {}
 _NF_MEMO_MAX = 1 << 18
 
 
@@ -108,10 +105,8 @@ def _monomial_normal_form(x: int, n: int) -> _Entry:
     if known is not None:
         return known
     if sum(map(len, _NF_MEMO.values())) > _NF_MEMO_MAX:
-        for rank_memo in (*_NF_MEMO.values(), *_NF_BY_EXPS.values()):
+        for rank_memo in _NF_MEMO.values():
             rank_memo.clear()
-    layout = nf_layout(n, 0)
-    shifts, mask = [layout.x_shift(v) for v in range(1, n + 1)], (1 << layout.xwidth) - 1
     todo = set()
     stack = [x]
     while stack:
@@ -120,16 +115,16 @@ def _monomial_normal_form(x: int, n: int) -> _Entry:
             continue
         subs = _rewrite(e, n)
         if subs is None:
-            memo[e] = ((e, 1, tuple([e >> s & mask for s in shifts])),)
+            memo[e] = ((e, 1),)
         else:
             todo.add(e)
             stack.extend(subs)
     for e in sorted(todo):
         acc: dict[int, int] = {}
         for sub in _rewrite(e, n):
-            for e2, c2, _exps in memo[sub]:
+            for e2, c2 in memo[sub]:
                 acc[e2] = acc.get(e2, 0) - c2
-        memo[e] = tuple([(e2, c, memo[e2][0][2]) for e2, c in acc.items() if c])
+        memo[e] = tuple([(e2, c) for e2, c in acc.items() if c])
     return memo[x]
 
 
@@ -171,64 +166,50 @@ def reduce_packed(terms: dict[int, int], layout: GradedLayout) -> dict[int, int]
                 misses.append(key)
                 continue
             mu = key & mu_mask
-            for x2, c2, _exps in nf:
+            for x2, c2 in nf:
                 k = x2 << mu_bits | mu
                 out[k] = get(k, 0) + c * c2
     # misses smallest first, so each closure reuses those before it: in dict
     # order the rank-7 Vandermonde check made 25 M rewrites, in this 3.4 M
     for key in sorted(misses):
         c, mu = terms[key], key & mu_mask
-        for x2, c2, _exps in _monomial_normal_form(key >> mu_bits, n):
+        for x2, c2 in _monomial_normal_form(key >> mu_bits, n):
             k = x2 << mu_bits | mu
             out[k] = get(k, 0) + c * c2
     return {k: c for k, c in out.items() if c}
 
 
-def normal_form(f: Poly, n: int) -> Poly:
-    """The staircase normal form of f modulo S, from the memo of reduce_packed.
+def reduce_polys(
+    polys: list[Poly], n: int, mu_top: int = 0,
+) -> tuple[GradedLayout, list[dict[int, int]]]:
+    """The staircase normal forms of polys, each packed once into one
+    nf_layout(n, m) and reduced there; m is the largest of top = n(n-1)/2,
+    mu_top and the mu exponents of polys.
 
-    Terms above the top degree are dropped unread.  The others are looked
-    up by exponent tuple in _NF_BY_EXPS, and on a miss by their x-part in
-    nf_layout(n); the entries carry the exponent tuples of their staircase
-    monomials, so nothing is unpacked.  Above MAX_REWRITE_RANK a term that
+    Terms above the top degree are 0 and are dropped while packing.  Each
+    polynomial must have n variables; above MAX_REWRITE_RANK a term that
     needs a rewrite raises CapacityError.
     """
-    if f.nvars != n:
-        raise PolyError(f"expected a polynomial in {n} variables, got {f.nvars}")
     top = n * (n - 1) // 2
-    width = top.bit_length()
-    memo = _NF_MEMO.setdefault(n, {})
-    by_exps = _NF_BY_EXPS.setdefault(n, {})
-    out: dict = {}
-    get = out.get
-    for (exps, mu), c in f.terms.items():
-        nf = by_exps.get(exps)
-        if nf is None:
-            x = sum(exps)
-            if x > top:
-                continue
-            for e in reversed(exps):
-                x = x << width | e
-            nf = memo.get(x)
-            if nf is None:
-                nf = _monomial_normal_form(x, n)
-            by_exps[exps] = nf
-        for _x2, c2, e2 in nf:
-            key = (e2, mu)
-            out[key] = get(key, 0) + c * c2
-    return _mk(n, {k: c for k, c in out.items() if c})
+    layout = nf_layout(n, max(top, mu_top, *[m for f in polys for _x, mu in f.terms for m in mu]))
+    out = []
+    for f in polys:
+        if f.nvars != n:
+            raise PolyError(f"expected a polynomial in {n} variables, got {f.nvars}")
+        out.append(reduce_packed(layout.pack(f, top), layout))
+    return layout, out
 
 
 # ----------------------------------------------------------------------
 # exact expansion in a basis
 
-def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+def _bareiss_echelon(m: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
     """Fraction-free forward elimination; returns (echelon rows, pivot cols).
 
-    Rows carry the augmented column at index ncols.  All intermediate
-    entries stay integral (each division is exact by construction).
+    The rows m carry the augmented column at index ncols and are
+    eliminated in place.  All intermediate entries stay integral (each
+    division is exact by construction).
     """
-    m = [row[:] for row in rows]
     pivots: list[int] = []
     r = 0
     prev = 1
@@ -254,87 +235,104 @@ def _bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]]
     return m, pivots
 
 
-def basis_degrees(basis: list[Poly]) -> list[int]:
-    """The graded degree of every basis element.
+def nf_degree(layout: GradedLayout, terms: dict[int, int]) -> int | None:
+    """The graded degree of packed terms, None unless they are nonzero and
+    graded-homogeneous."""
+    ds, mw = layout.deg_shift, layout.muwidth
+    mask = (1 << mw) - 1
+    degs = {(k >> ds) - (k >> mw & mask) - 2 * (k & mask) for k in terms}
+    return degs.pop() if len(degs) == 1 else None
 
-    Raises PolyError unless every element is graded-homogeneous and nonzero.
+
+def basis_degrees(degrees: list[int | None]) -> list[int]:
+    """degrees, the graded degree of every basis element or None.
+
+    Raises PolyError unless every element is graded-homogeneous and
+    nonzero, i.e. has a degree.
     """
-    degs = []
-    for j, b in enumerate(basis):
-        homog, deg = b.graded_degree()
-        if not homog or deg is None:
+    for j, deg in enumerate(degrees):
+        if deg is None:
             raise PolyError(f"basis element {j} must be graded-homogeneous and nonzero")
-        degs.append(deg)
-    return degs
+    return degrees
 
 
-def expand_in_basis(f: Poly, basis: list[Poly], n: int) -> list[Poly]:
-    """Write f modulo S as an integral Z[m1, m2]-combination of basis classes.
+def expand_packed(
+    layout: GradedLayout, target: dict[int, int], tdeg: int,
+    nfs: list[dict[int, int]], degs: list[int],
+) -> list[Poly]:
+    """target as an integral Z[m1, m2]-combination of nfs: one constant
+    Poly (zero variables) per element, its coefficient.
 
-    f and every basis element must be graded-homogeneous; the grading
-    pins down which monomials m1^a m2^b may appear in each coefficient
-    (a + 2b equals the degree gap).  Returns one constant Poly (zero
-    variables) per basis element.  Raises NotInSpanError when no exact
-    integral combination exists and BasisDependenceError when the basis
-    is linearly dependent modulo S.
+    target and nfs are normal forms in layout, of graded degrees tdeg and
+    degs; the grading pins down which m1^a m2^b may appear in each
+    coefficient (a + 2b equals the degree gap), and multiplying by one is
+    one int add.  A column term then has mu exponents summing to at most
+    top - tdeg, which the mu fields of layout must hold.  Raises
+    NotInSpanError when no exact integral combination exists and
+    BasisDependenceError when nfs are linearly dependent.
     """
-    homog, fdeg = f.graded_degree()
-    if not homog:
-        raise PolyError("expansion requires a graded-homogeneous polynomial")
-    degs = basis_degrees(basis)
-    nfs = [normal_form(b, n) for b in basis]
-    nf_f = normal_form(f, n)
-    if nf_f.is_zero:
-        return [Poly.zero(0) for _ in basis]
-
-    # Unknowns: one per basis element and admissible (a, b).
+    if not target:
+        return [Poly.zero(0) for _ in nfs]
+    # unknowns: one per basis element and admissible (a, b), none when the
+    # gap is negative
     unknowns: list[tuple[int, int, int]] = []
-    columns: list[Poly] = []
+    columns: list[dict[int, int]] = []
     for j, (nf_b, bdeg) in enumerate(zip(nfs, degs)):
-        if nf_b.is_zero:
+        if not nf_b:
             raise BasisDependenceError(f"basis element {j} vanishes modulo S")
-        gap = bdeg - fdeg
-        if gap < 0:
-            continue
+        gap = bdeg - tdeg
         for b2 in range(gap // 2 + 1):
             a = gap - 2 * b2
             unknowns.append((j, a, b2))
-            columns.append(nf_b.mul_mu(a, b2))
+            shift = a << layout.muwidth | b2
+            columns.append({key + shift: c for key, c in nf_b.items()})
 
-    coords = sorted(
-        {key for col in columns for key in col.terms} | set(nf_f.terms),
-    )
-    coord_index = {key: i for i, key in enumerate(coords)}
-    rows = [[0] * (len(unknowns) + 1) for _ in coords]
-    for ci, col in enumerate(columns):
-        for key, c in col.terms.items():
-            rows[coord_index[key]][ci] = c
-    for key, c in nf_f.terms.items():
-        rows[coord_index[key]][len(unknowns)] = c
+    # one row per key, the target in the augmented column
+    width = len(unknowns)
+    rows: dict[int, list[int]] = {}
+    for ci, col in enumerate((*columns, target)):
+        for key, c in col.items():
+            rows.setdefault(key, [0] * (width + 1))[ci] = c
 
-    ech, pivots = _bareiss_echelon(rows, len(unknowns))
+    ech, pivots = _bareiss_echelon(list(rows.values()), width)
     rank = len(pivots)
     for row in ech[rank:]:
-        if row[len(unknowns)]:
+        if row[width]:
             raise NotInSpanError("polynomial is not in the span of the basis")
-    if rank < len(unknowns):
+    if rank < width:
         raise BasisDependenceError("basis is not linearly independent modulo S")
 
-    sol = [0] * len(unknowns)
+    sol = [0] * width
     for r in range(rank - 1, -1, -1):
         c = pivots[r]
-        acc = ech[r][len(unknowns)]
-        for cc in range(c + 1, len(unknowns)):
+        acc = ech[r][width]
+        for cc in range(c + 1, width):
             acc -= ech[r][cc] * sol[cc]
         sol[c], rem = divmod(acc, ech[r][c])
         if rem:
             raise NotInSpanError("no integral combination exists")
 
-    out = [Poly.zero(0) for _ in basis]
+    out: list[dict] = [{} for _ in nfs]
     for (j, a, b2), v in zip(unknowns, sol):
         if v:
-            out[j] = out[j] + Poly.const(0, v, (a, b2))
-    return out
+            out[j][(), (a, b2)] = v
+    return [_mk(0, terms) for terms in out]
+
+
+def expand_in_basis(f: Poly, basis: list[Poly], n: int) -> list[Poly]:
+    """Write f modulo S as an integral Z[m1, m2]-combination of basis classes.
+
+    f and every basis element must be graded-homogeneous.  All are reduced
+    into one layout and expanded by expand_packed.
+    """
+    homog, fdeg = f.graded_degree()
+    if not homog:
+        raise PolyError("expansion requires a graded-homogeneous polynomial")
+    degs = basis_degrees([b.graded_degree()[1] for b in basis])
+    # mu fields that hold every column; fdeg is None only when f is 0
+    top = n * (n - 1) // 2
+    layout, (*nfs, nf_f) = reduce_polys([*basis, f], n, top - (fdeg or 0))
+    return expand_packed(layout, nf_f, fdeg, nfs, degs)
 
 
 # ----------------------------------------------------------------------

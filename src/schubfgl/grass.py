@@ -32,11 +32,11 @@ from .combi import (
     partition_to_perm,
     Word,
 )
-from .coinv import (MAX_REWRITE_RANK, basis_degrees, expand_in_basis, nf_layout, normal_form,
-                    reduce_packed)
+from .coinv import (MAX_REWRITE_RANK, basis_degrees, expand_packed, nf_degree, nf_layout,
+                    reduce_packed, reduce_polys)
 from .ddo import OperatorContext
 from .fgl import FglSpec, HYPERBOLIC, formal_inverse
-from .polycore import Poly, PolyError, short_product
+from .polycore import GradedLayout, Poly, PolyError, short_product
 from .report import CheckReport
 from .schubert import grothendieck_polynomial, schubert_polynomial
 
@@ -152,9 +152,10 @@ def _gr24_classes(spec: FglSpec) -> dict[tuple[int, ...], Poly]:
     return {parts: schubert_polynomial(ctx, _GR24_WORDS[parts]) for parts in GR24_ORDER}
 
 
-def gr24_basis(spec: FglSpec) -> list[Poly]:
-    """Normal forms of the six resolution classes, in GR24_ORDER."""
-    return [normal_form(f, 4) for f in _gr24_classes(spec).values()]
+def gr24_basis(spec: FglSpec) -> tuple[GradedLayout, list[dict[int, int]]]:
+    """Normal forms of the six resolution classes, in GR24_ORDER, packed in
+    one layout."""
+    return reduce_polys(list(_gr24_classes(spec).values()), 4)
 
 
 def dual_root_monomial(k: int, n: int, power: int, spec: FglSpec) -> Poly:
@@ -230,9 +231,17 @@ def _rule_cross_check(
     """
     rep = CheckReport(name)
     order = [BoxPartition(ctx.k, ctx.m, parts) for parts in classes]
-    basis = [normal_form(f, ctx.n) for f in classes.values()]
+    # Everything is reduced once into one layout and stays packed.  Its mu
+    # fields hold twice the largest mu exponent (a normal form keeps the mu
+    # exponents, so that bounds a product of two), and top - d0 for the
+    # expansion: a class term has x-degree >= 0, so d0 >= -3 * largest.
+    top = ctx.n * (ctx.n - 1) // 2
+    polys = [*classes.values(), *smooth.values()]
+    largest = max((max(mu) for f in polys for _x, mu in f.terms), default=0)
+    layout, nfs = reduce_polys(polys, ctx.n, top + 3 * largest)
+    basis, smooth_nfs = nfs[:len(classes)], nfs[len(classes):]
     try:
-        degrees = basis_degrees(basis)
+        degrees = basis_degrees([nf_degree(layout, nf) for nf in basis])
     except PolyError as exc:
         fixed = [f"m{i} = {v}" for i, v in ((1, ctx.spec.mu1), (2, ctx.spec.mu2)) if v]
         if not fixed:
@@ -241,16 +250,11 @@ def _rule_cross_check(
             f"{exc}: an integer m1 or m2 breaks the grading of the classes"
             f" (this law sets {', '.join(fixed)}); only 0 keeps it"
         ) from exc
-    expand_in_basis(basis[degrees.index(min(degrees))], basis, ctx.n)
-    # the products stay packed; a normal form keeps the mu exponents, so
-    # these mu fields hold those of any product of two
-    top = ctx.n * (ctx.n - 1) // 2
-    polys = (*classes.values(), *smooth.values())
-    layout = nf_layout(ctx.n, 2 * max((max(mu) for f in polys for _x, mu in f.terms), default=0))
-    nf_of = {lam: layout.pack(f, top) for lam, f in zip(order, basis)}
+    d0 = min(degrees)
+    expand_packed(layout, basis[degrees.index(d0)], d0, basis, degrees)
+    nf_of = dict(zip(order, basis))
     nf_of[None] = {}
-    for r, smooth_poly in smooth.items():
-        smooth_nf = reduce_packed(layout.pack(smooth_poly, top), layout)
+    for r, smooth_nf in zip(smooth, smooth_nfs):
         for lam in order:
             rule = smooth_product(ctx, r, lam)
             product = short_product(smooth_nf, nf_of[lam], (top + 1) << layout.deg_shift)

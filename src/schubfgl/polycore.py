@@ -165,10 +165,6 @@ class Poly:
     # ------------------------------------------------------------------
     # predicates and accessors
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -246,15 +242,6 @@ class Poly:
         if isinstance(other, int):
             return self.scale(other)
         return NotImplemented
-
-    def mul_mu(self, a: int, b: int) -> "Poly":
-        """Multiply by m1^a m2^b."""
-        if a < 0 or b < 0:
-            raise PolyError("mu exponents must be non-negative")
-        return _mk(
-            self.nvars,
-            {(exps, (ma + a, mb + b)): c for (exps, (ma, mb)), c in self.terms.items()},
-        )
 
     def _check_compatible(self, other: "Poly") -> None:
         if self.nvars != other.nvars:

@@ -65,7 +65,7 @@ from schubfgl.combi import (
     support_of,
     word_to_perm,
 )
-from schubfgl.coinv import NotInSpanError, expand_in_basis, normal_form, top_staircase_class
+from schubfgl.coinv import NotInSpanError, expand_in_basis, reduce_polys, top_staircase_class
 from schubfgl.ddo import (
     OperatorContext,
     _apply_letter,
@@ -83,9 +83,21 @@ from schubfgl.polycore import MU_ZERO, GradedLayout, Poly, PolyError
 from schubfgl.report import CheckReport
 
 
+def normal_form(f: Poly, n: int) -> Poly:
+    """The staircase normal form of f modulo S as a Poly: the packed
+    normal form of `schubfgl.coinv.reduce_polys`, unpacked."""
+    layout, (terms,) = reduce_polys([f], n)
+    return layout.unpack(terms)
+
+
+def mul_mu(f: Poly, a: int, b: int) -> Poly:
+    """f times m1^a m2^b."""
+    return f * Poly.const(f.nvars, 1, (a, b))
+
+
 def equals_mod_s(f: Poly, g: Poly, n: int) -> bool:
     """f and g are congruent modulo the symmetric ideal S."""
-    return normal_form(f - g, n).is_zero
+    return not normal_form(f - g, n)
 
 
 def naive_mul(f: Poly, g: Poly) -> Poly:
@@ -510,9 +522,9 @@ def word_class_verdicts(
     for w, word, cls in word_class_walk(ctx):
         diff = cls - reference(w)
         verdicts = (
-            window_delete(diff, support_of(w)).is_zero,
-            ideal_delete(diff, support_of(w)).is_zero,
-            ideal_delete(diff, support_of(w0 * w)).is_zero,
+            not window_delete(diff, support_of(w)),
+            not ideal_delete(diff, support_of(w)),
+            not ideal_delete(diff, support_of(w0 * w)),
         )
         rows.append((len(word), w.oneline, word, verdicts))
     rows.sort()
@@ -530,7 +542,7 @@ def _reduced_elem(coeffs: dict) -> dict:
     out = {}
     for w, c in coeffs.items():
         c = ideal_delete(c, support_of(w))
-        if not c.is_zero:
+        if c:
             out[w] = c
     return out
 
@@ -570,7 +582,7 @@ def demazure_mul(e: dict, f: dict, spec: FglSpec) -> dict:
                     z = z.right_mul_simple(i)
                 else:
                     c = c * minus_mu1
-            if c.is_zero:
+            if not c:
                 continue
             out[z] = out[z] + c if z in out else c
     return _reduced_elem(out)
@@ -624,7 +636,7 @@ def series_invert_unit(f: Poly, cap: int) -> Poly:
             if fj is not None and gdj is not None:
                 acc = acc + fj * gdj
         gd = acc.scale(-unit)
-        if not gd.is_zero:
+        if gd:
             inv_slices[d] = gd
     out = Poly.zero(f.nvars)
     for g in inv_slices.values():
@@ -690,7 +702,7 @@ def inverse_series_check(spec: FglSpec, cap: int) -> bool:
     chi = formal_inverse(spec, cap)
     two_var = _subst_second_var(F, chi, cap)
     collapsed = two_var.inject_vars(1, (1, 1)).truncate(cap)
-    return collapsed.is_zero
+    return not collapsed
 
 
 def expansion_rule_cross_check(
@@ -721,7 +733,7 @@ def expansion_rule_cross_check(
             except NotInSpanError:
                 ok = False
             else:
-                ok = all((c - e).is_zero for c, e in zip(coeffs, expected))
+                ok = all(c == e for c, e in zip(coeffs, expected))
             rule_txt = rule.render() if rule is not None else "0"
             out.append((f"rect={r.a},{r.b} lam=({lam.render()}) -> {rule_txt}", ok))
     return out

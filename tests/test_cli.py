@@ -119,6 +119,18 @@ def test_expand_with_basis_file(tmp_path):
         assert rendered == ["0", "-1*m1^1*x[]", "1*x[]", "1*x[]", "0", "0"]
 
 
+def test_expand_variable_count_mismatch_exits_2(tmp_path, capsys):
+    # the basis is read first: its element names the count it lacks
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps([Poly.one(3).to_json_obj()]))
+    for argv, stdin, n, got in (
+        ([], "1*x[1,0,0,0]", 4, 3),
+        (["--n", "3"], "1*x[1,0,0,0]", 3, 4),
+    ):
+        assert run(["expand", "--basis", str(basis), *argv], stdin_text=stdin) == (2, "")
+        assert f"expected a polynomial in {n} variables, got {got}" in capsys.readouterr().err
+
+
 def test_expand_not_in_span(tmp_path):
     f = tmp_path / "basis.json"
     code, blob = run(["poly", "word", "--n", "2", "--word", "1", "--json"])

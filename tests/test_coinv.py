@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import schubfgl.coinv as coinv
@@ -15,7 +15,7 @@ from schubfgl.coinv import (
     NotInSpanError,
     expand_in_basis,
     nf_layout,
-    normal_form,
+    reduce_polys,
     top_staircase_class,
     vandermonde_check,
     vandermonde_poly,
@@ -28,7 +28,9 @@ from schubfgl.schubert import schubert_polynomial
 
 from oracles import (
     equals_mod_s,
+    mul_mu,
     nf_linear_oracle,
+    normal_form,
     rewrite_normal_form,
     staircase_monomials,
     vandermonde_product,
@@ -52,14 +54,14 @@ def _elementary(n: int, k: int) -> Poly:
 
 
 def test_normal_form_pins():
-    assert normal_form(Poly.variable(2, 1) + Poly.variable(2, 2), 2).is_zero
-    assert normal_form(Poly.monomial(2, (1, 1)), 2).is_zero
+    assert not normal_form(Poly.variable(2, 1) + Poly.variable(2, 2), 2)
+    assert not normal_form(Poly.monomial(2, (1, 1)), 2)
     assert normal_form(Poly.variable(2, 1) - Poly.variable(2, 2), 2) == Poly(
         2, {((1, 0), (0, 0)): 2}
     )
     for n in (2, 3, 4):
         for k in range(1, n + 1):
-            assert normal_form(_elementary(n, k), n).is_zero
+            assert not normal_form(_elementary(n, k), n)
 
 
 def test_normal_form_matches_linear_algebra_oracle():
@@ -109,7 +111,7 @@ def test_symmetric_multiples_vanish():
         sym = _elementary(n, 1) + _elementary(n, n)
         for _ in range(6):
             g = random_poly(rng, n, terms=4, max_total_deg=3)
-            assert normal_form(sym * g, n).is_zero
+            assert not normal_form(sym * g, n)
 
 
 def test_equals_mod_s():
@@ -158,19 +160,31 @@ def test_expand_in_basis_reassembles():
     rng = random.Random(19)
     n = 3
     basis = [Poly.monomial(n, e) for e in staircase_monomials(n)]
+    parts = []
     for _ in range(6):
         f = random_poly(rng, n, terms=5, max_total_deg=3, max_mu=0)
         by_deg: dict = {}
         for (exps, mu), c in f.terms.items():
             d = sum(exps) - mu[0] - 2 * mu[1]
             by_deg.setdefault(d, {})[(exps, mu)] = c
-        for terms in by_deg.values():
-            part = Poly(n, terms)
-            coeffs = expand_in_basis(part, basis, n)
-            acc = Poly.zero(n)
-            for b, c in zip(basis, coeffs):
-                acc = acc + b * c.inject_vars(n, ())
-            assert equals_mod_s(acc, part, n)
+        parts += [Poly(n, terms) for terms in by_deg.values()]
+    # graded degrees -4 and -5, carried by m2: the column m1^(top - d)
+    # x_1^2 x_2 is 7 or 8 in m1, the largest a 3-bit mu field holds and the
+    # first it does not, and wider than every mu exponent of the input
+    for d in (-4, -5):
+        for _ in range(3):
+            terms = {}
+            for _ in range(3):
+                exps = tuple(rng.randint(0, n - k) for k in range(1, n + 1))
+                b2, a = divmod(sum(exps) - d, 2)
+                terms[exps, (a, b2)] = rng.choice((-2, -1, 1, 3))
+            parts.append(Poly(n, terms))
+    for part in parts:
+        coeffs = expand_in_basis(part, basis, n)
+        acc = Poly.zero(n)
+        for b, c in zip(basis, coeffs):
+            acc = acc + b * c.inject_vars(n, ())
+        assert equals_mod_s(acc, part, n)
 
 
 def test_expand_in_basis_errors():
@@ -345,9 +359,9 @@ def test_monomials_above_top_degree_vanish(case):
     # the rewrite itself, not only the shortcut in normal_form, ends at 0
     n, exps = case
     f = Poly.monomial(n, exps)
-    assert nf_linear_oracle(f, n).is_zero
-    assert rewrite_normal_form(f, n).is_zero
-    assert normal_form(f, n).is_zero
+    assert not nf_linear_oracle(f, n)
+    assert not rewrite_normal_form(f, n)
+    assert not normal_form(f, n)
 
 
 def test_every_rewrite_is_rank_bounded():
@@ -379,7 +393,6 @@ def test_memo_stays_bounded_and_correct(monkeypatch):
     bound = 4
     memo: dict = {}
     monkeypatch.setattr(coinv, "_NF_MEMO", memo)
-    monkeypatch.setattr(coinv, "_NF_BY_EXPS", {})
     monkeypatch.setattr(coinv, "_NF_MEMO_MAX", bound)
     sizes = []
     monomial_nf = coinv._monomial_normal_form
@@ -404,16 +417,15 @@ def test_memo_stays_bounded_and_correct(monkeypatch):
 def test_empty_normal_form_is_memoized(monkeypatch):
     # x_1^3 is 0 modulo S at rank 3; its empty entry is read, not recomputed
     monkeypatch.setattr(coinv, "_NF_MEMO", {})
-    monkeypatch.setattr(coinv, "_NF_BY_EXPS", {})
     f = Poly.monomial(3, (3, 0, 0))
-    assert normal_form(f, 3).is_zero
+    assert not normal_form(f, 3)
     assert coinv._NF_MEMO[3][_x_part((3, 0, 0), 3)] == ()
 
     def no_rewrite(x, n):
         raise AssertionError(f"{x} was rewritten again")
 
     monkeypatch.setattr(coinv, "_monomial_normal_form", no_rewrite)
-    assert normal_form(f, 3).is_zero
+    assert not normal_form(f, 3)
 
 
 @st.composite
@@ -431,12 +443,36 @@ def test_packed_closure_matches_the_tuple_rewrite(case):
     nf = rewrite_normal_form(Poly.monomial(n, exps), n)
     layout = nf_layout(n, 0)
     entry = coinv._monomial_normal_form(_x_part(exps, n), n)
-    assert layout.unpack({x2: c for x2, c, _exps in entry}) == nf
-    assert all(_x_part(e2, n) == x2 for x2, _c, e2 in entry)
-    term, want = Poly.monomial(n, exps, (1, 2), -3), nf.mul_mu(1, 2).scale(-3)
+    assert layout.unpack(dict(entry)) == nf
+    term, want = Poly.monomial(n, exps, (1, 2), -3), mul_mu(nf, 1, 2).scale(-3)
     assert normal_form(term, n) == want
     packed = nf_layout(n, 2)
     assert packed.unpack(coinv.reduce_packed(packed.pack(term, n * (n - 1) // 2), packed)) == want
+
+
+@st.composite
+def polys_at_the_mu_field_edge(draw):
+    """Up to four terms at rank 1-6, of x-degree up to top + 2, with mu
+    exponents on both sides of the width of top, the least the mu fields
+    of reduce_polys get."""
+    n = draw(st.integers(1, 6))
+    top = n * (n - 1) // 2
+    edge = 1 << top.bit_length()
+    exps = st.lists(st.integers(0, n - 1), max_size=top + 2).map(
+        lambda vs: tuple(map(vs.count, range(n))))
+    mu = st.sampled_from((0, 1, edge - 1, edge, 2 * edge + 1))
+    terms = st.dictionaries(st.tuples(exps, st.tuples(mu, mu)), st.integers(-5, 5), max_size=4)
+    return n, Poly(n, draw(terms))
+
+
+@PROPERTY
+@given(polys_at_the_mu_field_edge())
+@example((1, Poly.zero(1)))
+@example((6, Poly.zero(6)))
+def test_packed_normal_form_matches_the_tuple_rewrite(case):
+    n, f = case
+    layout, (terms,) = reduce_polys([f], n)
+    assert layout.unpack(terms) == rewrite_normal_form(f, n)
 
 
 @PROPERTY

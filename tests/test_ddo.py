@@ -60,7 +60,7 @@ def test_delta_kills_symmetric():
         for _ in range(10):
             g = random_poly(rng, 3)
             sym = g + g.sigma(1)
-            assert apply_delta(ctx, 1, sym).is_zero
+            assert not apply_delta(ctx, 1, sym)
 
 
 def test_additive_c_is_classical_divided_difference():
@@ -94,7 +94,7 @@ def test_degree_drop_on_homogeneous_input():
             for op in (apply_c, apply_delta):
                 g = op(ctx, 1, f)
                 hom, deg = g.graded_degree()
-                assert hom and (g.is_zero or deg == d - 1)
+                assert hom and (not g or deg == d - 1)
 
 
 def test_c_output_is_sigma_symmetric():
@@ -140,8 +140,8 @@ def test_index_validation():
 
 
 def test_kappa_poly_matches_table():
-    assert kappa_poly(OperatorContext(ADDITIVE, 3)).is_zero
-    assert kappa_poly(OperatorContext(LORENTZ, 3)).is_zero
+    assert not kappa_poly(OperatorContext(ADDITIVE, 3))
+    assert not kappa_poly(OperatorContext(LORENTZ, 3))
     assert kappa_poly(OperatorContext(HYPERBOLIC, 3)) == Poly.const(3, 1, (1, 0))
 
 
@@ -283,7 +283,7 @@ def test_equal_exponent_monomials():
         f = Poly.monomial(3, (a, a, 2))
         ctx = OperatorContext(HYPERBOLIC, 3)
         assert apply_c(ctx, 1, f) == Poly.monomial(3, (a, a, 2), (1, 0))
-        assert apply_delta(ctx, 1, f).is_zero
+        assert not apply_delta(ctx, 1, f)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from schubfgl.polycore import Poly, PolyError
 
 from oracles import (
     diff_kernel_series_check,
+    mul_mu,
     fgl_sum_series,
     inverse_series_check,
     series_invert_unit,
@@ -93,8 +94,8 @@ def test_formal_inverse_satisfies_defining_identity():
         cap = 9
         chi = formal_inverse(spec, cap).inject_vars(1, (1,))
         x = Poly.variable(1, 1)
-        lhs = (x + chi - spec.specialize((x * chi).mul_mu(1, 0))).truncate(cap)
-        assert lhs.is_zero
+        lhs = (x + chi - spec.specialize(mul_mu(x * chi, 1, 0))).truncate(cap)
+        assert not lhs
         assert inverse_series_check(spec, 10)
 
 
@@ -124,9 +125,9 @@ def test_closed_forms_reject_caps_below_one():
 def test_diff_kernel_closed_forms():
     x, y = Poly.variable(2, 1), Poly.variable(2, 2)
     assert diff_kernel(ADDITIVE) == Poly.one(2)
-    assert diff_kernel(MULTIPLICATIVE) == Poly.one(2) - y.mul_mu(1, 0)
-    assert diff_kernel(HYPERBOLIC) == Poly.one(2) - y.mul_mu(1, 0) - (x * y).mul_mu(0, 1)
-    assert diff_kernel(LORENTZ) == Poly.one(2) - (x * y).mul_mu(0, 1)
+    assert diff_kernel(MULTIPLICATIVE) == Poly.one(2) - mul_mu(y, 1, 0)
+    assert diff_kernel(HYPERBOLIC) == Poly.one(2) - mul_mu(y, 1, 0) - mul_mu(x * y, 0, 1)
+    assert diff_kernel(LORENTZ) == Poly.one(2) - mul_mu(x * y, 0, 1)
 
 
 def test_diff_kernel_series_selfcheck_cap10():
@@ -135,8 +136,8 @@ def test_diff_kernel_series_selfcheck_cap10():
 
 
 def test_kappa_table():
-    assert kappa_of(ADDITIVE).is_zero
-    assert kappa_of(LORENTZ).is_zero
+    assert not kappa_of(ADDITIVE)
+    assert not kappa_of(LORENTZ)
     mu1 = Poly.const(0, 1, (1, 0))
     assert kappa_of(MULTIPLICATIVE) == mu1
     assert kappa_of(HYPERBOLIC) == mu1

@@ -18,14 +18,14 @@ from schubfgl.polycore import (
 )
 from schubfgl.ddo import random_poly
 
-from oracles import naive_mul, reference_json_obj, reference_render_text, series_invert_unit
+from oracles import mul_mu, naive_mul, reference_json_obj, reference_render_text, series_invert_unit
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 def test_add_inverse_and_merge():
     x1 = Poly.variable(2, 1)
-    assert (x1 + (-x1)).is_zero
+    assert not x1 + (-x1)
     f = x1 + Poly.monomial(2, (0, 1), (1, 0))
     g = Poly.variable(2, 2)
     total = f + g
@@ -102,9 +102,9 @@ def test_short_product_is_truncated_product(case):
     degrees = [sum(exps) for exps, _ in full.terms]
     # a cap at the top degree keeps the whole product, one below every degree none of it
     assert _short(f, g, max(degrees, default=0)) == full
-    assert _short(f, g, min(degrees, default=0) - 1).is_zero
+    assert not _short(f, g, min(degrees, default=0) - 1)
     zero = Poly.zero(f.nvars)
-    assert _short(f, zero, cap).is_zero and _short(zero, g, cap).is_zero
+    assert not _short(f, zero, cap) and not _short(zero, g, cap)
 
 
 def test_short_product_pinned_and_at_the_field_edge():
@@ -213,7 +213,7 @@ def test_graded_degree():
     # 1 - m2 (x_1 + x_2)^2 + m1^2 m2 x_1^2 x_2^2 is homogeneous of degree 0
     s = Poly.one(4)
     xsum = Poly.variable(4, 1) + Poly.variable(4, 2)
-    s = s - (xsum * xsum).mul_mu(0, 1) + Poly.monomial(4, (2, 2, 0, 0), (2, 1))
+    s = s - mul_mu(xsum * xsum, 0, 1) + Poly.monomial(4, (2, 2, 0, 0), (2, 1))
     assert s.graded_degree() == (True, 0)
     assert (Poly.variable(2, 1) + Poly.const(2, 1, (1, 0))).graded_degree() == (False, None)
     assert Poly.zero(3).graded_degree()[0] is True
@@ -226,7 +226,7 @@ def test_homogeneity_preserved_by_mul_and_sigma():
         f = Poly.monomial(3, (d1, 0, 0)) + Poly.monomial(3, (0, d1, 0), (0, 0))
         g = Poly.monomial(3, (0, d2, 0)) - Poly.monomial(3, (d2, 0, 0))
         hom, deg = (f * g).graded_degree()
-        assert hom and (deg == d1 + d2 or (f * g).is_zero)
+        assert hom and (deg == d1 + d2 or not f * g)
         assert f.sigma(1).graded_degree() == f.graded_degree()
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from schubfgl import schubert as word_classes
 from schubfgl.cli import main
-from schubfgl.coinv import normal_form
 from schubfgl.coinv import top_staircase_class
 from schubfgl.combi import Permutation, support_of
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
@@ -28,6 +27,7 @@ from oracles import (
     all_permutations,
     commutation_classes,
     ideal_delete,
+    normal_form,
     oracle_apply_word,
     reduced_words,
     s5_word_sample,
@@ -102,7 +102,7 @@ def test_word_difference_in_window_ideal():
     b = schubert_polynomial(ctx, (2, 1, 2))
     supp = support_of(Permutation.longest(3))
     diff = a - b
-    assert window_delete(diff, supp).is_zero
+    assert not window_delete(diff, supp)
     residue = ideal_delete(diff, supp)
     assert residue == Poly.monomial(3, (2, 0, 0), (0, 1))
 
@@ -114,8 +114,8 @@ def test_word_difference_in_window_ideal():
         base = schubert_polynomial(ctx4, words[0])
         for word in words[1:]:
             d = schubert_polynomial(ctx4, word) - base
-            assert window_delete(d, supp).is_zero
-            if not ideal_delete(d, supp).is_zero:
+            assert not window_delete(d, supp)
+            if ideal_delete(d, supp):
                 literal_failures += 1
     assert literal_failures > 0
 

@@ -66,6 +66,26 @@ def test_no_unbounded_cache():
     assert not unbounded, f"unbounded caches: {unbounded}"
 
 
+def test_one_normal_form_memo():
+    # one reduction: only it reads the monomial memo, and coinv keeps no
+    # second dict of normal forms beside it
+    trees = _trees()
+    readers = sorted(
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(sub, ast.Name) and sub.id == "_NF_MEMO" for sub in ast.walk(node))
+    )
+    assert readers == ["coinv.py:_monomial_normal_form", "coinv.py:reduce_packed"]
+    dicts = [
+        node.target.id if isinstance(node, ast.AnnAssign) else node.targets[0].id
+        for node in trees["coinv.py"].body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict)
+    ]
+    assert dicts == ["_NF_MEMO"]
+
+
 def test_one_packed_key_layout():
     # every packed term key has one field order, so one class packs them
     packers = [
