@@ -26,7 +26,9 @@ most _NF_MEMO_MAX (262,144) entries plus one rewrite closure.
 Every rewrite is rank-bounded where it happens: above MAX_REWRITE_RANK
 a monomial that needs rewriting raises CapacityError, whichever caller
 asked.  Staircase monomials and monomials above the top degree need
-none, so they are answered at any rank.
+none, so they are answered at any rank.  An expansion is bounded by its
+unknown count: above MAX_EXPAND_UNKNOWNS, expand_packed raises
+CapacityError before it builds a column.
 """
 
 from __future__ import annotations
@@ -46,6 +48,15 @@ from .report import CheckReport
 # 43 MB; at rank 8 and degree 28 it is 6.7 million.  _rewrite holds
 # every rewrite to this rank.
 MAX_REWRITE_RANK = 7
+
+# An expansion has one unknown per basis class and admissible m1^a m2^b,
+# and the degree gap, which nothing else bounds, sets how many m1^a m2^b
+# there are; the elimination grows with the cube of the unknowns.  Over
+# the six staircase monomials of rank 3, `expand` on m1^e x_1 has 3e + 6
+# unknowns: 0.04 s at 66, 0.35 s at 156 and about 1 s at 300 (2 shared
+# CPUs, Python 3.11).  The largest expansion of the suites is the Gr(3,6)
+# cross-check, 60 unknowns over 192 rows.
+MAX_EXPAND_UNKNOWNS = 300
 
 # At rank 6 the deformed Vandermonde check takes 0.5-0.64 s in a fresh
 # process (multiplicative and hyperbolic, 2 shared CPUs, Python 3.11),
@@ -269,10 +280,18 @@ def expand_packed(
     one int add.  A column term then has mu exponents summing to at most
     top - tdeg, which the mu fields of layout must hold.  Raises
     NotInSpanError when no exact integral combination exists and
-    BasisDependenceError when nfs are linearly dependent.
+    BasisDependenceError when nfs are linearly dependent, and
+    CapacityError, before any column is built, when there would be more
+    than MAX_EXPAND_UNKNOWNS unknowns.
     """
     if not target:
         return [Poly.zero(0) for _ in nfs]
+    count = sum((bdeg - tdeg) // 2 + 1 for bdeg in degs if bdeg >= tdeg)
+    if count > MAX_EXPAND_UNKNOWNS:
+        raise CapacityError(
+            f"expansion needs {count} unknowns, above the bound of {MAX_EXPAND_UNKNOWNS}:"
+            " the degree gap between the input and the basis is too large"
+        )
     # unknowns: one per basis element and admissible (a, b), none when the
     # gap is negative
     unknowns: list[tuple[int, int, int]] = []

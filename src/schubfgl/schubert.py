@@ -34,13 +34,16 @@ from .combi import Permutation, Word, canonical_word, word_to_perm
 from .ddo import OperatorContext, _apply_letter
 from .polycore import GradedLayout, Poly
 
-# Bound on the bytes of the arrays _MEMO holds.  The classes of all
-# heaps of S_5 take 1.99 MB (hyperbolic), 1.10 MB (Lorentz) and under
-# 0.1 MB (m2 = 0 laws).  On the benchmark's fk5 workload (one 30 s run,
-# seed 1, 2 shared CPUs, Python 3.11) bounds of 0.5, 1 and 2 MiB gave
-# batch_s 0.061, 0.044 and 0.033 s against 0.079 s with no memo; at
-# 1 MiB its peak memory rose 2% (0.5 MB in 10 runs).
-_MEMO_BYTES = 1 << 20
+# Bound on the bytes of the arrays _MEMO holds: 2 MiB, the smallest round
+# bound above the classes of all 475 nonempty heaps of S_5 under the
+# hyperbolic law.  Stored over all 3,061 reduced words with no bound
+# (Python 3.11), they take 1,933,480 bytes in 371,496 terms (hyperbolic),
+# 1,058,350 bytes in 196,470 terms (Lorentz), 90,915 in 2,983
+# (multiplicative) and 82,970 in 1,394 (additive).  Keys take up to 28 of
+# the layout's 29 bits and sorted key deltas up to 25, so no narrower
+# packing fits them in 1 MiB.  With every class resident, a warm
+# `poly word` at n = 5 applies no operator.
+_MEMO_BYTES = 2 << 20
 # Signed array typecodes, narrowest first, with the value bits each holds.
 _TYPECODES = (("b", 7), ("h", 15), ("i", 31), ("q", 63))
 
@@ -84,9 +87,9 @@ def _narrowest(bits: int) -> str | None:
 
 
 class _ClassMemo:
-    """(law, rank, heap key) -> packed class, held as a keys array and a
-    coefficients array, each of the narrowest signed typecode that holds
-    its values.
+    """(law, rank, heap key) -> packed class, held as a keys array in
+    increasing (term) order and a coefficients array aligned to it, each
+    of the narrowest signed typecode that holds its values.
 
     Least recently used first; entries are dropped from that end while
     the arrays hold more than _MEMO_BYTES.  A class whose keys or
@@ -121,7 +124,9 @@ class _ClassMemo:
         coeff_code = _narrowest(max(max(values, default=0), ~min(values, default=0)).bit_length())
         if coeff_code is None:
             return
-        keys, coeffs = array(key_code, terms), array(coeff_code, values)
+        # term order, so that resume rebuilds a dict the printer finds sorted
+        order = sorted(terms)
+        keys, coeffs = array(key_code, order), array(coeff_code, [terms[k] for k in order])
         size = sys.getsizeof(keys) + sys.getsizeof(coeffs)
         if size > _MEMO_BYTES:
             return

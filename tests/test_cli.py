@@ -20,6 +20,7 @@ from schubfgl.cli import (
     MAX_WORD_CLASS_RANK,
     main,
 )
+from schubfgl.coinv import MAX_EXPAND_UNKNOWNS
 from schubfgl.ddo import OperatorContext
 from schubfgl.fgl import FglSpec
 from schubfgl.hecke import MAX_LOCAL_CAP
@@ -146,6 +147,25 @@ def test_expand_basis_rows_must_be_objects(tmp_path, capsys):
         code, _ = run(["expand", "--basis", str(f), "--n", "2"], stdin_text="x1")
         assert code == 2
         assert "schubfgl: error:" in capsys.readouterr().err
+
+
+def test_expand_unknowns_bound(tmp_path, capsys):
+    # over the six staircase monomials of rank 3, m1^e x_1 has 3e + 6
+    # unknowns; without the bound e = 150 ran 3.3 s and larger e for hours
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps([Poly.monomial(3, x).to_json_obj() for x in (
+        (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0))]))
+    e = (MAX_EXPAND_UNKNOWNS - 6) // 3
+    assert 3 * e + 6 == MAX_EXPAND_UNKNOWNS
+    code, text = run(["expand", "--basis", str(basis), "--n", "3"], stdin_text=f"1*m1^{e}*x[1,0,0]")
+    assert code == 0
+    assert text == f"[0] 0\n[1] 1*m1^{e}*x[]\n[2] 0\n[3] 0\n[4] 0\n[5] 0\n"
+    t0 = time.perf_counter()
+    code, _ = run(["expand", "--basis", str(basis), "--n", "3"], stdin_text=f"1*m1^{e + 1}*x[1,0,0]")
+    assert code == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert (f"schubfgl: error: expansion needs {MAX_EXPAND_UNKNOWNS + 3} unknowns, above the"
+            f" bound of {MAX_EXPAND_UNKNOWNS}") in capsys.readouterr().err
 
 
 def test_grprod_examples():

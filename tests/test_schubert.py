@@ -244,16 +244,61 @@ def test_warm_memo_on_the_s5_sample(memo):
         assert schubert(ctx, word) == got
 
 
-def test_memo_bound_and_typecodes(memo):
+def test_memo_bound_and_typecodes(memo, letters):
     ctx = OperatorContext(HYPERBOLIC, 5)
-    for word in _words(5):
+    words = _words(5)
+    for word in words:
         schubert(ctx, word)
     assert 0 < memo.nbytes <= word_classes._MEMO_BYTES
     assert memo.nbytes == sum(size for _keys, _coeffs, size in memo.entries.values())
-    # the 475 nonempty heaps hold more than the bound, so some were dropped
-    assert len(memo.entries) < 475
+    # the bound holds the classes of all 475 nonempty heaps
+    assert len(memo.entries) == 475
     # 28-bit keys at rank 5, and coefficients that fit one byte
     assert {(k.typecode, c.typecode) for k, c, _size in memo.entries.values()} == {("i", "b")}
+    # each class is stored in term order
+    for keys, _coeffs, _size in memo.entries.values():
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+    # so a second pass applies no operator
+    del letters[:]
+    for word in words:
+        schubert(ctx, word)
+    assert letters == []
+
+
+def test_memo_drops_the_least_recently_resumed_entry(memo, monkeypatch):
+    ctx = OperatorContext(HYPERBOLIC, 4)
+    words = {"a": (1,), "b": (2,), "c": (3,), "d": (3, 2)}
+    key = {name: (HYPERBOLIC, 4, heap_keys(word)[-1]) for name, word in words.items()}
+    for word in words.values():
+        schubert(ctx, word)
+    size = {name: memo.entries[key[name]][2] for name in words}
+    bound = max(size["a"] + size["b"] + size["c"], size["a"] + size["c"] + size["d"])
+    monkeypatch.setattr(word_classes, "_MEMO_BYTES", bound)
+    memo.clear()
+    for name in "abc":
+        schubert(ctx, words[name])
+    # a full hit on a, stored first, makes b the least recently resumed;
+    # d resumes from c and then needs room
+    schubert(ctx, words["a"])
+    schubert(ctx, words["d"])
+    assert list(memo.entries) == [key["a"], key["c"], key["d"]]
+    assert memo.nbytes == size["a"] + size["c"] + size["d"] <= bound
+
+
+@pytest.mark.parametrize("law", ["additive", "multiplicative", "hyperbolic", "lorentz"])
+def test_poly_word_bytes_from_a_warm_memo(memo, letters, law):
+    # a class read from the memo prints the bytes of one just computed
+    for word in s5_word_sample()[::10]:
+        for fmt in ([], ["--json"]):
+            argv = ["poly", "word", "--n", "5", "--word", ",".join(map(str, word)),
+                    "--fgl", law, *fmt]
+            memo.clear()
+            cold = io.StringIO()
+            assert main(argv, out=cold) == 0
+            del letters[:]
+            warm = io.StringIO()
+            assert main(argv, out=warm) == 0
+            assert letters == [] and warm.getvalue() == cold.getvalue()
 
 
 def test_memo_keeps_no_class_above_the_bound(memo, monkeypatch):
@@ -264,7 +309,7 @@ def test_memo_keeps_no_class_above_the_bound(memo, monkeypatch):
     for k in range(1, len(longest) + 1):
         memo.clear()
         _layout, cls = schubert(ctx, longest[:k])
-        size = sys.getsizeof(array("i", cls)) + sys.getsizeof(array("b", cls.values()))
+        size = sys.getsizeof(array("i", list(cls))) + sys.getsizeof(array("b", list(cls.values())))
         assert ((HYPERBOLIC, 5, heap_keys(longest)[k - 1]) in memo.entries) == (size <= 2048)
         stored.append(size <= 2048)
         assert memo.nbytes <= 2048
