@@ -39,9 +39,9 @@ from .grass import (
     GrassContext,
     RectangleClass,
     chow_k_cross_check,
+    class_words,
     cross_check_gr24,
     gr24_basis,
-    gr24_word,
     smooth_product,
 )
 from .hecke import (
@@ -294,21 +294,15 @@ def _cmd_grprod(args, out, stdin) -> int:
 
 
 def _cmd_table(args, out, stdin) -> int:
-    spec = _spec_of(args)
-    layout, basis = gr24_basis(spec)
-    rows = []
-    for key, terms in zip(GR24_ORDER, basis):
-        lam = BoxPartition(2, 2, key)
-        rows.append({"lam": list(key), "word": list(gr24_word(lam)), "poly": terms})
+    layout, basis = gr24_basis(_spec_of(args))
+    rows = [(key, class_words(2, 4)[key], terms) for key, terms in zip(GR24_ORDER, basis)]
     if args.json:
-        _emit_json(
-            [{**row, "poly": packed_json_obj(layout, row["poly"])} for row in rows], out
-        )
+        _emit_json([{"lam": list(key), "word": list(word), "poly": packed_json_obj(layout, terms)}
+                    for key, word, terms in rows], out)
     else:
-        for row in rows:
-            word = ",".join(map(str, row["word"]))
-            text = render_packed(layout, row["poly"])
-            out.write(f"lam={row['lam'][0]},{row['lam'][1]} word=({word}) {text}\n")
+        for (a, b), word, terms in rows:
+            word_txt = ",".join(map(str, word))
+            out.write(f"lam={a},{b} word=({word_txt}) {render_packed(layout, terms)}\n")
     return 0
 
 

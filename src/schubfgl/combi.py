@@ -212,17 +212,3 @@ def partition_leq(lam: BoxPartition, mu: BoxPartition) -> bool:
         raise ValueError("partitions live in different boxes")
     return all(x <= y for x, y in zip(lam.parts, mu.parts))
 
-
-def partition_to_perm(lam: BoxPartition, n: int) -> Permutation:
-    """The minimal-length permutation with descent only at k encoding lam.
-
-    With k rows and column bound n - k, position i <= k gets the value
-    parts[k+1-i] + i; the remaining values fill in increasingly.  The
-    length of the result is the size of lam.
-    """
-    k = lam.k
-    if lam.m != n - k:
-        raise ValueError(f"partition box {lam.k}x{lam.m} does not match (k, n-k)")
-    head = [lam.parts[k - i] + i for i in range(1, k + 1)]
-    rest = [v for v in range(1, n + 1) if v not in set(head)]
-    return Permutation(tuple(head + rest))

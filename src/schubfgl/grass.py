@@ -8,28 +8,34 @@ rectangle, and zero otherwise.  The surviving partition is obtained by
 dualizing lam in the ambient box and then dualizing again inside the
 a x b box.
 
-For Gr(2,4) the six resolution classes have hard-coded pullback words
-(the resolutions stay resolutions after pulling back only in this
-case), so the combinatorial rule can be cross-checked against honest
-polynomial arithmetic: multiply representatives, reduce to normal form,
-compare with the predicted class.  At m2 = 0 the classes are
-word-independent and every partition has a canonical representative,
-which extends the cross-check to any small Grassmannian.
+Two rules give the polynomials that cross-check the combinatorial rule
+(multiply representatives, reduce to normal form, compare with the
+predicted class).  The class of lam is the class of one word, its
+class word (class_words): the letters of lam's boxes followed by a
+reduced word of w_P.  On Gr(2,4) these are the six pullback words of
+the resolutions, which stay resolutions after pulling back; that the
+rule gives a resolution is known only there.  At m2 = 0 the classes are
+word-independent, so the same words check any small Grassmannian
+there.  The smooth class of b^a is a product of Chern-class factors in
+the roots and the dual roots (smooth_class).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .combi import (
     BoxPartition,
     CapacityError,
     Permutation,
     box_partitions,
+    canonical_word,
     partition_dual,
     partition_dual_z,
     partition_leq,
-    partition_to_perm,
     Word,
 )
 from .coinv import (MAX_REWRITE_RANK, basis_degrees, expand_packed, nf_degree, nf_layout,
@@ -38,7 +44,7 @@ from .ddo import OperatorContext
 from .fgl import FglSpec, HYPERBOLIC, formal_inverse
 from .polycore import GradedLayout, Poly, PolyError, short_product
 from .report import CheckReport
-from .schubert import grothendieck_polynomial, schubert_polynomial
+from .schubert import schubert_polynomial
 
 
 @dataclass(frozen=True)
@@ -118,92 +124,96 @@ def smooth_product(
 
 
 # ----------------------------------------------------------------------
-# the Gr(2,4) dictionary
+# the class words and the smooth classes
 
-# canonical display order of the six classes
+# canonical display order of the six Gr(2,4) classes
 GR24_ORDER: tuple[tuple[int, int], ...] = (
     (0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2),
 )
 
-_GR24_WORDS: dict[tuple[int, int], Word] = {
-    (0, 0): (3, 1),
-    (1, 0): (2, 3, 1),
-    (2, 0): (3, 2, 3, 1),
-    (1, 1): (1, 2, 3, 1),
-    (2, 1): (3, 1, 2, 3, 1),
-    (2, 2): (2, 3, 1, 2, 3, 1),
-}
 
+# one table per box: the 17 boxes verify chowk admits, Gr(2,4) among them, fit
+@lru_cache(maxsize=32)
+def class_words(k: int, n: int) -> MappingProxyType[tuple[int, ...], Word]:
+    """The class word of every partition lam of the k x (n-k) box, keyed by
+    its parts, in box_partitions order; a read-only view of one shared table.
 
-def gr24_word(lam: BoxPartition) -> Word:
-    """The pullback word of the Gr(2,4) resolution class of lam.
-
-    Words are read innermost-first: (2, 3, 1) means apply C_2, then
-    C_3, then C_1.
+    The boxes (r, c) of lam, read by decreasing r + c, give the letters
+    k + c - r (within one antidiagonal the letters commute; they are read
+    by increasing r).  A reduced word of w_P, the longest element of
+    S_k x S_{n-k}, read right to left, follows.  The word is reduced and
+    names w0 * w_{dual lam}.  Words are read innermost-first: (2, 3, 1)
+    means apply C_2, then C_3, then C_1.
     """
-    if (lam.k, lam.m) != (2, 2):
-        raise ValueError(f"{lam} is not drawn in the 2x2 box")
-    return _GR24_WORDS[(lam.parts[0], lam.parts[1])]
+    w_p = Permutation(tuple(range(k, 0, -1)) + tuple(range(n, k, -1)))
+    tail = canonical_word(w_p)[::-1]
+    words = {}
+    for lam in box_partitions(k, n - k):
+        boxes = sorted(
+            ((r, c) for r, part in enumerate(lam.parts, 1) for c in range(1, part + 1)),
+            key=lambda rc: (-rc[0] - rc[1], rc[0]),
+        )
+        words[lam.parts] = tuple(k + c - r for r, c in boxes) + tail
+    return MappingProxyType(words)
 
 
-def _gr24_classes(spec: FglSpec) -> dict[tuple[int, ...], Poly]:
-    """The six resolution classes by partition, in GR24_ORDER."""
-    ctx = OperatorContext(spec, 4)
-    return {parts: schubert_polynomial(ctx, _GR24_WORDS[parts]) for parts in GR24_ORDER}
+def grass_classes(
+    ctx: GrassContext, order: Iterable[tuple[int, ...]] | None = None
+) -> dict[tuple[int, ...], Poly]:
+    """The class of every partition of the box, keyed by its parts: the
+    class of its class word, in order (box_partitions order by default)."""
+    words = class_words(ctx.k, ctx.n)
+    octx = OperatorContext(ctx.spec, ctx.n)
+    return {parts: schubert_polynomial(octx, words[parts]) for parts in order or words}
 
 
 def gr24_basis(spec: FglSpec) -> tuple[GradedLayout, list[dict[int, int]]]:
-    """Normal forms of the six resolution classes, in GR24_ORDER, packed in
-    one layout."""
-    return reduce_polys(list(_gr24_classes(spec).values()), 4)
+    """Normal forms of the six Gr(2,4) classes, in GR24_ORDER, packed in one
+    layout."""
+    classes = grass_classes(GrassContext(2, 4, spec), GR24_ORDER)
+    return reduce_polys(list(classes.values()), 4)
 
 
-def dual_root_monomial(k: int, n: int, power: int, spec: FglSpec) -> Poly:
-    """Normal form of (chi(x_{k+1}) ... chi(x_n))^power.
+# one class per (law, box, rectangle); verify gr24 needs four per law
+@lru_cache(maxsize=64)
+def smooth_class(ctx: GrassContext, r: RectangleClass) -> Poly:
+    """Normal form of the smooth class [X_{b^a}] of Gr(k, n):
 
-    chi is the formal inverse series; truncating it at the top staircase
-    degree is exact because higher homogeneous components are 0 modulo
-    S, and so is reducing after every factor.  The product stays packed;
-    its terms have x-degree >= a, so top bounds the mu exponents.
+        (x_1 ... x_k)^(n-k-b) * e_b(chi(x_{k+1}), ..., chi(x_n))^(k-a).
+
+    X_{b^a} = {E_{k-a} in V in E_{k+b}}; the first factor cuts out
+    V in E_{k+b}, the second E_{k-a} in V.  The second is written in the
+    dual roots chi(x_j): in the plain x_j it breaks the product rule at
+    m1 != 0.  chi is truncated at the top staircase degree and everything
+    stays packed; e_b is built one variable at a time, the result is
+    reduced after every factor, and products by 1 are skipped.
+    Truncating and reducing are exact: higher homogeneous components are
+    0 modulo S.
     """
+    k, n = ctx.k, ctx.n
+    r.validate(k, n)
+    # a staircase monomial, so its own normal form
+    plain = Poly.monomial(n, (n - k - r.b,) * k + (0,) * (n - k))
+    if r.a == k:
+        return plain
     top = n * (n - 1) // 2
     layout = nf_layout(n, top)
-    chi = formal_inverse(spec, top)
-    out = {0: 1}  # the key of 1
+    cut = (top + 1) << layout.deg_shift
+    chi = formal_inverse(ctx.spec, top)
+    e = [{0: 1}] + [{}] * r.b  # e_j of the dual roots met so far; {0: 1} is 1
     for v in range(k + 1, n + 1):
-        factor = layout.pack(chi.inject_vars(n, (v,)), top)
-        for _ in range(power):
-            out = reduce_packed(short_product(out, factor, (top + 1) << layout.deg_shift), layout)
+        y = layout.pack(chi.inject_vars(n, (v,)), top)
+        for j in range(min(r.b, v - k), 0, -1):
+            step = dict(y) if j == 1 else short_product(e[j - 1], y, cut)
+            for key, c in e[j].items():
+                step[key] = step.get(key, 0) + c
+            e[j] = reduce_packed(step, layout)
+    out = e[r.b]
+    for _ in range(k - r.a - 1):
+        out = reduce_packed(short_product(out, e[r.b], cut), layout)
+    if r.b < n - k:
+        out = reduce_packed(short_product(out, layout.pack(plain), cut), layout)
     return layout.unpack(out)
-
-
-def gr24_smooth_poly(r: RectangleClass, spec: FglSpec = HYPERBOLIC) -> Poly:
-    """Polynomial representative of the smooth class [X_{b^a}] in Gr(2,4).
-
-    The full-height rectangle family lives in the plain variables
-    (x_1 x_2 for b = 1), but the full-width family is a monomial in the
-    dual roots: chi(x_3) chi(x_4) for a = 1.  The plain monomial
-    x_3 x_4 agrees with it only when chi(x) = -x; at m1 != 0 it drags
-    extra m1-multiples of lower classes into every product, while the
-    dual-root representative matches the canonical m2 = 0 class of
-    (2,0) and keeps each product a single class.  The line (a = b = 1)
-    carries its own law-dependent correction term.
-    """
-    r.validate(2, 4)
-    key = (r.a, r.b)
-    if key == (2, 2):
-        return Poly.one(4)
-    if key == (2, 1):
-        return Poly.monomial(4, (1, 1, 0, 0))
-    if key == (1, 2):
-        return dual_root_monomial(2, 4, 1, spec)
-    # the line: x_1 x_2 (x_1 + x_2) - m1 x_1^2 x_2^2
-    line = (
-        Poly.monomial(4, (2, 1, 0, 0))
-        + Poly.monomial(4, (1, 2, 0, 0))
-        - Poly.monomial(4, (2, 2, 0, 0), (1, 0))
-    )
-    return spec.specialize(line)
 
 
 def all_rectangles(k: int, n: int) -> list[RectangleClass]:
@@ -269,42 +279,28 @@ def _rule_cross_check(
 
 
 def cross_check_gr24(spec: FglSpec = HYPERBOLIC) -> CheckReport:
-    """Combinatorial rule vs polynomial arithmetic, all 24 Gr(2,4) cases.
-
-    The smooth classes are the representatives of gr24_smooth_poly; the
-    partition classes come from the hard-coded resolution words.
-    """
+    """Combinatorial rule vs polynomial arithmetic, all 24 Gr(2,4) cases:
+    the classes of the class words against the smooth classes."""
+    ctx = GrassContext(2, 4, spec)
     return _rule_cross_check(
         f"gr24-cross-check[{spec.label()}]",
-        GrassContext(2, 4, spec),
-        _gr24_classes(spec),
-        {r: gr24_smooth_poly(r, spec) for r in all_rectangles(2, 4)},
+        ctx,
+        grass_classes(ctx, GR24_ORDER),
+        {r: smooth_class(ctx, r) for r in all_rectangles(2, 4)},
     )
-
-
-def class_representative(ctx: GrassContext, lam: BoxPartition) -> Poly:
-    """Representative of the class of lam at m2 = 0.
-
-    The resolution class of lam corresponds to the word of
-    w_0 * w_{dual(lam)}; with m2 = 0 any reduced word gives the same
-    polynomial, so the word-independent class of that permutation
-    (schubert.grothendieck_polynomial) represents the class of lam.
-    """
-    if not ctx.spec.mu2_is_zero:
-        raise ValueError("word-independent representatives need m2 = 0")
-    w = Permutation.longest(ctx.n) * partition_to_perm(partition_dual(lam), ctx.n)
-    return grothendieck_polynomial(OperatorContext(ctx.spec, ctx.n), w)
 
 
 def chow_k_cross_check(k: int, n: int, spec: FglSpec) -> CheckReport:
     """Product rule vs polynomial arithmetic at m2 = 0, all (r, lam).
 
-    Both factors use canonical-word representatives, so this covers
-    every rectangle, not only the ones with monomial formulas.  The
-    representatives at k > n/2 carry large exponents that the normal
-    form has to rewrite (Gr(8,9) took 10 s, Gr(9,10) 75 s), so besides
-    k(n-k) <= 9 the rank is held to MAX_REWRITE_RANK, the bound of every
-    other rewrite.
+    At m2 = 0 the braid relations hold, so the class of a class word is
+    that of any reduced word of w0 * w_{dual lam}.  The smooth class of
+    each rectangle is the class of the rectangle's own partition, so this
+    covers every rectangle without the smooth-class products.  The
+    classes at k > n/2 carry large exponents that the normal form has to
+    rewrite (Gr(8,9) took 10 s, Gr(9,10) 75 s), so besides k(n-k) <= 9
+    the rank is held to MAX_REWRITE_RANK, the bound of every other
+    rewrite.
     """
     if not spec.mu2_is_zero:
         raise ValueError("chow/K cross-check requires an m2 = 0 law")
@@ -313,7 +309,7 @@ def chow_k_cross_check(k: int, n: int, spec: FglSpec) -> CheckReport:
             f"Gr({k},{n}) exceeds the k(n-k) <= 9 bound or the rewrite rank {MAX_REWRITE_RANK}"
         )
     ctx = GrassContext(k, n, spec)
-    classes = {mu.parts: class_representative(ctx, mu) for mu in box_partitions(k, n - k)}
+    classes = grass_classes(ctx)
     return _rule_cross_check(
         f"chowk-cross-check[{spec.label()},k={k},n={n}]",
         ctx,

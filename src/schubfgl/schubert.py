@@ -4,9 +4,9 @@ The top class is the staircase monomial x_1^{n-1} x_2^{n-2} ... x_{n-1}
 (coinv.top_staircase_class), the class of the empty word; applying C
 along a reduced word produces the class attached to that word.  When
 m2 = 0 the braid relations hold, so the polynomial depends only on the
-permutation and the canonical (lex-smallest) reduced word computes it;
-this covers the classical Schubert (additive) and Grothendieck
-(multiplicative) cases.  For the full hyperbolic law the result
+permutation and any reduced word computes it (hecke uses the canonical,
+lex-smallest, one); this covers the classical Schubert (additive) and
+Grothendieck (multiplicative) cases.  For the full hyperbolic law the result
 genuinely depends on the word, which is why the word, not the
 permutation, is the argument of record here.
 
@@ -30,7 +30,7 @@ from array import array
 from collections import OrderedDict
 
 from .coinv import top_staircase_class
-from .combi import Permutation, Word, canonical_word, word_to_perm
+from .combi import Word, word_to_perm
 from .ddo import OperatorContext, _apply_letter
 from .polycore import GradedLayout, Poly
 
@@ -171,14 +171,3 @@ def schubert_polynomial(ctx: OperatorContext, word: Word) -> Poly:
     """The class of a reduced word (see schubert) as a Poly."""
     return GradedLayout.unpack(*schubert(ctx, word))
 
-
-def grothendieck_polynomial(ctx: OperatorContext, w: Permutation) -> Poly:
-    """The word-independent class of w in the m2 = 0 degeneration.
-
-    Uses the canonical word of w; with m2 forced to zero the braid
-    relations make any reduced word give the same answer.
-    """
-    if w.n != ctx.nvars:
-        raise ValueError("permutation rank does not match the context")
-    flat = OperatorContext(ctx.spec.mu2_zeroed(), ctx.nvars)
-    return schubert_polynomial(flat, canonical_word(w))

@@ -2,7 +2,7 @@
 
 Everything here is deliberately written against plain dicts and
 Fractions, not against the library's own arithmetic, so a bug in the
-package cannot hide inside its oracle.  There are eight exceptions,
+package cannot hide inside its oracle.  There are nine exceptions,
 which use the library's generic `Poly` arithmetic but none of the code
 they check:
 
@@ -28,6 +28,12 @@ they check:
   (rectangle, partition) case with `schubfgl.coinv.expand_in_basis`:
   it is the reference for `schubfgl.grass`, which compares each
   product's normal form with the predicted class's;
+- the Grassmannian classes as they were built before one rule gave
+  them all: the six hard-coded Gr(2,4) words, the four hand-written
+  Gr(2,4) smooth classes (the dual roots multiplied out as Polys), and
+  the m2 = 0 class of the canonical word of w_0 * w_{dual(lam)}: they
+  are the reference for the class words and the smooth classes of
+  `schubfgl.grass`;
 - the Vandermonde product, multiplied out factor by factor with
   `naive_mul`: it is the reference for `schubfgl.coinv.vandermonde_poly`,
   which writes down the determinant expansion;
@@ -62,6 +68,7 @@ from schubfgl.combi import (
     Permutation,
     Word,
     canonical_word,
+    partition_dual,
     support_of,
     word_to_perm,
 )
@@ -81,6 +88,7 @@ from schubfgl.grass import GrassContext, RectangleClass, smooth_product
 from schubfgl.hecke import MAX_ENUM_RANK
 from schubfgl.polycore import MU_ZERO, GradedLayout, Poly, PolyError
 from schubfgl.report import CheckReport
+from schubfgl.schubert import schubert_polynomial
 
 
 def normal_form(f: Poly, n: int) -> Poly:
@@ -737,6 +745,102 @@ def expansion_rule_cross_check(
             rule_txt = rule.render() if rule is not None else "0"
             out.append((f"rect={r.a},{r.b} lam=({lam.render()}) -> {rule_txt}", ok))
     return out
+
+
+# ----------------------------------------------------------------------
+# the Grassmannian classes of fixed words and hand-written smooth classes
+
+# the pullback words of the six Gr(2,4) resolution classes, in the
+# display order of `table gr24`; innermost letter first
+GR24_WORDS: dict[tuple[int, int], Word] = {
+    (0, 0): (3, 1),
+    (1, 0): (2, 3, 1),
+    (2, 0): (3, 2, 3, 1),
+    (1, 1): (1, 2, 3, 1),
+    (2, 1): (3, 1, 2, 3, 1),
+    (2, 2): (2, 3, 1, 2, 3, 1),
+}
+
+
+def gr24_word(lam: BoxPartition) -> Word:
+    """The pullback word of the Gr(2,4) resolution class of lam."""
+    if (lam.k, lam.m) != (2, 2):
+        raise ValueError(f"{lam} is not drawn in the 2x2 box")
+    return GR24_WORDS[lam.parts]
+
+
+def gr24_classes(spec: FglSpec) -> dict[tuple[int, ...], Poly]:
+    """The six Gr(2,4) resolution classes by partition, in GR24_WORDS order."""
+    ctx = OperatorContext(spec, 4)
+    return {parts: schubert_polynomial(ctx, word) for parts, word in GR24_WORDS.items()}
+
+
+def dual_root_monomial(k: int, n: int, power: int, spec: FglSpec) -> Poly:
+    """Normal form of (chi(x_{k+1}) ... chi(x_n))^power, multiplied out as
+    Polys through the top staircase degree and reduced once."""
+    top = n * (n - 1) // 2
+    chi = formal_inverse(spec, top)
+    f = Poly.one(n)
+    for v in range(k + 1, n + 1):
+        for _ in range(power):
+            f = (f * chi.inject_vars(n, (v,))).truncate(top)
+    return normal_form(f, n)
+
+
+def gr24_smooth_poly(r: RectangleClass, spec: FglSpec) -> Poly:
+    """Representative of the smooth class [X_{b^a}] in Gr(2,4), case by case.
+
+    x_1 x_2 for b = 1 (a = 2), the dual roots chi(x_3) chi(x_4) for a = 1
+    (b = 2), and for the line (a = b = 1) x_1 x_2 (x_1 + x_2) with the
+    correction term - m1 x_1^2 x_2^2.
+    """
+    r.validate(2, 4)
+    key = (r.a, r.b)
+    if key == (2, 2):
+        return Poly.one(4)
+    if key == (2, 1):
+        return Poly.monomial(4, (1, 1, 0, 0))
+    if key == (1, 2):
+        return dual_root_monomial(2, 4, 1, spec)
+    line = (
+        Poly.monomial(4, (2, 1, 0, 0))
+        + Poly.monomial(4, (1, 2, 0, 0))
+        - Poly.monomial(4, (2, 2, 0, 0), (1, 0))
+    )
+    return spec.specialize(line)
+
+
+def partition_to_perm(lam: BoxPartition, n: int) -> Permutation:
+    """The minimal-length permutation with descent only at k encoding lam.
+
+    With k rows and column bound n - k, position i <= k gets the value
+    parts[k+1-i] + i; the remaining values fill in increasingly.  The
+    length of the result is the size of lam.
+    """
+    k = lam.k
+    if lam.m != n - k:
+        raise ValueError(f"partition box {lam.k}x{lam.m} does not match (k, n-k)")
+    head = [lam.parts[k - i] + i for i in range(1, k + 1)]
+    rest = [v for v in range(1, n + 1) if v not in set(head)]
+    return Permutation(tuple(head + rest))
+
+
+def grothendieck_polynomial(ctx: OperatorContext, w: Permutation) -> Poly:
+    """The word-independent class of w in the m2 = 0 degeneration: the
+    class of its canonical word, with m2 forced to zero."""
+    if w.n != ctx.nvars:
+        raise ValueError("permutation rank does not match the context")
+    flat = OperatorContext(ctx.spec.mu2_zeroed(), ctx.nvars)
+    return schubert_polynomial(flat, canonical_word(w))
+
+
+def class_representative(ctx: GrassContext, lam: BoxPartition) -> Poly:
+    """The class of lam at m2 = 0: the word-independent class of
+    w_0 * w_{dual(lam)}."""
+    if not ctx.spec.mu2_is_zero:
+        raise ValueError("word-independent representatives need m2 = 0")
+    w = Permutation.longest(ctx.n) * partition_to_perm(partition_dual(lam), ctx.n)
+    return grothendieck_polynomial(OperatorContext(ctx.spec, ctx.n), w)
 
 
 # ----------------------------------------------------------------------

@@ -26,12 +26,13 @@ from schubfgl.fgl import (
 )
 from schubfgl.grass import (
     GR24_ORDER,
+    GrassContext,
     RectangleClass,
     chow_k_cross_check,
+    class_words,
     cross_check_gr24,
     gr24_basis,
-    gr24_smooth_poly,
-    gr24_word,
+    smooth_class,
 )
 from schubfgl.hecke import (
     verify_coeff_corollary,
@@ -45,6 +46,9 @@ from schubfgl.schubert import schubert_polynomial
 from oracles import (
     all_permutations,
     diff_kernel_series_check,
+    equals_mod_s,
+    gr24_smooth_poly,
+    gr24_word,
     normal_form,
     reduced_words,
     relation_report,
@@ -104,7 +108,8 @@ def test_criterion_01_gr24_table():
     with _budget(1.0):
         ctx = OperatorContext(HYPERBOLIC, 4)
         for parts in GR24_ORDER:
-            word = gr24_word(BoxPartition(2, 2, parts))
+            word = class_words(2, 4)[parts]
+            assert word == gr24_word(BoxPartition(2, 2, parts))
             got = normal_form(schubert_polynomial(ctx, word), 4)
             assert got == normal_form(table[parts], 4) == table[parts], parts
 
@@ -112,7 +117,7 @@ def test_criterion_01_gr24_table():
 def test_criterion_02_line_class_square():
     with _budget(1.0):
         ctx = OperatorContext(HYPERBOLIC, 4)
-        lg21 = schubert_polynomial(ctx, gr24_word(BoxPartition(2, 2, (2, 1))))
+        lg21 = schubert_polynomial(ctx, class_words(2, 4)[(2, 1)])
         layout, basis = gr24_basis(HYPERBOLIC)
         coeffs = expand_in_basis(lg21 * lg21, [layout.unpack(nf) for nf in basis], 4)
     expected = [
@@ -268,6 +273,8 @@ def test_criterion_12_smooth_class_symmetry():
         assert all(p == cols[0] for p in cols)
         assert rows[0] == Poly.monomial(4, (0, 0, 1, 1))
         assert cols[0] == Poly.monomial(4, (1, 1, 0, 0))
-        line_add = gr24_smooth_poly(RectangleClass(1, 1), ADDITIVE)
-        line_hyp = gr24_smooth_poly(RectangleClass(1, 1), HYPERBOLIC)
+        line_add = smooth_class(GrassContext(2, 4, ADDITIVE), RectangleClass(1, 1))
+        line_hyp = smooth_class(GrassContext(2, 4, HYPERBOLIC), RectangleClass(1, 1))
         assert line_add != line_hyp
+        for spec, line in ((ADDITIVE, line_add), (HYPERBOLIC, line_hyp)):
+            assert equals_mod_s(line, gr24_smooth_poly(RectangleClass(1, 1), spec), 4)

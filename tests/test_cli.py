@@ -207,6 +207,23 @@ def test_table_gr24_text():
     assert "1*x[2,2,0,0]" in lines[0]
 
 
+# sha256 of the whole text output, word column included, recorded with the
+# six words written out as a table
+TABLE_TEXT_SHA256 = {
+    "additive": "10a967ad1195f508fc104969b23ce8692ce7e89a82e888a0762154c09b359ef0",
+    "multiplicative": "d944b6a11651a662eceed5e69f1ab8bbe9e7a76b5d52512817d6e1e93a78a665",
+    "hyperbolic": "9cf729b1f53b9540a165c26f17741965fa7fc20b40b7d513d7afe01600c4858f",
+    "lorentz": "c8145d37d765bd0335839dc3b2f11265b9583606eeebb41f73942f10c2599bae",
+}
+
+
+@pytest.mark.parametrize("law", sorted(TABLE_TEXT_SHA256))
+def test_table_gr24_text_pinned(law):
+    code, text = run(["table", "gr24", "--fgl", law])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_TEXT_SHA256[law]
+
+
 def test_verify_fk_takes_the_heap_keys_of_each_word_once(monkeypatch):
     # the walk passes each word's heap keys to schubert instead of having
     # them built again; every reduced word of S_3 (the empty one too) once
@@ -528,6 +545,34 @@ QUOTIENT_SHA256 = {
     "verify chowk --k 2 --n 6 --fgl multiplicative": "ca1d6474c3d5465dd3e44c1db972a58d6389a6771a334814559840bff7a33053",
     "verify chowk --k 3 --n 6 --fgl additive": "9a12dec9b2439faf1d364b906e0aed590d65b981babf363b4f3e02fb52861f1a",
     "verify chowk --k 3 --n 6 --fgl multiplicative": "e9b5422bc6d6044ea664a1f555c6aa11bdef4d9e68359951a1034d2690d8958e",
+    # the other admitted Grassmannians, recorded with the classes of the
+    # canonical words of w0 * w_{dual lam}
+    "verify chowk --k 1 --n 2 --fgl additive": "2730152854299e280bf364f4c11b9f22982e3a2e6cfe99bdd827f17a38ffc35f",
+    "verify chowk --k 1 --n 2 --fgl multiplicative": "7ed9ce3ff1eda99698cdf1b12cf30f205b4d3a6ef6ed3afb5476afa7c06c1cbe",
+    "verify chowk --k 1 --n 3 --fgl additive": "45fed392c03aaa52f4078ded98760895fe917cf056be17c3c2e78117358347bf",
+    "verify chowk --k 1 --n 3 --fgl multiplicative": "971b98e03db84349a89a02572ef43d62fe914b3ba4896b05f89269b9fc25f6b5",
+    "verify chowk --k 2 --n 3 --fgl additive": "9441ad20997a7941de50f9e0a21227a43e620c027486db08804a0990376c2175",
+    "verify chowk --k 2 --n 3 --fgl multiplicative": "c1b6aff33948a4df4d328e02796236a1a2a34d9262e7a0b79fda4f68339bffe1",
+    "verify chowk --k 1 --n 4 --fgl additive": "5ffa43d6a62555f181a83c3727864fc9b7e37439128ee1aa6edf81bec2f86cb4",
+    "verify chowk --k 1 --n 4 --fgl multiplicative": "f0f1d2df240cb32c77f9d2a25ac02dde209e461daccca9052f4204ba7f861da6",
+    "verify chowk --k 3 --n 4 --fgl additive": "8c1a0158b199749945cf5995bbcb50fe2cdd84ca1493abe78b98cbfd09f3bac2",
+    "verify chowk --k 3 --n 4 --fgl multiplicative": "49017b080c8dc9b852f14b288dd7899784a278ba79184cd0e15e28b34326cd38",
+    "verify chowk --k 1 --n 5 --fgl additive": "89ac51d1b485bce496d55dc2ed3c77d6d487de0c2309a4118f93810c0222ec09",
+    "verify chowk --k 1 --n 5 --fgl multiplicative": "050e6c54a0989308f99f026ca6b33ccbc5ba423b628acf904fb776b7a165366f",
+    "verify chowk --k 3 --n 5 --fgl additive": "df27854ff055e45f5cae2d4817501d0f96d66a127e3fb29aa4f090e463dcb363",
+    "verify chowk --k 3 --n 5 --fgl multiplicative": "7dbff1841093e27509f2b83d821323833de5bacf8d33457933812242e7ef6970",
+    "verify chowk --k 4 --n 5 --fgl additive": "acf86df3bbc96f90fe8d60b41f12d802f7b0a1cc76861bf0cb02ce2910e15a54",
+    "verify chowk --k 4 --n 5 --fgl multiplicative": "172155feb23e7b8c32353e00a3b4ef65a6fb43c64360aae8c799c691e71836e3",
+    "verify chowk --k 1 --n 6 --fgl additive": "fe5a124d9ca369b8af17ee2573985ff69da6eab98c7c5a6be09d7c55a92174cc",
+    "verify chowk --k 1 --n 6 --fgl multiplicative": "bd738f7c55f6f2206b14225e76f7bbe0363d0480d07cd8af0fcc40ff759e59be",
+    "verify chowk --k 4 --n 6 --fgl additive": "de4de2b397f158af0f628588ee6403b6142379577cd404541eabf684d46a7ed4",
+    "verify chowk --k 4 --n 6 --fgl multiplicative": "f62de6335f754272865a25981d4f3ea7d14d19d676bf55430f2727fbe6ad8fb7",
+    "verify chowk --k 5 --n 6 --fgl additive": "3ef6d62da510240f8e978fe0dbc433087a9ed3c6c3899fc389397da5c0e85bc9",
+    "verify chowk --k 5 --n 6 --fgl multiplicative": "b3020f7f6cc96399b55b3f8f44d2ae3e773415181f393504099bfe967241ac8c",
+    "verify chowk --k 1 --n 7 --fgl additive": "2ae9ba5887a6e868717e9bf6e9a9d3d648e8c995264f9062efceffb6de7040df",
+    "verify chowk --k 1 --n 7 --fgl multiplicative": "fe4269b6697cd3f6121ce0e0c557fdaa76e8aa31091650c53354506a9b166d03",
+    "verify chowk --k 6 --n 7 --fgl additive": "672a8d2ce46de05127b82a4e05dff09e5427f6cbd404bb003789f6a5945f744b",
+    "verify chowk --k 6 --n 7 --fgl multiplicative": "07e1d32d40ad11c1ecc1b216fcd077af585df5738a3147c7325411739f0bb0a2",
     "verify vandermonde --n 2 --fgl additive": "368fc80929ffca4a9a3d36320a7042363d5bdb3e6f9d512cd3a99165e747ebdb",
     "verify vandermonde --n 3 --fgl additive": "8097c7576d81824abddbf29622858ea90af5586e6a3b10c82893eaaad75eb48a",
     "verify vandermonde --n 4 --fgl additive": "874e9f73f900d8f5c7208c354299d2eb8606a26b15f87a0b7bf46f769c0ea9fc",
@@ -545,7 +590,7 @@ QUOTIENT_SHA256 = {
     "verify vandermonde --n 5 --fgl hyperbolic": "bc5b6b4aa369d6f7e11783e2dd14bafc067d97ea716698b674219d6ff042ac9b",
     "verify vandermonde --n 5 --fgl lorentz": "daee21177cb33c72a2a34f0f479c61723396b00448c2aa107b6b3dd7e72756de",
     # recorded with chi built by the generic inverter and then specialized;
-    # it reaches gr24 through dual_root_monomial
+    # it reaches gr24 through the dual roots of grass.smooth_class
     "verify gr24 --fgl hyperbolic --mu2 0": (
         "d3c89bd10edd517db273f64e4e0cd94e05d7566368421774983d131be4b4a499"
     ),

@@ -13,13 +13,18 @@ from schubfgl.combi import (
     partition_dual,
     partition_dual_z,
     partition_leq,
-    partition_to_perm,
     support_of,
     word_to_perm,
 )
 from schubfgl.hecke import MAX_ENUM_RANK
 
-from oracles import all_permutations, brute_reduced_words, is_reduced, reduced_words
+from oracles import (
+    all_permutations,
+    brute_reduced_words,
+    is_reduced,
+    partition_to_perm,
+    reduced_words,
+)
 
 
 def test_compose_convention():

@@ -1,24 +1,30 @@
-"""Grassmannian product rule and the Gr(2,4) dictionary."""
+"""Grassmannian product rule, the class words and the smooth classes."""
 
 import pytest
 
 import schubfgl.grass as grass
 from schubfgl.coinv import BasisDependenceError
-from schubfgl.combi import BoxPartition, CapacityError, box_partitions
-from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE
+from schubfgl.combi import (
+    BoxPartition,
+    CapacityError,
+    Permutation,
+    box_partitions,
+    canonical_word,
+    partition_dual,
+    word_to_perm,
+)
+from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
 from schubfgl.grass import (
     GR24_ORDER,
     GrassContext,
     RectangleClass,
     all_rectangles,
     chow_k_cross_check,
-    class_representative,
+    class_words,
     cross_check_gr24,
-    dual_root_monomial,
+    grass_classes,
     gr24_basis,
-    gr24_smooth_poly,
-    gr24_word,
-    _gr24_classes,
+    smooth_class,
     _rule_cross_check,
     rect_dual,
     smooth_product,
@@ -27,7 +33,21 @@ from schubfgl.polycore import Poly
 from schubfgl.ddo import OperatorContext
 from schubfgl.schubert import schubert_polynomial
 
-from oracles import equals_mod_s, expansion_rule_cross_check, normal_form
+from oracles import (
+    GR24_WORDS,
+    class_representative,
+    dual_root_monomial,
+    equals_mod_s,
+    expansion_rule_cross_check,
+    gr24_smooth_poly,
+    gr24_word,
+    normal_form,
+    partition_to_perm,
+)
+
+# the Grassmannians verify chowk admits: k(n-k) <= 9 and n <= 7
+CHOWK_BOXES = [(k, n) for n in range(2, 8) for k in range(1, n) if k * (n - k) <= 9]
+ALL_SPECS = (ADDITIVE, MULTIPLICATIVE, LORENTZ, HYPERBOLIC)
 
 
 def _bp(*parts: int) -> BoxPartition:
@@ -91,16 +111,32 @@ def test_all_rectangles():
 
 
 def test_gr24_words():
-    expected = {
-        (0, 0): (3, 1),
-        (1, 0): (2, 3, 1),
-        (2, 0): (3, 2, 3, 1),
-        (1, 1): (1, 2, 3, 1),
-        (2, 1): (3, 1, 2, 3, 1),
-        (2, 2): (2, 3, 1, 2, 3, 1),
-    }
-    for parts, word in expected.items():
-        assert gr24_word(_bp(*parts)) == word
+    # the class words of Gr(2,4) are the six pullback words of its resolutions
+    assert class_words(2, 4) == GR24_WORDS
+    for parts in GR24_ORDER:
+        assert class_words(2, 4)[parts] == gr24_word(_bp(*parts))
+
+
+def test_class_words_are_reduced_words_of_w0_times_dual():
+    assert len(CHOWK_BOXES) == 17
+    for k, n in CHOWK_BOXES:
+        w0 = Permutation.longest(n)
+        words = class_words(k, n)
+        assert list(words) == [lam.parts for lam in box_partitions(k, n - k)]
+        for lam in box_partitions(k, n - k):
+            word = words[lam.parts]
+            w = word_to_perm(word, n)
+            assert w.length() == len(word) == lam.size() + (k * (k - 1) + (n - k) * (n - k - 1)) // 2
+            assert w == w0 * partition_to_perm(partition_dual(lam), n), (k, n, lam)
+
+
+@pytest.mark.parametrize("spec", (ADDITIVE, MULTIPLICATIVE), ids=lambda s: s.label())
+def test_classes_at_m2_zero_equal_the_canonical_word_classes(spec):
+    for k, n in CHOWK_BOXES:
+        ctx = GrassContext(k, n, spec)
+        classes = grass_classes(ctx)
+        for lam in box_partitions(k, n - k):
+            assert classes[lam.parts] == class_representative(ctx, lam), (k, n, lam)
 
 
 def test_gr24_basis_table():
@@ -132,7 +168,7 @@ def test_gr24_basis_table():
     basis = [layout.unpack(nf) for nf in nfs]
     for parts, poly in zip(GR24_ORDER, basis):
         assert poly == table[parts], parts
-    # each table row is the normal form of its word class
+    # each table row is the normal form of its pullback word's class
     ctx = OperatorContext(HYPERBOLIC, 4)
     for parts, poly in zip(GR24_ORDER, basis):
         word = gr24_word(_bp(*parts))
@@ -140,31 +176,48 @@ def test_gr24_basis_table():
 
 
 def test_gr24_smooth_polys():
-    assert gr24_smooth_poly(RectangleClass(2, 2), HYPERBOLIC) == Poly.one(4)
-    assert gr24_smooth_poly(RectangleClass(2, 1), HYPERBOLIC) == Poly.monomial(
-        4, (1, 1, 0, 0)
-    )
-    line = gr24_smooth_poly(RectangleClass(1, 1), HYPERBOLIC)
-    assert line == Poly.monomial(4, (2, 1, 0, 0)) + Poly.monomial(
+    ctx = GrassContext(2, 4, HYPERBOLIC)
+    assert smooth_class(ctx, RectangleClass(2, 2)) == Poly.one(4)
+    assert smooth_class(ctx, RectangleClass(2, 1)) == Poly.monomial(4, (1, 1, 0, 0))
+    line = smooth_class(ctx, RectangleClass(1, 1))
+    assert equals_mod_s(line, Poly.monomial(4, (2, 1, 0, 0)) + Poly.monomial(
         4, (1, 2, 0, 0)
-    ) - Poly.monomial(4, (2, 2, 0, 0), (1, 0))
+    ) - Poly.monomial(4, (2, 2, 0, 0), (1, 0)), 4)
     # the law matters for the line class
-    assert gr24_smooth_poly(RectangleClass(1, 1), ADDITIVE) != line
+    assert smooth_class(GrassContext(2, 4, ADDITIVE), RectangleClass(1, 1)) != line
+
+
+_SMOOTH_SPECS = (*ALL_SPECS, FglSpec("hyperbolic", mu1=2), FglSpec("hyperbolic", mu2=0))
+
+
+@pytest.mark.parametrize("spec", _SMOOTH_SPECS, ids=lambda s: s.label())
+def test_smooth_classes_equal_the_gr24_oracle_mod_s(spec):
+    ctx = GrassContext(2, 4, spec)
+    for r in all_rectangles(2, 4):
+        assert equals_mod_s(smooth_class(ctx, r), gr24_smooth_poly(r, spec), 4), (r, spec)
+
+
+def test_smooth_classes_at_m2_zero_are_the_rectangle_classes():
+    for k, n in ((2, 4), (2, 5), (3, 5)):
+        for spec in (ADDITIVE, MULTIPLICATIVE):
+            ctx = GrassContext(k, n, spec)
+            classes = grass_classes(ctx)
+            for r in all_rectangles(k, n):
+                own = classes[r.as_partition(k, n).parts]
+                assert equals_mod_s(smooth_class(ctx, r), own, n), (k, n, r, spec)
 
 
 def test_full_width_smooth_class_uses_dual_roots():
     # at m2 = 0 the dual-root product agrees with the canonical
     # word representative, not with the plain monomial x3 x4
     ctx = GrassContext(2, 4, MULTIPLICATIVE)
-    got = gr24_smooth_poly(RectangleClass(1, 2), MULTIPLICATIVE)
+    got = smooth_class(ctx, RectangleClass(1, 2))
     rep = class_representative(ctx, _bp(2, 0))
     assert got == normal_form(rep, 4)
     plain = normal_form(Poly.monomial(4, (0, 0, 1, 1)), 4)
     assert got != plain
     # additive: signs cancel and the plain monomial is recovered
-    assert gr24_smooth_poly(RectangleClass(1, 2), ADDITIVE) == normal_form(
-        Poly.monomial(4, (0, 0, 1, 1)), 4
-    )
+    assert smooth_class(GrassContext(2, 4, ADDITIVE), RectangleClass(1, 2)) == plain
 
 
 def test_dual_root_monomial_properties():
@@ -172,9 +225,16 @@ def test_dual_root_monomial_properties():
     got = dual_root_monomial(2, 4, 1, ADDITIVE)
     assert got == normal_form(Poly.monomial(4, (0, 0, 1, 1)), 4)
     sq = dual_root_monomial(2, 4, 2, ADDITIVE)
-    assert equals_mod_s(
-        sq, Poly.monomial(4, (0, 0, 2, 2)), 4
-    )
+    assert equals_mod_s(sq, Poly.monomial(4, (0, 0, 2, 2)), 4)
+    # the full-width smooth classes are the dual root monomials: a power
+    # of e_b of the last b dual roots
+    for spec in ALL_SPECS:
+        assert smooth_class(GrassContext(2, 4, spec), RectangleClass(1, 2)) == (
+            dual_root_monomial(2, 4, 1, spec)
+        )
+        assert smooth_class(GrassContext(3, 5, spec), RectangleClass(1, 2)) == (
+            dual_root_monomial(3, 5, 2, spec)
+        )
 
 
 def test_cross_check_gr24():
@@ -185,9 +245,29 @@ def test_cross_check_gr24():
 
 
 def test_class_representative_guard():
+    # the canonical-word reference holds only at m2 = 0
     ctx = GrassContext(2, 4, HYPERBOLIC)
     with pytest.raises(ValueError):
         class_representative(ctx, _bp(1, 1))
+
+
+def _canonical_class_words(k, n):
+    w0 = Permutation.longest(n)
+    return {
+        lam.parts: canonical_word(w0 * partition_to_perm(partition_dual(lam), n))
+        for lam in box_partitions(k, n - k)
+    }
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
+def test_cross_check_tells_the_resolution_words_apart(spec, monkeypatch):
+    # canonical words name the same permutations, so at m2 = 0 nothing
+    # changes; at m2 != 0 the braid relations fail (Bressler-Evens) and the
+    # classes of the canonical words break the rule in 3 of the 24 cases
+    monkeypatch.setattr(grass, "class_words", _canonical_class_words)
+    rep = cross_check_gr24(spec)
+    failed = sum(not case.ok for case in rep.cases)
+    assert failed == (0 if spec.mu2_is_zero else 3), rep.summary_lines()
 
 
 def test_chow_k_cross_check():
@@ -203,14 +283,15 @@ def test_chow_k_cross_check():
 
 
 def _gr24_inputs(spec, smooth_override=None):
-    smooth = {r: gr24_smooth_poly(r, spec) for r in all_rectangles(2, 4)}
+    ctx = GrassContext(2, 4, spec)
+    smooth = {r: smooth_class(ctx, r) for r in all_rectangles(2, 4)}
     smooth.update(smooth_override or {})
-    return GrassContext(2, 4, spec), _gr24_classes(spec), smooth
+    return ctx, grass_classes(ctx, GR24_ORDER), smooth
 
 
 def _chowk_inputs(k, n, spec):
     ctx = GrassContext(k, n, spec)
-    classes = {mu.parts: class_representative(ctx, mu) for mu in box_partitions(k, n - k)}
+    classes = grass_classes(ctx)
     smooth = {r: classes[r.as_partition(k, n).parts] for r in all_rectangles(k, n)}
     return ctx, classes, smooth
 

@@ -30,7 +30,7 @@ from schubfgl.hecke import (
     verify_ybe,
 )
 from schubfgl.polycore import GradedLayout, Poly, PolyError
-from schubfgl.schubert import grothendieck_polynomial, word_class_layout
+from schubfgl.schubert import word_class_layout
 
 from oracles import (
     all_permutations,
@@ -38,6 +38,7 @@ from oracles import (
     brute_reduced_words,
     commutation_classes,
     demazure_mul,
+    grothendieck_polynomial,
     hecke_add,
     hecke_scale,
     hecke_u,

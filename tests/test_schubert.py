@@ -15,7 +15,6 @@ from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
 from schubfgl.polycore import GradedLayout, Poly
 from schubfgl.ddo import OperatorContext
 from schubfgl.schubert import (
-    grothendieck_polynomial,
     heap_keys,
     schubert,
     schubert_polynomial,
@@ -26,6 +25,7 @@ from oracles import (
     CLASSICAL_SCHUBERT_S3,
     all_permutations,
     commutation_classes,
+    grothendieck_polynomial,
     ideal_delete,
     normal_form,
     oracle_apply_word,
