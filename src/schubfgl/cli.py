@@ -39,9 +39,10 @@ from .grass import (
     GrassContext,
     RectangleClass,
     chow_k_cross_check,
+    class_layout,
     class_words,
     cross_check_gr24,
-    gr24_basis,
+    grass_classes,
     smooth_product,
 )
 from .hecke import (
@@ -294,8 +295,9 @@ def _cmd_grprod(args, out, stdin) -> int:
 
 
 def _cmd_table(args, out, stdin) -> int:
-    layout, basis = gr24_basis(_spec_of(args))
-    rows = [(key, class_words(2, 4)[key], terms) for key, terms in zip(GR24_ORDER, basis)]
+    layout = class_layout(4)
+    classes = grass_classes(GrassContext(2, 4, _spec_of(args)), GR24_ORDER)
+    rows = [(key, class_words(2, 4)[key], terms) for key, terms in classes.items()]
     if args.json:
         _emit_json([{"lam": list(key), "word": list(word), "poly": packed_json_obj(layout, terms)}
                     for key, word, terms in rows], out)

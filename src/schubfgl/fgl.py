@@ -27,8 +27,9 @@ chi(x) = -sum_{d >= 1} m1^(d-1) x^d, and
 
     F(x, chi(y)) = (x - y) / p(x, y) = (x - y) * sum_k y^k (m1 + m2*x)^k.
 
-F itself, the generic series inverter, and the self-checks that tie F
-to chi and p live in tests/oracles.py.
+Their terms, and p's, are written with the law's integers substituted
+(_specialized, 0**0 = 1); nothing is multiplied out.  F, the generic
+series and the self-checks that tie F to chi and p are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .polycore import MU_ZERO, Poly, PolyError, _mk
+from .polycore import Poly, PolyError, _mk
 
 KINDS = ("additive", "multiplicative", "hyperbolic", "lorentz")
 
@@ -71,13 +72,8 @@ class FglSpec:
 
     # -- parameter handling -------------------------------------------
 
-    def specialize(self, f: Poly) -> Poly:
-        return f.specialize_mu(self.mu1, self.mu2)
-
     def mu2_poly(self, nvars: int) -> Poly:
-        if self.mu2 is not None:
-            return Poly.const(nvars, self.mu2)
-        return Poly.const(nvars, 1, (0, 1))
+        return _specialized(self, nvars, [((0,) * nvars, 0, 1, 1)])
 
     @property
     def mu2_is_zero(self) -> bool:
@@ -106,27 +102,41 @@ HYPERBOLIC = FglSpec("hyperbolic")
 LORENTZ = FglSpec("lorentz")
 
 
+def _specialized(spec: FglSpec, nvars: int, terms) -> Poly:
+    """The Poly of terms (x-exponents, a, b, c), each c*m1^a*m2^b*x^exps with
+    the law's integers substituted (0**0 is 1); terms that then meet are summed."""
+    out: dict = {}
+    for exps, a, b, c in terms:
+        if spec.mu1 is not None:
+            c, a = c * spec.mu1 ** a, 0
+        if spec.mu2 is not None:
+            c, b = c * spec.mu2 ** b, 0
+        out[exps, (a, b)] = out.get((exps, (a, b)), 0) + c
+    return _mk(nvars, {key: c for key, c in out.items() if c})
+
+
 def formal_inverse(spec: FglSpec, cap: int) -> Poly:
     """The series chi(x) = -x/(1 - m1*x) through degree cap, 1 variable."""
     if cap < 1:
         raise PolyError("cap must be at least 1")
-    return spec.specialize(_mk(1, {((d,), (d - 1, 0)): -1 for d in range(1, cap + 1)}))
+    return _specialized(spec, 1, (((d,), d - 1, 0, -1) for d in range(1, cap + 1)))
 
 
 def chi_difference(spec: FglSpec, cap: int) -> Poly:
     """F(x, chi(y)) = (x - y)/p(x, y) through x-degree cap, a 2-variable Poly.
 
     1/p = sum_k y^k (m1 + m2*x)^k, whose term x^j y^k carries
-    C(k, j) m1^(k-j) m2^j; it is needed through degree cap - 1.
+    C(k, j) m1^(k-j) m2^j; it is needed through degree cap - 1, and each
+    such term gives C(k, j) m1^(k-j) m2^j (x^(j+1) y^k - x^j y^(k+1)).
     """
     if cap < 1:
         raise PolyError("cap must be at least 1")
-    inv_p = _mk(2, {
-        ((j, k), (k - j, j)): comb(k, j)
+    return _specialized(spec, 2, (
+        (exps, k - j, j, sign * comb(k, j))
         for k in range(cap)
         for j in range(min(k, cap - 1 - k) + 1)
-    })
-    return spec.specialize((Poly.variable(2, 1) - Poly.variable(2, 2)) * inv_p)
+        for exps, sign in (((j + 1, k), 1), ((j, k + 1), -1))
+    ))
 
 
 def diff_kernel(spec: FglSpec) -> Poly:
@@ -135,12 +145,7 @@ def diff_kernel(spec: FglSpec) -> Poly:
     Closed forms: 1 (additive), 1 - m1*y (multiplicative),
     1 - m1*y - m2*x*y (hyperbolic), 1 - m2*x*y (lorentz).
     """
-    p = Poly(2, {
-        ((0, 0), MU_ZERO): 1,
-        ((0, 1), (1, 0)): -1,
-        ((1, 1), (0, 1)): -1,
-    })
-    return spec.specialize(p)
+    return _specialized(spec, 2, (((0, 0), 0, 0, 1), ((0, 1), 1, 0, -1), ((1, 1), 0, 1, -1)))
 
 
 def kappa_of(spec: FglSpec) -> Poly:

@@ -17,7 +17,8 @@ the resolutions, which stay resolutions after pulling back; that the
 rule gives a resolution is known only there.  At m2 = 0 the classes are
 word-independent, so the same words check any small Grassmannian
 there.  The smooth class of b^a is a product of Chern-class factors in
-the roots and the dual roots (smooth_class).
+the roots and the dual roots (smooth_class).  Both stay packed from the
+class word to the report, in one layout per rank (class_layout).
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ from .combi import (
     Word,
 )
 from .coinv import (MAX_REWRITE_RANK, basis_degrees, expand_packed, nf_degree, nf_layout,
-                    reduce_packed, reduce_polys)
+                    reduce_packed)
 from .ddo import OperatorContext
 from .fgl import FglSpec, HYPERBOLIC, formal_inverse
 from .polycore import GradedLayout, Poly, PolyError, short_product
 from .report import CheckReport
-from .schubert import schubert_polynomial
+from .schubert import schubert
 
 
 @dataclass(frozen=True)
@@ -157,27 +158,32 @@ def class_words(k: int, n: int) -> MappingProxyType[tuple[int, ...], Word]:
     return MappingProxyType(words)
 
 
+def class_layout(n: int) -> GradedLayout:
+    """The one layout of the classes and smooth classes of rank n:
+    nf_layout(n, 4 * top), top = n(n-1)/2 (see _rule_cross_check)."""
+    return nf_layout(n, 4 * (n * (n - 1) // 2))
+
+
 def grass_classes(
     ctx: GrassContext, order: Iterable[tuple[int, ...]] | None = None
-) -> dict[tuple[int, ...], Poly]:
-    """The class of every partition of the box, keyed by its parts: the
-    class of its class word, in order (box_partitions order by default)."""
+) -> dict[tuple[int, ...], dict[int, int]]:
+    """The normal form of the class of every partition of the box, keyed by
+    its parts, in order (box_partitions order by default): the class of its
+    class word, moved from schubert's layout into class_layout(n), reduced."""
     words = class_words(ctx.k, ctx.n)
     octx = OperatorContext(ctx.spec, ctx.n)
-    return {parts: schubert_polynomial(octx, words[parts]) for parts in order or words}
-
-
-def gr24_basis(spec: FglSpec) -> tuple[GradedLayout, list[dict[int, int]]]:
-    """Normal forms of the six Gr(2,4) classes, in GR24_ORDER, packed in one
-    layout."""
-    classes = grass_classes(GrassContext(2, 4, spec), GR24_ORDER)
-    return reduce_polys(list(classes.values()), 4)
+    layout = class_layout(ctx.n)
+    return {
+        parts: reduce_packed(layout.repack(*schubert(octx, words[parts])), layout)
+        for parts in order or words
+    }
 
 
 # one class per (law, box, rectangle); verify gr24 needs four per law
 @lru_cache(maxsize=64)
-def smooth_class(ctx: GrassContext, r: RectangleClass) -> Poly:
-    """Normal form of the smooth class [X_{b^a}] of Gr(k, n):
+def smooth_class(ctx: GrassContext, r: RectangleClass) -> dict[int, int]:
+    """Normal form of the smooth class [X_{b^a}] of Gr(k, n), packed in
+    class_layout(n); the dict is shared by every caller:
 
         (x_1 ... x_k)^(n-k-b) * e_b(chi(x_{k+1}), ..., chi(x_n))^(k-a).
 
@@ -185,19 +191,16 @@ def smooth_class(ctx: GrassContext, r: RectangleClass) -> Poly:
     V in E_{k+b}, the second E_{k-a} in V.  The second is written in the
     dual roots chi(x_j): in the plain x_j it breaks the product rule at
     m1 != 0.  chi is truncated at the top staircase degree and everything
-    stays packed; e_b is built one variable at a time, the result is
-    reduced after every factor, and products by 1 are skipped.
-    Truncating and reducing are exact: higher homogeneous components are
-    0 modulo S.
+    stays packed; e_b is built one variable at a time, and the result is
+    reduced after every factor.  Truncating and reducing are exact: higher
+    homogeneous components are 0 modulo S.
     """
     k, n = ctx.k, ctx.n
     r.validate(k, n)
+    layout = class_layout(n)
     # a staircase monomial, so its own normal form
-    plain = Poly.monomial(n, (n - k - r.b,) * k + (0,) * (n - k))
-    if r.a == k:
-        return plain
+    plain = layout.pack(Poly.monomial(n, (n - k - r.b,) * k + (0,) * (n - k)))
     top = n * (n - 1) // 2
-    layout = nf_layout(n, top)
     cut = (top + 1) << layout.deg_shift
     chi = formal_inverse(ctx.spec, top)
     e = [{0: 1}] + [{}] * r.b  # e_j of the dual roots met so far; {0: 1} is 1
@@ -208,12 +211,10 @@ def smooth_class(ctx: GrassContext, r: RectangleClass) -> Poly:
             for key, c in e[j].items():
                 step[key] = step.get(key, 0) + c
             e[j] = reduce_packed(step, layout)
-    out = e[r.b]
-    for _ in range(k - r.a - 1):
+    out = plain
+    for _ in range(k - r.a):
         out = reduce_packed(short_product(out, e[r.b], cut), layout)
-    if r.b < n - k:
-        out = reduce_packed(short_product(out, layout.pack(plain), cut), layout)
-    return layout.unpack(out)
+    return out
 
 
 def all_rectangles(k: int, n: int) -> list[RectangleClass]:
@@ -225,31 +226,30 @@ def all_rectangles(k: int, n: int) -> list[RectangleClass]:
 def _rule_cross_check(
     name: str,
     ctx: GrassContext,
-    classes: dict[tuple[int, ...], Poly],
-    smooth: dict[RectangleClass, Poly],
+    classes: dict[tuple[int, ...], dict[int, int]],
+    smooth: dict[RectangleClass, dict[int, int]],
 ) -> CheckReport:
     """Product rule vs polynomial arithmetic for every (rectangle, lam).
 
-    classes holds the class of every partition of the box, keyed by its
-    parts, in display order; smooth holds the representative of each
-    rectangle's smooth class.  Each product of normal forms is reduced
-    and compared with the normal form of the class (or zero) predicted
-    by smooth_product.  That reads as an expansion if the classes are
-    independent modulo S: one expansion of the class of least graded
-    degree d0 checks it at d0, hence at every d >= d0 (m1^(d - d0) maps
-    the degree-d columns one to one into the degree-d0 columns).
+    classes holds the normal form of the class of every partition of the
+    box, keyed by its parts, in display order; smooth holds that of each
+    rectangle's smooth class; all are packed in class_layout(n) and stay
+    packed.  Each product of normal forms is reduced and compared with the
+    normal form of the class (or zero) predicted by smooth_product.  That
+    reads as an expansion if the classes are independent modulo S: one
+    expansion of the class of least graded degree d0 checks it at d0,
+    hence at every d >= d0 (m1^(d - d0) maps the degree-d columns one to
+    one into the degree-d0 columns).  The layout's mu fields hold 4 * top:
+    m1 and m2 exponents are <= top (a class word has at most top letters,
+    each raising them by one at most, and a smooth class term of x-degree
+    <= top has fewer m1), so a product of two needs 2 * top and the
+    expansion top - d0 <= 4 * top, as every term has x-degree >= 0.
     """
     rep = CheckReport(name)
-    order = [BoxPartition(ctx.k, ctx.m, parts) for parts in classes]
-    # Everything is reduced once into one layout and stays packed.  Its mu
-    # fields hold twice the largest mu exponent (a normal form keeps the mu
-    # exponents, so that bounds a product of two), and top - d0 for the
-    # expansion: a class term has x-degree >= 0, so d0 >= -3 * largest.
+    layout = class_layout(ctx.n)
     top = ctx.n * (ctx.n - 1) // 2
-    polys = [*classes.values(), *smooth.values()]
-    largest = max((max(mu) for f in polys for _x, mu in f.terms), default=0)
-    layout, nfs = reduce_polys(polys, ctx.n, top + 3 * largest)
-    basis, smooth_nfs = nfs[:len(classes)], nfs[len(classes):]
+    order = [BoxPartition(ctx.k, ctx.m, parts) for parts in classes]
+    basis = list(classes.values())
     try:
         degrees = basis_degrees([nf_degree(layout, nf) for nf in basis])
     except PolyError as exc:
@@ -264,7 +264,7 @@ def _rule_cross_check(
     expand_packed(layout, basis[degrees.index(d0)], d0, basis, degrees)
     nf_of = dict(zip(order, basis))
     nf_of[None] = {}
-    for r, smooth_nf in zip(smooth, smooth_nfs):
+    for r, smooth_nf in smooth.items():
         for lam in order:
             rule = smooth_product(ctx, r, lam)
             product = short_product(smooth_nf, nf_of[lam], (top + 1) << layout.deg_shift)

@@ -145,12 +145,6 @@ class Poly:
         return _mk(nvars, {((0,) * nvars, MU_ZERO): 1})
 
     @classmethod
-    def const(cls, nvars: int, c: int, mu: MuExp = MU_ZERO) -> "Poly":
-        if not c:
-            return cls.zero(nvars)
-        return _mk(nvars, {((0,) * nvars, tuple(mu)): c})
-
-    @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
         """x_i, with i in [1, nvars]."""
         if not 1 <= i <= nvars:
@@ -288,28 +282,6 @@ class Poly:
             else:
                 del out[key]
         return _mk(nvars, out)
-
-    def specialize_mu(self, mu1: int | None = None, mu2: int | None = None) -> "Poly":
-        """Substitute integer values for m1 and/or m2 (None keeps symbolic)."""
-        if mu1 is None and mu2 is None:
-            return self
-        out: dict[TermKey, int] = {}
-        for (exps, (a, b)), c in self.terms.items():
-            if mu1 is not None:
-                c *= mu1 ** a
-                a = 0
-            if mu2 is not None:
-                c *= mu2 ** b
-                b = 0
-            if not c:
-                continue
-            key = (exps, (a, b))
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return _mk(self.nvars, out)
 
     # ------------------------------------------------------------------
     # degree filtration
@@ -515,6 +487,20 @@ class GradedLayout(NamedTuple):
                 for e in reversed(exps):
                     key = key << xw | e
                 out[(key << mw | m1) << mw | m2] = c
+        return out
+
+    def repack(self, source: "GradedLayout", terms: dict[int, int]) -> dict[int, int]:
+        """terms, packed in source, packed in this layout instead; its fields
+        must be at least as wide as source's."""
+        if self.nvars != source.nvars or self.xwidth < source.xwidth or self.muwidth < source.muwidth:
+            raise PolyError(f"the fields of {source} do not fit {self}")
+        shifts, xmask, mw, mumask = source.fields
+        out = {}
+        for key, c in terms.items():
+            k = key >> source.deg_shift
+            for s in reversed(shifts):
+                k = k << self.xwidth | key >> s & xmask
+            out[(k << self.muwidth | key >> mw & mumask) << self.muwidth | key & mumask] = c
         return out
 
     def unpack(self, terms: dict[int, int]) -> Poly:

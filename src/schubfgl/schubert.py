@@ -32,7 +32,7 @@ from collections import OrderedDict
 from .coinv import top_staircase_class
 from .combi import Word, word_to_perm
 from .ddo import OperatorContext, _apply_letter
-from .polycore import GradedLayout, Poly
+from .polycore import GradedLayout
 
 # Bound on the bytes of the arrays _MEMO holds: 2 MiB, the smallest round
 # bound above the classes of all 475 nonempty heaps of S_5 under the
@@ -165,9 +165,3 @@ def schubert(
         terms = _apply_letter(ctx.spec, layout, word[k], terms)
         _MEMO.put(keys[k], layout, terms)
     return layout, terms
-
-
-def schubert_polynomial(ctx: OperatorContext, word: Word) -> Poly:
-    """The class of a reduced word (see schubert) as a Poly."""
-    return GradedLayout.unpack(*schubert(ctx, word))
-

@@ -2,7 +2,7 @@
 
 Everything here is deliberately written against plain dicts and
 Fractions, not against the library's own arithmetic, so a bug in the
-package cannot hide inside its oracle.  There are nine exceptions,
+package cannot hide inside its oracle.  There are ten exceptions,
 which use the library's generic `Poly` arithmetic but none of the code
 they check:
 
@@ -21,6 +21,10 @@ they check:
   formal group law F(x, y) built with it, and their self-checks against
   the formal inverse and the difference kernel of `schubfgl.fgl`: they
   are the reference for the closed forms of chi and F(x, chi(y)) there;
+- the series chi, p and F(x, chi(y)) with m1 and m2 symbolic (F(x, chi(y))
+  as x - y times 1/p), and `specialize`, which substitutes a law's
+  integers into a Poly: they are the reference for `schubfgl.fgl`, which
+  writes each series' terms with the integers already substituted;
 - the tuple-key printer, which sorts `Poly.terms` by a tuple per term:
   it is the reference for the printer of `schubfgl.polycore`, which
   reads the term order off packed keys;
@@ -31,9 +35,10 @@ they check:
 - the Grassmannian classes as they were built before one rule gave
   them all: the six hard-coded Gr(2,4) words, the four hand-written
   Gr(2,4) smooth classes (the dual roots multiplied out as Polys), and
-  the m2 = 0 class of the canonical word of w_0 * w_{dual(lam)}: they
-  are the reference for the class words and the smooth classes of
-  `schubfgl.grass`;
+  the m2 = 0 class of the canonical word of w_0 * w_{dual(lam)}, all
+  unpacked to Polys (`schubert_polynomial` unpacks the class of a
+  word): they are the reference for the class words and the smooth
+  classes of `schubfgl.grass`, which stay packed;
 - the Vandermonde product, multiplied out factor by factor with
   `naive_mul`: it is the reference for `schubfgl.coinv.vandermonde_poly`,
   which writes down the determinant expansion;
@@ -61,6 +66,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from itertools import permutations as _it_permutations
 from itertools import product as _it_product
+from math import comb
 
 from schubfgl.combi import (
     BoxPartition,
@@ -88,7 +94,28 @@ from schubfgl.grass import GrassContext, RectangleClass, smooth_product
 from schubfgl.hecke import MAX_ENUM_RANK
 from schubfgl.polycore import MU_ZERO, GradedLayout, Poly, PolyError
 from schubfgl.report import CheckReport
-from schubfgl.schubert import schubert_polynomial
+from schubfgl.schubert import schubert
+
+
+def schubert_polynomial(ctx: OperatorContext, word: Word) -> Poly:
+    """The class of a reduced word (`schubfgl.schubert.schubert`) as a Poly."""
+    return GradedLayout.unpack(*schubert(ctx, word))
+
+
+def specialize(spec: FglSpec, f: Poly) -> Poly:
+    """f with the law's integers substituted for m1 and m2 (None keeps
+    the parameter symbolic); terms that meet are summed."""
+    out: dict = {}
+    for (exps, (a, b)), c in f.terms.items():
+        if spec.mu1 is not None:
+            c *= spec.mu1 ** a
+            a = 0
+        if spec.mu2 is not None:
+            c *= spec.mu2 ** b
+            b = 0
+        key = (exps, (a, b))
+        out[key] = out.get(key, 0) + c
+    return Poly(f.nvars, out)
 
 
 def normal_form(f: Poly, n: int) -> Poly:
@@ -98,9 +125,14 @@ def normal_form(f: Poly, n: int) -> Poly:
     return layout.unpack(terms)
 
 
+def constant(nvars: int, c: int, mu: tuple[int, int] = MU_ZERO) -> Poly:
+    """c * m1^a * m2^b, mu = (a, b), in nvars variables."""
+    return Poly.monomial(nvars, (0,) * nvars, mu, c)
+
+
 def mul_mu(f: Poly, a: int, b: int) -> Poly:
     """f times m1^a m2^b."""
-    return f * Poly.const(f.nvars, 1, (a, b))
+    return f * constant(f.nvars, 1, (a, b))
 
 
 def equals_mod_s(f: Poly, g: Poly, n: int) -> bool:
@@ -581,7 +613,7 @@ def demazure_mul(e: dict, f: dict, spec: FglSpec) -> dict:
     out: dict[Permutation, Poly] = {}
     for v, dv in f.items():
         word_v = canonical_word(v)
-        minus_mu1 = spec.specialize(Poly.const(v.n, -1, (1, 0)))
+        minus_mu1 = specialize(spec, constant(v.n, -1, (1, 0)))
         for w, cw in e.items():
             z = w
             c = cw * dv
@@ -633,9 +665,9 @@ def series_invert_unit(f: Poly, cap: int) -> Poly:
     slices = {d: Poly(f.nvars, t) for d, t in by_degree.items()}
     c0_poly = slices.get(0, Poly.zero(f.nvars))
     unit = c0_poly.terms.get(((0,) * f.nvars, MU_ZERO), 0)
-    if unit not in (1, -1) or c0_poly != Poly.const(f.nvars, unit):
+    if unit not in (1, -1) or c0_poly != constant(f.nvars, unit):
         raise PolyError("non-unit constant term: x-degree-0 slice must be 1 or -1")
-    inv_slices: dict[int, Poly] = {0: Poly.const(f.nvars, unit)}
+    inv_slices: dict[int, Poly] = {0: constant(f.nvars, unit)}
     for d in range(1, cap + 1):
         acc = Poly.zero(f.nvars)
         for j in range(1, d + 1):
@@ -665,7 +697,33 @@ def fgl_sum_series(spec: FglSpec, cap: int) -> Poly:
     if cap < 1:
         raise PolyError("cap must be at least 1 to see the linear terms")
     inv = series_invert_unit(_sym_denominator(), cap)
-    return spec.specialize((_sym_numerator() * inv).truncate(cap))
+    return specialize(spec, (_sym_numerator() * inv).truncate(cap))
+
+
+def generic_formal_inverse(cap: int) -> Poly:
+    """chi(x) = -x/(1 - m1*x) through degree cap, m1 symbolic: -x times
+    the inverted unit 1 - m1*x."""
+    unit = Poly.one(1) - Poly.monomial(1, (1,), (1, 0))
+    return (-Poly.variable(1, 1) * series_invert_unit(unit, cap)).truncate(cap)
+
+
+def generic_diff_kernel() -> Poly:
+    """p(x, y) = 1 - m1*y - m2*x*y, m1 and m2 symbolic."""
+    return Poly(2, {((0, 0), MU_ZERO): 1, ((0, 1), (1, 0)): -1, ((1, 1), (0, 1)): -1})
+
+
+def generic_chi_difference(cap: int) -> Poly:
+    """F(x, chi(y)) through x-degree cap, m1 and m2 symbolic: x - y times
+    1/p = sum_k y^k (m1 + m2*x)^k, whose term x^j y^k carries
+    C(k, j) m1^(k-j) m2^j, through degree cap - 1."""
+    if cap < 1:
+        raise PolyError("cap must be at least 1")
+    inv_p = Poly(2, {
+        ((j, k), (k - j, j)): comb(k, j)
+        for k in range(cap)
+        for j in range(min(k, cap - 1 - k) + 1)
+    })
+    return (Poly.variable(2, 1) - Poly.variable(2, 2)) * inv_p
 
 
 def _subst_second_var(f: Poly, g: Poly, cap: int) -> Poly:
@@ -807,7 +865,7 @@ def gr24_smooth_poly(r: RectangleClass, spec: FglSpec) -> Poly:
         + Poly.monomial(4, (1, 2, 0, 0))
         - Poly.monomial(4, (2, 2, 0, 0), (1, 0))
     )
-    return spec.specialize(line)
+    return specialize(spec, line)
 
 
 def partition_to_perm(lam: BoxPartition, n: int) -> Permutation:

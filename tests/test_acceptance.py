@@ -29,9 +29,10 @@ from schubfgl.grass import (
     GrassContext,
     RectangleClass,
     chow_k_cross_check,
+    class_layout,
     class_words,
     cross_check_gr24,
-    gr24_basis,
+    grass_classes,
     smooth_class,
 )
 from schubfgl.hecke import (
@@ -41,10 +42,10 @@ from schubfgl.hecke import (
     verify_ybe,
 )
 from schubfgl.polycore import Poly
-from schubfgl.schubert import schubert_polynomial
 
 from oracles import (
     all_permutations,
+    constant,
     diff_kernel_series_check,
     equals_mod_s,
     gr24_smooth_poly,
@@ -52,6 +53,7 @@ from oracles import (
     normal_form,
     reduced_words,
     relation_report,
+    schubert_polynomial,
     smooth_monomial,
     staircase_monomials,
 )
@@ -118,11 +120,11 @@ def test_criterion_02_line_class_square():
     with _budget(1.0):
         ctx = OperatorContext(HYPERBOLIC, 4)
         lg21 = schubert_polynomial(ctx, class_words(2, 4)[(2, 1)])
-        layout, basis = gr24_basis(HYPERBOLIC)
-        coeffs = expand_in_basis(lg21 * lg21, [layout.unpack(nf) for nf in basis], 4)
+        classes = grass_classes(GrassContext(2, 4, HYPERBOLIC), GR24_ORDER)
+        coeffs = expand_in_basis(lg21 * lg21, [class_layout(4).unpack(nf) for nf in classes.values()], 4)
     expected = [
         Poly.zero(0),
-        Poly.const(0, -1, (1, 0)),
+        constant(0, -1, (1, 0)),
         Poly.one(0),
         Poly.one(0),
         Poly.zero(0),
@@ -256,7 +258,7 @@ def test_criterion_11_structural_invariants():
                 )
         for spec in ALL_SPECS:
             assert diff_kernel_series_check(spec, 10)
-        kap = Poly.const(0, 1, (1, 0))
+        kap = constant(0, 1, (1, 0))
         assert kappa_of(ADDITIVE) == Poly.zero(0)
         assert kappa_of(MULTIPLICATIVE) == kap
         assert kappa_of(HYPERBOLIC) == kap
@@ -277,4 +279,5 @@ def test_criterion_12_smooth_class_symmetry():
         line_hyp = smooth_class(GrassContext(2, 4, HYPERBOLIC), RectangleClass(1, 1))
         assert line_add != line_hyp
         for spec, line in ((ADDITIVE, line_add), (HYPERBOLIC, line_hyp)):
+            line = class_layout(4).unpack(line)
             assert equals_mod_s(line, gr24_smooth_poly(RectangleClass(1, 1), spec), 4)

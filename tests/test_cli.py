@@ -742,6 +742,76 @@ def test_hecke_outputs_pinned(argv):
     assert hashlib.sha256(blob.encode()).hexdigest() == HECKE_SHA256[argv]
 
 
+# sha256 of the full --json output under laws that fix m1 or m2 to an
+# integer, recorded with every series of fgl built with m1 and m2
+# symbolic and specialized afterwards, and with the Grassmannian classes
+# unpacked to Polys, repacked and reduced: building the series already
+# specialized and keeping the classes packed must not change a byte
+SPECIALIZED_SHA256 = {
+    "verify gr24 --fgl hyperbolic --mu1 0": (
+        "23eb4e754cee746b7e637be4bba92f97f80041c61582c72b72c15cec395678be"
+    ),
+    "verify gr24 --fgl lorentz --mu2 0": (
+        "3db6e2a183e4c2f46c112b0f538d3896ee33d48dbe7c730de08d8bdca898b74e"
+    ),
+    "verify gr24 --fgl hyperbolic --mu1 0 --mu2 0": (
+        "1eeeeb4f20aec7eaaa0885cfa671e83ee49890bb28087ccbd91149b1cc48e3f1"
+    ),
+    "table gr24 --fgl hyperbolic --mu1 2 --mu2 -3": (
+        "194afc32d494517726aab7ee54f133bebfcaf4fec3d5ce08dabfcc3e6d235e30"
+    ),
+    "table gr24 --fgl multiplicative --mu1 0": (
+        "b5d9c9ad7c1ed24a043770f97e227da4074cb412a582d8c64d7ca352c1b93d23"
+    ),
+    "table gr24 --fgl lorentz --mu2 5": (
+        "8ad041a35e8afab567a8014f75ecf4b67c9c17396e977ab9e77eca52e2ae5c21"
+    ),
+    "verify chowk --k 2 --n 5 --fgl hyperbolic --mu2 0": (
+        "d21202ac90731767db44cba30fdb8b26e175b25b68c9a739e5e7b6f743e529e4"
+    ),
+    "verify chowk --k 2 --n 5 --fgl lorentz --mu2 0": (
+        "d53c50f95dfeb298c20e1da01f3e01db48cbd0dbb0eb372ea0717a921a8b70b7"
+    ),
+    "verify chowk --k 2 --n 5 --fgl multiplicative --mu1 0": (
+        "2097abaf67e760598aa2ecb9d7c81696af904725ac2ca972fa3e1b4b720d98f2"
+    ),
+    "verify chowk --k 3 --n 6 --fgl hyperbolic --mu2 0": (
+        "ad30a4f19aa872d1020ffb8e9c3ea9ce685a176ee87612db636dfc4727b76e98"
+    ),
+    "verify chowk --k 3 --n 6 --fgl lorentz --mu2 0": (
+        "e1329e76fcd76bd12ec17755fc25719cfdafaf1bf33824e89531fae638637512"
+    ),
+    "verify chowk --k 3 --n 6 --fgl multiplicative --mu1 0": (
+        "192e767a2ff3670f1010a09abd608cc1692d560058a628af253692dbd9719d79"
+    ),
+    "poly word --n 5 --word 1,2,1,3,2,1,4,3,2,1 --fgl multiplicative --mu1 0": (
+        "157d32f4963fee009cee6982534703ada75d291da7fe6fb4d4ec45511f930728"
+    ),
+    "poly word --n 5 --word 1,2,1,3,2,1,4,3,2,1 --fgl lorentz --mu2 5": (
+        "9242e6b97abd96f250aa4c783ca6e8dbf9b43c8481f39f8f9ed0a8cf74cd0ddc"
+    ),
+    "verify fk --n 3 --fgl multiplicative --mu1 0": (
+        "295a0d0bd824b628efb306ebe6159014a6c5d8acd15d195cdf8aa488f5c75a00"
+    ),
+    "verify fk --n 3 --fgl hyperbolic --mu1 2": (
+        "318206769176ac934ebb49c4b10d889e45e76d1fcd05e84b88b2819820164a74"
+    ),
+    "verify ybe --n 4 --fgl multiplicative --mu1 0": (
+        "77193411fb9eb29e80a2132a47662310d5de3399a489b63c94549d6c35935d3d"
+    ),
+    "verify ybe --n 4 --fgl hyperbolic --mu1 2": (
+        "109e35a9f45169b2886661ce6834c6d137e7f6131e66f510eeeb7854ea216c87"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SPECIALIZED_SHA256))
+def test_specialized_outputs_pinned(argv):
+    code, blob = run(argv.split() + ["--json"])
+    assert code == 0
+    assert hashlib.sha256(blob.encode()).hexdigest() == SPECIALIZED_SHA256[argv]
+
+
 def test_verify_gr24_runs_once_whatever_n():
     code, once = run(["verify", "gr24", "--json"])
     assert code == 0

@@ -21,6 +21,7 @@ from schubfgl.polycore import GradedLayout, Poly, PolyError
 
 from oracles import (
     classical_ddiff,
+    constant,
     division_apply_c,
     division_apply_delta,
     naive_mul,
@@ -142,7 +143,7 @@ def test_index_validation():
 def test_kappa_poly_matches_table():
     assert not kappa_poly(OperatorContext(ADDITIVE, 3))
     assert not kappa_poly(OperatorContext(LORENTZ, 3))
-    assert kappa_poly(OperatorContext(HYPERBOLIC, 3)) == Poly.const(3, 1, (1, 0))
+    assert kappa_poly(OperatorContext(HYPERBOLIC, 3)) == constant(3, 1, (1, 0))
 
 
 def test_delta_identity_sampled_all_specs():
@@ -206,7 +207,7 @@ def test_naive_braid_explicit_counterexample():
     lhs = apply_word(ctx, (1, 2, 1), f)
     rhs = apply_word(ctx, (2, 1, 2), f)
     assert lhs != rhs
-    mu2 = Poly.const(3, 1, (0, 1))
+    mu2 = constant(3, 1, (0, 1))
     assert lhs - rhs == mu2 * (apply_c(ctx, 2, f) - apply_c(ctx, 1, f))
 
 

@@ -16,11 +16,16 @@ from schubfgl.fgl import (
 from schubfgl.polycore import Poly, PolyError
 
 from oracles import (
+    constant,
     diff_kernel_series_check,
-    mul_mu,
     fgl_sum_series,
+    generic_chi_difference,
+    generic_diff_kernel,
+    generic_formal_inverse,
     inverse_series_check,
+    mul_mu,
     series_invert_unit,
+    specialize,
 )
 
 ALL = (ADDITIVE, MULTIPLICATIVE, HYPERBOLIC, LORENTZ)
@@ -63,8 +68,8 @@ def test_sum_series_matches_rational_form():
                 + Poly.variable(2, 2)
                 - Poly.monomial(2, (1, 1), (1, 0))
             )
-            lhs = (spec.specialize(denom) * f).truncate(cap)
-            assert lhs == spec.specialize(num).truncate(cap)
+            lhs = (specialize(spec, denom) * f).truncate(cap)
+            assert lhs == specialize(spec, num).truncate(cap)
 
 
 def test_sum_series_symmetric_and_unital():
@@ -94,7 +99,7 @@ def test_formal_inverse_satisfies_defining_identity():
         cap = 9
         chi = formal_inverse(spec, cap).inject_vars(1, (1,))
         x = Poly.variable(1, 1)
-        lhs = (x + chi - spec.specialize(mul_mu(x * chi, 1, 0))).truncate(cap)
+        lhs = (x + chi - specialize(spec, mul_mu(x * chi, 1, 0))).truncate(cap)
         assert not lhs
         assert inverse_series_check(spec, 10)
 
@@ -102,7 +107,7 @@ def test_formal_inverse_satisfies_defining_identity():
 @pytest.mark.parametrize("spec", SPECIALIZED, ids=FglSpec.label)
 def test_formal_inverse_is_the_inverted_unit(spec):
     x = Poly.variable(1, 1)
-    unit = spec.specialize(Poly.one(1) - Poly.monomial(1, (1,), (1, 0)))
+    unit = specialize(spec, Poly.one(1) - Poly.monomial(1, (1,), (1, 0)))
     for cap in range(1, 13):
         assert formal_inverse(spec, cap) == (-x * series_invert_unit(unit, cap)).truncate(cap)
 
@@ -113,6 +118,24 @@ def test_chi_difference_is_the_inverted_kernel(spec):
     for cap in range(1, 13):
         expected = ((x - y) * series_invert_unit(diff_kernel(spec), cap)).truncate(cap)
         assert chi_difference(spec, cap) == expected
+
+
+@pytest.mark.parametrize("spec", SPECIALIZED, ids=FglSpec.label)
+def test_closed_forms_are_the_specialized_generic_series(spec):
+    assert diff_kernel(spec) == specialize(spec, generic_diff_kernel())
+    for cap in range(1, 25):
+        assert formal_inverse(spec, cap) == specialize(spec, generic_formal_inverse(cap)), cap
+        assert chi_difference(spec, cap) == specialize(spec, generic_chi_difference(cap)), cap
+
+
+def test_closed_forms_take_zero_to_the_zero_as_one():
+    # m1 = 0: the m1-free terms keep their coefficients (0**0 == 1), the others vanish
+    spec = FglSpec("multiplicative", mu1=0)
+    x, y = Poly.variable(2, 1), Poly.variable(2, 2)
+    for cap in (1, 2, 7):
+        assert formal_inverse(spec, cap) == -Poly.variable(1, 1)
+        assert chi_difference(spec, cap) == x - y
+    assert diff_kernel(spec) == Poly.one(2)
 
 
 def test_closed_forms_reject_caps_below_one():
@@ -138,7 +161,7 @@ def test_diff_kernel_series_selfcheck_cap10():
 def test_kappa_table():
     assert not kappa_of(ADDITIVE)
     assert not kappa_of(LORENTZ)
-    mu1 = Poly.const(0, 1, (1, 0))
+    mu1 = constant(0, 1, (1, 0))
     assert kappa_of(MULTIPLICATIVE) == mu1
     assert kappa_of(HYPERBOLIC) == mu1
 
@@ -146,17 +169,18 @@ def test_kappa_table():
 def test_degenerations_are_specializations():
     cap = 7
     hyper = fgl_sum_series(HYPERBOLIC, cap)
-    assert hyper.specialize_mu(mu2=0) == fgl_sum_series(MULTIPLICATIVE, cap)
-    assert hyper.specialize_mu(mu1=0) == fgl_sum_series(LORENTZ, cap)
-    assert hyper.specialize_mu(mu1=0, mu2=0) == fgl_sum_series(ADDITIVE, cap)
-    assert diff_kernel(HYPERBOLIC).specialize_mu(mu2=0) == diff_kernel(MULTIPLICATIVE)
-    assert diff_kernel(HYPERBOLIC).specialize_mu(mu1=0) == diff_kernel(LORENTZ)
+    m2_zero, m1_zero = FglSpec("hyperbolic", mu2=0), FglSpec("hyperbolic", mu1=0)
+    assert specialize(m2_zero, hyper) == fgl_sum_series(MULTIPLICATIVE, cap)
+    assert specialize(m1_zero, hyper) == fgl_sum_series(LORENTZ, cap)
+    assert specialize(FglSpec("hyperbolic", 0, 0), hyper) == fgl_sum_series(ADDITIVE, cap)
+    assert specialize(m2_zero, diff_kernel(HYPERBOLIC)) == diff_kernel(MULTIPLICATIVE)
+    assert specialize(m1_zero, diff_kernel(HYPERBOLIC)) == diff_kernel(LORENTZ)
 
 
 def test_integer_specializations():
     spec = FglSpec("hyperbolic", 2, 3)
     f = fgl_sum_series(spec, 5)
-    sym = fgl_sum_series(HYPERBOLIC, 5).specialize_mu(mu1=2, mu2=3)
+    sym = specialize(spec, fgl_sum_series(HYPERBOLIC, 5))
     assert f == sym
     assert diff_kernel_series_check(spec, 8)
     assert inverse_series_check(spec, 8)

@@ -3,7 +3,7 @@
 import pytest
 
 import schubfgl.grass as grass
-from schubfgl.coinv import BasisDependenceError
+from schubfgl.coinv import BasisDependenceError, reduce_packed
 from schubfgl.combi import (
     BoxPartition,
     CapacityError,
@@ -20,10 +20,10 @@ from schubfgl.grass import (
     RectangleClass,
     all_rectangles,
     chow_k_cross_check,
+    class_layout,
     class_words,
     cross_check_gr24,
     grass_classes,
-    gr24_basis,
     smooth_class,
     _rule_cross_check,
     rect_dual,
@@ -31,7 +31,6 @@ from schubfgl.grass import (
 )
 from schubfgl.polycore import Poly
 from schubfgl.ddo import OperatorContext
-from schubfgl.schubert import schubert_polynomial
 
 from oracles import (
     GR24_WORDS,
@@ -43,6 +42,7 @@ from oracles import (
     gr24_word,
     normal_form,
     partition_to_perm,
+    schubert_polynomial,
 )
 
 # the Grassmannians verify chowk admits: k(n-k) <= 9 and n <= 7
@@ -52,6 +52,11 @@ ALL_SPECS = (ADDITIVE, MULTIPLICATIVE, LORENTZ, HYPERBOLIC)
 
 def _bp(*parts: int) -> BoxPartition:
     return BoxPartition(2, 2, parts)
+
+
+def _smooth_poly(ctx: GrassContext, r: RectangleClass) -> Poly:
+    """The packed smooth class, unpacked."""
+    return class_layout(ctx.n).unpack(smooth_class(ctx, r))
 
 
 def test_rect_dual():
@@ -134,9 +139,42 @@ def test_class_words_are_reduced_words_of_w0_times_dual():
 def test_classes_at_m2_zero_equal_the_canonical_word_classes(spec):
     for k, n in CHOWK_BOXES:
         ctx = GrassContext(k, n, spec)
+        octx = OperatorContext(spec, n)
         classes = grass_classes(ctx)
         for lam in box_partitions(k, n - k):
-            assert classes[lam.parts] == class_representative(ctx, lam), (k, n, lam)
+            rep = class_representative(ctx, lam)
+            assert schubert_polynomial(octx, class_words(k, n)[lam.parts]) == rep, (k, n, lam)
+            assert class_layout(n).unpack(classes[lam.parts]) == normal_form(rep, n), (k, n, lam)
+
+
+_MU_BOXES = ((2, 4), (2, 5), (3, 5))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
+def test_classes_are_the_oracle_classes_mod_s(spec):
+    for k, n in _MU_BOXES:
+        octx = OperatorContext(spec, n)
+        classes = grass_classes(GrassContext(k, n, spec))
+        for parts, word in class_words(k, n).items():
+            got = class_layout(n).unpack(classes[parts])
+            assert got == normal_form(schubert_polynomial(octx, word), n), (k, n, parts)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
+def test_class_mu_exponents_stay_within_top(spec):
+    # class_layout holds 4 * top in its mu fields because every class, as
+    # its word gives it and in normal form, and every smooth class has m1
+    # and m2 exponents <= top; the hyperbolic and lorentz classes of the
+    # words reach top
+    for k, n in _MU_BOXES:
+        ctx = GrassContext(k, n, spec)
+        octx = OperatorContext(spec, n)
+        top = n * (n - 1) // 2
+        words = [schubert_polynomial(octx, word) for word in class_words(k, n).values()]
+        nfs = [*grass_classes(ctx).values(), *(smooth_class(ctx, r) for r in all_rectangles(k, n))]
+        largest = max(max(mu) for f in words for _x, mu in f.terms)
+        assert largest <= top and (largest == top) == (not spec.mu2_is_zero), (k, n)
+        assert all(max(mu) <= top for nf in nfs for _x, mu in class_layout(n).unpack(nf).terms), (k, n)
 
 
 def test_gr24_basis_table():
@@ -164,8 +202,8 @@ def test_gr24_basis_table():
         - mu(0, 2, 0, 0, m=(0, 1))
         + mu(2, 2, 0, 0, m=(2, 1)),
     }
-    layout, nfs = gr24_basis(HYPERBOLIC)
-    basis = [layout.unpack(nf) for nf in nfs]
+    classes = grass_classes(GrassContext(2, 4, HYPERBOLIC), GR24_ORDER)
+    basis = [class_layout(4).unpack(nf) for nf in classes.values()]
     for parts, poly in zip(GR24_ORDER, basis):
         assert poly == table[parts], parts
     # each table row is the normal form of its pullback word's class
@@ -177,14 +215,14 @@ def test_gr24_basis_table():
 
 def test_gr24_smooth_polys():
     ctx = GrassContext(2, 4, HYPERBOLIC)
-    assert smooth_class(ctx, RectangleClass(2, 2)) == Poly.one(4)
-    assert smooth_class(ctx, RectangleClass(2, 1)) == Poly.monomial(4, (1, 1, 0, 0))
-    line = smooth_class(ctx, RectangleClass(1, 1))
+    assert _smooth_poly(ctx, RectangleClass(2, 2)) == Poly.one(4)
+    assert _smooth_poly(ctx, RectangleClass(2, 1)) == Poly.monomial(4, (1, 1, 0, 0))
+    line = _smooth_poly(ctx, RectangleClass(1, 1))
     assert equals_mod_s(line, Poly.monomial(4, (2, 1, 0, 0)) + Poly.monomial(
         4, (1, 2, 0, 0)
     ) - Poly.monomial(4, (2, 2, 0, 0), (1, 0)), 4)
     # the law matters for the line class
-    assert smooth_class(GrassContext(2, 4, ADDITIVE), RectangleClass(1, 1)) != line
+    assert _smooth_poly(GrassContext(2, 4, ADDITIVE), RectangleClass(1, 1)) != line
 
 
 _SMOOTH_SPECS = (*ALL_SPECS, FglSpec("hyperbolic", mu1=2), FglSpec("hyperbolic", mu2=0))
@@ -194,7 +232,7 @@ _SMOOTH_SPECS = (*ALL_SPECS, FglSpec("hyperbolic", mu1=2), FglSpec("hyperbolic",
 def test_smooth_classes_equal_the_gr24_oracle_mod_s(spec):
     ctx = GrassContext(2, 4, spec)
     for r in all_rectangles(2, 4):
-        assert equals_mod_s(smooth_class(ctx, r), gr24_smooth_poly(r, spec), 4), (r, spec)
+        assert equals_mod_s(_smooth_poly(ctx, r), gr24_smooth_poly(r, spec), 4), (r, spec)
 
 
 def test_smooth_classes_at_m2_zero_are_the_rectangle_classes():
@@ -203,21 +241,21 @@ def test_smooth_classes_at_m2_zero_are_the_rectangle_classes():
             ctx = GrassContext(k, n, spec)
             classes = grass_classes(ctx)
             for r in all_rectangles(k, n):
-                own = classes[r.as_partition(k, n).parts]
-                assert equals_mod_s(smooth_class(ctx, r), own, n), (k, n, r, spec)
+                # both normal forms in class_layout(n): congruent means equal
+                assert smooth_class(ctx, r) == classes[r.as_partition(k, n).parts], (k, n, r, spec)
 
 
 def test_full_width_smooth_class_uses_dual_roots():
     # at m2 = 0 the dual-root product agrees with the canonical
     # word representative, not with the plain monomial x3 x4
     ctx = GrassContext(2, 4, MULTIPLICATIVE)
-    got = smooth_class(ctx, RectangleClass(1, 2))
+    got = _smooth_poly(ctx, RectangleClass(1, 2))
     rep = class_representative(ctx, _bp(2, 0))
     assert got == normal_form(rep, 4)
     plain = normal_form(Poly.monomial(4, (0, 0, 1, 1)), 4)
     assert got != plain
     # additive: signs cancel and the plain monomial is recovered
-    assert smooth_class(GrassContext(2, 4, ADDITIVE), RectangleClass(1, 2)) == plain
+    assert _smooth_poly(GrassContext(2, 4, ADDITIVE), RectangleClass(1, 2)) == plain
 
 
 def test_dual_root_monomial_properties():
@@ -229,10 +267,10 @@ def test_dual_root_monomial_properties():
     # the full-width smooth classes are the dual root monomials: a power
     # of e_b of the last b dual roots
     for spec in ALL_SPECS:
-        assert smooth_class(GrassContext(2, 4, spec), RectangleClass(1, 2)) == (
+        assert _smooth_poly(GrassContext(2, 4, spec), RectangleClass(1, 2)) == (
             dual_root_monomial(2, 4, 1, spec)
         )
-        assert smooth_class(GrassContext(3, 5, spec), RectangleClass(1, 2)) == (
+        assert _smooth_poly(GrassContext(3, 5, spec), RectangleClass(1, 2)) == (
             dual_root_monomial(3, 5, 2, spec)
         )
 
@@ -284,8 +322,9 @@ def test_chow_k_cross_check():
 
 def _gr24_inputs(spec, smooth_override=None):
     ctx = GrassContext(2, 4, spec)
+    layout = class_layout(4)
     smooth = {r: smooth_class(ctx, r) for r in all_rectangles(2, 4)}
-    smooth.update(smooth_override or {})
+    smooth.update({r: reduce_packed(layout.pack(f), layout) for r, f in (smooth_override or {}).items()})
     return ctx, grass_classes(ctx, GR24_ORDER), smooth
 
 
@@ -330,7 +369,10 @@ def test_rule_cross_check_matches_expansion_oracle(make, args, passes, monkeypat
     rep = _rule_cross_check("rule", ctx, classes, smooth)
     assert len(calls) == 1
     got = [(c.label, c.ok) for c in rep.cases]
-    assert got == expansion_rule_cross_check(ctx, classes, smooth)
+    unpack = class_layout(ctx.n).unpack
+    assert got == expansion_rule_cross_check(
+        ctx, {parts: unpack(nf) for parts, nf in classes.items()}, {r: unpack(nf) for r, nf in smooth.items()}
+    )
     assert len(got) == len(classes) * len(smooth)
     assert rep.passed == passes
 

@@ -46,8 +46,9 @@ def test_traced_compute_run_reaches_every_layer():
 
 
 def test_traced_fk5_run_is_correct():
-    # the tracer patches Poly's printer methods by name and hooks
-    # schubert.schubert_polynomial; moving the printer must not break it
+    # the tracer patches Poly's printer methods by name, and its hook on
+    # schubert.schubert_polynomial names a function that has left src/;
+    # neither may break a traced run
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "fk5", "--seed", "2",
          "--seconds", "1", "--trace", "1"],

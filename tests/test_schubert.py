@@ -17,7 +17,6 @@ from schubfgl.ddo import OperatorContext
 from schubfgl.schubert import (
     heap_keys,
     schubert,
-    schubert_polynomial,
     word_class_layout,
 )
 
@@ -31,6 +30,7 @@ from oracles import (
     oracle_apply_word,
     reduced_words,
     s5_word_sample,
+    schubert_polynomial,
     smooth_monomial,
     window_delete,
 )

@@ -1,7 +1,16 @@
-"""The package keeps only what its callers use, and bounds every cache."""
+"""The package keeps only what its callers use, bounds every cache, and
+leaves Poly arithmetic out of every command but `verify braid`."""
 
 import ast
+import contextlib
+import io
+import json
 from pathlib import Path
+
+import pytest
+
+from schubfgl.cli import VERIFY_SUITES, main
+from schubfgl.polycore import Poly
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "schubfgl"
 
@@ -96,3 +105,63 @@ def test_one_packed_key_layout():
         and {"pack", "unpack"} <= {sub.name for sub in node.body if isinstance(sub, ast.FunctionDef)}
     ]
     assert packers == ["polycore.py:GradedLayout"]
+
+
+# Poly is the type of parsing, printing and the tests; the packed core does
+# the arithmetic of every command.  `verify braid` is the one exception:
+# ddo.relation_reports and fgl.kappa_of still multiply, subtract, swap and
+# divide Polys.
+POLY_ARITHMETIC = ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__", "scale", "sigma",
+                   "div_diff", "truncate")
+GUARD_LAWS = ("additive", "multiplicative", "hyperbolic", "lorentz", "hyperbolic --mu1 2")
+
+
+class PolyArithmeticUsed(Exception):
+    """Raised by the disabled Poly arithmetic; no handler of the cli catches it."""
+
+
+def _guarded_calls(basis_file: str, law: str) -> list[tuple[list[str], str]]:
+    """(argv, stdin) of one call of every subcommand and every verify suite
+    but braid, under law where the command takes one."""
+    fgl = ["--fgl", *law.split()]
+    calls = [
+        (["poly", "word", "--n", "3", "--word", "1,2,1", *fgl], ""),
+        (["reduce"], "1*x[3,0,0] + -2*m1^1*x[2,1,0] + 1*m2^1*x[2,2,0]"),
+        (["expand", "--basis", basis_file, "--n", "2"], "1*x[1,0] + 3*m1^1*x[0,0]"),
+        (["grprod", "--k", "2", "--n", "4", "--rect", "1,1", "--lambda", "2,1", *fgl], ""),
+        (["table", "gr24", *fgl], ""),
+    ]
+    return calls + [(["verify", what, *fgl], "") for what in VERIFY_SUITES if what != "braid"]
+
+
+def _outcome(argv: list[str], stdin: str) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv, out, io.StringIO(stdin))
+        except PolyArithmeticUsed as exc:
+            code = f"Poly.{exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("law", GUARD_LAWS)
+def test_no_command_but_braid_does_poly_arithmetic(law, tmp_path, monkeypatch):
+    basis = [{"nvars": 2, "terms": [{"x": x, "mu": [0, 0], "c": "1"}]} for x in ([0, 0], [1, 0])]
+    basis_file = tmp_path / "basis.json"
+    basis_file.write_text(json.dumps(basis))
+    calls = _guarded_calls(str(basis_file), law)
+    expected = [_outcome(argv, stdin) for argv, stdin in calls]
+
+    def disabled(name):
+        def method(*args, **kwargs):
+            raise PolyArithmeticUsed(name)
+        return method
+
+    for name in POLY_ARITHMETIC:
+        monkeypatch.setattr(Poly, name, disabled(name))
+    got = [_outcome(argv, stdin) for argv, stdin in calls]
+    differ = [" ".join(argv) for (argv, _), a, b in zip(calls, expected, got) if a != b]
+    assert not differ, f"calls that do Poly arithmetic: {differ}"
+    # the documented exception: when it no longer holds, drop it
+    braid, _out, _err = _outcome(["verify", "braid", "--fgl", *law.split()], "")
+    assert braid in {f"Poly.{name}" for name in POLY_ARITHMETIC}
