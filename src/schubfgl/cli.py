@@ -14,7 +14,8 @@ failure, 2 on usage errors.  Output is deterministic for a fixed
 command line and seed; annotated findings only fail the run under
 --strict-literal.  With --json the output bytes are those of
 json.dump(obj, sort_keys=True, indent=2) plus a newline, written by one
-direct writer (_json_text).
+direct writer (_json_text), which hands each polynomial, a PackedPoly,
+to the packed-key writer of polycore; no per-term dict is built.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .coinv import (
     NotInSpanError,
@@ -51,7 +53,7 @@ from .hecke import (
     verify_local_identities,
     verify_ybe,
 )
-from .polycore import Poly, PolyError, check_digits, packed_json_obj, render_packed
+from .polycore import GradedLayout, Poly, PolyError, check_digits, packed_json_text, render_packed
 from .report import CheckReport
 from .schubert import schubert
 
@@ -94,12 +96,22 @@ def _read_stdin_poly(stdin, nvars: int | None) -> Poly:
     return Poly.parse_text(text, nvars if text == "0" else None)
 
 
+class PackedPoly(NamedTuple):
+    """A packed polynomial in JSON output; it is written as its
+    packed_json_obj, through polycore.packed_json_text."""
+
+    layout: GradedLayout
+    terms: dict[int, int]
+
+
 def _json_text(obj, indent: str = "") -> str:
-    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it.
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, with
+    each PackedPoly in it written as its packed_json_obj.
 
     Dict keys must be str; indent is the indent of the line obj starts on.
     With indent set, the stdlib runs its pure-Python encoder, which costs
-    more than most calls' mathematics.
+    more than most calls' mathematics.  A PackedPoly's text is written
+    for the top level and indented with one replace.
     """
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -111,6 +123,9 @@ def _json_text(obj, indent: str = "") -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
+    if type(obj) is PackedPoly:
+        text = packed_json_text(obj.layout, obj.terms)
+        return text.replace("\n", "\n" + indent) if indent else text
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(obj, dict):
@@ -134,7 +149,9 @@ def _json_text(obj, indent: str = "") -> str:
 
 
 def _emit_json(obj, out) -> None:
-    out.write(_json_text(obj) + "\n")
+    # two writes: a + would copy the whole text once more
+    out.write(_json_text(obj))
+    out.write("\n")
 
 
 def _add_fgl_flags(p: argparse.ArgumentParser) -> None:
@@ -228,7 +245,7 @@ def _cmd_poly(args, out, stdin) -> int:
         )
     layout, terms = schubert(OperatorContext(_spec_of(args), n), word)
     if args.json:
-        _emit_json(packed_json_obj(layout, terms), out)
+        _emit_json(PackedPoly(layout, terms), out)
     else:
         out.write(render_packed(layout, terms) + "\n")
     return 0
@@ -241,7 +258,7 @@ def _cmd_reduce(args, out, stdin) -> int:
         raise PolyError(f"--n {n} does not match the input's {f.nvars} variables")
     layout, (g,) = reduce_polys([f], n)
     if args.json:
-        _emit_json(packed_json_obj(layout, g), out)
+        _emit_json(PackedPoly(layout, g), out)
     else:
         out.write(render_packed(layout, g) + "\n")
     return 0
@@ -263,7 +280,7 @@ def _cmd_expand(args, out, stdin) -> int:
     n = args.n if args.n is not None else f.nvars
     coords = expand_in_basis(f, basis, n)
     if args.json:
-        _emit_json({"coefficients": [c.to_json_obj() for c in coords]}, out)
+        _emit_json({"coefficients": [PackedPoly(*c.packed()) for c in coords]}, out)
     else:
         for i, c in enumerate(coords):
             out.write(f"[{i}] {c.render_text()}\n")
@@ -299,7 +316,7 @@ def _cmd_table(args, out, stdin) -> int:
     classes = grass_classes(GrassContext(2, 4, _spec_of(args)), GR24_ORDER)
     rows = [(key, class_words(2, 4)[key], terms) for key, terms in classes.items()]
     if args.json:
-        _emit_json([{"lam": list(key), "word": list(word), "poly": packed_json_obj(layout, terms)}
+        _emit_json([{"lam": list(key), "word": list(word), "poly": PackedPoly(layout, terms)}
                     for key, word, terms in rows], out)
     else:
         for (a, b), word, terms in rows:

@@ -20,10 +20,14 @@ the format the operators of ddo and the products and normal forms of
 coinv use.  So plain int order sorts a class, and a class computed on
 packed keys is printed without being unpacked.  One memo per layout,
 keyed by the whole packed key, holds the key's "*m1^a*m2^b*x[...]"
-text, so printing a term is a dict lookup.  A memo is emptied when it
-reaches _KEY_MEMO_MAX (16,384) entries and the memos of the last
-_LAYOUTS_KEPT (16) layouts are kept, so together they hold at most
-262,144 entries.
+text, so printing a term is a dict lookup.  JSON is written the same
+way, as json.dumps(obj, sort_keys=True, indent=2) would write it: two
+more memos per layout hold the text of a term's m part (keyed by the
+mu fields) and of its x part (keyed by the rest of the key), so a term
+is its coefficient and two lookups, and no per-term dict is built.  A
+memo is emptied when it reaches _KEY_MEMO_MAX (16,384) entries and the
+memos of the last _LAYOUTS_KEPT (16) layouts are kept, so the text
+memos hold at most 262,144 entries and all three 786,432.
 
 Instances are treated as immutable: operations return new objects and
 never mutate their arguments.
@@ -355,9 +359,13 @@ class Poly:
     # ------------------------------------------------------------------
     # rendering and parsing
 
-    def render_text(self) -> str:
+    def packed(self) -> tuple["GradedLayout", dict[int, int]]:
+        """The narrowest layout for self and self's terms packed in it."""
         layout = GradedLayout.fit(self, 0)
-        return render_packed(layout, layout.pack(self))
+        return layout, layout.pack(self)
+
+    def render_text(self) -> str:
+        return render_packed(*self.packed())
 
     def __repr__(self) -> str:
         return f"Poly({self.nvars}: {self.render_text()})"
@@ -393,8 +401,7 @@ class Poly:
         return cls(seen_nvars, terms)
 
     def to_json_obj(self) -> dict:
-        layout = GradedLayout.fit(self, 0)
-        return packed_json_obj(layout, layout.pack(self))
+        return packed_json_obj(*self.packed())
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
@@ -536,7 +543,10 @@ def short_product(a: dict[int, int], b: dict[int, int], limit: int) -> dict[int,
 # reduced words of S_5 hold 10,372 distinct keys in one layout; a mixed
 # session of small calls (`poly`, `reduce`, `expand`, `table`, `grprod`
 # at n <= 6) prints in 14 layouts, and with fewer kept it rebuilds
-# memos so often that the printer runs slower than with no memo.
+# memos so often that the printer runs slower than with no memo.  Each
+# layout has three memos (text, JSON mu, JSON x), so together they hold
+# at most 3 * 16 * 16,384 = 786,432 entries.  They fill lazily: a table
+# of every mu key of an m1^1048576 input would hold 1 << 42 entries.
 _KEY_MEMO_MAX = 16384
 _LAYOUTS_KEPT = 16
 
@@ -585,3 +595,36 @@ def packed_json_obj(layout: GradedLayout, terms: dict[int, int]) -> dict:
          "c": str(terms[k])}
         for k in sorted(terms)
     ]}
+
+
+@lru_cache(maxsize=_LAYOUTS_KEPT)
+def _json_memos(layout: GradedLayout) -> tuple[_KeyMemo, _KeyMemo]:
+    """The JSON memos of a layout, for a polynomial at the top level:
+    mu[key & mu mask] runs from the quote after a term's coefficient
+    to the "x" key, x[key >> 2*muwidth] is the x list and the term's
+    closing brace."""
+    shifts, xmask, mw, mumask = layout.fields
+    shifts = [s - 2 * mw for s in shifts]
+
+    def mu_text(mu: int) -> str:
+        return f'",\n      "mu": [\n        {mu >> mw},\n        {mu & mumask}\n      ],\n      "x": '
+
+    def x_text(xkey: int) -> str:
+        exps = ",\n        ".join([str(xkey >> s & xmask) for s in shifts])
+        return f"[\n        {exps}\n      ]\n    }}" if shifts else "[]\n    }"
+
+    return _KeyMemo(mu_text), _KeyMemo(x_text)
+
+
+def packed_json_text(layout: GradedLayout, terms: dict[int, int]) -> str:
+    """json.dumps(packed_json_obj(layout, terms), sort_keys=True, indent=2)."""
+    head = f'{{\n  "nvars": {layout.nvars},\n  "terms": ['
+    if not terms:
+        return head + "]\n}"
+    mu_text, x_text = _json_memos(layout)
+    top = 2 * layout.muwidth
+    mu_mask = (1 << top) - 1
+    body = ',\n    {\n      "c": "'.join(
+        [f"{terms[k]}{mu_text[k & mu_mask]}{x_text[k >> top]}" for k in sorted(terms)]
+    )
+    return f'{head}\n    {{\n      "c": "{body}\n  ]\n}}'

@@ -6,12 +6,13 @@ import io
 import json
 import sys
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schubfgl import cli
+from schubfgl import cli, polycore
 from schubfgl.cli import (
     MAX_ANY_WORD_RANK,
     MAX_BRAID_RANK,
@@ -24,7 +25,7 @@ from schubfgl.coinv import MAX_EXPAND_UNKNOWNS
 from schubfgl.ddo import OperatorContext
 from schubfgl.fgl import FglSpec
 from schubfgl.hecke import MAX_LOCAL_CAP
-from schubfgl.polycore import MAX_INPUT_DIGITS, Poly, packed_json_obj
+from schubfgl.polycore import MAX_INPUT_DIGITS, GradedLayout, Poly, packed_json_obj
 from schubfgl.report import CheckReport
 from schubfgl.schubert import schubert
 
@@ -1150,25 +1151,107 @@ def test_json_writer_matches_stdlib(obj):
     assert cli._json_text(obj) == _stdlib_json(obj)
 
 
+def _as_dicts(obj):
+    """obj with each PackedPoly in it replaced by its packed_json_obj."""
+    if isinstance(obj, cli.PackedPoly):
+        return packed_json_obj(*obj)
+    if isinstance(obj, dict):
+        return {k: _as_dicts(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_dicts(v) for v in obj]
+    return obj
+
+
 def test_json_writer_on_every_object_kind_the_cli_emits():
     hyperbolic = FglSpec("hyperbolic")
     report = cli.VERIFY_SUITES["fk"][1](hyperbolic, 3, None)[0]
-    poly = Poly.parse_text("3*x[1,0] + -1*m1^2*x[0,0]")
+    poly = cli.PackedPoly(*Poly.parse_text("3*x[1,0] + -1*m1^2*x[0,0]").packed())
     objs = [
-        packed_json_obj(*schubert(OperatorContext(hyperbolic, 3), (1, 2))),  # poly word
-        poly.to_json_obj(),  # reduce
-        Poly.zero(2).to_json_obj(),
-        {"coefficients": [poly.to_json_obj(), Poly.zero(0).to_json_obj()]},  # expand
+        cli.PackedPoly(*schubert(OperatorContext(hyperbolic, 3), (1, 2))),  # poly word
+        poly,  # reduce
+        cli.PackedPoly(*Poly.zero(2).packed()),
+        {"coefficients": [poly, cli.PackedPoly(*Poly.zero(0).packed())]},  # expand
         {"k": 2, "n": 4, "rect": [1, 1], "lambda": [2, 1], "result": None},  # grprod
         {"k": 2, "n": 4, "rect": [1, 1], "lambda": [1], "result": [2, 1]},
-        [{"lam": [2, 1], "word": [3, 1, 2], "poly": poly.to_json_obj()}],  # table
+        [{"lam": [2, 1], "word": [3, 1, 2], "poly": poly}],  # table
         {"passed": report.passed, "strict_literal": False, "reports": [report.to_json_obj()]},  # verify
     ]
     for obj in objs:
-        assert cli._json_text(obj) == _stdlib_json(obj)
+        assert cli._json_text(obj) == _stdlib_json(_as_dicts(obj))
     out = io.StringIO()
     cli._emit_json(objs[0], out)
-    assert out.getvalue() == _stdlib_json(objs[0]) + "\n"
+    assert out.getvalue() == _stdlib_json(_as_dicts(objs[0])) + "\n"
     for bad in ({"a": {1, 2}}, [object()]):
         with pytest.raises(TypeError):
             cli._json_text(bad)
+
+
+@st.composite
+def packed_polys(draw):
+    """A PackedPoly of 0 to 8 variables, in a layout whose fields may be
+    wider than its exponents need."""
+    n = draw(st.integers(0, 8))
+    exps = st.tuples(*[st.integers(0, 7)] * n)
+    mu = st.integers(0, 7) | st.integers(0, 2**20)
+    coeff = (st.integers(-10**30, 10**30) | st.integers(10**2999, 10**4000)
+             | st.integers(-10**4000, -10**2999))
+    f = Poly(n, draw(st.dictionaries(st.tuples(exps, st.tuples(mu, mu)), coeff, max_size=6)))
+    fit = GradedLayout.fit(f, 0)
+    layout = GradedLayout(n, fit.xwidth + draw(st.integers(0, 3)), fit.muwidth + draw(st.integers(0, 40)))
+    return cli.PackedPoly(layout, layout.pack(f))
+
+
+WIDE = GradedLayout(3, 2, 64)
+MANY_DIGITS = cli.PackedPoly(WIDE, WIDE.pack(Poly.monomial(3, (1, 0, 2), (2**40, 3), -(10**3000 + 1))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(packed_polys(), packed_polys())
+@example(cli.PackedPoly(GradedLayout(0, 1, 1), {}), cli.PackedPoly(GradedLayout(8, 1, 1), {}))
+@example(MANY_DIGITS, MANY_DIGITS)
+def test_packed_polys_are_written_as_their_json_objects(p, q):
+    nestings = [
+        p,  # poly word, reduce
+        [{"lam": [2, 1], "word": [3, 1, 2], "poly": p}, {"lam": [], "word": [], "poly": q}],  # table
+        {"coefficients": [p, q]},  # expand
+        # a report, with polynomials two levels deeper than any command puts one
+        {"passed": True, "reports": [{"cases": [{"detail": p, "ok": True}], "findings": [q]}]},
+    ]
+    with digit_cap(0):
+        for obj in nestings:
+            assert cli._json_text(obj) == _stdlib_json(_as_dicts(obj))
+            out = io.StringIO()
+            cli._emit_json(obj, out)
+            assert out.getvalue() == _stdlib_json(_as_dicts(obj)) + "\n"
+
+
+def _traced_peak(argv, stdin_text=None):
+    """(exit code, output, traced peak in bytes) of one in-process call."""
+    tracemalloc.start()
+    try:
+        code, text = run(argv, stdin_text)
+        return code, text, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_json_memos_fill_lazily():
+    # m1^1048576 takes 21-bit fields: a table of every mu key of the layout
+    # would hold 1 << 42 entries.  Traced peak here: 4 kB (Python 3.11).
+    f = "1*m1^1048576*x[1,0]"
+    assert run(["reduce", "--json"], "1*x[1,0]")[0] == 0  # parser and imports warm
+    polycore._json_memos.cache_clear()
+    code, text, peak = _traced_peak(["reduce", "--json"], f)
+    assert code == 0 and Poly.from_json(text) == Poly.parse_text(f)
+    assert peak < 1 << 20
+
+
+def test_a_5_mb_json_class_is_written_in_bounded_memory():
+    # the longest word of S_6: 32,746 terms.  Traced peak 17.0 MB (Python
+    # 3.11); building a dict per term and copying the text for the newline
+    # took 29.1 MB.
+    argv = ["poly", "word", "--n", "6", "--word", "1,2,1,3,2,1,4,3,2,1,5,4,3,2,1", "--json"]
+    warm = run(argv)  # the class is computed and kept in the word-class memo
+    code, text, peak = _traced_peak(argv)
+    assert (code, text) == warm and code == 0 and len(text) == 5_246_195
+    assert peak < 20_000_000

@@ -1,5 +1,6 @@
 """Core polynomial arithmetic against naive oracles and pinned examples."""
 
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from schubfgl.polycore import (
     Poly,
     PolyError,
     packed_json_obj,
+    packed_json_text,
     render_packed,
     short_product,
 )
@@ -308,6 +310,7 @@ def test_printer_matches_tuple_key_reference(f, extra_x, extra_mu):
     layout = GradedLayout(f.nvars, fit.xwidth + extra_x, fit.muwidth + extra_mu)
     assert render_packed(layout, layout.pack(f)) == text
     assert packed_json_obj(layout, layout.pack(f)) == obj
+    assert packed_json_text(layout, layout.pack(f)) == json.dumps(obj, sort_keys=True, indent=2)
     assert Poly.parse_text(text, f.nvars) == f
     assert Poly.from_json(f.to_json()) == f
 
@@ -318,6 +321,7 @@ def test_printer_memos_stay_bounded_and_correct(monkeypatch):
     bound = 8
     monkeypatch.setattr(polycore, "_KEY_MEMO_MAX", bound)
     polycore._key_memos.cache_clear()
+    polycore._json_memos.cache_clear()
     sizes = []
     missing = polycore._KeyMemo.__missing__
 
@@ -333,6 +337,8 @@ def test_printer_memos_stay_bounded_and_correct(monkeypatch):
         for layout in (GradedLayout(3, 3, 3), GradedLayout(3, 5, 2)):
             assert render_packed(layout, layout.pack(f)) == reference_render_text(f)
             assert packed_json_obj(layout, layout.pack(f)) == reference_json_obj(f)
+            assert packed_json_text(layout, layout.pack(f)) == json.dumps(
+                reference_json_obj(f), sort_keys=True, indent=2)
     assert sizes and max(sizes) == bound  # the bound was reached, never passed
 
 
