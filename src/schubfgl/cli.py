@@ -278,12 +278,12 @@ def _cmd_expand(args, out, stdin) -> int:
     basis = [Poly.from_json_obj(obj.get("poly", obj)) for obj in raw]
     f = _read_stdin_poly(stdin, args.n)
     n = args.n if args.n is not None else f.nvars
-    coords = expand_in_basis(f, basis, n)
+    layout, coords = expand_in_basis(f, basis, n)
     if args.json:
-        _emit_json({"coefficients": [PackedPoly(*c.packed()) for c in coords]}, out)
+        _emit_json({"coefficients": [PackedPoly(layout, c) for c in coords]}, out)
     else:
         for i, c in enumerate(coords):
-            out.write(f"[{i}] {c.render_text()}\n")
+            out.write(f"[{i}] {render_packed(layout, c)}\n")
     return 0
 
 

@@ -20,9 +20,10 @@ one key format of the package, which the operators of ddo and the
 printer use too, here in nf_layout's field widths.  A Poly enters once,
 through reduce_polys, and its normal form stays packed: reduce and
 table print it as it is, and expand_packed builds its columns on the
-same keys.  Monomial normal forms are kept in one memo per rank, keyed
-by a key's x-part and shared by all calls; all ranks together hold at
-most _NF_MEMO_MAX (262,144) entries plus one rewrite closure.
+same keys and returns its coefficients packed, in no variables.
+Monomial normal forms are kept in one memo per rank, keyed by a key's
+x-part and shared by all calls; all ranks together hold at most
+_NF_MEMO_MAX (262,144) entries plus one rewrite closure.
 Every rewrite is rank-bounded where it happens: above MAX_REWRITE_RANK
 a monomial that needs rewriting raises CapacityError, whichever caller
 asked.  Staircase monomials and monomials above the top degree need
@@ -270,9 +271,10 @@ def basis_degrees(degrees: list[int | None]) -> list[int]:
 def expand_packed(
     layout: GradedLayout, target: dict[int, int], tdeg: int,
     nfs: list[dict[int, int]], degs: list[int],
-) -> list[Poly]:
-    """target as an integral Z[m1, m2]-combination of nfs: one constant
-    Poly (zero variables) per element, its coefficient.
+) -> tuple[GradedLayout, list[dict[int, int]]]:
+    """target as an integral Z[m1, m2]-combination of nfs: the coefficient
+    of each element, packed in GradedLayout(0, xwidth, muwidth) of layout's
+    widths, where m1^a m2^b is the key a << muwidth | b.
 
     target and nfs are normal forms in layout, of graded degrees tdeg and
     degs; the grading pins down which m1^a m2^b may appear in each
@@ -284,26 +286,26 @@ def expand_packed(
     CapacityError, before any column is built, when there would be more
     than MAX_EXPAND_UNKNOWNS unknowns.
     """
+    coeff_layout = GradedLayout(0, layout.xwidth, layout.muwidth)
     if not target:
-        return [Poly.zero(0) for _ in nfs]
+        return coeff_layout, [{} for _ in nfs]
     count = sum((bdeg - tdeg) // 2 + 1 for bdeg in degs if bdeg >= tdeg)
     if count > MAX_EXPAND_UNKNOWNS:
         raise CapacityError(
             f"expansion needs {count} unknowns, above the bound of {MAX_EXPAND_UNKNOWNS}:"
             " the degree gap between the input and the basis is too large"
         )
-    # unknowns: one per basis element and admissible (a, b), none when the
-    # gap is negative
-    unknowns: list[tuple[int, int, int]] = []
+    # unknowns: one per basis element j and admissible m1^a m2^b, none
+    # when the gap is negative, as (j, key of m1^a m2^b)
+    unknowns: list[tuple[int, int]] = []
     columns: list[dict[int, int]] = []
     for j, (nf_b, bdeg) in enumerate(zip(nfs, degs)):
         if not nf_b:
             raise BasisDependenceError(f"basis element {j} vanishes modulo S")
         gap = bdeg - tdeg
         for b2 in range(gap // 2 + 1):
-            a = gap - 2 * b2
-            unknowns.append((j, a, b2))
-            shift = a << layout.muwidth | b2
+            shift = (gap - 2 * b2) << layout.muwidth | b2
+            unknowns.append((j, shift))
             columns.append({key + shift: c for key, c in nf_b.items()})
 
     # one row per key, the target in the augmented column
@@ -331,18 +333,19 @@ def expand_packed(
         if rem:
             raise NotInSpanError("no integral combination exists")
 
-    out: list[dict] = [{} for _ in nfs]
-    for (j, a, b2), v in zip(unknowns, sol):
+    out: list[dict[int, int]] = [{} for _ in nfs]
+    for (j, shift), v in zip(unknowns, sol):
         if v:
-            out[j][(), (a, b2)] = v
-    return [_mk(0, terms) for terms in out]
+            out[j][shift] = v
+    return coeff_layout, out
 
 
-def expand_in_basis(f: Poly, basis: list[Poly], n: int) -> list[Poly]:
+def expand_in_basis(f: Poly, basis: list[Poly], n: int) -> tuple[GradedLayout, list[dict[int, int]]]:
     """Write f modulo S as an integral Z[m1, m2]-combination of basis classes.
 
     f and every basis element must be graded-homogeneous.  All are reduced
-    into one layout and expanded by expand_packed.
+    into one layout and expanded by expand_packed, whose packed
+    coefficients this returns.
     """
     homog, fdeg = f.graded_degree()
     if not homog:

@@ -186,32 +186,20 @@ def apply_word(ctx: OperatorContext, word: Iterable[int], f: Poly) -> Poly:
     return GradedLayout.unpack(*apply_word_packed(ctx, word, f))
 
 
-def kappa_poly(ctx: OperatorContext) -> Poly:
-    return kappa_of(ctx.spec).inject_vars(ctx.nvars, ())
-
-
 # ----------------------------------------------------------------------
 # seeded randomized relation checks
 
-def random_poly(
-    rng: random.Random,
-    nvars: int,
-    terms: int = 4,
-    max_total_deg: int = 4,
-    coeff_lo: int = -3,
-    coeff_hi: int = 3,
-    max_mu: int = 1,
-) -> Poly:
-    """A small random polynomial: up to `terms` terms of total x-degree
-    at most 4 with coefficients in [-3, 3] and mu-exponents at most 1."""
+def random_poly(rng: random.Random, nvars: int) -> Poly:
+    """A small random polynomial: up to 4 terms of total x-degree at most
+    4 with coefficients in [-3, 3] and mu-exponents at most 1."""
     acc: dict = {}
-    for _ in range(terms):
-        d = rng.randint(0, max_total_deg)
+    for _ in range(4):
+        d = rng.randint(0, 4)
         exps = [0] * nvars
         for _ in range(d):
             exps[rng.randrange(nvars)] += 1
-        key = (tuple(exps), (rng.randint(0, max_mu), rng.randint(0, max_mu)))
-        acc[key] = acc.get(key, 0) + rng.randint(coeff_lo, coeff_hi)
+        key = (tuple(exps), (rng.randint(0, 1), rng.randint(0, 1)))
+        acc[key] = acc.get(key, 0) + rng.randint(-3, 3)
     return Poly(nvars, acc)
 
 
@@ -226,7 +214,9 @@ def relation_reports(ctx: OperatorContext, samples: int = 20, seed: int = 0) -> 
     naive relation holds, and in general its defect is the m2 correction.
     """
     n, label = ctx.nvars, ctx.spec.label()
-    mu2, kap = ctx.spec.mu2_poly(n), kappa_poly(ctx)
+    mu2 = ctx.spec.mu2_poly(n)
+    # kappa from the kernel's division (fgl.kappa_of), lifted to n variables
+    kap = Poly(n, {((0,) * n, mu): c for (_exps, mu), c in kappa_of(ctx.spec).terms.items()})
     rng = random.Random(seed)
     fs = [random_poly(rng, n) for _ in range(samples)]
     cs = [[apply_c(ctx, i, f) for i in range(1, n)] for f in fs]  # cs[s][i - 1] = C_i f

@@ -205,7 +205,7 @@ def smooth_class(ctx: GrassContext, r: RectangleClass) -> dict[int, int]:
     chi = formal_inverse(ctx.spec, top)
     e = [{0: 1}] + [{}] * r.b  # e_j of the dual roots met so far; {0: 1} is 1
     for v in range(k + 1, n + 1):
-        y = layout.pack(chi.inject_vars(n, (v,)), top)
+        y = layout.pack(chi, top, (v,))
         for j in range(min(r.b, v - k), 0, -1):
             step = dict(y) if j == 1 else short_product(e[j - 1], y, cut)
             for key, c in e[j].items():

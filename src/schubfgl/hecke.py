@@ -396,7 +396,7 @@ def verify_local_identities(spec: FglSpec, n: int, cap: int) -> CheckReport:
     (2) and (3) hold modulo the deletion ideal, which the element
     representation applies automatically.  chi and F(x, chi(y)) are
     the closed forms of fgl, taken once per report in one and two
-    variables and relabelled for each i.
+    variables and packed at x_i, x_{i+1} for each i.
     """
     _check_spec(spec)
     _check_rank(n)
@@ -416,7 +416,7 @@ def verify_local_identities(spec: FglSpec, n: int, cap: int) -> CheckReport:
     f_chi = chi_difference(spec, W)
     for i in range(1, n):
         xi1 = layout.pack(Poly.variable(n, i + 1))
-        chi_i1 = layout.pack(chi.inject_vars(n, (i + 1,)))
+        chi_i1 = layout.pack(chi, at=(i + 1,))
         chi_factor = hecke_times_factor(one, i, chi_i1)
         lhs0 = hecke_times_factor(hecke_times_factor(one, i, xi1), i, chi_i1)
         rep.add(f"(0) i={i}", heckes_equal(lhs0.truncate(cap), one))
@@ -425,9 +425,9 @@ def verify_local_identities(spec: FglSpec, n: int, cap: int) -> CheckReport:
         rhs1 = hecke_times_factor(alpha_factor(layout, i, xi1, spec), i, chi_i1)
         rep.add(f"(1) i={i}", heckes_equal(lhs1.truncate(cap), rhs1.truncate(cap)))
 
-        lhs2 = hecke_times_factor(one, i, layout.pack(chi.inject_vars(n, (i,))))
+        lhs2 = hecke_times_factor(one, i, layout.pack(chi, at=(i,)))
         rhs2 = hecke_times_factor(
-            hecke_times_factor(one, i, layout.pack(f_chi.inject_vars(n, (i + 1, i)))), i, chi_i1
+            hecke_times_factor(one, i, layout.pack(f_chi, at=(i + 1, i))), i, chi_i1
         )
         rep.add(f"(2) i={i}", heckes_equal(lhs2.truncate(cap), rhs2.truncate(cap)))
 

@@ -25,9 +25,10 @@ way, as json.dumps(obj, sort_keys=True, indent=2) would write it: two
 more memos per layout hold the text of a term's m part (keyed by the
 mu fields) and of its x part (keyed by the rest of the key), so a term
 is its coefficient and two lookups, and no per-term dict is built.  A
-memo is emptied when it reaches _KEY_MEMO_MAX (16,384) entries and the
-memos of the last _LAYOUTS_KEPT (16) layouts are kept, so the text
-memos hold at most 262,144 entries and all three 786,432.
+memo stores the text of its first _KEY_MEMO_MAX (16,384) keys and
+builds that of any later key on each use, and the memos of the last
+_LAYOUTS_KEPT (16) layouts are kept, so the text memos hold at most
+262,144 entries and all three 786,432.
 
 Instances are treated as immutable: operations return new objects and
 never mutate their arguments.
@@ -145,10 +146,6 @@ class Poly:
         return _mk(nvars, {})
 
     @classmethod
-    def one(cls, nvars: int) -> "Poly":
-        return _mk(nvars, {((0,) * nvars, MU_ZERO): 1})
-
-    @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
         """x_i, with i in [1, nvars]."""
         if not 1 <= i <= nvars:
@@ -263,29 +260,6 @@ class Poly:
                 exps = tuple(le)
             out[(exps, mu)] = c
         return _mk(self.nvars, out)
-
-    def inject_vars(self, nvars: int, positions: Iterable[int]) -> "Poly":
-        """Relabel variables: source variable t goes to x_{positions[t-1]}.
-
-        Positions may repeat, which identifies variables.
-        """
-        pos = tuple(positions)
-        if len(pos) != self.nvars:
-            raise PolyError("positions must name a target for every variable")
-        if any(not 1 <= p <= nvars for p in pos):
-            raise PolyError(f"target positions {pos} out of range [1, {nvars}]")
-        out: dict[TermKey, int] = {}
-        for (exps, mu), c in self.terms.items():
-            ne = [0] * nvars
-            for t, e in enumerate(exps):
-                ne[pos[t] - 1] += e
-            key = (tuple(ne), mu)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return _mk(nvars, out)
 
     # ------------------------------------------------------------------
     # degree filtration
@@ -475,18 +449,29 @@ class GradedLayout(NamedTuple):
         shifts = [self.x_shift(v) for v in range(1, self.nvars + 1)]
         return shifts, (1 << self.xwidth) - 1, mw, (1 << mw) - 1
 
-    def pack(self, f: Poly, cap: int | None = None) -> dict[int, int]:
+    def pack(self, f: Poly, cap: int | None = None, at: tuple[int, ...] | None = None) -> dict[int, int]:
         """f's terms, or those of x-degree at most cap, which the x fields
-        must then hold; every exponent must fit its field."""
+        must then hold; every exponent must fit its field.  f's variable t
+        becomes x_t, or x_{at[t-1]} when at names a distinct target for each."""
         xw, mw = self.xwidth, self.muwidth
-        if f.nvars != self.nvars or (cap is not None and cap >> xw > 0):
-            raise PolyError(f"{f.nvars} variables through x-degree {cap} do not fit {self}")
+        terms = f.terms
+        if at is not None:
+            # distinct targets in range: all of them are in the intersection
+            if len(at) != f.nvars or len(set(at).intersection(range(1, self.nvars + 1))) < f.nvars:
+                raise PolyError(f"{f.nvars} variables do not go to distinct x_v at {at} in {self}")
+            # x_v takes the exponent of f's variable at.index(v), or the 0 appended
+            order = [at.index(v) if v in at else f.nvars for v in range(1, self.nvars + 1)]
+            terms = {(tuple([(*exps, 0)[t] for t in order]), mu): c for (exps, mu), c in terms.items()}
+        elif f.nvars != self.nvars:
+            raise PolyError(f"{f.nvars} variables do not fit {self}")
         if cap is None:
-            if any(max(exps, default=0) >> xw for exps, _mu in f.terms):
+            if any(max(exps, default=0) >> xw for exps, _mu in terms):
                 raise PolyError(f"x exponent above the fields of {self}")
             cap = self.nvars << xw  # above every degree the x fields hold
+        elif cap >> xw > 0:
+            raise PolyError(f"x-degree {cap} does not fit {self}")
         out = {}
-        for (exps, (m1, m2)), c in f.terms.items():
+        for (exps, (m1, m2)), c in terms.items():
             key = sum(exps)
             if key <= cap:
                 if (m1 | m2) >> mw:
@@ -542,8 +527,8 @@ def short_product(a: dict[int, int], b: dict[int, int], limit: int) -> dict[int,
 # Bounds of the printer's memos.  The hyperbolic classes of all 3,061
 # reduced words of S_5 hold 10,372 distinct keys in one layout; a mixed
 # session of small calls (`poly`, `reduce`, `expand`, `table`, `grprod`
-# at n <= 6) prints in 14 layouts, and with fewer kept it rebuilds
-# memos so often that the printer runs slower than with no memo.  Each
+# at n <= 6) printed in 14 layouts, and with fewer kept it rebuilt
+# memos so often that the printer ran slower than with no memo.  Each
 # layout has three memos (text, JSON mu, JSON x), so together they hold
 # at most 3 * 16 * 16,384 = 786,432 entries.  They fill lazily: a table
 # of every mu key of an m1^1048576 input would hold 1 << 42 entries.
@@ -552,7 +537,8 @@ _LAYOUTS_KEPT = 16
 
 
 class _KeyMemo(dict):
-    """key -> build(key), emptied wholesale when it holds _KEY_MEMO_MAX entries."""
+    """key -> build(key), stored for the first _KEY_MEMO_MAX keys and
+    built anew for every later one."""
 
     __slots__ = ("build",)
 
@@ -561,9 +547,9 @@ class _KeyMemo(dict):
         self.build = build
 
     def __missing__(self, key):
-        if len(self) >= _KEY_MEMO_MAX:
-            self.clear()
-        value = self[key] = self.build(key)
+        value = self.build(key)
+        if len(self) < _KEY_MEMO_MAX:
+            self[key] = value
         return value
 
 

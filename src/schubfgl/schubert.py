@@ -101,10 +101,6 @@ class _ClassMemo:
         self.entries: OrderedDict = OrderedDict()
         self.nbytes = 0
 
-    def clear(self) -> None:
-        self.entries.clear()
-        self.nbytes = 0
-
     def resume(self, keys: list) -> tuple[int, dict[int, int] | None]:
         """(k, class of keys[k - 1]) for the largest k whose key is held, or (0, None)."""
         for k in range(len(keys), 0, -1):

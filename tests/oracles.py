@@ -86,10 +86,9 @@ from schubfgl.ddo import (
     apply_c,
     apply_delta,
     apply_word,
-    kappa_poly,
     random_poly,
 )
-from schubfgl.fgl import FglSpec, diff_kernel, formal_inverse
+from schubfgl.fgl import FglSpec, diff_kernel, formal_inverse, kappa_of
 from schubfgl.grass import GrassContext, RectangleClass, smooth_product
 from schubfgl.hecke import MAX_ENUM_RANK
 from schubfgl.polycore import MU_ZERO, GradedLayout, Poly, PolyError
@@ -130,6 +129,45 @@ def constant(nvars: int, c: int, mu: tuple[int, int] = MU_ZERO) -> Poly:
     return Poly.monomial(nvars, (0,) * nvars, mu, c)
 
 
+def inject_vars(f: Poly, nvars: int, positions) -> Poly:
+    """f relabelled into nvars variables: its variable t becomes
+    x_{positions[t-1]}.  Positions may repeat, which identifies variables."""
+    pos = tuple(positions)
+    if len(pos) != f.nvars or any(not 1 <= p <= nvars for p in pos):
+        raise PolyError(f"positions {pos} do not place {f.nvars} variables among {nvars}")
+    out: dict = {}
+    for (exps, mu), c in f.terms.items():
+        moved = [0] * nvars
+        for p, e in zip(pos, exps):
+            moved[p - 1] += e
+        key = (tuple(moved), mu)
+        out[key] = out.get(key, 0) + c
+    return Poly(nvars, out)
+
+
+def sample_poly(
+    rng: random.Random, nvars: int, terms: int = 4, max_total_deg: int = 4, max_mu: int = 1
+) -> Poly:
+    """A random polynomial of up to `terms` terms of total x-degree at most
+    max_total_deg, coefficients in [-3, 3] and mu-exponents at most max_mu.
+    With the defaults it draws what schubfgl.ddo.random_poly draws."""
+    acc: dict = {}
+    for _ in range(terms):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, max_total_deg)):
+            exps[rng.randrange(nvars)] += 1
+        key = (tuple(exps), (rng.randint(0, max_mu), rng.randint(0, max_mu)))
+        acc[key] = acc.get(key, 0) + rng.randint(-3, 3)
+    return Poly(nvars, acc)
+
+
+def expanded(f: Poly, basis: list[Poly], n: int) -> list[Poly]:
+    """The coefficients of `schubfgl.coinv.expand_in_basis`, unpacked to
+    Polys in zero variables."""
+    layout, coeffs = expand_in_basis(f, basis, n)
+    return [layout.unpack(c) for c in coeffs]
+
+
 def mul_mu(f: Poly, a: int, b: int) -> Poly:
     """f times m1^a m2^b."""
     return f * constant(f.nvars, 1, (a, b))
@@ -155,7 +193,7 @@ def naive_mul(f: Poly, g: Poly) -> Poly:
 
 def vandermonde_product(n: int) -> Poly:
     """The product of (x_i - x_j) over i < j, one factor at a time."""
-    out = Poly.one(n)
+    out = constant(n, 1)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             out = naive_mul(out, Poly.variable(n, i) - Poly.variable(n, j))
@@ -216,7 +254,7 @@ def classical_ddiff(f: Poly, i: int) -> Poly:
 
 def _kernel_at(spec: FglSpec, nvars: int, i: int, swapped: bool) -> Poly:
     pos = (i + 1, i) if swapped else (i, i + 1)
-    return diff_kernel(spec).inject_vars(nvars, pos)
+    return inject_vars(diff_kernel(spec), nvars, pos)
 
 
 def division_apply_c(spec: FglSpec, i: int, f: Poly) -> Poly:
@@ -600,12 +638,12 @@ def hecke_scale(e: dict, g: Poly) -> dict:
 
 def hecke_u(n: int, i: int) -> dict:
     """The generator u_i."""
-    return {word_to_perm((i,), n): Poly.one(n)}
+    return {word_to_perm((i,), n): constant(n, 1)}
 
 
 def hecke_unit(n: int) -> dict:
     """The unit u_e."""
-    return {Permutation.identity(n): Poly.one(n)}
+    return {Permutation.identity(n): constant(n, 1)}
 
 
 def demazure_mul(e: dict, f: dict, spec: FglSpec) -> dict:
@@ -703,7 +741,7 @@ def fgl_sum_series(spec: FglSpec, cap: int) -> Poly:
 def generic_formal_inverse(cap: int) -> Poly:
     """chi(x) = -x/(1 - m1*x) through degree cap, m1 symbolic: -x times
     the inverted unit 1 - m1*x."""
-    unit = Poly.one(1) - Poly.monomial(1, (1,), (1, 0))
+    unit = constant(1, 1) - Poly.monomial(1, (1,), (1, 0))
     return (-Poly.variable(1, 1) * series_invert_unit(unit, cap)).truncate(cap)
 
 
@@ -736,8 +774,8 @@ def _subst_second_var(f: Poly, g: Poly, cap: int) -> Poly:
         raise PolyError("substitution expects a 2-variable target and 1-variable series")
     if any(not any(exps) for (exps, _mu) in g.terms):
         raise PolyError("substituted series must have zero constant term")
-    g2 = g.inject_vars(2, (2,))
-    powers: dict[int, Poly] = {0: Poly.one(2)}
+    g2 = inject_vars(g, 2, (2,))
+    powers: dict[int, Poly] = {0: constant(2, 1)}
     out = Poly.zero(2)
     for (exps, mu), c in f.terms.items():
         i, j = exps
@@ -767,7 +805,7 @@ def inverse_series_check(spec: FglSpec, cap: int) -> bool:
     F = fgl_sum_series(spec, cap)
     chi = formal_inverse(spec, cap)
     two_var = _subst_second_var(F, chi, cap)
-    collapsed = two_var.inject_vars(1, (1, 1)).truncate(cap)
+    collapsed = inject_vars(two_var, 1, (1, 1)).truncate(cap)
     return not collapsed
 
 
@@ -791,11 +829,11 @@ def expansion_rule_cross_check(
             rule = smooth_product(ctx, r, lam)
             product = normal_form(smooth_nf * lam_nf, ctx.n)
             expected = [
-                Poly.one(0) if rule is not None and mu.parts == rule.parts else Poly.zero(0)
+                constant(0, 1 if rule is not None and mu.parts == rule.parts else 0)
                 for mu in order
             ]
             try:
-                coeffs = expand_in_basis(product, basis, ctx.n)
+                coeffs = expanded(product, basis, ctx.n)
             except NotInSpanError:
                 ok = False
             else:
@@ -838,10 +876,10 @@ def dual_root_monomial(k: int, n: int, power: int, spec: FglSpec) -> Poly:
     Polys through the top staircase degree and reduced once."""
     top = n * (n - 1) // 2
     chi = formal_inverse(spec, top)
-    f = Poly.one(n)
+    f = constant(n, 1)
     for v in range(k + 1, n + 1):
         for _ in range(power):
-            f = (f * chi.inject_vars(n, (v,))).truncate(top)
+            f = (f * inject_vars(chi, n, (v,))).truncate(top)
     return normal_form(f, n)
 
 
@@ -855,7 +893,7 @@ def gr24_smooth_poly(r: RectangleClass, spec: FglSpec) -> Poly:
     r.validate(2, 4)
     key = (r.a, r.b)
     if key == (2, 2):
-        return Poly.one(4)
+        return constant(4, 1)
     if key == (2, 1):
         return Poly.monomial(4, (1, 1, 0, 0))
     if key == (1, 2):
@@ -960,7 +998,7 @@ def delta_identity_check(
     """D_i f = kappa f - C_i f on samples."""
     _check_index(ctx, i)
     rep = CheckReport(f"delta-identity[{ctx.spec.label()},n={ctx.nvars},i={i}]")
-    kap = kappa_poly(ctx)
+    kap = inject_vars(kappa_of(ctx.spec), ctx.nvars, ())
     rng = random.Random(seed)
     for s in range(samples):
         f = random_poly(rng, ctx.nvars)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from schubfgl.coinv import expand_in_basis, vandermonde_check
+from schubfgl.coinv import vandermonde_check
 from schubfgl.combi import BoxPartition
 from schubfgl.ddo import OperatorContext, relation_reports
 from schubfgl.fgl import (
@@ -48,6 +48,7 @@ from oracles import (
     constant,
     diff_kernel_series_check,
     equals_mod_s,
+    expanded,
     gr24_smooth_poly,
     gr24_word,
     normal_form,
@@ -97,7 +98,7 @@ def _displayed_gr24_table() -> dict:
         - x(4, (2, 1, 0, 0), (0, 1))
         - x(4, (1, 2, 0, 0), (0, 1))
         - x(4, (2, 2, 0, 0), (1, 1)),
-        (2, 2): Poly.one(4)
+        (2, 2): constant(4, 1)
         - x(4, (2, 0, 0, 0), (0, 1))
         - 2 * x(4, (1, 1, 0, 0), (0, 1))
         - x(4, (0, 2, 0, 0), (0, 1))
@@ -121,12 +122,12 @@ def test_criterion_02_line_class_square():
         ctx = OperatorContext(HYPERBOLIC, 4)
         lg21 = schubert_polynomial(ctx, class_words(2, 4)[(2, 1)])
         classes = grass_classes(GrassContext(2, 4, HYPERBOLIC), GR24_ORDER)
-        coeffs = expand_in_basis(lg21 * lg21, [class_layout(4).unpack(nf) for nf in classes.values()], 4)
+        coeffs = expanded(lg21 * lg21, [class_layout(4).unpack(nf) for nf in classes.values()], 4)
     expected = [
         Poly.zero(0),
         constant(0, -1, (1, 0)),
-        Poly.one(0),
-        Poly.one(0),
+        constant(0, 1),
+        constant(0, 1),
         Poly.zero(0),
         Poly.zero(0),
     ]
@@ -251,9 +252,9 @@ def test_criterion_11_structural_invariants():
         for n in (2, 3, 4):
             basis = [Poly.monomial(n, e) for e in staircase_monomials(n)]
             for j, b in enumerate(basis):
-                coeffs = expand_in_basis(b, basis, n)
+                coeffs = expanded(b, basis, n)
                 assert all(
-                    c == (Poly.one(0) if k == j else Poly.zero(0))
+                    c == (constant(0, 1) if k == j else Poly.zero(0))
                     for k, c in enumerate(coeffs)
                 )
         for spec in ALL_SPECS:

@@ -29,7 +29,7 @@ from schubfgl.polycore import MAX_INPUT_DIGITS, GradedLayout, Poly, packed_json_
 from schubfgl.report import CheckReport
 from schubfgl.schubert import schubert
 
-from oracles import all_permutations, division_apply_c, reduced_words, s5_word_sample
+from oracles import all_permutations, constant, division_apply_c, reduced_words, s5_word_sample
 
 
 def run(argv, stdin_text=None):
@@ -124,7 +124,7 @@ def test_expand_with_basis_file(tmp_path):
 def test_expand_variable_count_mismatch_exits_2(tmp_path, capsys):
     # the basis is read first: its element names the count it lacks
     basis = tmp_path / "basis.json"
-    basis.write_text(json.dumps([Poly.one(3).to_json_obj()]))
+    basis.write_text(json.dumps([constant(3, 1).to_json_obj()]))
     for argv, stdin, n, got in (
         ([], "1*x[1,0,0,0]", 4, 3),
         (["--n", "3"], "1*x[1,0,0,0]", 3, 4),
@@ -841,7 +841,7 @@ def test_capacity_bounds_exit_2(tmp_path, capsys):
     code, out = run(["reduce"], stdin_text="1*x[0,0,0,0,0,0,0,29] + 3*x[7,6,5,4,3,2,1,0]")
     assert (code, out) == (0, "3*x[7,6,5,4,3,2,1,0]\n")
     basis = tmp_path / "basis.json"
-    basis.write_text(json.dumps([Poly.one(8).to_json_obj()]))
+    basis.write_text(json.dumps([constant(8, 1).to_json_obj()]))
     code, _ = run(["expand", "--basis", str(basis)], stdin_text="1*x[0,0,0,0,0,0,0,1]")
     assert code == 2
     assert "limited to rank 7" in capsys.readouterr().err

@@ -21,17 +21,20 @@ from schubfgl.coinv import (
     vandermonde_poly,
 )
 from schubfgl.combi import CapacityError
-from schubfgl.ddo import OperatorContext, random_poly
+from schubfgl.ddo import OperatorContext
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE
 from schubfgl.polycore import Poly, PolyError
 
 from oracles import (
     constant,
     equals_mod_s,
+    expanded,
+    inject_vars,
     mul_mu,
     nf_linear_oracle,
     normal_form,
     rewrite_normal_form,
+    sample_poly,
     schubert_polynomial,
     staircase_monomials,
     vandermonde_product,
@@ -69,7 +72,7 @@ def test_normal_form_matches_linear_algebra_oracle():
     rng = random.Random(7)
     for n in (2, 3):
         for _ in range(12):
-            f = random_poly(rng, n, terms=5, max_total_deg=4, max_mu=1)
+            f = sample_poly(rng, n, terms=5, max_total_deg=4, max_mu=1)
             assert normal_form(f, n) == nf_linear_oracle(f, n)
 
 
@@ -77,7 +80,7 @@ def test_normal_form_idempotent_and_staircase_supported():
     rng = random.Random(11)
     for n in (2, 3, 4):
         for _ in range(8):
-            f = random_poly(rng, n, terms=6, max_total_deg=5)
+            f = sample_poly(rng, n, terms=6, max_total_deg=5)
             nf = normal_form(f, n)
             assert normal_form(nf, n) == nf
             for (exps, _mu) in nf.terms:
@@ -90,8 +93,8 @@ def test_normal_form_respects_ring_structure():
     rng = random.Random(13)
     for n in (2, 3):
         for _ in range(8):
-            f = random_poly(rng, n, terms=4, max_total_deg=3)
-            g = random_poly(rng, n, terms=4, max_total_deg=3)
+            f = sample_poly(rng, n, terms=4, max_total_deg=3)
+            g = sample_poly(rng, n, terms=4, max_total_deg=3)
             assert normal_form(f + g, n) == normal_form(f, n) + normal_form(g, n)
             lhs = normal_form(f * g, n)
             rhs = normal_form(normal_form(f, n) * normal_form(g, n), n)
@@ -111,7 +114,7 @@ def test_symmetric_multiples_vanish():
     for n in (2, 3):
         sym = _elementary(n, 1) + _elementary(n, n)
         for _ in range(6):
-            g = random_poly(rng, n, terms=4, max_total_deg=3)
+            g = sample_poly(rng, n, terms=4, max_total_deg=3)
             assert not normal_form(sym * g, n)
 
 
@@ -126,7 +129,7 @@ def test_equals_mod_s():
 
 def test_normal_form_wrong_arity():
     with pytest.raises(PolyError):
-        normal_form(Poly.one(2), 3)
+        normal_form(constant(2, 1), 3)
 
 
 def test_staircase_monomials():
@@ -142,19 +145,21 @@ def test_expand_in_basis_identity():
     n = 3
     basis = [Poly.monomial(n, e) for e in staircase_monomials(n)]
     for j, b in enumerate(basis):
-        coeffs = expand_in_basis(b, basis, n)
+        coeffs = expanded(b, basis, n)
         for k, c in enumerate(coeffs):
-            assert c == (Poly.one(0) if k == j else Poly.zero(0))
+            assert c == (constant(0, 1) if k == j else Poly.zero(0))
 
 
 def test_expand_in_basis_mu_coefficients():
     # a degree gap of one forces a single factor of m1
     n = 3
-    basis = [Poly.one(n), Poly.variable(n, 1)]
-    f = Poly.one(n) - Poly.monomial(n, (1, 0, 0), (1, 0))
-    coeffs = expand_in_basis(f, basis, n)
-    assert coeffs[0] == Poly.one(0)
-    assert coeffs[1] == constant(0, -1, (1, 0))
+    basis = [constant(n, 1), Poly.variable(n, 1)]
+    f = constant(n, 1) - Poly.monomial(n, (1, 0, 0), (1, 0))
+    layout, coeffs = expand_in_basis(f, basis, n)
+    # m1^a m2^b is the key a << muwidth | b of a layout in no variables
+    assert layout.nvars == 0
+    assert coeffs == [{0: 1}, {1 << layout.muwidth: -1}]
+    assert [layout.unpack(c) for c in coeffs] == [constant(0, 1), constant(0, -1, (1, 0))]
 
 
 def test_expand_in_basis_reassembles():
@@ -163,7 +168,7 @@ def test_expand_in_basis_reassembles():
     basis = [Poly.monomial(n, e) for e in staircase_monomials(n)]
     parts = []
     for _ in range(6):
-        f = random_poly(rng, n, terms=5, max_total_deg=3, max_mu=0)
+        f = sample_poly(rng, n, terms=5, max_total_deg=3, max_mu=0)
         by_deg: dict = {}
         for (exps, mu), c in f.terms.items():
             d = sum(exps) - mu[0] - 2 * mu[1]
@@ -181,10 +186,9 @@ def test_expand_in_basis_reassembles():
                 terms[exps, (a, b2)] = rng.choice((-2, -1, 1, 3))
             parts.append(Poly(n, terms))
     for part in parts:
-        coeffs = expand_in_basis(part, basis, n)
         acc = Poly.zero(n)
-        for b, c in zip(basis, coeffs):
-            acc = acc + b * c.inject_vars(n, ())
+        for b, c in zip(basis, expanded(part, basis, n)):
+            acc = acc + b * inject_vars(c, n, ())
         assert equals_mod_s(acc, part, n)
 
 
@@ -202,10 +206,10 @@ def test_expand_in_basis_errors():
             Poly.variable(n, 1), [Poly.variable(n, 1), Poly.variable(n, 1)], n
         )
     with pytest.raises(BasisDependenceError):
-        expand_in_basis(Poly.one(2), [_elementary(2, 1)], 2)
+        expand_in_basis(constant(2, 1), [_elementary(2, 1)], 2)
     with pytest.raises(PolyError):
         expand_in_basis(
-            Poly.one(n) + Poly.variable(n, 1), [Poly.one(n)], n
+            constant(n, 1) + Poly.variable(n, 1), [constant(n, 1)], n
         )
 
 
@@ -223,7 +227,7 @@ def test_vandermonde_poly_is_the_product():
     # empty product below rank 2 is one
     for n in range(7):
         assert vandermonde_poly(n) == vandermonde_product(n)
-    assert vandermonde_poly(0) == Poly.one(0) and vandermonde_poly(1) == Poly.one(1)
+    assert vandermonde_poly(0) == constant(0, 1) and vandermonde_poly(1) == constant(1, 1)
 
 
 @pytest.fixture
@@ -372,7 +376,7 @@ def test_every_rewrite_is_rank_bounded():
     for call in (
         lambda: normal_form(x8, n),
         lambda: equals_mod_s(x8, Poly.zero(n), n),
-        lambda: expand_in_basis(x8, [Poly.one(n)], n),
+        lambda: expand_in_basis(x8, [constant(n, 1)], n),
     ):
         with pytest.raises(CapacityError, match=f"limited to rank {MAX_REWRITE_RANK}, got {n}"):
             call()
@@ -408,7 +412,7 @@ def test_memo_stays_bounded_and_correct(monkeypatch):
     rng = random.Random(23)
     for n in (1, 2, 3):
         for _ in range(10):
-            f = random_poly(rng, n, terms=5, max_total_deg=4, max_mu=1)
+            f = sample_poly(rng, n, terms=5, max_total_deg=4, max_mu=1)
             assert normal_form(f, n) == nf_linear_oracle(f, n)
     assert sizes and all(size <= bound + closure for size, closure in sizes)
     assert max(size for size, _ in sizes) > bound  # the bound was reached

@@ -12,11 +12,10 @@ from schubfgl.ddo import (
     apply_c,
     apply_delta,
     apply_word,
-    kappa_poly,
     random_poly,
     relation_reports,
 )
-from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec, diff_kernel
+from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec, diff_kernel, kappa_of
 from schubfgl.polycore import GradedLayout, Poly, PolyError
 
 from oracles import (
@@ -24,9 +23,11 @@ from oracles import (
     constant,
     division_apply_c,
     division_apply_delta,
+    inject_vars,
     naive_mul,
     relation_oracle_reports,
     relation_report,
+    sample_poly,
 )
 
 ALL = (ADDITIVE, MULTIPLICATIVE, HYPERBOLIC, LORENTZ)
@@ -35,8 +36,8 @@ ALL = (ADDITIVE, MULTIPLICATIVE, HYPERBOLIC, LORENTZ)
 def test_apply_c_pinned():
     ctx2 = OperatorContext(HYPERBOLIC, 2)
     got = apply_c(ctx2, 1, Poly.variable(2, 1))
-    assert got == Poly.one(2) - Poly.monomial(2, (1, 1), (0, 1))
-    assert apply_c(OperatorContext(ADDITIVE, 2), 1, Poly.variable(2, 1)) == Poly.one(2)
+    assert got == constant(2, 1) - Poly.monomial(2, (1, 1), (0, 1))
+    assert apply_c(OperatorContext(ADDITIVE, 2), 1, Poly.variable(2, 1)) == constant(2, 1)
     ctx3 = OperatorContext(HYPERBOLIC, 3)
     got3 = apply_c(ctx3, 1, Poly.monomial(3, (2, 1, 0)))
     assert got3 == Poly.monomial(3, (1, 1, 0)) - Poly.monomial(3, (2, 2, 0), (0, 1))
@@ -46,12 +47,12 @@ def test_apply_delta_pinned():
     ctx = OperatorContext(HYPERBOLIC, 2)
     got = apply_delta(ctx, 1, Poly.variable(2, 1))
     expected = (
-        -Poly.one(2)
+        -constant(2, 1)
         + Poly.monomial(2, (1, 0), (1, 0))
         + Poly.monomial(2, (1, 1), (0, 1))
     )
     assert got == expected
-    assert apply_delta(OperatorContext(ADDITIVE, 2), 1, Poly.variable(2, 1)) == -Poly.one(2)
+    assert apply_delta(OperatorContext(ADDITIVE, 2), 1, Poly.variable(2, 1)) == -constant(2, 1)
 
 
 def test_delta_kills_symmetric():
@@ -82,7 +83,7 @@ def test_general_c_matches_kernel_oracle():
         for _ in range(15):
             f = random_poly(rng, 3)
             i = rng.randint(1, 2)
-            pi = p.inject_vars(3, (i, i + 1))
+            pi = inject_vars(p, 3, (i, i + 1))
             assert apply_c(ctx, i, f) == classical_ddiff(naive_mul(pi, f), i)
 
 
@@ -133,17 +134,11 @@ def test_apply_word_first_letter_innermost():
 def test_index_validation():
     ctx = OperatorContext(HYPERBOLIC, 3)
     with pytest.raises(PolyError):
-        apply_c(ctx, 0, Poly.one(3))
+        apply_c(ctx, 0, constant(3, 1))
     with pytest.raises(PolyError):
-        apply_c(ctx, 3, Poly.one(3))
+        apply_c(ctx, 3, constant(3, 1))
     with pytest.raises(PolyError):
         OperatorContext(HYPERBOLIC, 1)
-
-
-def test_kappa_poly_matches_table():
-    assert not kappa_poly(OperatorContext(ADDITIVE, 3))
-    assert not kappa_poly(OperatorContext(LORENTZ, 3))
-    assert kappa_poly(OperatorContext(HYPERBOLIC, 3)) == constant(3, 1, (1, 0))
 
 
 def test_delta_identity_sampled_all_specs():
@@ -274,7 +269,8 @@ def test_delta_is_kappa_minus_c(case):
     # true by construction
     spec, nvars, i, f = case
     ctx = OperatorContext(spec, nvars)
-    assert apply_delta(ctx, i, f) == kappa_poly(ctx) * f - apply_c(ctx, i, f)
+    kappa = inject_vars(kappa_of(spec), nvars, ())
+    assert apply_delta(ctx, i, f) == kappa * f - apply_c(ctx, i, f)
 
 
 def test_equal_exponent_monomials():
@@ -341,7 +337,7 @@ def test_layout_width_covers_input_and_letters():
         with pytest.raises(PolyError):
             narrow.pack(f)
     with pytest.raises(PolyError):
-        layout.pack(Poly.one(2))
+        layout.pack(constant(2, 1))
     # C_1 takes m1^255 x_2 to -m1^255 + m1^256 (x_1 + x_2): the one letter
     # needs the ninth bit
     g = Poly.monomial(2, (0, 1), (255, 0))
@@ -360,7 +356,7 @@ def test_one_row_per_law_and_exponent_pair():
             for i in range(1, n):
                 for _ in range(3):
                     # m1-free, so that one letter's m1 fits the narrowest layout
-                    f = random_poly(rng, n, terms=5, max_total_deg=5, max_mu=0)
+                    f = sample_poly(rng, n, terms=5, max_total_deg=5, max_mu=0)
                     narrow = GradedLayout.fit(f, 0)
                     for layout in (narrow, GradedLayout(n, narrow.xwidth + 5, narrow.muwidth + 2)):
                         for row_of, oracle in builders:

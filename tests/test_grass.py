@@ -33,6 +33,7 @@ from schubfgl.polycore import Poly
 from schubfgl.ddo import OperatorContext
 
 from oracles import (
+    constant,
     GR24_WORDS,
     class_representative,
     dual_root_monomial,
@@ -196,7 +197,7 @@ def test_gr24_basis_table():
         - mu(2, 1, 0, 0, m=(0, 1))
         - mu(1, 2, 0, 0, m=(0, 1))
         - mu(2, 2, 0, 0, m=(1, 1)),
-        (2, 2): Poly.one(4)
+        (2, 2): constant(4, 1)
         - mu(2, 0, 0, 0, m=(0, 1))
         - 2 * mu(1, 1, 0, 0, m=(0, 1))
         - mu(0, 2, 0, 0, m=(0, 1))
@@ -215,7 +216,7 @@ def test_gr24_basis_table():
 
 def test_gr24_smooth_polys():
     ctx = GrassContext(2, 4, HYPERBOLIC)
-    assert _smooth_poly(ctx, RectangleClass(2, 2)) == Poly.one(4)
+    assert _smooth_poly(ctx, RectangleClass(2, 2)) == constant(4, 1)
     assert _smooth_poly(ctx, RectangleClass(2, 1)) == Poly.monomial(4, (1, 1, 0, 0))
     line = _smooth_poly(ctx, RectangleClass(1, 1))
     assert equals_mod_s(line, Poly.monomial(4, (2, 1, 0, 0)) + Poly.monomial(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from schubfgl import ddo, hecke, schubert
 from schubfgl.coinv import top_staircase_class
 from schubfgl.combi import CapacityError, Permutation, canonical_word, word_to_perm
-from schubfgl.ddo import OperatorContext, apply_word, random_poly
+from schubfgl.ddo import OperatorContext, apply_word
 from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE, FglSpec
 from schubfgl.hecke import (
     MAX_ENUM_RANK,
@@ -45,6 +45,7 @@ from oracles import (
     hecke_u,
     hecke_unit,
     ideal_delete,
+    sample_poly,
     specialize,
     window_delete,
     word_class_verdicts,
@@ -86,9 +87,8 @@ def c_calls(monkeypatch):
 
     monkeypatch.setattr(ddo, "_apply_letter", counting)
     monkeypatch.setattr(schubert, "_apply_letter", counting)
-    schubert._MEMO.clear()
-    yield calls
-    schubert._MEMO.clear()
+    monkeypatch.setattr(schubert, "_MEMO", schubert._ClassMemo())
+    return calls
 
 
 def times_word(e, word):
@@ -137,7 +137,7 @@ def _random_elem(rng: random.Random, n: int) -> dict:
     perms = all_permutations(n)
     coeffs = {}
     for w in rng.sample(perms, 3):
-        coeffs[w] = random_poly(rng, n, terms=3, max_total_deg=3, max_mu=1)
+        coeffs[w] = sample_poly(rng, n, terms=3, max_total_deg=3, max_mu=1)
     return hecke_add({}, coeffs)
 
 

@@ -23,10 +23,12 @@ from schubfgl.fgl import FglSpec
 
 from oracles import (
     constant,
+    inject_vars,
     mul_mu,
     naive_mul,
     reference_json_obj,
     reference_render_text,
+    sample_poly,
     series_invert_unit,
     specialize,
 )
@@ -48,7 +50,7 @@ def test_add_inverse_and_merge():
 def test_mul_pinned():
     # (x_1 - x_2)(1 - m2 x_1 x_2)
     f = Poly.variable(4, 1) - Poly.variable(4, 2)
-    g = Poly.one(4) - Poly.monomial(4, (1, 1, 0, 0), (0, 1))
+    g = constant(4, 1) - Poly.monomial(4, (1, 1, 0, 0), (0, 1))
     prod = f * g
     expected = (
         Poly.variable(4, 1)
@@ -120,9 +122,9 @@ def test_short_product_is_truncated_product(case):
 
 def test_short_product_pinned_and_at_the_field_edge():
     # (1 + x_1 + x_1 x_2)(1 - x_2) through degree 1; x_1 x_2 - x_1 x_2 cancels at degree 2
-    f = Poly.one(2) + Poly.variable(2, 1) + Poly.monomial(2, (1, 1))
-    g = Poly.one(2) - Poly.variable(2, 2)
-    assert _short(f, g, 1) == _short(f, g, 2) == Poly.one(2) + Poly.variable(2, 1) - Poly.variable(2, 2)
+    f = constant(2, 1) + Poly.variable(2, 1) + Poly.monomial(2, (1, 1))
+    g = constant(2, 1) - Poly.variable(2, 2)
+    assert _short(f, g, 1) == _short(f, g, 2) == constant(2, 1) + Poly.variable(2, 1) - Poly.variable(2, 2)
     assert _short(f, g, 3) == f * g
     # cap 3 in 2-bit x fields and 1-bit mu fields: x_1^3 fills its field,
     # and the degree-4 pairs carry out of theirs (x_1^2 x_1^2 with m1 m2,
@@ -166,9 +168,9 @@ def test_sigma_involution_and_homomorphism():
 
 def test_div_diff_pinned_and_multiply_back():
     x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
-    assert (x1 - x2).div_diff(1) == Poly.one(2)
+    assert (x1 - x2).div_diff(1) == constant(2, 1)
     assert (x1 * x1 - x2 * x2).div_diff(1) == x1 + x2
-    base = x1 * x2 * (Poly.one(2) - Poly.monomial(2, (1, 1), (0, 1)))
+    base = x1 * x2 * (constant(2, 1) - Poly.monomial(2, (1, 1), (0, 1)))
     f = base * (x1 - x2)
     assert f.div_diff(1) == base
     rng = random.Random(7)
@@ -182,23 +184,23 @@ def test_div_diff_pinned_and_multiply_back():
 
 def test_div_diff_failure_on_remainder():
     with pytest.raises(DivisionFailure):
-        Poly.one(2).div_diff(1)
+        constant(2, 1).div_diff(1)
 
 
 def test_series_invert_unit_pinned():
-    f = Poly.one(1) - Poly.monomial(1, (1,), (1, 0))
+    f = constant(1, 1) - Poly.monomial(1, (1,), (1, 0))
     inv = series_invert_unit(f, 3)
     expected = (
-        Poly.one(1)
+        constant(1, 1)
         + Poly.monomial(1, (1,), (1, 0))
         + Poly.monomial(1, (2,), (2, 0))
         + Poly.monomial(1, (3,), (3, 0))
     )
     assert inv == expected
-    assert series_invert_unit(Poly.one(3), 5) == Poly.one(3)
-    g = Poly.one(2) - Poly.monomial(2, (0, 1), (1, 0)) - Poly.monomial(2, (1, 1), (0, 1))
+    assert series_invert_unit(constant(3, 1), 5) == constant(3, 1)
+    g = constant(2, 1) - Poly.monomial(2, (0, 1), (1, 0)) - Poly.monomial(2, (1, 1), (0, 1))
     expected2 = (
-        Poly.one(2)
+        constant(2, 1)
         + Poly.monomial(2, (0, 1), (1, 0))
         + Poly.monomial(2, (0, 2), (2, 0))
         + Poly.monomial(2, (1, 1), (0, 1))
@@ -209,12 +211,12 @@ def test_series_invert_unit_pinned():
 def test_series_invert_unit_random_roundtrip():
     rng = random.Random(13)
     for _ in range(20):
-        tail = random_poly(rng, 2, terms=3).truncate(3)
+        tail = sample_poly(rng, 2, terms=3).truncate(3)
         # strip the x-degree-0 slice so the constant term is exactly a unit
         tail = Poly(2, {k: c for k, c in tail.terms.items() if sum(k[0]) > 0})
         f = constant(2, rng.choice((1, -1))) + tail
         inv = series_invert_unit(f, 6)
-        assert (f * inv).truncate(6) == Poly.one(2)
+        assert (f * inv).truncate(6) == constant(2, 1)
     with pytest.raises(PolyError):
         series_invert_unit(Poly.variable(2, 1), 4)
 
@@ -222,7 +224,7 @@ def test_series_invert_unit_random_roundtrip():
 def test_graded_degree():
     assert Poly.monomial(4, (2, 2, 0, 0)).graded_degree() == (True, 4)
     # 1 - m2 (x_1 + x_2)^2 + m1^2 m2 x_1^2 x_2^2 is homogeneous of degree 0
-    s = Poly.one(4)
+    s = constant(4, 1)
     xsum = Poly.variable(4, 1) + Poly.variable(4, 2)
     s = s - mul_mu(xsum * xsum, 0, 1) + Poly.monomial(4, (2, 2, 0, 0), (2, 1))
     assert s.graded_degree() == (True, 0)
@@ -244,26 +246,61 @@ def test_homogeneity_preserved_by_mul_and_sigma():
 def test_truncate_idempotent():
     rng = random.Random(17)
     for _ in range(15):
-        f = random_poly(rng, 3, terms=6, max_total_deg=6)
+        f = sample_poly(rng, 3, terms=6, max_total_deg=6)
         cap = rng.randint(0, 5)
         assert f.truncate(cap).truncate(cap) == f.truncate(cap)
         assert all(sum(xe) <= cap for (xe, _m) in f.truncate(cap).terms)
 
 
-def test_inject_and_extend_vars():
-    f = Poly.variable(2, 1) * Poly.variable(2, 2)
-    g = f.inject_vars(4, (3, 4))
-    assert g == Poly.monomial(4, (0, 0, 1, 1))
-    assert f.inject_vars(3, (1, 2)).nvars == 3
-    assert f.inject_vars(3, (1, 2)).terms.get(((1, 1, 0), (0, 0)), 0) == 1
-    # a polynomial in no variables, such as the kernel constant, extends by ()
-    assert constant(0, 2, (1, 0)).inject_vars(3, ()) == constant(3, 2, (1, 0))
+@st.composite
+def placements(draw):
+    """(f in 1-3 variables, distinct targets among n, n, cap or None)."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, min(3, n)))
+    at = tuple(draw(st.permutations(range(1, n + 1)))[:m])
+    term = st.tuples(st.tuples(*[st.integers(0, 5)] * m), st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    f = Poly(m, draw(st.dictionaries(term, st.integers(-4, 4), max_size=6)))
+    return f, at, n, draw(st.none() | st.integers(0, 7))
+
+
+X1X2 = Poly.monomial(2, (1, 1))
+
+
+@PROPERTY
+@given(placements())
+@example((X1X2, (3, 4), 4, None))
+@example((X1X2, (1, 2), 3, None))
+@example((X1X2, (2, 1), 3, 1))
+# a polynomial in no variables, such as the kernel constant, is placed by ()
+@example((constant(0, 2, (1, 0)), (), 3, None))
+def test_pack_at_places_like_the_relabel_oracle(case):
+    f, at, n, cap = case
+    # 3-bit x fields hold every exponent and cap drawn, 2-bit mu fields every mu
+    layout = GradedLayout(n, 3, 2)
+    assert layout.pack(f, cap, at) == layout.pack(inject_vars(f, n, at), cap)
+
+
+def test_pack_at_pinned_and_rejected():
+    layout = GradedLayout(4, 2, 1)
+    assert layout.pack(X1X2, at=(3, 4)) == layout.pack(Poly.monomial(4, (0, 0, 1, 1)))
+    assert layout.pack(constant(0, 1), at=()) == layout.pack(constant(4, 1)) == {0: 1}
+    # a repeated target, one out of range, the wrong count
+    for at in ((2, 2), (0, 1), (4, 5), (1,), (1, 2, 3)):
+        with pytest.raises(PolyError):
+            layout.pack(X1X2, at=at)
+    # an exponent, a cap or an m1 exponent above its field
+    with pytest.raises(PolyError):
+        layout.pack(Poly.monomial(2, (4, 0)), at=(1, 2))
+    with pytest.raises(PolyError):
+        layout.pack(X1X2, 4, (1, 2))
+    with pytest.raises(PolyError):
+        layout.pack(Poly.monomial(2, (1, 0), (2, 0)), at=(1, 2))
 
 
 def test_text_roundtrip_and_canonical_order():
     rng = random.Random(23)
     for _ in range(25):
-        f = random_poly(rng, 4, terms=6)
+        f = sample_poly(rng, 4, terms=6)
         assert Poly.parse_text(f.render_text(), 4) == f
         assert f.render_text() == f.render_text()
     sample = Poly.monomial(4, (2, 2, 0, 0), (2, 1), -1)
@@ -273,7 +310,7 @@ def test_text_roundtrip_and_canonical_order():
 def test_json_roundtrip():
     rng = random.Random(29)
     for _ in range(25):
-        f = random_poly(rng, 3, terms=6)
+        f = sample_poly(rng, 3, terms=6)
         assert Poly.from_json(f.to_json()) == f
     big = constant(2, 10**30)
     obj = big.to_json_obj()
@@ -316,8 +353,8 @@ def test_printer_matches_tuple_key_reference(f, extra_x, extra_mu):
 
 
 def test_printer_memos_stay_bounded_and_correct(monkeypatch):
-    # the memos are kept per layout and emptied when full: two layouts at
-    # one rank share no entry, and a key seen again after a clear is rebuilt
+    # the memos are kept per layout and stop storing when full: two layouts
+    # at one rank share no entry, and a key past the bound is built anew
     bound = 8
     monkeypatch.setattr(polycore, "_KEY_MEMO_MAX", bound)
     polycore._key_memos.cache_clear()
@@ -333,13 +370,38 @@ def test_printer_memos_stay_bounded_and_correct(monkeypatch):
     monkeypatch.setattr(polycore._KeyMemo, "__missing__", recording)
     rng = random.Random(31)
     for _ in range(30):
-        f = random_poly(rng, 3, terms=12, max_total_deg=5, max_mu=2)
+        f = sample_poly(rng, 3, terms=12, max_total_deg=5, max_mu=2)
         for layout in (GradedLayout(3, 3, 3), GradedLayout(3, 5, 2)):
             assert render_packed(layout, layout.pack(f)) == reference_render_text(f)
             assert packed_json_obj(layout, layout.pack(f)) == reference_json_obj(f)
             assert packed_json_text(layout, layout.pack(f)) == json.dumps(
                 reference_json_obj(f), sort_keys=True, indent=2)
     assert sizes and max(sizes) == bound  # the bound was reached, never passed
+
+
+def test_printer_memo_past_its_bound_builds_only_the_overflow(monkeypatch):
+    # a class with more distinct keys than the bound prints again building
+    # only the keys past the bound, in text and in JSON (one mu part, so the
+    # JSON x memo sees every key)
+    bound, size = 8, 20
+    monkeypatch.setattr(polycore, "_KEY_MEMO_MAX", bound)
+    polycore._key_memos.cache_clear()
+    polycore._json_memos.cache_clear()
+    built = []
+    missing = polycore._KeyMemo.__missing__
+
+    def recording(memo, key):
+        built.append(key)
+        return missing(memo, key)
+
+    monkeypatch.setattr(polycore._KeyMemo, "__missing__", recording)
+    f = Poly(1, {((e,), (0, 0)): e + 1 for e in range(size)})
+    layout, terms = f.packed()
+    for write in (render_packed, packed_json_text):
+        first = write(layout, terms)
+        del built[:]
+        assert write(layout, terms) == first
+        assert len(built) <= size - bound
 
 
 def test_bool_and_non_int_input_rejected():

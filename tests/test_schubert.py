@@ -24,6 +24,7 @@ from oracles import (
     CLASSICAL_SCHUBERT_S3,
     all_permutations,
     commutation_classes,
+    constant,
     grothendieck_polynomial,
     ideal_delete,
     normal_form,
@@ -47,7 +48,7 @@ def test_initial_class():
 def test_word_class_pinned_n2():
     ctx = OperatorContext(HYPERBOLIC, 2)
     got = schubert_polynomial(ctx, (1,))
-    assert got == Poly.one(2) - Poly.monomial(2, (1, 1), (0, 1))
+    assert got == constant(2, 1) - Poly.monomial(2, (1, 1), (0, 1))
     assert schubert_polynomial(ctx, ()) == top_staircase_class(2)
 
 
@@ -154,8 +155,8 @@ def test_grothendieck_word_independent_and_mu2_zeroed():
 def test_smooth_monomial():
     assert smooth_monomial(2, 4, rows=1) == Poly.monomial(4, (0, 0, 1, 1))
     assert smooth_monomial(2, 4, cols=1) == Poly.monomial(4, (1, 1, 0, 0))
-    assert smooth_monomial(2, 4, rows=2) == Poly.one(4)
-    assert smooth_monomial(3, 5, cols=2) == Poly.zero(5) + Poly.one(5)
+    assert smooth_monomial(2, 4, rows=2) == constant(4, 1)
+    assert smooth_monomial(3, 5, cols=2) == Poly.zero(5) + constant(5, 1)
     with pytest.raises(ValueError):
         smooth_monomial(2, 4, rows=1, cols=1)
     with pytest.raises(ValueError):
@@ -175,11 +176,14 @@ def _words(n):
 
 
 @pytest.fixture
-def memo():
-    """The module's memo, empty before and after the test."""
-    word_classes._MEMO.clear()
-    yield word_classes._MEMO
-    word_classes._MEMO.clear()
+def fresh_memo(monkeypatch):
+    """fresh_memo() puts an empty memo in the module for the rest of the
+    test and returns it; the module gets its own memo back after the test."""
+    def fresh():
+        monkeypatch.setattr(word_classes, "_MEMO", word_classes._ClassMemo())
+        return word_classes._MEMO
+
+    return fresh
 
 
 @pytest.fixture
@@ -215,7 +219,8 @@ def test_heap_keys_are_the_commutation_classes():
 MEMO_LAWS = (ADDITIVE, MULTIPLICATIVE, HYPERBOLIC, LORENTZ, FglSpec("hyperbolic", mu1=2, mu2=-3))
 
 
-def test_warm_memo_gives_the_classes_of_a_cleared_one(memo, letters):
+def test_warm_memo_gives_the_classes_of_a_cleared_one(fresh_memo, letters):
+    fresh_memo()
     # one warm pass over every law and rank, so that entries of other
     # laws and ranks sit beside each lookup
     warm = {}
@@ -230,21 +235,23 @@ def test_warm_memo_gives_the_classes_of_a_cleared_one(memo, letters):
             # every heap of a nonempty prefix is computed once
             assert len(letters) == len(heaps)
     for (spec, n, word), got in warm.items():
-        memo.clear()
+        fresh_memo()
         assert schubert(OperatorContext(spec, n), word) == got
 
 
-def test_warm_memo_on_the_s5_sample(memo):
+def test_warm_memo_on_the_s5_sample(fresh_memo):
+    memo = fresh_memo()
     ctx = OperatorContext(HYPERBOLIC, 5)
     sample = s5_word_sample()
     warm = [schubert(ctx, word) for word in sample]
     assert memo.entries
     for word, got in zip(sample, warm):
-        memo.clear()
+        fresh_memo()
         assert schubert(ctx, word) == got
 
 
-def test_memo_bound_and_typecodes(memo, letters):
+def test_memo_bound_and_typecodes(fresh_memo, letters):
+    memo = fresh_memo()
     ctx = OperatorContext(HYPERBOLIC, 5)
     words = _words(5)
     for word in words:
@@ -265,7 +272,8 @@ def test_memo_bound_and_typecodes(memo, letters):
     assert letters == []
 
 
-def test_memo_drops_the_least_recently_resumed_entry(memo, monkeypatch):
+def test_memo_drops_the_least_recently_resumed_entry(fresh_memo, monkeypatch):
+    memo = fresh_memo()
     ctx = OperatorContext(HYPERBOLIC, 4)
     words = {"a": (1,), "b": (2,), "c": (3,), "d": (3, 2)}
     key = {name: (HYPERBOLIC, 4, heap_keys(word)[-1]) for name, word in words.items()}
@@ -274,7 +282,7 @@ def test_memo_drops_the_least_recently_resumed_entry(memo, monkeypatch):
     size = {name: memo.entries[key[name]][2] for name in words}
     bound = max(size["a"] + size["b"] + size["c"], size["a"] + size["c"] + size["d"])
     monkeypatch.setattr(word_classes, "_MEMO_BYTES", bound)
-    memo.clear()
+    memo = fresh_memo()
     for name in "abc":
         schubert(ctx, words[name])
     # a full hit on a, stored first, makes b the least recently resumed;
@@ -286,13 +294,13 @@ def test_memo_drops_the_least_recently_resumed_entry(memo, monkeypatch):
 
 
 @pytest.mark.parametrize("law", ["additive", "multiplicative", "hyperbolic", "lorentz"])
-def test_poly_word_bytes_from_a_warm_memo(memo, letters, law):
+def test_poly_word_bytes_from_a_warm_memo(fresh_memo, letters, law):
     # a class read from the memo prints the bytes of one just computed
     for word in s5_word_sample()[::10]:
         for fmt in ([], ["--json"]):
             argv = ["poly", "word", "--n", "5", "--word", ",".join(map(str, word)),
                     "--fgl", law, *fmt]
-            memo.clear()
+            fresh_memo()
             cold = io.StringIO()
             assert main(argv, out=cold) == 0
             del letters[:]
@@ -301,13 +309,13 @@ def test_poly_word_bytes_from_a_warm_memo(memo, letters, law):
             assert letters == [] and warm.getvalue() == cold.getvalue()
 
 
-def test_memo_keeps_no_class_above_the_bound(memo, monkeypatch):
+def test_memo_keeps_no_class_above_the_bound(fresh_memo, monkeypatch):
     monkeypatch.setattr(word_classes, "_MEMO_BYTES", 2048)
     ctx = OperatorContext(HYPERBOLIC, 5)
     longest = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)
     stored = []
     for k in range(1, len(longest) + 1):
-        memo.clear()
+        memo = fresh_memo()
         _layout, cls = schubert(ctx, longest[:k])
         size = sys.getsizeof(array("i", list(cls))) + sys.getsizeof(array("b", list(cls.values())))
         assert ((HYPERBOLIC, 5, heap_keys(longest)[k - 1]) in memo.entries) == (size <= 2048)
@@ -316,7 +324,8 @@ def test_memo_keeps_no_class_above_the_bound(memo, monkeypatch):
     assert any(stored) and not all(stored)
 
 
-def test_memo_typecode_limits(memo):
+def test_memo_typecode_limits(fresh_memo):
+    memo = fresh_memo()
     layout = word_class_layout(3)
     for c, code in ((-128, "b"), (128, "h"), (-(2**31), "i"), (2**31, "q"), (-(2**63), "q")):
         memo.put(c, layout, {1: c})
@@ -325,10 +334,11 @@ def test_memo_typecode_limits(memo):
     assert "wide" not in memo.entries
 
 
-def test_words_are_checked_whatever_the_memo_holds(memo):
+def test_words_are_checked_whatever_the_memo_holds(fresh_memo):
     # a full hit skips the check: the memo holds only heaps of reduced
     # words, so a word that is not reduced or has a letter out of range
     # never finds its own heap there, even beside stored prefixes
+    fresh_memo()
     ctx = OperatorContext(HYPERBOLIC, 4)
     for word in _words(4):
         schubert(ctx, word)
@@ -350,9 +360,10 @@ def test_word_class_layout_in_closed_form():
             GradedLayout.fit(Poly.zero(n), letters).muwidth)
 
 
-def test_s5_word_class_keys_fit_one_digit(memo):
+def test_s5_word_class_keys_fit_one_digit(fresh_memo):
     # every hyperbolic class of S_5 has keys below 2^30, one CPython digit,
     # and the memo holds them in 32-bit arrays
+    memo = fresh_memo()
     ctx = OperatorContext(HYPERBOLIC, 5)
     for word in _words(5):
         layout, cls = schubert(ctx, word)
@@ -361,9 +372,10 @@ def test_s5_word_class_keys_fit_one_digit(memo):
             assert memo.entries[(HYPERBOLIC, 5, heap_keys(word)[-1])][0].typecode == "i"
 
 
-def test_rank_100_word_is_computed_and_not_stored(memo):
+def test_rank_100_word_is_computed_and_not_stored(fresh_memo):
     # keys of 100 7-bit x fields exceed 63 bits; pinned at the layout that
     # sized the fields by the word's own 7 letters
+    memo = fresh_memo()
     out = io.StringIO()
     assert main(["poly", "word", "--n", "100", "--word", "1,2,3,4,5,6,7"], out=out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
