@@ -25,7 +25,7 @@ import json
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .coinv import (
     NotInSpanError,
@@ -53,7 +53,7 @@ from .hecke import (
     verify_local_identities,
     verify_ybe,
 )
-from .polycore import GradedLayout, Poly, PolyError, check_digits, packed_json_text, render_packed
+from .polycore import GradedLayout, Poly, PolyError, check_digits, packed_json_text, render_packed, term_order
 from .report import CheckReport
 from .schubert import schubert
 
@@ -97,11 +97,12 @@ def _read_stdin_poly(stdin, nvars: int | None) -> Poly:
 
 
 class PackedPoly(NamedTuple):
-    """A packed polynomial in JSON output; it is written as its
-    packed_json_obj, through polycore.packed_json_text."""
+    """A packed polynomial in JSON output, in term order; it is written as
+    its packed_json_obj, through polycore.packed_json_text."""
 
     layout: GradedLayout
-    terms: dict[int, int]
+    keys: Sequence[int]
+    coeffs: Sequence[int]
 
 
 def _json_text(obj, indent: str = "") -> str:
@@ -124,7 +125,7 @@ def _json_text(obj, indent: str = "") -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if type(obj) is PackedPoly:
-        text = packed_json_text(obj.layout, obj.terms)
+        text = packed_json_text(*obj)
         return text.replace("\n", "\n" + indent) if indent else text
     inner = indent + "  "
     sep = ",\n" + inner
@@ -243,11 +244,11 @@ def _cmd_poly(args, out, stdin) -> int:
             f"above rank {MAX_ANY_WORD_RANK} poly word is limited to words of "
             f"{MAX_SHORT_WORD} letters, got {len(word)} at rank {n}"
         )
-    layout, terms = schubert(OperatorContext(_spec_of(args), n), word)
+    cls = schubert(OperatorContext(_spec_of(args), n), word)
     if args.json:
-        _emit_json(PackedPoly(layout, terms), out)
+        _emit_json(PackedPoly(*cls), out)
     else:
-        out.write(render_packed(layout, terms) + "\n")
+        out.write(render_packed(*cls) + "\n")
     return 0
 
 
@@ -258,9 +259,9 @@ def _cmd_reduce(args, out, stdin) -> int:
         raise PolyError(f"--n {n} does not match the input's {f.nvars} variables")
     layout, (g,) = reduce_polys([f], n)
     if args.json:
-        _emit_json(PackedPoly(layout, g), out)
+        _emit_json(PackedPoly(layout, *term_order(g)), out)
     else:
-        out.write(render_packed(layout, g) + "\n")
+        out.write(render_packed(layout, *term_order(g)) + "\n")
     return 0
 
 
@@ -280,10 +281,10 @@ def _cmd_expand(args, out, stdin) -> int:
     n = args.n if args.n is not None else f.nvars
     layout, coords = expand_in_basis(f, basis, n)
     if args.json:
-        _emit_json({"coefficients": [PackedPoly(layout, c) for c in coords]}, out)
+        _emit_json({"coefficients": [PackedPoly(layout, *term_order(c)) for c in coords]}, out)
     else:
         for i, c in enumerate(coords):
-            out.write(f"[{i}] {render_packed(layout, c)}\n")
+            out.write(f"[{i}] {render_packed(layout, *term_order(c))}\n")
     return 0
 
 
@@ -314,14 +315,14 @@ def _cmd_grprod(args, out, stdin) -> int:
 def _cmd_table(args, out, stdin) -> int:
     layout = class_layout(4)
     classes = grass_classes(GrassContext(2, 4, _spec_of(args)), GR24_ORDER)
-    rows = [(key, class_words(2, 4)[key], terms) for key, terms in classes.items()]
+    rows = [(key, class_words(2, 4)[key], term_order(terms)) for key, terms in classes.items()]
     if args.json:
-        _emit_json([{"lam": list(key), "word": list(word), "poly": PackedPoly(layout, terms)}
+        _emit_json([{"lam": list(key), "word": list(word), "poly": PackedPoly(layout, *terms)}
                     for key, word, terms in rows], out)
     else:
         for (a, b), word, terms in rows:
             word_txt = ",".join(map(str, word))
-            out.write(f"lam={a},{b} word=({word_txt}) {render_packed(layout, terms)}\n")
+            out.write(f"lam={a},{b} word=({word_txt}) {render_packed(layout, *terms)}\n")
     return 0
 
 

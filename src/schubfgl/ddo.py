@@ -128,19 +128,19 @@ def _row(row_of, spec: FglSpec, a: int, b: int) -> tuple:
 
 
 def _apply_letter(
-    spec: FglSpec, layout: GradedLayout, i: int, terms: dict[int, int], row_of=_c_row
+    spec: FglSpec, layout: GradedLayout, i: int, terms: Iterable[tuple[int, int]], row_of=_c_row
 ) -> dict[int, int]:
-    """One operator on packed terms, C_i by default: every term's key plus
-    each key delta of its row.  A key's x_{i+1} and x_i fields, x_{i+1}
-    above, pick the row, shifted into this layout's fields once per pair;
-    the delta moves the degree field by the row's change of x-degree."""
+    """One operator on packed (key, coefficient) pairs, C_i by default:
+    every key plus each key delta of its row.  A key's x_{i+1} and x_i
+    fields, x_{i+1} above, pick the row, shifted into this layout's fields
+    once per pair, and each delta moves the degree field too."""
     xw, mw, deg = layout.xwidth, layout.muwidth, layout.deg_shift
     lo, hi = layout.x_shift(i), layout.x_shift(i + 1)
     xmask, pair_mask = (1 << xw) - 1, (1 << 2 * xw) - 1
     rows: dict[int, tuple] = {}
     out: dict[int, int] = {}
     get = out.get
-    for key, c in terms.items():
+    for key, c in terms:
         ba = key >> lo & pair_mask
         row = rows.get(ba)
         if row is None:
@@ -167,7 +167,7 @@ def apply_word_packed(
     layout = GradedLayout.fit(f, len(word))
     terms = layout.pack(f)
     for i in word:
-        terms = _apply_letter(ctx.spec, layout, i, terms, row_of)
+        terms = _apply_letter(ctx.spec, layout, i, terms.items(), row_of)
     return layout, terms
 
 

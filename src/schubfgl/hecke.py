@@ -243,7 +243,7 @@ def big_product_s(n: int, spec: FglSpec) -> HeckeElem:
 def _apply_delta_elem(e: HeckeElem, i: int) -> HeckeElem:
     """-D_i applied to the packed terms of every coefficient of e."""
     return _mk_elem(e.layout, e.spec, {
-        w: {k: -c for k, c in _apply_letter(e.spec, e.layout, i, t, _d_row).items()}
+        w: {k: -c for k, c in _apply_letter(e.spec, e.layout, i, t.items(), _d_row).items()}
         for w, t in e.coeffs.items()
     })
 
@@ -286,7 +286,8 @@ def _word_class_cases(
         heap = heaps[-1] if word else ()
         verdicts = by_heap.get(heap)
         if verdicts is None:
-            layout, diff = schubert(ctx, word, heaps)
+            layout, keys, coeffs = schubert(ctx, word, heaps)
+            diff = dict(zip(keys, coeffs))  # the memo's arrays stay as they are
             if oneline not in per_w:
                 w = Permutation(oneline)
                 per_w[oneline] = reference(w), support_of(w), support_of(w0 * w)
@@ -374,7 +375,7 @@ def verify_coeff_corollary(spec: FglSpec, n: int) -> CheckReport:
     rep = CheckReport(f"coeff-corollary[{spec.label()},n={n}]")
     flat = OperatorContext(spec.mu2_zeroed(), n)
     cases = _word_class_cases(
-        OperatorContext(spec, n), lambda w: schubert(flat, canonical_word(w))[1]
+        OperatorContext(spec, n), lambda w: dict(zip(*schubert(flat, canonical_word(w))[1:]))
     )
     detail = "adjacent-pair generators only; reported for information"
     _add_word_class_cases(rep, cases, "difference in", detail, detail)

@@ -17,18 +17,19 @@ JSON output list terms in this order, so equal polynomials render
 identically.  They share one printer, which works on the packed term
 keys of GradedLayout: one int per term, with its fields in term order,
 the format the operators of ddo and the products and normal forms of
-coinv use.  So plain int order sorts a class, and a class computed on
-packed keys is printed without being unpacked.  One memo per layout,
-keyed by the whole packed key, holds the key's "*m1^a*m2^b*x[...]"
-text, so printing a term is a dict lookup.  JSON is written the same
-way, as json.dumps(obj, sort_keys=True, indent=2) would write it: two
-more memos per layout hold the text of a term's m part (keyed by the
-mu fields) and of its x part (keyed by the rest of the key), so a term
-is its coefficient and two lookups, and no per-term dict is built.  A
-memo stores the text of its first _KEY_MEMO_MAX (16,384) keys and
-builds that of any later key on each use, and the memos of the last
-_LAYOUTS_KEPT (16) layouts are kept, so the text memos hold at most
-262,144 entries and all three 786,432.
+coinv use.  So plain int order sorts a class, and the printer takes a
+class sorted, as its keys and their coefficients: term_order(terms) of
+a dict, or a word class as schubert's memo holds it.  One memo per
+layout, keyed by the whole packed key, holds the key's
+"*m1^a*m2^b*x[...]" text, so printing a term is a dict lookup.  JSON is
+written the same way, as json.dumps(obj, sort_keys=True, indent=2)
+would write it: two more memos per layout hold the text of a term's m
+part (keyed by the mu fields) and of its x part (keyed by the rest of
+the key), so a term is its coefficient and two lookups, and no per-term
+dict is built.  A memo stores the text of its first _KEY_MEMO_MAX
+(16,384) keys and builds that of any later key on each use, and the
+memos of the last _LAYOUTS_KEPT (16) layouts are kept, so the text
+memos hold at most 262,144 entries and all three 786,432.
 
 Instances are treated as immutable: operations return new objects and
 never mutate their arguments.
@@ -41,7 +42,7 @@ import re
 from bisect import bisect_left
 from functools import lru_cache
 from operator import add
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 XExp = tuple[int, ...]
 MuExp = tuple[int, int]
@@ -333,10 +334,10 @@ class Poly:
     # ------------------------------------------------------------------
     # rendering and parsing
 
-    def packed(self) -> tuple["GradedLayout", dict[int, int]]:
-        """The narrowest layout for self and self's terms packed in it."""
+    def packed(self) -> tuple["GradedLayout", list[int], list[int]]:
+        """The narrowest layout for self, and self's terms packed in it, in term order."""
         layout = GradedLayout.fit(self, 0)
-        return layout, layout.pack(self)
+        return layout, *term_order(layout.pack(self))
 
     def render_text(self) -> str:
         return render_packed(*self.packed())
@@ -481,14 +482,14 @@ class GradedLayout(NamedTuple):
                 out[(key << mw | m1) << mw | m2] = c
         return out
 
-    def repack(self, source: "GradedLayout", terms: dict[int, int]) -> dict[int, int]:
-        """terms, packed in source, packed in this layout instead; its fields
-        must be at least as wide as source's."""
+    def repack(self, source: "GradedLayout", keys: Iterable[int], coeffs: Iterable[int]) -> dict[int, int]:
+        """The terms keys and coeffs, packed in source, packed in this layout
+        instead; its fields must be at least as wide as source's."""
         if self.nvars != source.nvars or self.xwidth < source.xwidth or self.muwidth < source.muwidth:
             raise PolyError(f"the fields of {source} do not fit {self}")
         shifts, xmask, mw, mumask = source.fields
         out = {}
-        for key, c in terms.items():
+        for key, c in zip(keys, coeffs):
             k = key >> source.deg_shift
             for s in reversed(shifts):
                 k = k << self.xwidth | key >> s & xmask
@@ -503,6 +504,12 @@ class GradedLayout(NamedTuple):
         })
 
 
+def term_order(terms: dict[int, int]) -> tuple[list[int], list[int]]:
+    """The keys of packed terms in term order, and their coefficients."""
+    keys = sorted(terms)
+    return keys, [terms[k] for k in keys]
+
+
 def short_product(a: dict[int, int], b: dict[int, int], limit: int) -> dict[int, int]:
     """The terms of a * b with keys below limit; a, b in one GradedLayout.
 
@@ -513,8 +520,7 @@ def short_product(a: dict[int, int], b: dict[int, int], limit: int) -> dict[int,
     minus its own, and each pair costs one int add.  The fields must hold
     the exponents of every pair below limit.
     """
-    keys = sorted(b)
-    coeffs = [b[k] for k in keys]
+    keys, coeffs = term_order(b)
     out: dict[int, int] = {}
     get = out.get
     for ka, ca in a.items():
@@ -567,19 +573,18 @@ def _key_memos(layout: GradedLayout) -> _KeyMemo:
     return _KeyMemo(text)
 
 
-def render_packed(layout: GradedLayout, terms: dict[int, int]) -> str:
-    """The text of a packed polynomial."""
+def render_packed(layout: GradedLayout, keys: Sequence[int], coeffs: Sequence[int]) -> str:
+    """The text of a packed polynomial, its keys in term order and their coefficients."""
     text = _key_memos(layout)
-    return " + ".join([f"{terms[k]}{text[k]}" for k in sorted(terms)]) or "0"
+    return " + ".join([f"{c}{text[k]}" for k, c in zip(keys, coeffs)]) or "0"
 
 
-def packed_json_obj(layout: GradedLayout, terms: dict[int, int]) -> dict:
-    """The JSON object of a packed polynomial."""
+def packed_json_obj(layout: GradedLayout, keys: Sequence[int], coeffs: Sequence[int]) -> dict:
+    """The JSON object of a packed polynomial, given as render_packed's is."""
     shifts, xmask, mw, mumask = layout.fields
     return {"nvars": layout.nvars, "terms": [
-        {"x": [k >> s & xmask for s in shifts], "mu": [k >> mw & mumask, k & mumask],
-         "c": str(terms[k])}
-        for k in sorted(terms)
+        {"x": [k >> s & xmask for s in shifts], "mu": [k >> mw & mumask, k & mumask], "c": str(c)}
+        for k, c in zip(keys, coeffs)
     ]}
 
 
@@ -602,15 +607,15 @@ def _json_memos(layout: GradedLayout) -> tuple[_KeyMemo, _KeyMemo]:
     return _KeyMemo(mu_text), _KeyMemo(x_text)
 
 
-def packed_json_text(layout: GradedLayout, terms: dict[int, int]) -> str:
-    """json.dumps(packed_json_obj(layout, terms), sort_keys=True, indent=2)."""
+def packed_json_text(layout: GradedLayout, keys: Sequence[int], coeffs: Sequence[int]) -> str:
+    """json.dumps(packed_json_obj(layout, keys, coeffs), sort_keys=True, indent=2)."""
     head = f'{{\n  "nvars": {layout.nvars},\n  "terms": ['
-    if not terms:
+    if not keys:
         return head + "]\n}"
     mu_text, x_text = _json_memos(layout)
     top = 2 * layout.muwidth
     mu_mask = (1 << top) - 1
     body = ',\n    {\n      "c": "'.join(
-        [f"{terms[k]}{mu_text[k & mu_mask]}{x_text[k >> top]}" for k in sorted(terms)]
+        [f"{c}{mu_text[k & mu_mask]}{x_text[k >> top]}" for k, c in zip(keys, coeffs)]
     )
     return f'{head}\n    {{\n      "c": "{body}\n  ]\n}}'

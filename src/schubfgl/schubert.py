@@ -28,11 +28,12 @@ import bisect
 import sys
 from array import array
 from collections import OrderedDict
+from typing import Sequence
 
 from .coinv import top_staircase_class
 from .combi import Word, word_to_perm
 from .ddo import OperatorContext, _apply_letter
-from .polycore import GradedLayout
+from .polycore import GradedLayout, term_order
 
 # Bound on the bytes of the arrays _MEMO holds: 2 MiB, the smallest round
 # bound above the classes of all 475 nonempty heaps of S_5 under the
@@ -80,10 +81,7 @@ def heap_keys(word: Word) -> list[Word]:
 
 
 def _narrowest(bits: int) -> str | None:
-    for code, limit in _TYPECODES:
-        if bits <= limit:
-            return code
-    return None
+    return next((code for code, limit in _TYPECODES if bits <= limit), None)
 
 
 class _ClassMemo:
@@ -101,28 +99,22 @@ class _ClassMemo:
         self.entries: OrderedDict = OrderedDict()
         self.nbytes = 0
 
-    def resume(self, keys: list) -> tuple[int, dict[int, int] | None]:
-        """(k, class of keys[k - 1]) for the largest k whose key is held, or (0, None)."""
+    def resume(self, keys: list) -> tuple[int, tuple[array, array] | None]:
+        """(k, the arrays of keys[k - 1]'s class) for the largest k held, or (0, None)."""
         for k in range(len(keys), 0, -1):
             entry = self.entries.get(keys[k - 1])
             if entry is not None:
                 self.entries.move_to_end(keys[k - 1])
-                return k, dict(zip(entry[0], entry[1]))
+                return k, entry[:2]
         return 0, None
 
-    def put(self, key, layout: GradedLayout, terms: dict[int, int]) -> None:
+    def put(self, key, layout: GradedLayout, keys: list[int], coeffs: list[int]) -> None:
         # full x fields bound the degree field, so the layout bounds every key
-        degree_bits = (layout.nvars * ((1 << layout.xwidth) - 1)).bit_length()
-        key_code = _narrowest(layout.deg_shift + degree_bits)
-        if key_code is None:
+        key_code = _narrowest(layout.deg_shift + (layout.nvars * ((1 << layout.xwidth) - 1)).bit_length())
+        coeff_code = _narrowest(max(max(coeffs, default=0), ~min(coeffs, default=0)).bit_length())
+        if key_code is None or coeff_code is None:
             return
-        values = terms.values()
-        coeff_code = _narrowest(max(max(values, default=0), ~min(values, default=0)).bit_length())
-        if coeff_code is None:
-            return
-        # term order, so that resume rebuilds a dict the printer finds sorted
-        order = sorted(terms)
-        keys, coeffs = array(key_code, order), array(coeff_code, [terms[k] for k in order])
+        keys, coeffs = array(key_code, keys), array(coeff_code, coeffs)
         size = sys.getsizeof(keys) + sys.getsizeof(coeffs)
         if size > _MEMO_BYTES:
             return
@@ -137,27 +129,28 @@ _MEMO = _ClassMemo()
 
 def schubert(
     ctx: OperatorContext, word: Word, heaps: list[Word] | None = None
-) -> tuple[GradedLayout, dict[int, int]]:
+) -> tuple[GradedLayout, Sequence[int], Sequence[int]]:
     """Apply C along a reduced word to the top class, first letter first.
 
     The word must be reduced: its letter count must equal the length of
-    the permutation it multiplies out to.  The class stays packed, in
-    word_class_layout(n): this returns that layout and its packed terms.
-    The class of the longest prefix whose heap is in the memo is reused,
-    and the classes of the longer prefixes are stored.  heaps, if given,
-    is heap_keys(word), from a caller that has computed it already.
+    the permutation it multiplies out to.  This returns word_class_layout(n)
+    and the class's packed keys in term order and their coefficients: the
+    memo's own arrays, which no caller may change, if it holds the class,
+    else lists.  The class of the longest prefix whose heap is in the memo
+    is reused, and the classes of the longer prefixes are stored.  heaps,
+    if given, is heap_keys(word), from a caller that has computed it already.
     """
     word = tuple(word)
     n = ctx.nvars
     layout = word_class_layout(n)
     keys = [(ctx.spec, n, form) for form in (heap_keys(word) if heaps is None else heaps)]
-    done, terms = _MEMO.resume(keys)
+    done, cls = _MEMO.resume(keys)
     # the memo holds heaps of reduced words only, so a word whose heap it holds is one
     if done < len(word) and word_to_perm(word, n).length() != len(word):
         raise ValueError(f"word {word} is not reduced")
-    if terms is None:
-        terms = layout.pack(top_staircase_class(n))
+    if cls is None:
+        cls = term_order(layout.pack(top_staircase_class(n)))
     for k in range(done, len(word)):
-        terms = _apply_letter(ctx.spec, layout, word[k], terms)
-        _MEMO.put(keys[k], layout, terms)
-    return layout, terms
+        cls = term_order(_apply_letter(ctx.spec, layout, word[k], zip(*cls)))
+        _MEMO.put(keys[k], layout, *cls)
+    return layout, *cls

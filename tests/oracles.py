@@ -98,7 +98,8 @@ from schubfgl.schubert import schubert
 
 def schubert_polynomial(ctx: OperatorContext, word: Word) -> Poly:
     """The class of a reduced word (`schubfgl.schubert.schubert`) as a Poly."""
-    return GradedLayout.unpack(*schubert(ctx, word))
+    layout, keys, coeffs = schubert(ctx, word)
+    return layout.unpack(dict(zip(keys, coeffs)))
 
 
 def specialize(spec: FglSpec, f: Poly) -> Poly:
@@ -578,7 +579,7 @@ def word_class_walk(ctx: OperatorContext):
         for i in range(1, n):
             if w(i) < w(i + 1):
                 yield from walk(
-                    w.right_mul_simple(i), word + (i,), _apply_letter(ctx.spec, layout, i, cls)
+                    w.right_mul_simple(i), word + (i,), _apply_letter(ctx.spec, layout, i, cls.items())
                 )
 
     return walk(Permutation.identity(n), (), layout.pack(top))

@@ -25,7 +25,7 @@ from schubfgl.coinv import MAX_EXPAND_UNKNOWNS
 from schubfgl.ddo import OperatorContext
 from schubfgl.fgl import FglSpec
 from schubfgl.hecke import MAX_LOCAL_CAP
-from schubfgl.polycore import MAX_INPUT_DIGITS, GradedLayout, Poly, packed_json_obj
+from schubfgl.polycore import MAX_INPUT_DIGITS, GradedLayout, Poly, packed_json_obj, term_order
 from schubfgl.report import CheckReport
 from schubfgl.schubert import schubert
 
@@ -1198,16 +1198,18 @@ def packed_polys(draw):
     f = Poly(n, draw(st.dictionaries(st.tuples(exps, st.tuples(mu, mu)), coeff, max_size=6)))
     fit = GradedLayout.fit(f, 0)
     layout = GradedLayout(n, fit.xwidth + draw(st.integers(0, 3)), fit.muwidth + draw(st.integers(0, 40)))
-    return cli.PackedPoly(layout, layout.pack(f))
+    return cli.PackedPoly(layout, *term_order(layout.pack(f)))
 
 
 WIDE = GradedLayout(3, 2, 64)
-MANY_DIGITS = cli.PackedPoly(WIDE, WIDE.pack(Poly.monomial(3, (1, 0, 2), (2**40, 3), -(10**3000 + 1))))
+MANY_DIGITS = cli.PackedPoly(
+    WIDE, *term_order(WIDE.pack(Poly.monomial(3, (1, 0, 2), (2**40, 3), -(10**3000 + 1))))
+)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(packed_polys(), packed_polys())
-@example(cli.PackedPoly(GradedLayout(0, 1, 1), {}), cli.PackedPoly(GradedLayout(8, 1, 1), {}))
+@example(cli.PackedPoly(GradedLayout(0, 1, 1), [], []), cli.PackedPoly(GradedLayout(8, 1, 1), [], []))
 @example(MANY_DIGITS, MANY_DIGITS)
 def test_packed_polys_are_written_as_their_json_objects(p, q):
     nestings = [

@@ -184,9 +184,9 @@ def test_relation_reports_take_each_image_once(monkeypatch):
     letters = []
     apply_letter = ddo._apply_letter
 
-    def counting(spec, layout, i, terms, row_of=ddo._c_row):
+    def counting(spec, layout, i, pairs, row_of=ddo._c_row):
         letters.append(i)
-        return apply_letter(spec, layout, i, terms, row_of)
+        return apply_letter(spec, layout, i, pairs, row_of)
 
     monkeypatch.setattr(ddo, "_apply_letter", counting)
     for n in (2, 3, 4, 5):
@@ -360,7 +360,7 @@ def test_one_row_per_law_and_exponent_pair():
                     narrow = GradedLayout.fit(f, 0)
                     for layout in (narrow, GradedLayout(n, narrow.xwidth + 5, narrow.muwidth + 2)):
                         for row_of, oracle in builders:
-                            got = ddo._apply_letter(spec, layout, i, layout.pack(f), row_of)
+                            got = ddo._apply_letter(spec, layout, i, layout.pack(f).items(), row_of)
                             assert layout.unpack(got) == oracle(spec, i, f), (spec, n, i, layout)
                             met.update((row_of, spec, x[i - 1], x[i]) for x, _ in f.terms)
     assert ddo._row.cache_info().currsize == len(met)

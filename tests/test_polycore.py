@@ -17,6 +17,7 @@ from schubfgl.polycore import (
     packed_json_text,
     render_packed,
     short_product,
+    term_order,
 )
 from schubfgl.ddo import random_poly
 from schubfgl.fgl import FglSpec
@@ -345,9 +346,10 @@ def test_printer_matches_tuple_key_reference(f, extra_x, extra_mu):
     # layout, whose x and mu fields may widen apart (word_class_layout)
     fit = GradedLayout.fit(f, 0)
     layout = GradedLayout(f.nvars, fit.xwidth + extra_x, fit.muwidth + extra_mu)
-    assert render_packed(layout, layout.pack(f)) == text
-    assert packed_json_obj(layout, layout.pack(f)) == obj
-    assert packed_json_text(layout, layout.pack(f)) == json.dumps(obj, sort_keys=True, indent=2)
+    keys, coeffs = term_order(layout.pack(f))
+    assert render_packed(layout, keys, coeffs) == text
+    assert packed_json_obj(layout, keys, coeffs) == obj
+    assert packed_json_text(layout, keys, coeffs) == json.dumps(obj, sort_keys=True, indent=2)
     assert Poly.parse_text(text, f.nvars) == f
     assert Poly.from_json(f.to_json()) == f
 
@@ -372,9 +374,10 @@ def test_printer_memos_stay_bounded_and_correct(monkeypatch):
     for _ in range(30):
         f = sample_poly(rng, 3, terms=12, max_total_deg=5, max_mu=2)
         for layout in (GradedLayout(3, 3, 3), GradedLayout(3, 5, 2)):
-            assert render_packed(layout, layout.pack(f)) == reference_render_text(f)
-            assert packed_json_obj(layout, layout.pack(f)) == reference_json_obj(f)
-            assert packed_json_text(layout, layout.pack(f)) == json.dumps(
+            keys, coeffs = term_order(layout.pack(f))
+            assert render_packed(layout, keys, coeffs) == reference_render_text(f)
+            assert packed_json_obj(layout, keys, coeffs) == reference_json_obj(f)
+            assert packed_json_text(layout, keys, coeffs) == json.dumps(
                 reference_json_obj(f), sort_keys=True, indent=2)
     assert sizes and max(sizes) == bound  # the bound was reached, never passed
 
@@ -396,11 +399,11 @@ def test_printer_memo_past_its_bound_builds_only_the_overflow(monkeypatch):
 
     monkeypatch.setattr(polycore._KeyMemo, "__missing__", recording)
     f = Poly(1, {((e,), (0, 0)): e + 1 for e in range(size)})
-    layout, terms = f.packed()
+    packed = f.packed()
     for write in (render_packed, packed_json_text):
-        first = write(layout, terms)
+        first = write(*packed)
         del built[:]
-        assert write(layout, terms) == first
+        assert write(*packed) == first
         assert len(built) <= size - bound
 
 

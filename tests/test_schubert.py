@@ -2,11 +2,13 @@
 
 import hashlib
 import io
+import json
 import sys
 from array import array
 
 import pytest
 
+from schubfgl import cli
 from schubfgl import schubert as word_classes
 from schubfgl.cli import main
 from schubfgl.coinv import top_staircase_class
@@ -25,11 +27,14 @@ from oracles import (
     all_permutations,
     commutation_classes,
     constant,
+    division_apply_c,
     grothendieck_polynomial,
     ideal_delete,
     normal_form,
     oracle_apply_word,
     reduced_words,
+    reference_json_obj,
+    reference_render_text,
     s5_word_sample,
     schubert_polynomial,
     smooth_monomial,
@@ -192,9 +197,9 @@ def letters(monkeypatch):
     calls = []
     real = word_classes._apply_letter
 
-    def counting(spec, layout, i, terms):
+    def counting(spec, layout, i, pairs):
         calls.append(i)
-        return real(spec, layout, i, terms)
+        return real(spec, layout, i, pairs)
 
     monkeypatch.setattr(word_classes, "_apply_letter", counting)
     return calls
@@ -216,6 +221,14 @@ def test_heap_keys_are_the_commutation_classes():
     assert len(classes) == 476
 
 
+def as_lists(cls):
+    """A class as schubert returns it, with its keys and coefficients as
+    lists, so that a class from the memo's arrays compares equal to a
+    computed one."""
+    layout, keys, coeffs = cls
+    return layout, list(keys), list(coeffs)
+
+
 MEMO_LAWS = (ADDITIVE, MULTIPLICATIVE, HYPERBOLIC, LORENTZ, FglSpec("hyperbolic", mu1=2, mu2=-3))
 
 
@@ -231,23 +244,23 @@ def test_warm_memo_gives_the_classes_of_a_cleared_one(fresh_memo, letters):
             ctx = OperatorContext(spec, n)
             del letters[:]
             for word in words:
-                warm[spec, n, word] = schubert(ctx, word)
+                warm[spec, n, word] = as_lists(schubert(ctx, word))
             # every heap of a nonempty prefix is computed once
             assert len(letters) == len(heaps)
     for (spec, n, word), got in warm.items():
         fresh_memo()
-        assert schubert(OperatorContext(spec, n), word) == got
+        assert as_lists(schubert(OperatorContext(spec, n), word)) == got
 
 
 def test_warm_memo_on_the_s5_sample(fresh_memo):
     memo = fresh_memo()
     ctx = OperatorContext(HYPERBOLIC, 5)
     sample = s5_word_sample()
-    warm = [schubert(ctx, word) for word in sample]
+    warm = [as_lists(schubert(ctx, word)) for word in sample]
     assert memo.entries
     for word, got in zip(sample, warm):
         fresh_memo()
-        assert schubert(ctx, word) == got
+        assert as_lists(schubert(ctx, word)) == got
 
 
 def test_memo_bound_and_typecodes(fresh_memo, letters):
@@ -309,6 +322,72 @@ def test_poly_word_bytes_from_a_warm_memo(fresh_memo, letters, law):
             assert letters == [] and warm.getvalue() == cold.getvalue()
 
 
+@pytest.mark.parametrize("printer, fmt", [("render_packed", []), ("packed_json_text", ["--json"])])
+def test_warm_poly_word_prints_the_memo_arrays(fresh_memo, monkeypatch, printer, fmt):
+    # a full hit hands the printer the memo's own arrays: no dict is
+    # rebuilt, and nothing is sorted or copied on the way
+    memo = fresh_memo()
+    word = (1, 2, 1, 3, 2, 1)
+    argv = ["poly", "word", "--n", "4", "--word", "1,2,1,3,2,1", *fmt]
+    cold = io.StringIO()
+    assert main(argv, out=cold) == 0
+    held = memo.entries[(HYPERBOLIC, 4, heap_keys(word)[-1])]
+    real, seen = getattr(cli, printer), []
+
+    def recording(layout, keys, coeffs):
+        seen.append((keys, coeffs))
+        return real(layout, keys, coeffs)
+
+    monkeypatch.setattr(cli, printer, recording)
+    warm = io.StringIO()
+    assert main(argv, out=warm) == 0
+    assert warm.getvalue() == cold.getvalue()
+    ((keys, coeffs),) = seen
+    assert keys is held[0] and coeffs is held[1]
+
+
+def test_suites_leave_the_memo_classes_intact(fresh_memo):
+    # the suites read the memo's own arrays on every full hit (hecke edits
+    # a dict of its own); each held class is still the one a cleared memo
+    # computes
+    memo = fresh_memo()
+    for _ in range(2):  # the second pass runs on a warm memo
+        for suite in ("fk", "differ"):
+            assert main(["verify", suite, "--n", "4"], out=io.StringIO()) == 0
+    held = {key: (list(keys), list(coeffs)) for key, (keys, coeffs, _size) in memo.entries.items()}
+    assert {spec for spec, _n, _heap in held} == {HYPERBOLIC, HYPERBOLIC.mu2_zeroed()}
+    for (spec, n, heap), cls in held.items():
+        fresh_memo()
+        _layout, keys, coeffs = schubert(OperatorContext(spec, n), heap)
+        assert (list(keys), list(coeffs)) == cls
+
+
+@pytest.mark.parametrize("n, word, bound", [
+    (5, (1, 2, 1, 3, 2, 1, 4, 3, 2, 1), 2048),  # a class above the bound
+    (100, (1, 2, 3, 4, 5, 6, 7), None),  # keys wider than 63 bits
+    (3, (), None),  # the empty word, which has no heap
+])
+def test_classes_the_memo_does_not_serve_print_as_the_reference(
+    fresh_memo, monkeypatch, n, word, bound
+):
+    if bound is not None:
+        monkeypatch.setattr(word_classes, "_MEMO_BYTES", bound)
+    f = top_staircase_class(n)
+    for i in word:
+        f = division_apply_c(HYPERBOLIC, i, f)
+    text = reference_render_text(f) + "\n"
+    obj = json.dumps(reference_json_obj(f), sort_keys=True, indent=2) + "\n"
+    for fmt, expected in (([], text), (["--json"], obj)):
+        memo = fresh_memo()
+        for _ in range(2):  # the second call meets what the first one stored
+            out = io.StringIO()
+            assert main(["poly", "word", "--n", str(n), "--word", ",".join(map(str, word)), *fmt],
+                        out=out) == 0
+            assert out.getvalue() == expected
+        if word:
+            assert (HYPERBOLIC, n, heap_keys(word)[-1]) not in memo.entries
+
+
 def test_memo_keeps_no_class_above_the_bound(fresh_memo, monkeypatch):
     monkeypatch.setattr(word_classes, "_MEMO_BYTES", 2048)
     ctx = OperatorContext(HYPERBOLIC, 5)
@@ -316,8 +395,8 @@ def test_memo_keeps_no_class_above_the_bound(fresh_memo, monkeypatch):
     stored = []
     for k in range(1, len(longest) + 1):
         memo = fresh_memo()
-        _layout, cls = schubert(ctx, longest[:k])
-        size = sys.getsizeof(array("i", list(cls))) + sys.getsizeof(array("b", list(cls.values())))
+        _layout, keys, coeffs = schubert(ctx, longest[:k])
+        size = sys.getsizeof(array("i", keys)) + sys.getsizeof(array("b", coeffs))
         assert ((HYPERBOLIC, 5, heap_keys(longest)[k - 1]) in memo.entries) == (size <= 2048)
         stored.append(size <= 2048)
         assert memo.nbytes <= 2048
@@ -328,9 +407,9 @@ def test_memo_typecode_limits(fresh_memo):
     memo = fresh_memo()
     layout = word_class_layout(3)
     for c, code in ((-128, "b"), (128, "h"), (-(2**31), "i"), (2**31, "q"), (-(2**63), "q")):
-        memo.put(c, layout, {1: c})
+        memo.put(c, layout, [1], [c])
         assert memo.entries[c][1].typecode == code
-    memo.put("wide", layout, {1: 2**63})
+    memo.put("wide", layout, [1], [2**63])
     assert "wide" not in memo.entries
 
 
@@ -366,8 +445,8 @@ def test_s5_word_class_keys_fit_one_digit(fresh_memo):
     memo = fresh_memo()
     ctx = OperatorContext(HYPERBOLIC, 5)
     for word in _words(5):
-        layout, cls = schubert(ctx, word)
-        assert layout == word_class_layout(5) and max(cls) < 1 << 30
+        layout, keys, _coeffs = schubert(ctx, word)
+        assert layout == word_class_layout(5) and max(keys) < 1 << 30
         if word:
             assert memo.entries[(HYPERBOLIC, 5, heap_keys(word)[-1])][0].typecode == "i"
 
