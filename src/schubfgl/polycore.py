@@ -19,17 +19,18 @@ keys of GradedLayout: one int per term, with its fields in term order,
 the format the operators of ddo and the products and normal forms of
 coinv use.  So plain int order sorts a class, and the printer takes a
 class sorted, as its keys and their coefficients: term_order(terms) of
-a dict, or a word class as schubert's memo holds it.  One memo per
-layout, keyed by the whole packed key, holds the key's
-"*m1^a*m2^b*x[...]" text, so printing a term is a dict lookup.  JSON is
-written the same way, as json.dumps(obj, sort_keys=True, indent=2)
-would write it: two more memos per layout hold the text of a term's m
-part (keyed by the mu fields) and of its x part (keyed by the rest of
-the key), so a term is its coefficient and two lookups, and no per-term
-dict is built.  A memo stores the text of its first _KEY_MEMO_MAX
-(16,384) keys and builds that of any later key on each use, and the
-memos of the last _LAYOUTS_KEPT (16) layouts are kept, so the text
-memos hold at most 262,144 entries and all three 786,432.
+a dict, or a word class as schubert's memo holds it.  A term is printed
+as two memo reads joined in C, with no Python line run per term: the
+text of its coefficient, from one process-wide memo, and the text of
+its key, from a memo of the layout keyed by the whole packed key.  The
+text memo holds a key's "*m1^a*m2^b*x[...]"; the JSON memo holds what
+json.dumps(obj, sort_keys=True, indent=2) writes from the quote after
+the coefficient to the term's closing brace, so no per-term dict is
+built.  A memo stores the text of its first _KEY_MEMO_MAX (16,384) keys
+and builds that of any later key on each use, the coefficient memo
+stores only coefficients below _COEFF_KEPT (2**31) in absolute value,
+and the memos of the last _LAYOUTS_KEPT (16) layouts are kept, so all
+of them hold at most 2 * 16 * 16,384 + 16,384 = 540,672 entries.
 
 Instances are treated as immutable: operations return new objects and
 never mutate their arguments.
@@ -535,11 +536,13 @@ def short_product(a: dict[int, int], b: dict[int, int], limit: int) -> dict[int,
 # session of small calls (`poly`, `reduce`, `expand`, `table`, `grprod`
 # at n <= 6) printed in 14 layouts, and with fewer kept it rebuilt
 # memos so often that the printer ran slower than with no memo.  Each
-# layout has three memos (text, JSON mu, JSON x), so together they hold
-# at most 3 * 16 * 16,384 = 786,432 entries.  They fill lazily: a table
-# of every mu key of an m1^1048576 input would hold 1 << 42 entries.
+# layout has two memos (text, JSON) and one more memo holds coefficient
+# texts, so together they hold at most 2 * 16 * 16,384 + 16,384 =
+# 540,672 entries.  They fill lazily: a table of every mu key of an
+# m1^1048576 input would hold 1 << 42 entries.
 _KEY_MEMO_MAX = 16384
 _LAYOUTS_KEPT = 16
+_COEFF_KEPT = 1 << 31  # the coefficient memo keeps the texts of |c| below this
 
 
 class _KeyMemo(dict):
@@ -559,6 +562,22 @@ class _KeyMemo(dict):
         return value
 
 
+class _CoeffMemo(_KeyMemo):
+    """c -> str(c), stored as _KeyMemo stores it for |c| < _COEFF_KEPT only."""
+
+    __slots__ = ()
+
+    def __missing__(self, c):
+        return super().__missing__(c) if -_COEFF_KEPT < c < _COEFF_KEPT else str(c)
+
+
+_COEFF_TEXT = _CoeffMemo(str)
+
+
+def _join_terms(sep: str, suffix: _KeyMemo, keys: Sequence[int], coeffs: Sequence[int]) -> str:
+    return sep.join(map(add, map(_COEFF_TEXT.__getitem__, coeffs), map(suffix.__getitem__, keys)))
+
+
 @lru_cache(maxsize=_LAYOUTS_KEPT)
 def _key_memos(layout: GradedLayout) -> _KeyMemo:
     """The text memo of a layout: memo[key] is the key's
@@ -575,8 +594,7 @@ def _key_memos(layout: GradedLayout) -> _KeyMemo:
 
 def render_packed(layout: GradedLayout, keys: Sequence[int], coeffs: Sequence[int]) -> str:
     """The text of a packed polynomial, its keys in term order and their coefficients."""
-    text = _key_memos(layout)
-    return " + ".join([f"{c}{text[k]}" for k, c in zip(keys, coeffs)]) or "0"
+    return _join_terms(" + ", _key_memos(layout), keys, coeffs) or "0"
 
 
 def packed_json_obj(layout: GradedLayout, keys: Sequence[int], coeffs: Sequence[int]) -> dict:
@@ -589,22 +607,18 @@ def packed_json_obj(layout: GradedLayout, keys: Sequence[int], coeffs: Sequence[
 
 
 @lru_cache(maxsize=_LAYOUTS_KEPT)
-def _json_memos(layout: GradedLayout) -> tuple[_KeyMemo, _KeyMemo]:
-    """The JSON memos of a layout, for a polynomial at the top level:
-    mu[key & mu mask] runs from the quote after a term's coefficient
-    to the "x" key, x[key >> 2*muwidth] is the x list and the term's
-    closing brace."""
+def _json_memos(layout: GradedLayout) -> _KeyMemo:
+    """The JSON memo of a layout, for a polynomial at the top level:
+    memo[key] runs from the quote after a term's coefficient to the
+    term's closing brace."""
     shifts, xmask, mw, mumask = layout.fields
-    shifts = [s - 2 * mw for s in shifts]
 
-    def mu_text(mu: int) -> str:
-        return f'",\n      "mu": [\n        {mu >> mw},\n        {mu & mumask}\n      ],\n      "x": '
+    def text(key: int) -> str:
+        exps = ",\n        ".join([str(key >> s & xmask) for s in shifts])
+        return (f'",\n      "mu": [\n        {key >> mw & mumask},\n        {key & mumask}\n      ],\n      "x": '
+                + (f"[\n        {exps}\n      ]\n    }}" if shifts else "[]\n    }"))
 
-    def x_text(xkey: int) -> str:
-        exps = ",\n        ".join([str(xkey >> s & xmask) for s in shifts])
-        return f"[\n        {exps}\n      ]\n    }}" if shifts else "[]\n    }"
-
-    return _KeyMemo(mu_text), _KeyMemo(x_text)
+    return _KeyMemo(text)
 
 
 def packed_json_text(layout: GradedLayout, keys: Sequence[int], coeffs: Sequence[int]) -> str:
@@ -612,10 +626,5 @@ def packed_json_text(layout: GradedLayout, keys: Sequence[int], coeffs: Sequence
     head = f'{{\n  "nvars": {layout.nvars},\n  "terms": ['
     if not keys:
         return head + "]\n}"
-    mu_text, x_text = _json_memos(layout)
-    top = 2 * layout.muwidth
-    mu_mask = (1 << top) - 1
-    body = ',\n    {\n      "c": "'.join(
-        [f"{c}{mu_text[k & mu_mask]}{x_text[k >> top]}" for k, c in zip(keys, coeffs)]
-    )
+    body = _join_terms(',\n    {\n      "c": "', _json_memos(layout), keys, coeffs)
     return f'{head}\n    {{\n      "c": "{body}\n  ]\n}}'

@@ -1249,7 +1249,7 @@ def test_json_memos_fill_lazily():
 
 
 def test_a_5_mb_json_class_is_written_in_bounded_memory():
-    # the longest word of S_6: 32,746 terms.  Traced peak 17.0 MB (Python
+    # the longest word of S_6: 32,746 terms.  Traced peak 11.7 MB (Python
     # 3.11); building a dict per term and copying the text for the newline
     # took 29.1 MB.
     argv = ["poly", "word", "--n", "6", "--word", "1,2,1,3,2,1,4,3,2,1,5,4,3,2,1", "--json"]

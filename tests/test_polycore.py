@@ -2,6 +2,10 @@
 
 import json
 import random
+import sys
+import tracemalloc
+from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,8 +23,9 @@ from schubfgl.polycore import (
     short_product,
     term_order,
 )
-from schubfgl.ddo import random_poly
-from schubfgl.fgl import FglSpec
+from schubfgl.ddo import OperatorContext, random_poly
+from schubfgl.fgl import HYPERBOLIC, FglSpec
+from schubfgl.schubert import _TYPECODES, schubert
 
 from oracles import (
     constant,
@@ -33,6 +38,7 @@ from oracles import (
     series_invert_unit,
     specialize,
 )
+from test_cli import digit_cap
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -354,6 +360,55 @@ def test_printer_matches_tuple_key_reference(f, extra_x, extra_mu):
     assert Poly.from_json(f.to_json()) == f
 
 
+# the coefficient memo's edges, and a coefficient of 3,001 digits
+KEPT = polycore._COEFF_KEPT
+LONG = 10**3000
+
+
+def as_array(code, values):
+    """values as an array of typecode code, or a list if one does not fit."""
+    try:
+        return array(code, values)
+    except OverflowError:
+        return list(values)
+
+
+@st.composite
+def array_polys(draw):
+    # small fields, so that some keys fit every typecode
+    n = draw(st.integers(0, 3))
+    exps = st.integers(0, 3)
+    term = st.tuples(st.tuples(*[exps] * n), st.tuples(exps, exps))
+    coeff = st.one_of(
+        st.integers(-300, 300), st.integers(-(2**63), 2**63 - 1),
+        st.sampled_from((KEPT - 1, KEPT, 1 - KEPT, -KEPT, LONG, -LONG - 1)),
+    )
+    return Poly(n, draw(st.dictionaries(term, coeff, max_size=10)))
+
+
+@PROPERTY
+@given(array_polys())
+@example(Poly.monomial(1, (1,), (1, 0), KEPT - 1) + Poly.monomial(1, (0,), (0, 1), -KEPT))
+@example(Poly.monomial(1, (1,), (0, 0), 1 - KEPT) + Poly.monomial(1, (0,), (1, 1), KEPT))
+@example(Poly.monomial(1, (1,), (0, 0), 5) + Poly.monomial(1, (0,), (1, 1), -7))
+@example(Poly.monomial(2, (1, 0), (1, 0), LONG) + Poly.monomial(2, (0, 1), (0, 0), -LONG - 1))
+def test_printer_reads_arrays_of_every_typecode(f):
+    # the word-class memo hands the printer its keys and coefficients as
+    # arrays of the narrowest typecode that holds them
+    with digit_cap(0):
+        text = reference_render_text(f)
+        obj = json.dumps(reference_json_obj(f), sort_keys=True, indent=2)
+        layout = GradedLayout.fit(f, 0)
+        keys, coeffs = term_order(layout.pack(f))
+        codes = [code for code, _bits in _TYPECODES] + [None]
+        for kc in codes:
+            for cc in codes:
+                k = as_array(kc, keys) if kc else keys
+                c = as_array(cc, coeffs) if cc else coeffs
+                assert render_packed(layout, k, c) == text
+                assert packed_json_text(layout, k, c) == obj
+
+
 def test_printer_memos_stay_bounded_and_correct(monkeypatch):
     # the memos are kept per layout and stop storing when full: two layouts
     # at one rank share no entry, and a key past the bound is built anew
@@ -361,6 +416,7 @@ def test_printer_memos_stay_bounded_and_correct(monkeypatch):
     monkeypatch.setattr(polycore, "_KEY_MEMO_MAX", bound)
     polycore._key_memos.cache_clear()
     polycore._json_memos.cache_clear()
+    polycore._COEFF_TEXT.clear()
     sizes = []
     missing = polycore._KeyMemo.__missing__
 
@@ -383,28 +439,93 @@ def test_printer_memos_stay_bounded_and_correct(monkeypatch):
 
 
 def test_printer_memo_past_its_bound_builds_only_the_overflow(monkeypatch):
-    # a class with more distinct keys than the bound prints again building
-    # only the keys past the bound, in text and in JSON (one mu part, so the
-    # JSON x memo sees every key)
+    # a class with more distinct keys and coefficients than the bound
+    # prints again building only the keys and coefficients past the
+    # bound, in text and in JSON
     bound, size = 8, 20
     monkeypatch.setattr(polycore, "_KEY_MEMO_MAX", bound)
-    polycore._key_memos.cache_clear()
-    polycore._json_memos.cache_clear()
     built = []
     missing = polycore._KeyMemo.__missing__
 
     def recording(memo, key):
-        built.append(key)
+        built.append(id(memo))
         return missing(memo, key)
 
     monkeypatch.setattr(polycore._KeyMemo, "__missing__", recording)
-    f = Poly(1, {((e,), (0, 0)): e + 1 for e in range(size)})
-    packed = f.packed()
+    for f in (
+        Poly(1, {((e,), (0, 0)): e + 1 for e in range(size)}),
+        # two x parts under ten mu parts: the JSON memo is keyed by the whole key
+        Poly(1, {((e % 2,), (e // 2 % 5, e // 10)): e + 1 for e in range(size)}),
+    ):
+        polycore._key_memos.cache_clear()
+        polycore._json_memos.cache_clear()
+        polycore._COEFF_TEXT.clear()
+        packed = f.packed()
+        for write in (render_packed, packed_json_text):
+            first = write(*packed)
+            del built[:]
+            assert write(*packed) == first
+            # the layout's memo and the coefficient memo
+            assert sorted(Counter(built).values()) == [size - bound] * 2
+
+
+def test_coefficient_memo_keeps_only_small_coefficients(monkeypatch):
+    # at most _KEY_MEMO_MAX texts, and none of a long coefficient
+    bound = 8
+    monkeypatch.setattr(polycore, "_KEY_MEMO_MAX", bound)
+    memo = polycore._COEFF_TEXT
+    memo.clear()
+    long_f = Poly(1, {((e,), (0, 0)): LONG + e for e in range(20)})
+    small_f = Poly(1, {((e,), (0, 0)): e - 10 for e in range(20)})
     for write in (render_packed, packed_json_text):
-        first = write(*packed)
-        del built[:]
-        assert write(*packed) == first
-        assert len(built) <= size - bound
+        with digit_cap(0):
+            packed = long_f.packed()
+            tracemalloc.start()
+            try:
+                text = write(*packed)
+                peak = tracemalloc.get_traced_memory()[1]
+                del text
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        # 20 texts of 3,001 digits kept would hold 60 kB
+        assert len(memo) == 0 and kept < 10_000 and peak < 400_000
+        write(*small_f.packed())
+        assert len(memo) == bound
+        memo.clear()
+
+
+def _lines_run(call) -> int:
+    """The Python line events that call() runs."""
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return tracer
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(old)
+    return lines
+
+
+@pytest.mark.parametrize("write", [render_packed, packed_json_text])
+def test_warm_printer_runs_no_python_line_per_term(write):
+    # the longest hyperbolic class of S_5, printed warm: every term is two
+    # memo reads joined in C.  The memos start empty, so that no earlier
+    # print has filled them with other keys.
+    polycore._key_memos.cache_clear()
+    polycore._json_memos.cache_clear()
+    polycore._COEFF_TEXT.clear()
+    cls = schubert(OperatorContext(HYPERBOLIC, 5), (1, 2, 1, 3, 2, 1, 4, 3, 2, 1))
+    assert len(cls[1]) == 1589
+    first = write(*cls)
+    assert _lines_run(lambda: write(*cls)) < 50
+    assert write(*cls) == first
 
 
 def test_bool_and_non_int_input_rejected():
