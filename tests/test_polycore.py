@@ -545,6 +545,10 @@ def test_bool_and_non_int_input_rejected():
     for c in ("1.5", "x", " 1", True, None):
         with pytest.raises(PolyError):
             Poly.from_json_obj({"nvars": 2, "terms": [{"x": [1, 0], "mu": [0, 0], "c": c}]})
+    # true hashes as 1, so this term sums into the one before it; it is still checked
+    terms = [{"x": [1, 0], "mu": [0, 0], "c": "1"}, {"x": [True, 0], "mu": [0, 0], "c": "1"}]
+    with pytest.raises(PolyError, match=r"^exponents must be non-negative ints: \(True, 0\)"):
+        Poly.from_json_obj({"nvars": 2, "terms": terms})
 
 
 def test_specialize_mu():
