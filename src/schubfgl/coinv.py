@@ -20,7 +20,9 @@ one key format of the package, which the operators of ddo and the
 printer use too, here in nf_layout's field widths.  A Poly enters once,
 through reduce_polys, and its normal form stays packed: reduce and
 table print it as it is, and expand_packed builds its columns on the
-same keys and returns its coefficients packed, in no variables.
+same keys and returns its coefficients packed, in no variables.  It
+eliminates fraction-free on sparse rows, one dict per key: each pivot
+changes only the rows that hold its column.
 Monomial normal forms are kept in one memo per rank, keyed by a key's
 x-part and shared by all calls; all ranks together hold at most
 _NF_MEMO_MAX (262,144) entries plus one rewrite closure.
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import factorial
+from math import factorial, gcd
 
 from .combi import CapacityError
 from .fgl import FglSpec, chi_difference
@@ -52,11 +54,12 @@ MAX_REWRITE_RANK = 7
 
 # An expansion has one unknown per basis class and admissible m1^a m2^b,
 # and the degree gap, which nothing else bounds, sets how many m1^a m2^b
-# there are; the elimination grows with the cube of the unknowns.  Over
-# the six staircase monomials of rank 3, `expand` on m1^e x_1 has 3e + 6
-# unknowns: 0.04 s at 66, 0.35 s at 156 and about 1 s at 300 (2 shared
-# CPUs, Python 3.11).  The largest expansion of the suites is the Gr(3,6)
-# cross-check, 60 unknowns over 192 rows.
+# there are.  Over the six staircase monomials of rank 3, `expand` on
+# m1^e x_1 has 3e + 6 unknowns, and its sparse elimination takes 0.5 ms
+# at 66, 1.6 ms at 156 and 5 ms at 300 (2 shared CPUs, Python 3.11); a
+# dense system still grows with the cube of the unknowns.  The largest
+# expansion of the suites is the Gr(3,6) cross-check, 60 unknowns over
+# 192 rows.
 MAX_EXPAND_UNKNOWNS = 300
 
 # At rank 6 the deformed Vandermonde check takes 0.5-0.64 s in a fresh
@@ -215,38 +218,6 @@ def reduce_polys(
 # ----------------------------------------------------------------------
 # exact expansion in a basis
 
-def _bareiss_echelon(m: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination; returns (echelon rows, pivot cols).
-
-    The rows m carry the augmented column at index ncols and are
-    eliminated in place.  All intermediate entries stay integral (each
-    division is exact by construction).
-    """
-    pivots: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot_row = None
-        for rr in range(r, len(m)):
-            if m[rr][c]:
-                pivot_row = rr
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pc = m[r][c]
-        for rr in range(r + 1, len(m)):
-            factor = m[rr][c]
-            for cc in range(c, ncols + 1):
-                m[rr][cc] = (m[rr][cc] * pc - factor * m[r][cc]) // prev
-        prev = pc
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
 def nf_degree(layout: GradedLayout, terms: dict[int, int]) -> int | None:
     """The graded degree of packed terms, None unless they are nonzero and
     graded-homogeneous."""
@@ -308,28 +279,48 @@ def expand_packed(
             unknowns.append((j, shift))
             columns.append({key + shift: c for key, c in nf_b.items()})
 
-    # one row per key, the target in the augmented column
+    # one sparse row per key, column -> nonzero entry, the target in column width
     width = len(unknowns)
-    rows: dict[int, list[int]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for ci, col in enumerate((*columns, target)):
         for key, c in col.items():
-            rows.setdefault(key, [0] * (width + 1))[ci] = c
+            rows.setdefault(key, {})[ci] = c
 
-    ech, pivots = _bareiss_echelon(list(rows.values()), width)
-    rank = len(pivots)
-    for row in ech[rank:]:
-        if row[width]:
-            raise NotInSpanError("polynomial is not in the span of the basis")
-    if rank < width:
+    # fraction-free elimination, column by column: the sparsest row holding
+    # the column becomes its pivot row, and only the other rows holding it
+    # change, each to (p * row - f * pivot row) / gcd(p, f) over its content
+    pivots: list[tuple[int, dict[int, int]]] = []
+    rest = list(rows.values())
+    for c in range(width):
+        hold = [row for row in rest if c in row]
+        if not hold:
+            continue
+        rest = [row for row in rest if c not in row]
+        prow = min(hold, key=len)
+        p = prow[c]
+        pivots.append((c, prow))
+        for row in hold:
+            if row is not prow:
+                f = row[c]
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = {k: a * v for k, v in row.items()}
+                for k, v in prow.items():
+                    new[k] = new.get(k, 0) - b * v
+                if new := {k: v for k, v in new.items() if v}:
+                    g = gcd(*new.values())
+                    rest.append({k: v // g for k, v in new.items()})
+    # what is left holds only the target column
+    if rest:
+        raise NotInSpanError("polynomial is not in the span of the basis")
+    if len(pivots) < width:
         raise BasisDependenceError("basis is not linearly independent modulo S")
 
-    sol = [0] * width
-    for r in range(rank - 1, -1, -1):
-        c = pivots[r]
-        acc = ech[r][width]
-        for cc in range(c + 1, width):
-            acc -= ech[r][cc] * sol[cc]
-        sol[c], rem = divmod(acc, ech[r][c])
+    # back-substitution, last pivot first: sol[width] = -1 brings the target
+    # over, and sol[c] is still 0 when its own row is read
+    sol = [0] * width + [-1]
+    for c, prow in reversed(pivots):
+        sol[c], rem = divmod(-sum([v * sol[k] for k, v in prow.items()]), prow[c])
         if rem:
             raise NotInSpanError("no integral combination exists")
 

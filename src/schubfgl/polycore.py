@@ -379,7 +379,12 @@ class Poly:
             c = int(m.group(1))
             a = int(m.group(2) or 0)
             b = int(m.group(3) or 0)
-            exps = tuple(int(t) for t in m.group(4).split(",")) if m.group(4) else ()
+            # an empty field, as in x[1,,0], fails int(): a pattern that
+            # rejected it made parse_text about 10% slower
+            try:
+                exps = tuple(int(t) for t in m.group(4).split(",")) if m.group(4) else ()
+            except ValueError:
+                raise PolyError(f"unparseable term {chunk!r}") from None
             if seen_nvars is None:
                 seen_nvars = len(exps)
             if len(exps) != seen_nvars:

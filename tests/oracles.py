@@ -78,7 +78,13 @@ from schubfgl.combi import (
     support_of,
     word_to_perm,
 )
-from schubfgl.coinv import NotInSpanError, expand_in_basis, reduce_polys, top_staircase_class
+from schubfgl.coinv import (
+    BasisDependenceError,
+    NotInSpanError,
+    expand_in_basis,
+    reduce_polys,
+    top_staircase_class,
+)
 from schubfgl.ddo import (
     OperatorContext,
     _apply_letter,
@@ -167,6 +173,55 @@ def expanded(f: Poly, basis: list[Poly], n: int) -> list[Poly]:
     Polys in zero variables."""
     layout, coeffs = expand_in_basis(f, basis, n)
     return [layout.unpack(c) for c in coeffs]
+
+
+def bareiss_solve(columns: list[dict[int, int]], target: dict[int, int]) -> list[int]:
+    """The integers x with sum_j x_j * columns[j] == target, entries keyed by
+    row, by dense fraction-free (Bareiss) elimination: every row below a
+    pivot is rescaled at every pivot, each division exact.
+
+    It is the reference for the sparse elimination of
+    `schubfgl.coinv.expand_packed` and raises as it does, in its order:
+    NotInSpanError when target is outside the span, BasisDependenceError
+    when the columns are dependent, NotInSpanError when the rational
+    solution is not integral.
+    """
+    width = len(columns)
+    keyed: dict[int, list[int]] = {}
+    for ci, col in enumerate((*columns, target)):
+        for key, c in col.items():
+            keyed.setdefault(key, [0] * (width + 1))[ci] = c
+    m = list(keyed.values())
+    pivots: list[int] = []
+    r, prev = 0, 1
+    for c in range(width):
+        if r == len(m):
+            break
+        pivot_row = next((rr for rr in range(r, len(m)) if m[rr][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pc = m[r][c]
+        for rr in range(r + 1, len(m)):
+            factor = m[rr][c]
+            for cc in range(c, width + 1):
+                m[rr][cc] = (m[rr][cc] * pc - factor * m[r][cc]) // prev
+        prev = pc
+        pivots.append(c)
+        r += 1
+    rank = len(pivots)
+    if any(row[width] for row in m[rank:]):
+        raise NotInSpanError("polynomial is not in the span of the basis")
+    if rank < width:
+        raise BasisDependenceError("basis is not linearly independent modulo S")
+    sol = [0] * width
+    for r in range(rank - 1, -1, -1):
+        c = pivots[r]
+        acc = m[r][width] - sum(m[r][cc] * sol[cc] for cc in range(c + 1, width))
+        sol[c], rem = divmod(acc, m[r][c])
+        if rem:
+            raise NotInSpanError("no integral combination exists")
+    return sol
 
 
 def mul_mu(f: Poly, a: int, b: int) -> Poly:

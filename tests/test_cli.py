@@ -91,6 +91,15 @@ def test_reduce_arity_mismatch():
     assert code == 2
 
 
+def test_malformed_exponent_lists_name_the_term(capsys):
+    # an empty exponent field is a malformed term, not a bare int() error;
+    # the empty list x[] is the one term of no variables
+    for text in ("1*x[1,,0]", "1*x[,]", "1*x[1,0,]"):
+        assert run(["reduce"], stdin_text=text) == (2, "")
+        assert capsys.readouterr().err == f"schubfgl: error: unparseable term {text!r}\n"
+    assert run(["reduce"], stdin_text="2*x[]") == (0, "2*x[]\n")
+
+
 def test_expand_with_basis_file(tmp_path):
     code, table_blob = run(["table", "gr24", "--json"])
     assert code == 0

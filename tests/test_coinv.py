@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import schubfgl.coinv as coinv
@@ -26,6 +26,7 @@ from schubfgl.fgl import ADDITIVE, HYPERBOLIC, LORENTZ, MULTIPLICATIVE
 from schubfgl.polycore import Poly, PolyError
 
 from oracles import (
+    bareiss_solve,
     constant,
     equals_mod_s,
     expanded,
@@ -496,3 +497,59 @@ def test_mu_exponents_pass_through_and_must_fit_their_fields():
     assert layout.unpack(coinv.reduce_packed(layout.pack(f, 3), layout)) == normal_form(f, 3)
     with pytest.raises(PolyError):
         nf_layout(3, (1 << 40) - 1).pack(f, 3)
+
+
+@st.composite
+def integer_systems(draw):
+    """Columns and a nonzero target, keyed by row, for expand_packed at
+    degree gap 0 (one unknown per column): sparse or dense, tall, square or
+    one column wider, with negative entries, and on purpose a column that
+    is a combination of two others, a column scaled so the solution is not
+    integral, and a target moved off the span."""
+    nrows = draw(st.integers(1, 9))
+    ncols = draw(st.integers(1, nrows + 1))
+    if draw(st.booleans()):  # sparse: about one entry in four
+        entry = st.integers(-12, 12).map(lambda v: v if abs(v) <= 3 else 0)
+    else:
+        entry = st.integers(-9, 9).filter(bool)
+    cols = [[draw(entry) for _ in range(nrows)] for _ in range(ncols)]
+    for col in cols:  # expand_packed rejects a zero column before eliminating
+        if not any(col):
+            col[draw(st.integers(0, nrows - 1))] = draw(st.sampled_from((-2, -1, 1, 3)))
+    if ncols > 1 and draw(st.booleans()):
+        k, i = draw(st.permutations(range(ncols)))[:2]
+        j = draw(st.integers(0, ncols - 1).filter(lambda j: j != k))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        dependent = [a * u + b * v for u, v in zip(cols[i], cols[j])]
+        if any(dependent):
+            cols[k] = dependent
+    x = [draw(st.integers(-4, 4)) for _ in range(ncols)]
+    target = [sum(xj * col[r] for xj, col in zip(x, cols)) for r in range(nrows)]
+    scale = draw(st.sampled_from((1, 1, 2, -3)))
+    j = draw(st.integers(0, ncols - 1))
+    cols[j] = [scale * v for v in cols[j]]  # solves with x_j / scale
+    if draw(st.booleans()):
+        target[draw(st.integers(0, nrows - 1))] += draw(st.integers(-2, 2))
+    target = {r: v for r, v in enumerate(target) if v}
+    assume(target)
+    return [{r: v for r, v in enumerate(col) if v} for col in cols], target
+
+
+@settings(PROPERTY, max_examples=500)
+@given(integer_systems())
+@example(([{0: -2}], {0: 1}))
+@example(([{0: 1, 1: 2}, {0: 2, 1: 4}], {0: 1, 1: 3}))
+def test_sparse_expansion_matches_dense_bareiss(system):
+    # the solution, or the error kind and message, of the dense solve
+    columns, target = system
+    layout = nf_layout(3, 0)
+    try:
+        want = bareiss_solve(columns, target)
+    except (NotInSpanError, BasisDependenceError) as exc:
+        with pytest.raises(ValueError) as got:
+            coinv.expand_packed(layout, target, 0, columns, [0] * len(columns))
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        _, coeffs = coinv.expand_packed(layout, target, 0, columns, [0] * len(columns))
+        assert [c.get(0, 0) for c in coeffs] == want
+        assert all(set(c) <= {0} for c in coeffs)

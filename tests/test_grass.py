@@ -3,7 +3,7 @@
 import pytest
 
 import schubfgl.grass as grass
-from schubfgl.coinv import BasisDependenceError, reduce_packed
+from schubfgl.coinv import BasisDependenceError, nf_degree, reduce_packed
 from schubfgl.combi import (
     BoxPartition,
     CapacityError,
@@ -384,3 +384,18 @@ def test_rule_cross_check_rejects_dependent_classes():
     twice[(1, 1)] = classes[(1, 0)]
     with pytest.raises(BasisDependenceError):
         _rule_cross_check("rule", ctx, twice, smooth)
+    # deep in the 60-unknown Gr(3,6) system: one class of a degree shared
+    # by three becomes 2 * (one other) - 3 * (the third)
+    ctx, classes, smooth = _chowk_inputs(3, 6, ADDITIVE)
+    layout = class_layout(6)
+    by_degree = {}
+    for parts, nf in classes.items():
+        by_degree.setdefault(nf_degree(layout, nf), []).append(parts)
+    lost, one, other = next(ps for ps in by_degree.values() if len(ps) >= 3)[:3]
+    combined = dict(classes)
+    combined[lost] = {
+        key: c for key in classes[one].keys() | classes[other].keys()
+        if (c := 2 * classes[one].get(key, 0) - 3 * classes[other].get(key, 0))
+    }
+    with pytest.raises(BasisDependenceError, match="not linearly independent"):
+        _rule_cross_check("rule", ctx, combined, smooth)
