@@ -25,19 +25,20 @@ eliminates fraction-free on sparse rows, one dict per key: each pivot
 changes only the rows that hold its column.
 Monomial normal forms are kept in one memo per rank, keyed by a key's
 x-part and shared by all calls; all ranks together hold at most
-_NF_MEMO_MAX (262,144) entries plus one rewrite closure.
+_NF_MEMO_MAX (262,144) entries plus one rewrite closure.  Closed forms
+(_closed_form) answer an exponent >= n and the top degree unrewritten.
 Every rewrite is rank-bounded where it happens: above MAX_REWRITE_RANK
 a monomial that needs rewriting raises CapacityError, whichever caller
-asked.  Staircase monomials and monomials above the top degree need
-none, so they are answered at any rank.  An expansion is bounded by its
-unknown count: above MAX_EXPAND_UNKNOWNS, expand_packed raises
-CapacityError before it builds a column.
+asked.  Staircase monomials, monomials above the top degree and those
+a closed form answers need none, so they are answered at any rank.  An
+expansion is bounded by its unknown count: above MAX_EXPAND_UNKNOWNS,
+expand_packed raises CapacityError before it builds a column.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import factorial, gcd
 
 from .combi import CapacityError
@@ -46,10 +47,11 @@ from .polycore import MU_ZERO, GradedLayout, Poly, PolyError, XExp, _mk, short_p
 from .report import CheckReport
 
 
-# A monomial's rewrite can pass through every monomial of its degree: at
-# rank 7 and the top degree 21 that is 296,010 monomials, about 2.9 s and
-# 43 MB; at rank 8 and degree 28 it is 6.7 million.  _rewrite holds
-# every rewrite to this rank.
+# A monomial's rewrite can pass through every monomial of its degree
+# whose exponents are below n (the closed forms answer the others and the
+# top degree): at rank 7 the slowest found, x_5^2 x_6^6 x_7^6, takes about
+# 0.6 s and 32 MB in a fresh process; at rank 8 degree 22 alone holds
+# 1.6 million monomials.  _rewrite holds every rewrite to this rank.
 MAX_REWRITE_RANK = 7
 
 # An expansion has one unknown per basis class and admissible m1^a m2^b,
@@ -62,10 +64,11 @@ MAX_REWRITE_RANK = 7
 # 192 rows.
 MAX_EXPAND_UNKNOWNS = 300
 
-# At rank 6 the deformed Vandermonde check takes 0.5-0.64 s in a fresh
-# process (multiplicative and hyperbolic, 2 shared CPUs, Python 3.11),
-# most of it filling _NF_MEMO; at rank 7 both took 30-31 s and 362 MB.
-MAX_VANDERMONDE_RANK = 6
+# At rank 7 the deformed Vandermonde check takes 0.18-0.63 s and at most
+# 33 MB in a fresh process (four laws, 2 shared CPUs, Python 3.11); at
+# rank 8, with MAX_REWRITE_RANK lifted, 1.7 s and 90 MB (multiplicative)
+# and 3.3-3.9 s and 180 MB (hyperbolic).
+MAX_VANDERMONDE_RANK = 7
 
 
 class NotInSpanError(ValueError):
@@ -128,9 +131,10 @@ def _monomial_normal_form(x: int, n: int) -> _Entry:
         e = stack.pop()
         if e in memo or e in todo:
             continue
-        subs = _rewrite(e, n)
+        closed = _closed_form(e, n)
+        subs = None if closed is not None else _rewrite(e, n)
         if subs is None:
-            memo[e] = ((e, 1),)
+            memo[e] = ((e, 1),) if closed is None else closed
         else:
             todo.add(e)
             stack.extend(subs)
@@ -141,6 +145,26 @@ def _monomial_normal_form(x: int, n: int) -> _Entry:
                 acc[e2] = acc.get(e2, 0) - c2
         memo[e] = tuple([(e2, c) for e2, c in acc.items() if c])
     return memo[x]
+
+
+def _closed_form(x: int, n: int) -> _Entry | None:
+    """The normal form of the x-part x where it is known without a rewrite,
+    else None: 0 if an exponent is >= n (x_i^n lies in S); at the top degree
+    sgn(sigma) x^delta for x = x^sigma(delta), delta = (n-1, ..., 1, 0), and
+    0 for any other x (Bernstein, Gelfand and Gelfand, 1973)."""
+    top = n * (n - 1) // 2
+    width = top.bit_length()
+    mask = (1 << width) - 1
+    exps = [x >> i * width & mask for i in range(n)]
+    if any(e >= n for e in exps):
+        return ()
+    if x >> n * width != top:
+        return None
+    if len(set(exps)) < n:
+        return ()
+    inversions = sum(a < b for i, a in enumerate(exps) for b in exps[i + 1:])
+    delta = sum((n - k) << (k - 1) * width for k in range(1, n + 1))
+    return ((top << n * width | delta, -1 if inversions % 2 else 1),)
 
 
 def _rewrite(x: int, n: int) -> list[int] | None:
@@ -184,8 +208,8 @@ def reduce_packed(terms: dict[int, int], layout: GradedLayout) -> dict[int, int]
             for x2, c2 in nf:
                 k = x2 << mu_bits | mu
                 out[k] = get(k, 0) + c * c2
-    # misses smallest first, so each closure reuses those before it: in dict
-    # order the rank-7 Vandermonde check made 25 M rewrites, in this 3.4 M
+    # misses smallest first, so each closure reuses those before it; at rank
+    # 7 the Vandermonde check makes 9,328 rewrites (multiplicative) either way
     for key in sorted(misses):
         c, mu = terms[key], key & mu_mask
         for x2, c2 in _monomial_normal_form(key >> mu_bits, n):
@@ -389,6 +413,21 @@ def _reduced_alternant(n: int) -> dict[int, int]:
     return reduce_packed(layout.pack(vandermonde_poly(n), top), layout)
 
 
+@lru_cache(maxsize=4 * MAX_VANDERMONDE_RANK)
+def _pair_factors(spec: FglSpec, n: int) -> list[dict[int, int]]:
+    """Part (b)'s factors F(x_i, chi(x_j)) on nf_layout(n, top), x_i taking
+    its factors from x_n down: at n = 5 (multiplicative) no product then
+    holds more than 39 terms before its reduction, against 213 with the pairs
+    in lexicographic order.  F(x, chi(y)) is moved by two shifts.  Shared."""
+    top = n * (n - 1) // 2
+    layout = nf_layout(n, top)
+    mw, ds, x = layout.muwidth, layout.deg_shift, layout.x_shift
+    factor = [(a, b, (a + b) << ds | m1 << mw | m2, c)
+              for ((a, b), (m1, m2)), c in chi_difference(spec, top).terms.items()]
+    return [{key + (a << x(i)) + (b << x(j)): c for a, b, key, c in factor}
+            for i in range(1, n) for j in range(n, i, -1)]
+
+
 def vandermonde_check(spec: FglSpec, n: int, cap: int) -> CheckReport:
     """Two congruences modulo S, checked on the keys of nf_layout(n, top).
 
@@ -423,16 +462,9 @@ def vandermonde_check(spec: FglSpec, n: int, cap: int) -> CheckReport:
         "part (a): product of (x_i - x_j) = n! * top staircase class",
         vdm == {key: factorial(n) for key in layout.pack(top_staircase_class(n), top)},
     )
-    # F(x, chi(y)) as (a, b, key of x^a y^b without its x fields, coeff),
-    # moved to x_i, x_j for each pair by two shifts
-    mw, ds = layout.muwidth, layout.deg_shift
-    factor = [(a, b, (a + b) << ds | m1 << mw | m2, c)
-              for ((a, b), (m1, m2)), c in chi_difference(spec, top).terms.items()]
     prod = {0: 1}  # the key of 1
-    for i, j in combinations(range(1, n + 1), 2):
-        si, sj = layout.x_shift(i), layout.x_shift(j)
-        pair = {key + (a << si) + (b << sj): c for a, b, key, c in factor}
-        prod = reduce_packed(short_product(prod, pair, (top + 1) << ds), layout)
+    for pair in _pair_factors(spec, n):
+        prod = reduce_packed(short_product(prod, pair, (top + 1) << layout.deg_shift), layout)
     rep.add(
         "part (b): product of F(x_i, chi(x_j)) = product of (x_i - x_j)",
         prod == vdm,

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import time
 import tracemalloc
@@ -312,7 +313,7 @@ def test_verify_usage_errors(capsys):
     for n in ("0", "1", "-2"):
         code, _ = run(["verify", "vandermonde", "--n", n])
         assert code == 2
-        assert f"verifier rank n={n} outside the supported range [2, 6]" in capsys.readouterr().err
+        assert f"verifier rank n={n} outside the supported range [2, 7]" in capsys.readouterr().err
     # an integer m1 or m2 breaks the grading of the classes, which the
     # cross-checks need to pick the class of least degree
     for argv in ("verify gr24 --mu1 2", "verify gr24 --mu2 1",
@@ -843,21 +844,54 @@ def test_reduce_above_top_degree_is_zero():
 
 
 def test_capacity_bounds_exit_2(tmp_path, capsys):
-    # rank 8, degree 28 = top: rewriting would visit 6.7 million monomials
-    code, _ = run(["reduce"], stdin_text="1*x[0,0,0,0,0,0,0,28]")
+    # rank 8: x_5 x_6^7 x_7^7 x_8^7 needs a rewrite, and its degree 22
+    # holds C(29, 7) = 1,560,780 monomials
+    t0 = time.perf_counter()
+    code, _ = run(["reduce"], stdin_text="1*x[0,0,0,0,1,7,7,7]")
     assert code == 2
+    assert time.perf_counter() - t0 < 1.0
     assert "limited to rank 7" in capsys.readouterr().err
-    # terms that need no rewriting are answered at any rank
+    # terms that need no rewriting are answered at any rank: x_8^28 lies
+    # in S, since 28 >= 8
+    code, out = run(["reduce"], stdin_text="1*x[0,0,0,0,0,0,0,28]")
+    assert (code, out) == (0, "0\n")
     code, out = run(["reduce"], stdin_text="1*x[0,0,0,0,0,0,0,29] + 3*x[7,6,5,4,3,2,1,0]")
     assert (code, out) == (0, "3*x[7,6,5,4,3,2,1,0]\n")
     basis = tmp_path / "basis.json"
     basis.write_text(json.dumps([constant(8, 1).to_json_obj()]))
-    code, _ = run(["expand", "--basis", str(basis)], stdin_text="1*x[0,0,0,0,0,0,0,1]")
-    assert code == 2
-    assert "limited to rank 7" in capsys.readouterr().err
-    code, _ = run(["verify", "vandermonde", "--n", "7"])
-    assert code == 2
-    assert "limited to rank 6" in capsys.readouterr().err
+    for argv, stdin_text in ((["expand", "--basis", str(basis)], "1*x[0,0,0,0,0,0,0,1]"),
+                             (["verify", "vandermonde", "--n", "8"], None)):
+        t0 = time.perf_counter()
+        code, _ = run(argv, stdin_text=stdin_text)
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "limited to rank 7" in capsys.readouterr().err
+
+
+def _sign(exps) -> int:
+    """-1 to the number of pairs i < j with exps[i] < exps[j]: the sign of
+    x^exps against x^delta modulo S when exps permutes delta."""
+    inversions = 0
+    for i in range(len(exps)):
+        for j in range(i + 1, len(exps)):
+            inversions += exps[i] < exps[j]
+    return -1 if inversions % 2 else 1
+
+
+def test_closed_forms_answer_at_any_rank():
+    # above the rewrite rank, x_i^e with e >= n is 0 and a permutation of
+    # delta = (n-1, ..., 0) is +-x^delta, both at or below the top degree
+    rng = random.Random(8)
+    for n in range(8, 13):
+        delta = list(range(n - 1, -1, -1))
+        power = [rng.randrange(2) for _ in range(n)]
+        power[rng.randrange(n)] += n + rng.randrange(3)
+        perm = rng.sample(delta, n)
+        for exps, want in ((power, "0"), (perm, f"{_sign(perm)}*x[{','.join(map(str, delta))}]")):
+            t0 = time.perf_counter()
+            code, out = run(["reduce"], stdin_text=f"1*x[{','.join(map(str, exps))}]")
+            assert time.perf_counter() - t0 < 1.0
+            assert (code, out) == (0, want + "\n")
 
 
 def test_local_cap_bound_exits_2_at_once(capsys):

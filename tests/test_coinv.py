@@ -1,5 +1,6 @@
 """Normal forms modulo the symmetric ideal and exact basis expansion."""
 
+import itertools
 import math
 import random
 
@@ -240,6 +241,15 @@ def fresh_alternant():
     coinv._reduced_alternant.cache_clear()
 
 
+@pytest.fixture
+def fresh_factors():
+    """An empty cache of part (b)'s factors, emptied again afterwards, so
+    that a patched series reaches no other test."""
+    coinv._pair_factors.cache_clear()
+    yield
+    coinv._pair_factors.cache_clear()
+
+
 def test_vandermonde_part_a_reads_the_polynomial(monkeypatch, fresh_alternant):
     # one sign flipped in the alternant must fail part (a)
     alternant = vandermonde_poly
@@ -268,7 +278,7 @@ def test_vandermonde_check():
             assert rep.cases
 
 
-def test_vandermonde_series_stop_at_top_degree(monkeypatch):
+def test_vandermonde_series_stop_at_top_degree(monkeypatch, fresh_factors):
     # degrees above n(n-1)/2 vanish modulo S, so --cap must not add work
     caps = []
     series = coinv.chi_difference
@@ -283,8 +293,9 @@ def test_vandermonde_series_stop_at_top_degree(monkeypatch):
     assert caps and max(caps) <= 3
 
 
-def test_vandermonde_inverts_the_kernel_once(monkeypatch):
-    # one two-variable series serves every pair (i, j), relabelled
+def test_vandermonde_inverts_the_kernel_once(monkeypatch, fresh_factors):
+    # one two-variable series serves every pair (i, j), relabelled, and a
+    # second call with the same law and rank takes none
     calls = []
     series = coinv.chi_difference
 
@@ -295,6 +306,8 @@ def test_vandermonde_inverts_the_kernel_once(monkeypatch):
     monkeypatch.setattr(coinv, "chi_difference", recording_series)
     rep = vandermonde_check(HYPERBOLIC, 5, 40)
     assert rep.passed
+    assert calls == [(HYPERBOLIC, 10)]
+    assert vandermonde_check(HYPERBOLIC, 5, 12).passed
     assert calls == [(HYPERBOLIC, 10)]
 
 
@@ -454,6 +467,55 @@ def test_packed_closure_matches_the_tuple_rewrite(case):
     assert normal_form(term, n) == want
     packed = nf_layout(n, 2)
     assert packed.unpack(coinv.reduce_packed(packed.pack(term, n * (n - 1) // 2), packed)) == want
+
+
+def _check_closed_form(n: int, exps) -> None:
+    """The closed forms answer x^exps exactly when an exponent is >= n or
+    the degree is the top, and then as the tuple rewrite does."""
+    closed = coinv._closed_form(_x_part(exps, n), n)
+    assert (closed is not None) == (any(e >= n for e in exps) or sum(exps) == n * (n - 1) // 2)
+    if closed is not None:
+        assert nf_layout(n, 0).unpack(dict(closed)) == rewrite_normal_form(Poly.monomial(n, exps), n)
+
+
+def test_closed_forms_match_the_tuple_rewrite_up_to_rank_5():
+    # every monomial of degree <= top at ranks 0-5, 3,238 of them
+    for n in range(6):
+        top = n * (n - 1) // 2
+        for exps in itertools.product(range(top + 1), repeat=n):
+            if sum(exps) <= top:
+                _check_closed_form(n, exps)
+    # the empty product at rank 0 and x_1^0 at rank 1 are their own normal forms
+    assert normal_form(constant(0, 2), 0) == constant(0, 2)
+    assert normal_form(constant(1, 2), 1) == constant(1, 2)
+
+
+@st.composite
+def closed_form_monomials(draw):
+    """A monomial of rank 6 or 7 that a closed form answers: a top-degree
+    permutation of delta with a few units moved between variables below n,
+    or x_i^n times further units.  The tuple rewrite's closures grow fast
+    with the degree at rank 7 (x_7^10 takes about 3 s), so there the
+    second kind stays within degree n + 1."""
+    n = draw(st.sampled_from((6, 7)))
+    if draw(st.booleans()):
+        exps = list(draw(st.permutations(range(n))))
+        moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for i, j in draw(st.lists(moves, max_size=3)):
+            if i != j and exps[i] and exps[j] < n - 1:
+                exps[i], exps[j] = exps[i] - 1, exps[j] + 1
+    else:
+        extra = 1 if n == 7 else n * (n - 1) // 2 - n
+        exps = draw(st.lists(st.integers(0, n - 1), max_size=extra).map(
+            lambda vs: [vs.count(v) for v in range(n)]))
+        exps[draw(st.integers(0, n - 1))] += n
+    return n, tuple(exps)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(closed_form_monomials())
+def test_closed_forms_match_the_tuple_rewrite_at_ranks_6_and_7(case):
+    _check_closed_form(*case)
 
 
 @st.composite
