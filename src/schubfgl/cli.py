@@ -28,6 +28,7 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Sequence
 
 from .coinv import (
+    Basis,
     NotInSpanError,
     expand_in_basis,
     reduce_polys,
@@ -329,18 +330,24 @@ def _cmd_reduce(args, out, stdin) -> int:
     return 0
 
 
-def _cmd_expand(args, out, stdin) -> int:
-    with open(args.basis, encoding="utf-8") as fh:
-        try:
-            raw = json.loads(check_digits(fh.read()))
-        except RecursionError:
-            raise PolyError("the basis file is nested too deeply") from None
+# by content, not path: the last four bases, each parsed once and reduced once per layout
+@lru_cache(maxsize=4)
+def _read_basis(text: str) -> Basis:
+    try:
+        raw = json.loads(check_digits(text))
+    except RecursionError:
+        raise PolyError("the basis file is nested too deeply") from None
     if not isinstance(raw, list) or not raw:
         raise PolyError("basis file must be a nonempty JSON array of polynomials")
     # entries may be bare polynomials or rows of `table ... --json`
     if not all(isinstance(obj, dict) for obj in raw):
         raise PolyError("basis file entries must be JSON objects")
-    basis = [Poly.from_json_obj(obj.get("poly", obj)) for obj in raw]
+    return Basis([Poly.from_json_obj(obj.get("poly", obj)) for obj in raw])
+
+
+def _cmd_expand(args, out, stdin) -> int:
+    with open(args.basis, encoding="utf-8") as fh:
+        basis = _read_basis(fh.read())
     f = _read_stdin_poly(stdin, args.n)
     n = args.n if args.n is not None else f.nvars
     layout, coords = expand_in_basis(f, basis, n)

@@ -18,11 +18,11 @@ Reduction runs on the packed keys of polycore.GradedLayout (x-degree,
 x_n, ..., x_1, m1, m2, most significant first), one int per term: the
 one key format of the package, which the operators of ddo and the
 printer use too, here in nf_layout's field widths.  A Poly enters once,
-through reduce_polys, and its normal form stays packed: reduce and
-table print it as it is, and expand_packed builds its columns on the
-same keys and returns its coefficients packed, in no variables.  It
-eliminates fraction-free on sparse rows, one dict per key: each pivot
-changes only the rows that hold its column.
+through reduce_polys, and its normal form stays packed (a Basis keeps
+those of its classes): reduce and table print it as it is, and
+expand_packed builds its columns on the same keys and answers packed,
+in no variables.  It eliminates fraction-free on sparse rows, one dict
+per key: each pivot changes only the rows that hold its column.
 Monomial normal forms are kept in one memo per rank, keyed by a key's
 x-part and shared by all calls; all ranks together hold at most
 _NF_MEMO_MAX (262,144) entries plus one rewrite closure.  Closed forms
@@ -125,23 +125,23 @@ def _monomial_normal_form(x: int, n: int) -> _Entry:
     if sum(map(len, _NF_MEMO.values())) > _NF_MEMO_MAX:
         for rank_memo in _NF_MEMO.values():
             rank_memo.clear()
-    todo = set()
+    todo: dict[int, tuple[int, tuple[int, ...]]] = {}  # member -> its _rewrite
     stack = [x]
     while stack:
         e = stack.pop()
         if e in memo or e in todo:
             continue
         closed = _closed_form(e, n)
-        subs = None if closed is not None else _rewrite(e, n)
-        if subs is None:
+        step = None if closed is not None else _rewrite(e, n)
+        if step is None:
             memo[e] = ((e, 1),) if closed is None else closed
         else:
-            todo.add(e)
-            stack.extend(subs)
-    for e in sorted(todo):
+            todo[e] = step
+            stack.extend([step[0] + rep for rep in step[1]])
+    for e, (base, reps) in sorted(todo.items()):
         acc: dict[int, int] = {}
-        for sub in _rewrite(e, n):
-            for e2, c2 in memo[sub]:
+        for rep in reps:
+            for e2, c2 in memo[base + rep]:
                 acc[e2] = acc.get(e2, 0) - c2
         memo[e] = tuple([(e2, c) for e2, c in acc.items() if c])
     return memo[x]
@@ -167,9 +167,10 @@ def _closed_form(x: int, n: int) -> _Entry | None:
     return ((top << n * width | delta, -1 if inversions % 2 else 1),)
 
 
-def _rewrite(x: int, n: int) -> list[int] | None:
-    """The x-parts whose negated sum x rewrites to (None for a staircase x),
-    for the last violating x_k; CapacityError above MAX_REWRITE_RANK."""
+def _rewrite(x: int, n: int) -> tuple[int, tuple[int, ...]] | None:
+    """(base, reps): x rewrites to minus the sum of the x-parts base + rep,
+    rep in reps (None for a staircase x), for the last violating x_k;
+    CapacityError above MAX_REWRITE_RANK."""
     width = (n * (n - 1) // 2).bit_length()
     mask = (1 << width) - 1
     for k in range(n, 0, -1):
@@ -178,8 +179,7 @@ def _rewrite(x: int, n: int) -> list[int] | None:
                 raise CapacityError(
                     f"normal forms that rewrite are limited to rank {MAX_REWRITE_RANK}, got {n}"
                 )
-            base = x - ((n - k + 1) << (k - 1) * width)
-            return [base + rep for rep in _replacement_monomials(k, n)]
+            return x - ((n - k + 1) << (k - 1) * width), _replacement_monomials(k, n)
     return None
 
 
@@ -355,20 +355,44 @@ def expand_packed(
     return coeff_layout, out
 
 
-def expand_in_basis(f: Poly, basis: list[Poly], n: int) -> tuple[GradedLayout, list[dict[int, int]]]:
+class Basis(tuple):
+    """Basis classes for expand_in_basis with their graded degrees (None unless
+    graded-homogeneous and nonzero), largest mu exponent and normal forms,
+    reduced once per layout: at most four layouts kept, shared, so never changed."""
+
+    def __new__(cls, classes: list[Poly]) -> "Basis":
+        self = super().__new__(cls, classes)
+        self.degrees = [b.graded_degree()[1] for b in self]
+        self.mu_top = max([m for b in self for _x, mu in b.terms for m in mu], default=0)
+        self.forms: dict[GradedLayout, tuple[GradedLayout, list[dict[int, int]]]] = {}
+        return self
+
+    def reduced(self, n: int, mu_top: int) -> tuple[GradedLayout, list[dict[int, int]]]:
+        """reduce_polys(self, n, mu_top), kept per layout unless it raises."""
+        layout = nf_layout(n, max(n * (n - 1) // 2, mu_top, self.mu_top))
+        if layout not in self.forms:
+            if len(self.forms) >= 4:
+                self.forms.clear()
+            self.forms[layout] = reduce_polys(self, n, mu_top)
+        return self.forms[layout]
+
+
+def expand_in_basis(f: Poly, basis: list[Poly] | Basis, n: int) -> tuple[GradedLayout, list[dict[int, int]]]:
     """Write f modulo S as an integral Z[m1, m2]-combination of basis classes.
 
-    f and every basis element must be graded-homogeneous.  All are reduced
-    into one layout and expanded by expand_packed, whose packed
-    coefficients this returns.
+    f and every basis element must be graded-homogeneous.  The basis (a Basis
+    keeps its forms for later calls) is checked and reduced, then f in the
+    same layout, and expand_packed returns the packed coefficients.
     """
+    basis = basis if isinstance(basis, Basis) else Basis(basis)
     homog, fdeg = f.graded_degree()
     if not homog:
         raise PolyError("expansion requires a graded-homogeneous polynomial")
-    degs = basis_degrees([b.graded_degree()[1] for b in basis])
-    # mu fields that hold every column; fdeg is None only when f is 0
-    top = n * (n - 1) // 2
-    layout, (*nfs, nf_f) = reduce_polys([*basis, f], n, top - (fdeg or 0))
+    degs = basis_degrees(basis.degrees)
+    # mu fields that hold every column and term; fdeg is None only when f is 0
+    mu_top = max([n * (n - 1) // 2 - (fdeg or 0), basis.mu_top, *[m for _x, mu in f.terms for m in mu]])
+    layout, nfs = basis.reduced(n, mu_top)
+    _, (nf_f,) = reduce_polys([f], n, mu_top)
     return expand_packed(layout, nf_f, fdeg, nfs, degs)
 
 

@@ -359,8 +359,9 @@ class Poly:
         return f"Poly({self.nvars}: {self.render_text()})"
 
     _INT_RE = re.compile(r"-?[0-9]+")
+    # [0-9], not \d: check_digits counts ASCII digits, and int() reads them all
     _TERM_RE = re.compile(
-        r"^(-?\d+)(?:\*m1\^(\d+))?(?:\*m2\^(\d+))?\*x\[([0-9,]*)\]$"
+        r"^(-?[0-9]+)(?:\*m1\^([0-9]+))?(?:\*m2\^([0-9]+))?\*x\[([0-9,]*)\]$"
     )
 
     @classmethod
@@ -376,21 +377,19 @@ class Poly:
             m = cls._TERM_RE.match(chunk.strip())
             if not m:
                 raise PolyError(f"unparseable term {chunk!r}")
-            c = int(m.group(1))
-            a = int(m.group(2) or 0)
-            b = int(m.group(3) or 0)
+            c, a, b, xs = m.groups()
             # an empty field, as in x[1,,0], fails int(): a pattern that
             # rejected it made parse_text about 10% slower
             try:
-                exps = tuple(int(t) for t in m.group(4).split(",")) if m.group(4) else ()
+                exps = tuple(map(int, xs.split(","))) if xs else ()
             except ValueError:
                 raise PolyError(f"unparseable term {chunk!r}") from None
             if seen_nvars is None:
                 seen_nvars = len(exps)
             if len(exps) != seen_nvars:
                 raise PolyError("inconsistent variable counts across terms")
-            key = (exps, (a, b))
-            terms[key] = terms.get(key, 0) + c
+            key = (exps, (int(a or 0), int(b or 0)))
+            terms[key] = terms.get(key, 0) + int(c)
         # the pattern admits only integer exponents and coefficients
         if nvars is not None:
             _check_nvars(nvars)

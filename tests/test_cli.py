@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schubfgl import cli, polycore
+from schubfgl import cli, coinv, polycore
 from schubfgl.cli import (
     MAX_ANY_WORD_RANK,
     MAX_BRAID_RANK,
@@ -101,6 +101,43 @@ def test_malformed_exponent_lists_name_the_term(capsys):
     assert run(["reduce"], stdin_text="2*x[]") == (0, "2*x[]\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1*x[1,,0]", "unparseable term '1*x[1,,0]'"),  # an empty field
+    ("+1*x[1,0]", "unparseable term '+1*x[1,0]'"),
+    ("1*x[1,0] +", "unparseable term '1*x[1,0] +'"),  # a trailing ' +'
+    ("1*x[1,0] + 2", "unparseable term '2'"),
+    ("1*x[1,0]+1*x[0,1]", "unparseable term '1*x[1,0]+1*x[0,1]'"),
+    ("1*m2^1*m1^1*x[1,0]", "unparseable term '1*m2^1*m1^1*x[1,0]'"),  # m2 before m1
+    ("1x[1,0]", "unparseable term '1x[1,0]'"),  # a missing '*'
+    ("1*m1^1x[1,0]", "unparseable term '1*m1^1x[1,0]'"),
+    ("1.5*x[1,0]", "unparseable term '1.5*x[1,0]'"),
+    ("1*m1^-1*x[1,0]", "unparseable term '1*m1^-1*x[1,0]'"),
+    ("1*x[-1,0]", "unparseable term '1*x[-1,0]'"),
+    ("1*x[1,0] + 1*x[1,0,0]", "inconsistent variable counts across terms"),
+    ("0", "parsing '0' needs an explicit variable count"),  # a bare 0 without --n
+    ("", "no polynomial on stdin"),
+])
+def test_text_reader_faults_name_themselves(text, message, capsys):
+    assert run(["reduce"], stdin_text=text) == (2, "")
+    assert capsys.readouterr().err == f"schubfgl: error: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["١*x[1,0]", "1*m1^١*x[1,0]", "1*m2^١*x[1,0]",
+                                  "1*m1^1*m2^١*x[1,0]", "1*x[1,0] + ١٢*x[0,1]"])
+def test_text_reader_takes_ascii_digits_only(text, capsys):
+    # int() reads Arabic-Indic digits (U+0661 is one), which the digit
+    # bound does not count; the JSON reader and the x field reject them too
+    assert run(["reduce"], stdin_text=text) == (2, "")
+    assert "unparseable term" in capsys.readouterr().err
+
+
+def test_non_ascii_digits_do_not_pass_the_digit_bound(capsys):
+    t0 = time.perf_counter()
+    assert run(["reduce"], stdin_text="١" * 200_000 + "*x[1,0]") == (2, "")
+    assert time.perf_counter() - t0 < 0.5
+    assert "unparseable term" in capsys.readouterr().err
+
+
 def test_expand_with_basis_file(tmp_path):
     code, table_blob = run(["table", "gr24", "--json"])
     assert code == 0
@@ -178,6 +215,145 @@ def test_expand_unknowns_bound(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
     assert (f"schubfgl: error: expansion needs {MAX_EXPAND_UNKNOWNS + 3} unknowns, above the"
             f" bound of {MAX_EXPAND_UNKNOWNS}") in capsys.readouterr().err
+
+
+def _poly_obj(n, *terms):
+    return {"nvars": n, "terms": [{"c": str(c), "mu": [0, 0], "x": list(x)} for c, x in terms]}
+
+
+def test_expand_keys_its_basis_by_content(tmp_path, monkeypatch):
+    # the two bases have texts of one length: only the content tells them apart
+    basis = tmp_path / "basis.json"
+    unit, x1 = _poly_obj(2, (1, (0, 0))), _poly_obj(2, (1, (1, 0)))
+    argv = ["expand", "--basis", str(basis)]
+    basis.write_text(json.dumps([unit, x1]))
+    assert run(argv, "1*x[1,0]") == (0, "[0] 0\n[1] 1*x[]\n")
+    basis.write_text(json.dumps([x1, unit]))
+    assert run(argv, "1*x[1,0]") == (0, "[0] 1*x[]\n[1] 0\n")
+    # the same content at another path is read, graded and reduced once
+    reduced = []
+    real = coinv.reduce_polys
+    monkeypatch.setattr(coinv, "reduce_polys", lambda polys, *a: reduced.append(len(polys)) or real(polys, *a))
+    cli._read_basis.cache_clear()
+    copy = tmp_path / "copy.json"
+    copy.write_text(basis.read_text())
+    for path in (basis, copy, basis):
+        assert run(["expand", "--basis", str(path)], "3*x[0,0]") == (0, "[0] 0\n[1] 3*x[]\n")
+    assert reduced == [2, 1, 1, 1]  # the basis once, then each target
+
+
+def test_expand_caches_no_error(tmp_path, capsys):
+    basis = tmp_path / "basis.json"
+    argv = ["expand", "--basis", str(basis), "--n", "2"]
+    for bad, message in (
+        ("[{", "Expecting property name enclosed in double quotes: line 1 column 3 (char 2)"),
+        (json.dumps([_poly_obj(3, (1, (0, 0, 0)))]), "expected a polynomial in 2 variables, got 3"),
+        (json.dumps([_poly_obj(2, (1, (1, 0)), (1, (0, 0)))]),
+         "basis element 0 must be graded-homogeneous and nonzero"),
+    ):
+        basis.write_text(bad)
+        for _ in range(2):
+            assert run(argv, "1*x[1,0]") == (2, "")
+            assert capsys.readouterr().err == f"schubfgl: error: {message}\n"
+        basis.write_text(json.dumps([_poly_obj(2, (1, (1, 0)))]))
+        assert run(argv, "1*x[1,0]") == (0, "[0] 1*x[]\n")
+
+
+def test_expand_widens_the_mu_fields_a_target_needs(tmp_path):
+    code, blob = run(["table", "gr24", "--fgl", "hyperbolic", "--json"])
+    basis = tmp_path / "gr24.json"
+    basis.write_text(blob)
+    classes = [Poly.from_json_obj(row["poly"]) for row in json.loads(blob)]
+    degs = [b.graded_degree()[1] for b in classes]
+    widths = []
+    # the first call reduces the basis in mu fields of 3 bits; targets of
+    # negative graded degree or large m1, m2 exponents need 4 to 6
+    for mu, c, j in (((0, 0), 1, 1), ((9, 0), 1, 0), ((3, 0), -2, 2), ((0, 7), 1, 1),
+                     ((20, 9), 3, 5), ((0, 0), 1, 1)):
+        f = Poly.monomial(4, (0, 0, 0, 0), mu, c) * classes[j]
+        text = f.render_text()
+        fdeg = f.graded_degree()[1]
+        layout, (*nfs, nf_f) = coinv.reduce_polys([*classes, f], 4, 6 - fdeg)
+        coeff_layout, want = coinv.expand_packed(layout, nf_f, fdeg, nfs, degs)
+        widths.append(layout.muwidth)
+        code, out = run(["expand", "--basis", str(basis), "--json"], text)
+        assert code == 0
+        got = [Poly.from_json_obj(c) for c in json.loads(out)["coefficients"]]
+        assert got == [coeff_layout.unpack(c) for c in want]
+    assert widths == [3, 4, 3, 5, 6, 3]
+
+
+def test_expand_errors_are_the_same_with_the_memo_warm(tmp_path, capsys):
+    bases = {
+        "nested": "[" * 100000 + "]" * 100000,
+        "notjson": "[{",
+        "empty": "[]",
+        "rows": "[5]",
+        "malformed": '[{"nvars": 2}]',
+        "digits": '[{"nvars": 2, "terms": [{"c": %s, "mu": [0, 0], "x": [1, 0]}]}]' % ("9" * 50001),
+        "x1": json.dumps([_poly_obj(2, (1, (0, 0))), _poly_obj(2, (1, (1, 0)))]),
+        "inhomog": json.dumps([_poly_obj(2, (1, (0, 0))), _poly_obj(2, (1, (1, 0)), (1, (0, 0)))]),
+        "zero": json.dumps([_poly_obj(2, (1, (0, 0))), _poly_obj(2)]),
+        "unit": json.dumps([_poly_obj(2, (1, (0, 0)))]),
+        "half": json.dumps([_poly_obj(2, (1, (0, 0))), _poly_obj(2, (2, (1, 0)))]),
+        "vanish": json.dumps([_poly_obj(2, (1, (0, 0))), _poly_obj(2, (1, (1, 0)), (1, (0, 1)))]),
+        "dep": json.dumps([_poly_obj(2, (1, (1, 0))), _poly_obj(2, (-1, (0, 1)))]),
+        "rank3": json.dumps([_poly_obj(3, (1, (0, 0, 0)))]),
+        "rank8": json.dumps([_poly_obj(8, (1, (0,) * 8)), _poly_obj(8, (1, (0, 0, 0, 0, 1, 7, 7, 7)))]),
+        "stair3": json.dumps([_poly_obj(3, (1, x)) for x in (
+            (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0))]),
+    }
+    for name, text in bases.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    cases = [(name, [], "1*x[1,0]") for name in ("nested", "notjson", "empty", "rows", "malformed", "digits")] + [
+        ("x1", [], ""), ("x1", [], "1*x[1,,0]"), ("x1", [], "0"), ("x1", [], "1*x[1,0] + 1*x[0,0]"),
+        ("inhomog", [], "1*x[1,0]"), ("zero", [], "1*x[1,0]"),
+        ("x1", [], "1*x[1,0,0]"), ("x1", ["--n", "3"], "1*x[1,0]"),  # the basis's count first
+        ("rank3", ["--n", "2"], "1*x[1,0,0]"), ("rank3", [], "1*x[1,0]"),
+        ("rank8", [], "1*x[0,0,0,0,0,0,0,1]"), ("stair3", ["--n", "3"], "1*m1^99*x[1,0,0]"),
+        ("unit", [], "1*x[1,0]"), ("half", [], "1*x[1,0]"), ("vanish", [], "1*x[1,0]"), ("dep", [], "1*x[1,0]"),
+    ]
+    messages = [
+        "the basis file is nested too deeply",
+        "Expecting property name enclosed in double quotes: line 1 column 3 (char 2)",
+        "basis file must be a nonempty JSON array of polynomials",
+        "basis file entries must be JSON objects",
+        "malformed polynomial object: 'terms'",
+        "an input integer has 50001 digits, more than the 50000 allowed",
+        "no polynomial on stdin",
+        "unparseable term '1*x[1,,0]'",
+        "parsing '0' needs an explicit variable count",
+        "expansion requires a graded-homogeneous polynomial",
+        "basis element 1 must be graded-homogeneous and nonzero",
+        "basis element 1 must be graded-homogeneous and nonzero",
+        "expected a polynomial in 3 variables, got 2",
+        "expected a polynomial in 3 variables, got 2",
+        "expected a polynomial in 2 variables, got 3",
+        "expected a polynomial in 2 variables, got 3",
+        "normal forms that rewrite are limited to rank 7, got 8",
+        "expansion needs 303 unknowns, above the bound of 300: the degree gap between the input"
+        " and the basis is too large",
+        "polynomial is not in the span of the basis",
+        "no integral combination exists",
+        "basis element 1 vanishes modulo S",
+        "basis is not linearly independent modulo S",
+    ]
+
+    def outcomes():
+        got = []
+        for name, flags, stdin in cases:
+            assert run(["expand", "--basis", str(tmp_path / f"{name}.json"), *flags], stdin) == (2, "")
+            got.append(capsys.readouterr().err)
+        return got
+
+    cli._read_basis.cache_clear()
+    want = [f"schubfgl: error: {m}\n" for m in messages]
+    assert outcomes() == want
+    # warm: every basis that reads and reduces is kept, in the layout of its rank
+    for name, n in (("x1", 2), ("unit", 2), ("half", 2), ("vanish", 2), ("dep", 2), ("stair3", 3), ("rank3", 3)):
+        run(["expand", "--basis", str(tmp_path / f"{name}.json"), "--n", str(n)], "0")
+    capsys.readouterr()
+    assert outcomes() == want
 
 
 def test_grprod_examples():

@@ -215,6 +215,34 @@ def test_expand_in_basis_errors():
         )
 
 
+def test_a_kept_basis_reduces_once_per_layout_and_keeps_four():
+    n = 3
+    classes = [Poly.monomial(n, e, (1, 0)) for e in staircase_monomials(n)]
+    basis = coinv.Basis(classes)
+    assert list(basis) == classes and basis.mu_top == 1
+    assert basis.degrees == [sum(e) - 1 for e in staircase_monomials(n)]
+    first = basis.reduced(n, 3)
+    assert first == reduce_polys(classes, n, 3) and basis.reduced(n, 0) is first
+    # mu fields of 3 to 7 bits: five layouts, at most four of them kept
+    for mu_top in (8, 16, 32, 64):
+        last = basis.reduced(n, mu_top)
+        assert last == reduce_polys(classes, n, mu_top) and basis.reduced(n, mu_top) is last
+        assert 1 <= len(basis.forms) <= 4
+    # the same answers from a kept basis as from a list, warm or cold
+    f = Poly.monomial(n, (2, 1, 0), (9, 0), 2) + Poly.monomial(n, (1, 1, 0), (8, 0), -1)
+    assert expand_in_basis(f, basis, n) == expand_in_basis(f, classes, n) == expand_in_basis(f, basis, n)
+
+
+def test_a_kept_basis_keeps_no_error():
+    basis = coinv.Basis([constant(3, 1)])
+    for _ in range(2):
+        with pytest.raises(PolyError, match="expected a polynomial in 2 variables, got 3"):
+            basis.reduced(2, 0)
+    assert basis.forms == {}
+    with pytest.raises(CapacityError):
+        coinv.Basis([constant(8, 1), Poly.monomial(8, (0, 0, 0, 0, 1, 7, 7, 7))]).reduced(8, 0)
+
+
 def test_vandermonde_and_top_staircase():
     assert vandermonde_poly(2) == Poly.variable(2, 1) - Poly.variable(2, 2)
     assert top_staircase_class(4) == Poly.monomial(4, (3, 2, 1, 0))
