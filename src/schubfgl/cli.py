@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -313,7 +314,7 @@ def _cmd_poly(args, out, stdin) -> int:
     if args.json:
         _emit_json(PackedPoly(*cls), out)
     else:
-        out.write(render_packed(*cls) + "\n")
+        out.writelines((render_packed(*cls), "\n"))
     return 0
 
 
@@ -326,7 +327,7 @@ def _cmd_reduce(args, out, stdin) -> int:
     if args.json:
         _emit_json(PackedPoly(layout, *term_order(g)), out)
     else:
-        out.write(render_packed(layout, *term_order(g)) + "\n")
+        out.writelines((render_packed(layout, *term_order(g)), "\n"))
     return 0
 
 
@@ -492,6 +493,10 @@ def main(argv: list[str] | None = None, out=None, stdin=None) -> int:
         else:
             args = top.parse_args(argv)
         return args.run(args, out, stdin)
+    except BrokenPipeError:  # the reader left: exit as SIGPIPE would, 128 + 13, and silently
+        if out is sys.stdout:  # what stays buffered goes to devnull at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 141
     except (PolyError, CapacityError, NotInSpanError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"schubfgl: error: {exc}", file=sys.stderr)
         return 2

@@ -19,14 +19,15 @@ keys of GradedLayout: one int per term, with its fields in term order,
 the format the operators of ddo and the products and normal forms of
 coinv use.  So plain int order sorts a class, and the printer takes a
 class sorted, as its keys and their coefficients: term_order(terms) of
-a dict, or a word class as schubert's memo holds it.  A term is printed
-as two memo reads joined in C, with no Python line run per term: the
+a dict, or a word class as schubert's memo holds it.  A print is one
+join over one list, with no Python line run per term: per term the
 text of its coefficient, from one process-wide memo, and the text of
-its key, from a memo of the layout keyed by the whole packed key.  The
-text memo holds a key's "*m1^a*m2^b*x[...]"; the JSON memo holds what
-json.dumps(obj, sort_keys=True, indent=2) writes from the quote after
-the coefficient to the term's closing brace, so no per-term dict is
-built.  A memo stores the text of its first _KEY_MEMO_MAX (16,384) keys
+its key and the separator, from a memo of the layout keyed by the whole
+packed key; only the last term's copy is trimmed.  The text memo holds
+a key's "*m1^a*m2^b*x[...] + "; the JSON memo holds what json.dumps(obj,
+sort_keys=True, indent=2) writes from the quote after the coefficient
+through the next term's opening quote, so no per-term dict is built.  A
+memo stores the text of its first _KEY_MEMO_MAX (16,384) keys
 and builds that of any later key on each use, the coefficient memo
 stores only coefficients below _COEFF_KEPT (2**31) in absolute value,
 and the memos of the last _LAYOUTS_KEPT (16) layouts are kept, so all
@@ -596,29 +597,37 @@ class _CoeffMemo(_KeyMemo):
 
 
 _COEFF_TEXT = _CoeffMemo(str)
+_JSON_SEP = ',\n    {\n      "c": "'  # ends every JSON memo text
 
 
-def _join_terms(sep: str, suffix: _KeyMemo, keys: Sequence[int], coeffs: Sequence[int]) -> str:
-    return sep.join(map(add, map(_COEFF_TEXT.__getitem__, coeffs), map(suffix.__getitem__, keys)))
+def _join_terms(head: str, sep: str, memo: _KeyMemo, keys: Sequence[int], coeffs: Sequence[int],
+                tail: str) -> str:
+    """head, each term's coefficient and key texts, and tail; sep is cut off the last key's text."""
+    parts = [head] * (2 * len(keys) + 2)
+    parts[1:-1:2] = map(_COEFF_TEXT.__getitem__, coeffs)
+    parts[2:-1:2] = map(memo.__getitem__, keys)
+    parts[-2] = parts[-2][:-len(sep)]
+    parts[-1] = tail
+    return "".join(parts)
 
 
 @lru_cache(maxsize=_LAYOUTS_KEPT)
 def _key_memos(layout: GradedLayout) -> _KeyMemo:
     """The text memo of a layout: memo[key] is the key's
-    "*m1^a*m2^b*x[...]" suffix."""
+    "*m1^a*m2^b*x[...]" suffix and the separator " + "."""
     shifts, xmask, mw, mumask = layout.fields
 
     def text(key: int) -> str:
         a, b = key >> mw & mumask, key & mumask
         exps = ",".join([str(key >> s & xmask) for s in shifts])
-        return f"{f'*m1^{a}' if a else ''}{f'*m2^{b}' if b else ''}*x[{exps}]"
+        return f"{f'*m1^{a}' if a else ''}{f'*m2^{b}' if b else ''}*x[{exps}] + "
 
     return _KeyMemo(text)
 
 
 def render_packed(layout: GradedLayout, keys: Sequence[int], coeffs: Sequence[int]) -> str:
     """The text of a packed polynomial, its keys in term order and their coefficients."""
-    return _join_terms(" + ", _key_memos(layout), keys, coeffs) or "0"
+    return _join_terms("", " + ", _key_memos(layout), keys, coeffs, "") or "0"
 
 
 def packed_json_obj(layout: GradedLayout, keys: Sequence[int], coeffs: Sequence[int]) -> dict:
@@ -633,14 +642,14 @@ def packed_json_obj(layout: GradedLayout, keys: Sequence[int], coeffs: Sequence[
 @lru_cache(maxsize=_LAYOUTS_KEPT)
 def _json_memos(layout: GradedLayout) -> _KeyMemo:
     """The JSON memo of a layout, for a polynomial at the top level:
-    memo[key] runs from the quote after a term's coefficient to the
-    term's closing brace."""
+    memo[key] runs from the quote after a term's coefficient through
+    the next term's opening quote."""
     shifts, xmask, mw, mumask = layout.fields
 
     def text(key: int) -> str:
         exps = ",\n        ".join([str(key >> s & xmask) for s in shifts])
         return (f'",\n      "mu": [\n        {key >> mw & mumask},\n        {key & mumask}\n      ],\n      "x": '
-                + (f"[\n        {exps}\n      ]\n    }}" if shifts else "[]\n    }"))
+                + (f"[\n        {exps}\n      ]\n    }}" if shifts else "[]\n    }") + _JSON_SEP)
 
     return _KeyMemo(text)
 
@@ -650,5 +659,4 @@ def packed_json_text(layout: GradedLayout, keys: Sequence[int], coeffs: Sequence
     head = f'{{\n  "nvars": {layout.nvars},\n  "terms": ['
     if not keys:
         return head + "]\n}"
-    body = _join_terms(',\n    {\n      "c": "', _json_memos(layout), keys, coeffs)
-    return f'{head}\n    {{\n      "c": "{body}\n  ]\n}}'
+    return _join_terms(head + _JSON_SEP[1:], _JSON_SEP, _json_memos(layout), keys, coeffs, "\n  ]\n}")

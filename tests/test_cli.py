@@ -5,10 +5,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -1577,3 +1580,28 @@ def test_a_5_mb_json_class_is_written_in_bounded_memory():
     code, text, peak = _traced_peak(argv)
     assert (code, text) == warm and code == 0 and len(text) == 5_246_195
     assert peak < 20_000_000
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_output_pipe_exits_141_in_silence(capsys):
+    # 128 + SIGPIPE, as a writer killed by the signal; 2 is for bad input
+    assert main(["poly", "word", "--n", "3", "--word", "1,2"], out=_ClosedPipe()) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_a_reader_that_closes_the_pipe_early():
+    # 2.9 MB of JSON, far more than a pipe buffers: the writer is still
+    # writing when the reader closes, and exits without a message or an
+    # "Exception ignored" line from the interpreter's last flush
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    argv = [sys.executable, "-m", "schubfgl.cli", "verify", "fk", "--n", "5", "--json"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -528,6 +528,78 @@ def test_warm_printer_runs_no_python_line_per_term(write):
     assert write(*cls) == first
 
 
+def _fresh_printer_memos():
+    polycore._key_memos.cache_clear()
+    polycore._json_memos.cache_clear()
+    polycore._COEFF_TEXT.clear()
+
+
+def _warm_peak(write, cls):
+    """(length, tracemalloc peak) of write(*cls), printed once before."""
+    write(*cls)
+    tracemalloc.start()
+    try:
+        return len(write(*cls)), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("write, ratio", [(render_packed, 2.0), (packed_json_text, 1.5)])
+def test_a_warm_print_holds_little_beside_its_text(write, ratio):
+    # the longest hyperbolic class of S_5 (39,686 bytes of text, 236,266 of
+    # JSON) printed with one join over one list of memo texts peaks at
+    # 1.64x and 1.11x its length; with a fresh string per term, joined and
+    # then copied into the JSON's frame, it peaked at 4.2x and 2.3x
+    # (Python 3.11)
+    _fresh_printer_memos()
+    cls = schubert(OperatorContext(HYPERBOLIC, 5), (1, 2, 1, 3, 2, 1, 4, 3, 2, 1))
+    length, peak = _warm_peak(write, cls)
+    assert peak < ratio * length
+
+
+def test_the_json_of_the_rank_6_longest_word_peaks_below_json_dump():
+    # 32,746 terms, 16,362 of whose keys lie past the memo bound and are
+    # built on each print: 9.2 MB, against 9.5 MB for json.dump of its
+    # object and 11.7 MB when the body was copied into the frame
+    _fresh_printer_memos()
+    cls = schubert(OperatorContext(HYPERBOLIC, 6), (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1))
+    length, peak = _warm_peak(packed_json_text, cls)
+    assert length == 5_246_194 and peak < 9_500_000
+
+
+@pytest.mark.parametrize("write", [render_packed, packed_json_text])
+def test_the_join_at_its_edges(monkeypatch, write):
+    # each key's memo text ends with the separator, which the join cuts
+    # off the last term's copy only
+    if write is render_packed:
+        expected, memos, sep = reference_render_text, polycore._key_memos, " + "
+    else:
+        def expected(f):
+            return json.dumps(reference_json_obj(f), sort_keys=True, indent=2)
+        memos, sep = polycore._json_memos, polycore._JSON_SEP
+    monkeypatch.setattr(polycore, "_KEY_MEMO_MAX", 2)
+    _fresh_printer_memos()
+    one = Poly.monomial(2, (3, 1), (1, 2), -5)
+    assert write(*one.packed()) == expected(one)
+    # five keys in one layout: the last three lie past the bound, so the
+    # last slot is trimmed from a text built for this print
+    f = Poly(1, {((e,), (0, 0)): e + 1 for e in range(5)})
+    layout, keys, coeffs = f.packed()
+    assert write(layout, keys, coeffs) == expected(f)
+    memo = memos(layout)
+    assert len(memo) == 2 and keys[-1] not in memo
+    # a class whose last key the memo holds, then the whole class again:
+    # no memo text lost its separator to a trim
+    head = Poly(1, {((e,), (0, 0)): e + 1 for e in range(2)})
+    assert write(layout, keys[:2], coeffs[:2]) == expected(head)
+    assert write(layout, keys, coeffs) == expected(f)
+    assert all(text.endswith(sep) for text in memo.values())
+    # the zero polynomial: "0", and an empty list of terms
+    zero = Poly.zero(3)
+    assert write(*zero.packed()) == expected(zero)
+    assert expected(zero) in ("0", '{\n  "nvars": 3,\n  "terms": []\n}')
+
+
 def test_bool_and_non_int_input_rejected():
     key = ((1, 0), (0, 0))
     for nvars, terms in ((True, {}), (2, {key: True}), (2, {((True, 0), (0, 0)): 1}),
